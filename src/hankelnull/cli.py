@@ -80,7 +80,6 @@ _REFERENCE = {
     "x0_policy": "random-bounded",
     "x0_halfwidth": 1.0,
     "moment_mode": "identical",
-    "workers": 1,
 }
 
 PRESETS = {"reference": _REFERENCE}
@@ -99,7 +98,6 @@ _DEFAULTS = {
     "x0_policy": "random-bounded",
     "x0_halfwidth": 1.0,
     "moment_mode": "identical",
-    "workers": 1,
 }
 
 _AXIS_NAMES = {"identical": ("m1", "m2"), "distinct": ("m1u", "m2u", "m1y", "m2y")}
@@ -124,11 +122,10 @@ class ExperimentConfig:
     x0_policy: str
     x0_halfwidth: float
     moment_mode: str
-    workers: int
 
     def __post_init__(self):
-        if self.Nt < 1 or self.N < 1 or self.L < 1 or self.workers < 1:
-            raise ValueError("Nt, N, L and workers must all be positive")
+        if self.Nt < 1 or self.N < 1 or self.L < 1:
+            raise ValueError("Nt, N and L must all be positive")
         if self.N < self.L:
             raise ValueError(f"N={self.N} is shorter than the window depth L={self.L}")
         if self.moment_mode not in _AXIS_NAMES:
@@ -164,7 +161,11 @@ class ExperimentConfig:
 
 
 def config_from_dict(obj: dict) -> ExperimentConfig:
-    """Build a validated config from a plain JSON-style dict."""
+    """Build a validated config from a plain JSON-style dict.
+
+    Keys it does not know are ignored, such as the `workers` key of configs
+    and manifests from versions that ran threads.
+    """
     sys_spec = obj.get("system")
     if sys_spec is None:
         raise ValueError("config has no system; give matrices inline or use a preset")
@@ -216,7 +217,6 @@ def config_from_dict(obj: dict) -> ExperimentConfig:
         x0_policy=str(obj.get("x0_policy", _DEFAULTS["x0_policy"])),
         x0_halfwidth=float(obj.get("x0_halfwidth", _DEFAULTS["x0_halfwidth"])),
         moment_mode=moment_mode,
-        workers=int(obj.get("workers", _DEFAULTS["workers"])),
     )
 
 
@@ -245,7 +245,6 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         "x0_policy": cfg.x0_policy,
         "x0_halfwidth": cfg.x0_halfwidth,
         "moment_mode": cfg.moment_mode,
-        "workers": cfg.workers,
     }
 
 
@@ -259,7 +258,7 @@ def _load_config_file(path) -> dict:
 
 def _apply_flag_overrides(obj: dict, args) -> None:
     for key in (
-        "Nt", "N", "L", "seed", "workers",
+        "Nt", "N", "L", "seed",
         "eps_sigma", "eps_mode", "eps_factor", "eps_rank",
         "x0_policy", "x0_halfwidth", "moment_mode",
     ):
@@ -316,13 +315,20 @@ def _outdir(path) -> Path:
     return out
 
 
+def _load_matching_dataset(cfg: ExperimentConfig, path):
+    ds = load_dataset(path)
+    if ds.N != cfg.N or ds.m != cfg.system.m or ds.p != cfg.system.p:
+        raise ValueError(f"dataset (N={ds.N}, m={ds.m}, p={ds.p}) does not match the config")
+    return ds
+
+
 def cmd_generate(cfg: ExperimentConfig, out_dir) -> int:
     out = _outdir(out_dir)
     rng = np.random.default_rng(cfg.seed)
     t0 = time.perf_counter()
     clean = generate_dataset(
         cfg.system, cfg.Nt, cfg.N, cfg.L, cfg.x0_policy, rng,
-        x0_halfwidth=cfg.x0_halfwidth, workers=cfg.workers,
+        x0_halfwidth=cfg.x0_halfwidth,
     )
     noisy = add_noise(clean, cfg.noise_u, cfg.noise_y, rng)
     t1 = time.perf_counter()
@@ -340,16 +346,15 @@ def cmd_generate(cfg: ExperimentConfig, out_dir) -> int:
 
 def cmd_aggregate(cfg: ExperimentConfig, dataset_path, out_dir) -> int:
     out = _outdir(out_dir)
-    ds = load_dataset(dataset_path)
-    if ds.N != cfg.N or ds.m != cfg.system.m or ds.p != cfg.system.p:
-        raise ValueError(f"dataset (N={ds.N}, m={ds.m}, p={ds.p}) does not match the config")
     t0 = time.perf_counter()
-    st = aggregate(ds, cfg.L, workers=cfg.workers)
+    ds = _load_matching_dataset(cfg, dataset_path)
     t1 = time.perf_counter()
+    st = aggregate(ds, cfg.L)
+    t2 = time.perf_counter()
     save_stats(st, out / "stats.json")
     _write_manifest(
         out / "manifest.json", "aggregate", cfg,
-        {"aggregate_s": t1 - t0},
+        {"load_s": t1 - t0, "aggregate_s": t2 - t1},
         {"stats": "stats.json"},
     )
     print(f"aggregated {st.count} experiments into {out / 'stats.json'}")
@@ -360,21 +365,18 @@ def cmd_recover(cfg: ExperimentConfig, dataset_path, stats_path, out_dir) -> int
     if (dataset_path is None) == (stats_path is None):
         raise ValueError("give exactly one of --dataset or --stats")
     out = _outdir(out_dir)
-    timings = {}
     outputs = {"landscape": "landscape.csv"}
+    t0 = time.perf_counter()
     if stats_path is not None:
         st = load_stats(stats_path)
         if st.d != cfg.d or st.Nc != cfg.N - cfg.L + 1:
             raise ValueError(f"stats (d={st.d}, Nc={st.Nc}) do not match the config")
+        timings = {"load_s": time.perf_counter() - t0}
     else:
-        ds = load_dataset(dataset_path)
-        if ds.N != cfg.N or ds.m != cfg.system.m or ds.p != cfg.system.p:
-            raise ValueError(f"dataset (N={ds.N}, m={ds.m}, p={ds.p}) does not match the config")
-        t0 = time.perf_counter()
-        st = aggregate(ds, cfg.L, workers=cfg.workers)
-        timings["aggregate_s"] = time.perf_counter() - t0
-        save_stats(st, out / "stats.json")
-        outputs["stats"] = "stats.json"
+        ds = _load_matching_dataset(cfg, dataset_path)
+        t1 = time.perf_counter()
+        st = aggregate(ds, cfg.L)
+        timings = {"load_s": t1 - t0, "aggregate_s": time.perf_counter() - t1}
     fin = st.finalize()
     t0 = time.perf_counter()
     res = grid_search(
@@ -382,12 +384,17 @@ def cmd_recover(cfg: ExperimentConfig, dataset_path, stats_path, out_dir) -> int
         eps_mode=cfg.eps_mode, eps_factor=cfg.eps_factor, eps_rank=cfg.eps_rank,
         input_rows=cfg.input_rows,
     )
-    timings["grid_s"] = time.perf_counter() - t0
+    t1 = time.perf_counter()
+    timings["grid_s"] = t1 - t0
+    if stats_path is None:
+        save_stats(st, out / "stats.json")
+        outputs["stats"] = "stats.json"
     write_landscape_csv(res, out / "landscape.csv")
     n_adm = int(res.admitted.sum())
     if res.best is not None:
         outputs["candidate"] = "candidate.json"
         write_candidate_json(res.best, out / "candidate.json")
+    timings["write_s"] = time.perf_counter() - t1
     _write_manifest(out / "manifest.json", "recover", cfg, timings, outputs)
     if res.best is None:
         print(f"no admitted candidate over {res.points.shape[0]} grid points; landscape written to {out}")
@@ -431,7 +438,7 @@ def cmd_sweep(cfg: ExperimentConfig, nt_list, seeds, out_dir) -> int:
         cfg.system, cfg.noise_u, cfg.noise_y, cfg.L, nt_list, seeds, cfg.axes(),
         N=cfg.N, x0_policy=cfg.x0_policy, x0_halfwidth=cfg.x0_halfwidth,
         eps_sigma=cfg.eps_sigma, eps_mode=cfg.eps_mode, eps_factor=cfg.eps_factor,
-        eps_rank=cfg.eps_rank, workers=cfg.workers,
+        eps_rank=cfg.eps_rank,
     )
     elapsed = time.perf_counter() - t0
     write_convergence_csv(res, out / "convergence.csv")
@@ -469,7 +476,7 @@ def _add_config_flags(sp) -> None:
     sp.add_argument("--N", type=int, help="samples per experiment")
     sp.add_argument("--L", type=int, help="Hankel window depth")
     sp.add_argument("--seed", type=int, help="root seed")
-    sp.add_argument("--workers", type=int, help="worker threads for generation and aggregation")
+    sp.add_argument("--workers", type=int, help="ignored; kept so older command lines still parse")
     sp.add_argument("--eps-sigma", type=float, help="admission threshold (abs and rel modes)")
     sp.add_argument("--eps-mode", choices=EPS_MODES, help="admission threshold mode")
     sp.add_argument("--eps-factor", type=float, help="multiplier on the grid noise floor (auto mode)")

@@ -157,7 +157,7 @@ def noiseless_M(ds, L: int) -> np.ndarray:
     Oracle path for tests: on noiseless data this equals the assembly at the
     zero-moment point.
     """
-    exps = list(getattr(ds, "experiments", ds))
+    exps = list(ds)
     H0 = stacked_hankel(exps[0], L).matrix
     M = np.zeros((H0.shape[0], H0.shape[0]))
     for e in exps:

@@ -3,6 +3,10 @@
 Row convention: lag-major blocks, channel-major inside each lag block. The
 row of (lag l, channel j) for a c-channel signal sits at index l*c + j, and
 a stacked matrix puts all input rows above all output rows.
+
+stacked_hankel and pe_order_check also take a batch of records, signals of
+shape (..., N, c), and give one matrix or verdict per leading index, built
+from one strided window view.
 """
 
 from dataclasses import dataclass
@@ -19,13 +23,24 @@ __all__ = [
 ]
 
 
-def _as_signal(seq) -> np.ndarray:
+def _as_signal(seq, batched: bool = False) -> np.ndarray:
     sig = np.asarray(seq, dtype=float)
     if sig.ndim == 1:
         sig = sig[:, None]
-    if sig.ndim != 2:
+    if sig.ndim < 2 or (sig.ndim > 2 and not batched):
         raise ValueError(f"signal must be 1-D or 2-D, got shape {sig.shape}")
     return sig
+
+
+def _block_hankel(sig: np.ndarray, L: int) -> np.ndarray:
+    """hankel over the last two axes of sig (..., N, c): (..., c*L, N - L + 1)."""
+    N, c = sig.shape[-2:]
+    if L < 1:
+        raise ValueError("window depth L must be >= 1")
+    if N < L:
+        raise ValueError(f"need at least L={L} samples, got {N}")
+    win = sliding_window_view(sig, L, axis=-2)  # (..., N-L+1, c, L)
+    return np.swapaxes(win, -3, -1).reshape(*sig.shape[:-2], c * L, N - L + 1)
 
 
 def hankel(seq, L: int) -> np.ndarray:
@@ -43,21 +58,14 @@ def hankel(seq, L: int) -> np.ndarray:
     ndarray, shape (c*L, N - L + 1)
         Column k holds samples k .. k+L-1 stacked as vectors.
     """
-    sig = _as_signal(seq)
-    N, c = sig.shape
-    if L < 1:
-        raise ValueError("window depth L must be >= 1")
-    if N < L:
-        raise ValueError(f"need at least L={L} samples, got {N}")
-    win = sliding_window_view(sig, L, axis=0)  # (N-L+1, c, L)
-    return win.transpose(2, 1, 0).reshape(c * L, N - L + 1)
+    return _block_hankel(_as_signal(seq), L)
 
 
 @dataclass(frozen=True)
 class StackedHankel:
     """Input Hankel block stacked over the output Hankel block."""
 
-    matrix: np.ndarray
+    matrix: np.ndarray  # (d, Nc), or (..., d, Nc) for a batch
     m: int
     p: int
     L: int
@@ -68,26 +76,34 @@ class StackedHankel:
 
     @property
     def Nc(self) -> int:
-        return self.matrix.shape[1]
+        return self.matrix.shape[-1]
 
 
 def stacked_hankel(e, L: int) -> StackedHankel:
-    """Stack hankel(e.u, L) on top of hankel(e.y, L) for an experiment."""
-    Hu = hankel(e.u, L)
-    Hy = hankel(e.y, L)
-    return StackedHankel(np.vstack([Hu, Hy]), Hu.shape[0] // L, Hy.shape[0] // L, L)
+    """Stack hankel(u, L) on top of hankel(y, L).
+
+    `e` is one record (an Experiment: u (N, m), y (N, p)) or a batch of
+    them (a Dataset or a slice of one: U (Nt, N, m), Y (Nt, N, p)), which
+    gives one stacked matrix per record.
+    """
+    u, y = (e.U, e.Y) if hasattr(e, "U") else (e.u, e.y)
+    Hu = _block_hankel(_as_signal(u, batched=True), L)
+    Hy = _block_hankel(_as_signal(y, batched=True), L)
+    return StackedHankel(np.concatenate([Hu, Hy], axis=-2), Hu.shape[-2] // L, Hy.shape[-2] // L, L)
 
 
-def pe_order_check(U, order: int, tol: float = 1e-10) -> bool:
+def pe_order_check(U, order: int, tol: float = 1e-10):
     """True iff hankel(U, order) has full row rank m*order.
 
     Rank is the count of singular values above tol * sigma_max, so the check
-    is scale-free.
+    is scale-free. A batch U of shape (..., N, m) gives a boolean array with
+    one verdict per record.
     """
-    sig = _as_signal(U)
-    sv = np.linalg.svd(hankel(sig, order), compute_uv=False)
-    rank = int(np.count_nonzero(sv > tol * sv[0]))
-    return rank == sig.shape[1] * order
+    sig = _as_signal(U, batched=True)
+    sv = np.linalg.svd(_block_hankel(sig, order), compute_uv=False)
+    rank = np.count_nonzero(sv > tol * sv[..., :1], axis=-1)
+    full = rank == sig.shape[-1] * order
+    return bool(full) if sig.ndim == 2 else full
 
 
 def row_index(kind: str, channel: int, lag: int, m: int, p: int, L: int) -> int:

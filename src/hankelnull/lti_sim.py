@@ -2,12 +2,14 @@
 
 All randomness flows from a single root generator. Anything that touches
 several experiments derives one child stream per experiment index up front,
-so results are reproducible and independent of scheduling or worker count.
+so record i depends only on the root seed and i, not on the ensemble size.
+Everything else runs as array code over the whole ensemble, or over blocks
+of BLOCK_SIZE records where a per-record temporary would otherwise grow
+with the ensemble.
 """
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +32,9 @@ __all__ = [
 ]
 
 NOISE_FAMILIES = ("gaussian", "uniform", "shifted-exponential")
+
+BLOCK_SIZE = 512  # records per block in the excitation check, the writer and aggregation
+MAX_TRIES = 10  # input draws per record before the excitation check gives up
 
 
 @dataclass(frozen=True)
@@ -89,42 +94,55 @@ class Experiment:
         if self.u.shape[0] != self.y.shape[0]:
             raise ValueError(f"u has {self.u.shape[0]} samples but y has {self.y.shape[0]}")
 
-    @property
-    def length(self) -> int:
-        return self.u.shape[0]
-
 
 @dataclass(frozen=True)
 class Dataset:
-    """Ordered collection of experiments sharing N, m and p."""
+    """Nt records sharing N, m and p: inputs U (Nt, N, m), outputs Y (Nt, N, p).
 
-    experiments: tuple
+    Indexing with an integer gives one record as an Experiment; a slice
+    gives a smaller Dataset over the same arrays. Every sample must be
+    finite.
+    """
+
+    U: np.ndarray
+    Y: np.ndarray
 
     def __post_init__(self):
-        exps = tuple(self.experiments)
-        if not exps:
+        U = np.asarray(self.U, dtype=float)
+        Y = np.asarray(self.Y, dtype=float)
+        if U.ndim != 3 or Y.ndim != 3 or U.shape[:2] != Y.shape[:2]:
+            raise ValueError(f"U and Y must be (Nt, N, m) and (Nt, N, p), got shapes {U.shape} and {Y.shape}")
+        if U.shape[0] < 1:
             raise ValueError("dataset needs at least one experiment")
-        first = exps[0]
-        for e in exps[1:]:
-            if e.u.shape != first.u.shape or e.y.shape != first.y.shape:
-                raise ValueError("all experiments must share N, m and p")
-        object.__setattr__(self, "experiments", exps)
+        bad = ~(np.isfinite(U).all(axis=(1, 2)) & np.isfinite(Y).all(axis=(1, 2)))
+        if bad.any():
+            raise ValueError(f"record {int(np.argmax(bad))} has non-finite samples")
+        object.__setattr__(self, "U", U)
+        object.__setattr__(self, "Y", Y)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return Dataset(self.U[key], self.Y[key])
+        return Experiment(self.U[key], self.Y[key])
+
+    def __iter__(self):
+        return (Experiment(u, y) for u, y in zip(self.U, self.Y))
 
     @property
     def Nt(self) -> int:
-        return len(self.experiments)
+        return self.U.shape[0]
 
     @property
     def N(self) -> int:
-        return self.experiments[0].length
+        return self.U.shape[1]
 
     @property
     def m(self) -> int:
-        return self.experiments[0].u.shape[1]
+        return self.U.shape[2]
 
     @property
     def p(self) -> int:
-        return self.experiments[0].y.shape[1]
+        return self.Y.shape[2]
 
 
 @dataclass(frozen=True)
@@ -165,6 +183,19 @@ class NoiseSpec:
         return (self.m1 - s) + rng.exponential(s, shape)
 
 
+def _simulate_batch(ss: StateSpace, X0: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """Outputs (B, N, p) of the exact state recursion, from states X0 (B, n)
+    and inputs U (B, N, m), one time step at a time over the whole batch."""
+    Y = np.empty(U.shape[:2] + (ss.p,))
+    At, Bt, Ct, Dt = ss.A.T, ss.B.T, ss.C.T, ss.D.T
+    X = X0
+    for k in range(U.shape[1]):
+        uk = U[:, k]
+        Y[:, k] = X @ Ct + uk @ Dt
+        X = X @ At + uk @ Bt
+    return Y
+
+
 def simulate(ss: StateSpace, x0, U) -> Experiment:
     """Run the exact state recursion over an input sequence.
 
@@ -179,15 +210,10 @@ def simulate(ss: StateSpace, x0, U) -> Experiment:
     x = np.asarray(x0, dtype=float).reshape(-1)
     if x.shape != (ss.n,):
         raise ValueError(f"x0 must have {ss.n} entries, got shape {np.shape(x0)}")
-    N = U.shape[0]
-    Y = np.empty((N, ss.p))
-    for k in range(N):
-        Y[k] = ss.C @ x + ss.D @ U[k]
-        x = ss.A @ x + ss.B @ U[k]
-    return Experiment(U.copy(), Y)
+    return Experiment(U.copy(), _simulate_batch(ss, x[None], U[None])[0])
 
 
-def generate_pe_input(N: int, m: int, order: int, rng: np.random.Generator, max_tries: int = 10) -> np.ndarray:
+def generate_pe_input(N: int, m: int, order: int, rng: np.random.Generator, max_tries: int = MAX_TRIES) -> np.ndarray:
     """Draw an N x m input whose depth-`order` Hankel matrix has full row rank.
 
     Entries are i.i.d. standard normal, which is exciting with probability
@@ -211,12 +237,11 @@ def add_noise(ds: Dataset, spec_u: NoiseSpec, spec_y: NoiseSpec, rng: np.random.
     block is drawn before the output block, so corruption is reproducible and
     independent across time, channels, experiments and the two signals.
     """
-    streams = rng.spawn(ds.Nt)
-    noisy = [
-        Experiment(e.u + spec_u.draw(g, e.u.shape), e.y + spec_y.draw(g, e.y.shape))
-        for e, g in zip(ds.experiments, streams)
-    ]
-    return Dataset(tuple(noisy))
+    U, Y = ds.U.copy(), ds.Y.copy()
+    for i, g in enumerate(rng.spawn(ds.Nt)):
+        U[i] += spec_u.draw(g, U.shape[1:])
+        Y[i] += spec_y.draw(g, Y.shape[1:])
+    return Dataset(U, Y)
 
 
 def generate_dataset(
@@ -227,13 +252,14 @@ def generate_dataset(
     x0_policy: str,
     rng: np.random.Generator,
     x0_halfwidth: float = 1.0,
-    workers: int = 1,
 ) -> Dataset:
     """Generate Nt independent noiseless experiments of length N.
 
     Every input is verified persistently exciting of order L + n. Initial
     states are zero or drawn uniformly from a hypercube of the given
-    half-width, per policy.
+    half-width, per policy. Record i draws its initial state, then its
+    input, from child stream i; an input that fails the excitation check is
+    redrawn from the same stream, up to MAX_TRIES draws in all.
     """
     if Nt < 1:
         raise ValueError("Nt must be >= 1")
@@ -243,21 +269,24 @@ def generate_dataset(
     if N < (ss.m + 1) * order - 1:
         raise ValueError(f"N={N} too short for excitation order L+n={order} with m={ss.m}; need N >= {(ss.m + 1) * order - 1}")
     streams = rng.spawn(Nt)
-
-    def _one(i: int) -> Experiment:
-        g = streams[i]
-        if x0_policy == "zero":
-            x0 = np.zeros(ss.n)
-        else:
-            x0 = g.uniform(-x0_halfwidth, x0_halfwidth, ss.n)
-        return simulate(ss, x0, generate_pe_input(N, ss.m, order, g))
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            exps = list(ex.map(_one, range(Nt)))
-    else:
-        exps = [_one(i) for i in range(Nt)]
-    return Dataset(tuple(exps))
+    X0 = np.zeros((Nt, ss.n))
+    U = np.empty((Nt, N, ss.m))
+    for i, g in enumerate(streams):
+        if x0_policy == "random-bounded":
+            X0[i] = g.uniform(-x0_halfwidth, x0_halfwidth, ss.n)
+        U[i] = g.standard_normal((N, ss.m))
+    for a in range(0, Nt, BLOCK_SIZE):
+        for i in a + np.flatnonzero(~pe_order_check(U[a : a + BLOCK_SIZE], order)):
+            try:
+                U[i] = generate_pe_input(N, ss.m, order, streams[i], MAX_TRIES - 1)
+            except RuntimeError:
+                raise RuntimeError(f"record {i}: no exciting input of order {order} found in {MAX_TRIES} draws") from None
+    if Nt == 1:
+        # a one-row batch takes numpy's matrix-vector product, which rounds
+        # differently from the matrix-matrix product of larger batches;
+        # simulating the record twice keeps it the same at every ensemble size
+        return Dataset(U, _simulate_batch(ss, np.repeat(X0, 2, axis=0), np.repeat(U, 2, axis=0))[:1])
+    return Dataset(U, _simulate_batch(ss, X0, U))
 
 
 def random_system(n: int, m: int, p: int, rng: np.random.Generator, spectral_radius: float = 0.9) -> StateSpace:
@@ -269,33 +298,65 @@ def random_system(n: int, m: int, p: int, rng: np.random.Generator, spectral_rad
     return StateSpace(A, rng.standard_normal((n, m)), rng.standard_normal((p, n)), rng.standard_normal((p, m)))
 
 
-def _fmt_matrix(a: np.ndarray) -> str:
-    # 17 significant digits round-trip binary64 exactly
-    return "[" + ",".join("[" + ",".join(f"{v:.17g}" for v in row) + "]" for row in a) + "]"
+def _record_format(N: int, m: int, p: int) -> str:
+    """%-format of one JSONL record: its index, then u and y row by row.
+
+    %.17g prints 17 significant digits, which round-trip binary64 exactly.
+    """
+    def matrix(cols: int) -> str:
+        return "[" + ",".join(["[" + ",".join(["%.17g"] * cols) + "]"] * N) + "]"
+
+    return '{"i":%d,"u":' + matrix(m) + ',"y":' + matrix(p) + "}\n"
 
 
 def save_dataset(ds: Dataset, path) -> None:
-    """Write a dataset as JSON Lines: a meta header, then one experiment per line."""
+    """Write a dataset as JSON Lines: a meta header, then one experiment per line.
+
+    Each block of records is formatted by one %-operation over its rows.
+    """
+    record = _record_format(ds.N, ds.m, ds.p)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"meta": {"Nt": ds.Nt, "N": ds.N, "m": ds.m, "p": ds.p}}) + "\n")
-        for i, e in enumerate(ds.experiments):
-            fh.write('{"i":%d,"u":%s,"y":%s}\n' % (i, _fmt_matrix(e.u), _fmt_matrix(e.y)))
+        for a in range(0, ds.Nt, BLOCK_SIZE):
+            U, Y = ds.U[a : a + BLOCK_SIZE], ds.Y[a : a + BLOCK_SIZE]
+            B = U.shape[0]
+            rows = np.concatenate([np.arange(a, a + B, dtype=float)[:, None], U.reshape(B, -1), Y.reshape(B, -1)], axis=1)
+            fh.write(record * B % tuple(rows.ravel().tolist()))
+
+
+# ints parse as floats so that a sample written as "-0" keeps its sign
+_decode_record = json.JSONDecoder(parse_int=float).decode
 
 
 def load_dataset(path) -> Dataset:
-    """Read a dataset written by save_dataset."""
+    """Read a dataset written by save_dataset into arrays sized from its meta header."""
     with open(path, "r", encoding="utf-8") as fh:
         header = json.loads(fh.readline())
         if "meta" not in header:
             raise ValueError(f"{path}: missing meta header line")
         meta = header["meta"]
-        exps = []
+        Nt, N, m, p = (int(meta[k]) for k in ("Nt", "N", "m", "p"))
+        if min(Nt, N, m, p) < 1:
+            raise ValueError(f"{path}: meta header needs positive Nt, N, m and p, got {meta}")
+        U, Y = np.empty((Nt, N, m)), np.empty((Nt, N, p))
+        i = 0
         for line in fh:
             if not line.strip():
                 continue
-            obj = json.loads(line)
-            exps.append(Experiment(np.asarray(obj["u"], dtype=float), np.asarray(obj["y"], dtype=float)))
-    ds = Dataset(tuple(exps))
-    if ds.Nt != meta["Nt"] or ds.N != meta["N"] or ds.m != meta["m"] or ds.p != meta["p"]:
-        raise ValueError(f"{path}: experiment lines disagree with meta header")
-    return ds
+            if i == Nt:
+                raise ValueError(f"{path}: more experiment lines than the meta header's Nt={Nt}")
+            obj = _decode_record(line)
+            try:
+                e = Experiment(obj["u"], obj["y"])
+            except ValueError as err:
+                raise ValueError(f"{path}: record {i}: {err}") from None
+            if e.u.shape != (N, m) or e.y.shape != (N, p):
+                raise ValueError(f"{path}: record {i} has u {e.u.shape} and y {e.y.shape}, meta header says ({N}, {m}) and ({N}, {p})")
+            U[i], Y[i] = e.u, e.y
+            i += 1
+    if i != Nt:
+        raise ValueError(f"{path}: {i} experiment lines disagree with the meta header's Nt={Nt}")
+    try:
+        return Dataset(U, Y)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None

@@ -8,12 +8,12 @@ independent of the ensemble size.
 """
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .hankel import StackedHankel, stacked_hankel
+from .lti_sim import BLOCK_SIZE
 
 __all__ = [
     "SufficientStats",
@@ -85,39 +85,24 @@ def _tree_sum(arr: np.ndarray) -> np.ndarray:
     return arr[0]
 
 
-def _block_stats(block, L: int, d: int, Nc: int) -> SufficientStats:
-    Hs = np.stack([stacked_hankel(e, L).matrix for e in block])
-    P = Hs @ Hs.transpose(0, 2, 1)
-    P = (P + P.transpose(0, 2, 1)) / 2.0
-    st = SufficientStats(d, Nc)
-    st.G = _tree_sum(P)
-    st.rowsum = _tree_sum(Hs.sum(axis=2))
-    st.count = len(block)
-    return st
+def aggregate(ds, L: int, block_size: int = BLOCK_SIZE) -> SufficientStats:
+    """Aggregate a dataset in canonical blocks of records.
 
-
-def aggregate(ds, L: int, workers: int = 1, block_size: int = 512) -> SufficientStats:
-    """Aggregate a dataset (or iterable of experiments) in canonical blocks.
-
-    The block plan and the pairwise reduction tree depend only on the
-    experiment order and block_size, never on `workers`, so the result is
-    bitwise identical for any worker count.
+    Each block's stacked Hankel matrices come from one batched Hankel
+    tensor, and both the per-block and the cross-block sums are pairwise
+    trees. The block plan depends only on the record order and block_size,
+    so the result is bitwise reproducible.
     """
-    exps = list(getattr(ds, "experiments", ds))
-    if not exps:
-        raise ValueError("nothing to aggregate")
-    probe = stacked_hankel(exps[0], L)
-    d, Nc = probe.d, probe.Nc
-    blocks = [exps[i : i + block_size] for i in range(0, len(exps), block_size)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(lambda b: _block_stats(b, L, d, Nc), blocks))
-    else:
-        parts = [_block_stats(b, L, d, Nc) for b in blocks]
+    parts = []
+    for a in range(0, ds.Nt, block_size):
+        Hs = stacked_hankel(ds[a : a + block_size], L).matrix  # (B, d, Nc)
+        P = Hs @ Hs.transpose(0, 2, 1)
+        parts.append((_tree_sum((P + P.transpose(0, 2, 1)) / 2.0), _tree_sum(Hs.sum(axis=2))))
+    d, Nc = Hs.shape[1:]
     out = SufficientStats(d, Nc)
-    out.G = _tree_sum(np.stack([s.G for s in parts]))
-    out.rowsum = _tree_sum(np.stack([s.rowsum for s in parts]))
-    out.count = sum(s.count for s in parts)
+    out.G = _tree_sum(np.stack([G for G, _ in parts]))
+    out.rowsum = _tree_sum(np.stack([r for _, r in parts]))
+    out.count = ds.Nt
     return out
 
 
@@ -130,7 +115,11 @@ def save_stats(st: SufficientStats, path) -> None:
 
 
 def load_stats(path) -> SufficientStats:
-    """Read a snapshot written by save_stats."""
+    """Read a snapshot written by save_stats.
+
+    Rejects what no aggregate can hold: a count below one, non-finite
+    entries and a G that is not exactly symmetric.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     for key in ("d", "Nc", "count", "G", "rowsum"):
@@ -145,4 +134,10 @@ def load_stats(path) -> SufficientStats:
     if st.rowsum.shape != (st.d,):
         raise ValueError(f"{path}: rowsum has shape {st.rowsum.shape}, expected ({st.d},)")
     st.count = int(obj["count"])
+    if st.count < 1:
+        raise ValueError(f"{path}: count is {st.count}, an aggregate needs at least one experiment")
+    if not (np.isfinite(st.G).all() and np.isfinite(st.rowsum).all()):
+        raise ValueError(f"{path}: G or rowsum has non-finite entries")
+    if not np.array_equal(st.G, st.G.T):
+        raise ValueError(f"{path}: G is not symmetric")
     return st

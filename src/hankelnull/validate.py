@@ -47,7 +47,7 @@ def true_nullspace(ss: StateSpace, L: int, rng=None, length=None) -> SubspaceBas
     if length is None:
         length = (ss.m + 1) * (L + ss.n) + L
     ds = generate_dataset(ss, 1, length, L, "zero", rng)
-    H = stacked_hankel(ds.experiments[0], L).matrix
+    H = stacked_hankel(ds[0], L).matrix
     U, s, _ = np.linalg.svd(H, full_matrices=True)
     sfull = np.zeros(H.shape[0])
     sfull[: s.size] = s
@@ -119,7 +119,6 @@ def convergence_study(
     eps_mode: str = "auto",
     eps_factor: float = 2.0,
     eps_rank: float = 1e-2,
-    workers: int = 1,
 ) -> StudyResult:
     """Measure the subspace error against ensemble size, one cell per (Nt, seed).
 
@@ -137,12 +136,13 @@ def convergence_study(
     for Nt in Nt_list:
         for seed in seeds:
             rng = np.random.default_rng(seed)
-            clean = generate_dataset(ss, Nt, N, L, x0_policy, rng, x0_halfwidth=x0_halfwidth, workers=workers)
+            clean = generate_dataset(ss, Nt, N, L, x0_policy, rng, x0_halfwidth=x0_halfwidth)
             noisy = add_noise(clean, spec_u, spec_y, rng)
-            fin = aggregate(noisy, L, workers=workers).finalize()
+            fin = aggregate(noisy, L).finalize()
             res = grid_search(
                 fin, grid, eps_sigma, nullity,
                 eps_mode=eps_mode, eps_factor=eps_factor, eps_rank=eps_rank,
+                input_rows=ss.m * L,
             )
             if res.best is None:
                 rows.append((Nt, int(seed), float("nan"), False))

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from hankelnull import (
-    Dataset,
     MomentPoint,
     NoiseSpec,
     StateSpace,
@@ -166,7 +165,7 @@ def test_quadratic_form_identity(capsys):
         N = max(2 * (m + 1) * (L + n), 12)
         ds = generate_dataset(ss, Nt, N, L, "random-bounded", rng)
         M = aggregate(ds, L).finalize().Gbar
-        Hs = [stacked_hankel(e, L).matrix for e in ds.experiments]
+        Hs = [stacked_hankel(e, L).matrix for e in ds]
         scale = np.abs(M).max()
         for _ in range(10):
             v = rng.standard_normal(M.shape[0])
@@ -200,9 +199,9 @@ def test_estimator_deviation_shrinks_as_data_doubles(capsys):
         clean = generate_dataset(cfg.system, sizes[-1], cfg.N, cfg.L, cfg.x0_policy, rng)
         noisy = add_noise(clean, spec, spec, rng)
         for nt in sizes:
-            fin = aggregate(Dataset(noisy.experiments[:nt]), cfg.L).finalize()
+            fin = aggregate(noisy[:nt], cfg.L).finalize()
             M_hat = assemble_M(fin, MomentPoint.identical(1.0, 5.0))
-            M_D = noiseless_M(Dataset(clean.experiments[:nt]), cfg.L)
+            M_D = noiseless_M(clean[:nt], cfg.L)
             devs[nt].append(np.abs(M_hat - M_D).max())
     meds = [float(np.median(devs[nt])) for nt in sizes]
     ok = all(meds[i + 1] <= meds[i] for i in range(len(meds) - 1))
@@ -235,7 +234,7 @@ def test_recovery_is_distribution_free(capsys):
 def test_grid_cost_independent_of_ensemble_size(reference_run, capsys):
     r = reference_run
     cfg = r["cfg"]
-    small = aggregate(Dataset(r["noisy"].experiments[:100]), cfg.L)
+    small = aggregate(r["noisy"][:100], cfg.L)
     fin_small = small.finalize()
 
     def grid_time(fin):
@@ -253,7 +252,7 @@ def test_grid_cost_independent_of_ensemble_size(reference_run, capsys):
     agg_sizes = [100, 1000, 10000]
     agg_times = []
     for nt in agg_sizes:
-        sub = Dataset(r["noisy"].experiments[:nt])
+        sub = r["noisy"][:nt]
         reps = []
         for _ in range(5 if nt <= 1000 else 3):
             t0 = time.perf_counter()

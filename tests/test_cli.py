@@ -185,6 +185,53 @@ class TestAggregateAndRecover:
         assert rc == 3
 
 
+    def test_manifest_records_stage_timings(self, tmp_path, cfg_file, gen_dir, capsys):
+        via_ds, via_st = tmp_path / "via_ds", tmp_path / "via_st"
+        assert main(["recover", "--config", cfg_file, "--dataset", str(gen_dir / "dataset_noisy.jsonl"), "--out", str(via_ds)]) == 0
+        assert main(["recover", "--config", cfg_file, "--stats", str(via_ds / "stats.json"), "--out", str(via_st)]) == 0
+        for out, keys in ((via_ds, {"load_s", "aggregate_s", "grid_s", "write_s"}), (via_st, {"load_s", "grid_s", "write_s"})):
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert set(manifest["timings"]) == keys
+            assert all(v >= 0.0 for v in manifest["timings"].values())
+            assert "workers" not in manifest["config"]
+
+    def test_non_finite_sample_fails_at_load(self, tmp_path, cfg_file, gen_dir, capsys):
+        lines = (gen_dir / "dataset_noisy.jsonl").read_text().split("\n")
+        rec = json.loads(lines[4])  # record 3
+        rec["u"][2][0] = float("nan")
+        lines[4] = json.dumps(rec)
+        bad = tmp_path / "nan.jsonl"
+        bad.write_text("\n".join(lines))
+        out = tmp_path / "rec"
+        capsys.readouterr()
+        rc = main(["recover", "--config", cfg_file, "--dataset", str(bad), "--out", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "record 3 has non-finite samples" in err and "nan.jsonl" in err
+        assert not (out / "stats.json").exists()
+
+    def test_impossible_stats_fail_at_load(self, tmp_path, cfg_file, gen_dir, capsys):
+        agg = tmp_path / "agg"
+        assert main(["aggregate", "--config", cfg_file, "--dataset", str(gen_dir / "dataset_noisy.jsonl"), "--out", str(agg)]) == 0
+        obj = json.loads((agg / "stats.json").read_text())
+        obj["G"][1] += 1.0  # G[0, 1] no longer equals G[1, 0]
+        bad = tmp_path / "stats.json"
+        bad.write_text(json.dumps(obj))
+        capsys.readouterr()
+        rc = main(["recover", "--config", cfg_file, "--stats", str(bad), "--out", str(tmp_path / "rec")])
+        assert rc == 3
+        assert "G is not symmetric" in capsys.readouterr().err
+
+    def test_workers_key_of_old_manifests_is_ignored(self, tmp_path, cfg_file, gen_dir, capsys):
+        old = dict(SMALL_CONFIG, workers=4)
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"command": "recover", "config": old, "timings": {}, "outputs": {}}))
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["recover", "--config", str(path), "--workers", "2", "--dataset", str(gen_dir / "dataset_noisy.jsonl"), "--out", str(a)]) == 0
+        assert main(["recover", "--config", cfg_file, "--dataset", str(gen_dir / "dataset_noisy.jsonl"), "--out", str(b)]) == 0
+        assert (a / "landscape.csv").read_bytes() == (b / "landscape.csv").read_bytes()
+
+
 class TestValidate:
     def test_scores_recovered_candidate(self, tmp_path, cfg_file, gen_dir, capsys):
         rec = tmp_path / "rec"
@@ -225,6 +272,21 @@ class TestSweep:
         assert len(summary) == 1 + 2
         for line in summary[1:]:
             assert float(line.split(",")[1]) <= 1e-8
+
+    def test_distinct_moment_grid(self, tmp_path, capsys):
+        cfg = dict(SMALL_CONFIG, moment_mode="distinct", grid={
+            "m1u": [-0.5, 0.5, 3], "m2u": [0.0, 1.0, 2], "m1y": [-0.5, 0.5, 3], "m2y": [0.0, 1.0, 2],
+        })
+        path = tmp_path / "distinct.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "sweep"
+        rc = main(["sweep", "--config", str(path), "--Nt-list", "5", "--seeds", "0,1", "--out", str(out)])
+        assert rc == 0
+        rows = (out / "convergence.csv").read_text().strip().split("\n")
+        assert len(rows) == 1 + 2
+        assert all(line.endswith(",1") for line in rows[1:])
+        for line in rows[1:]:
+            assert float(line.split(",")[2]) <= 1e-8
 
     def test_bad_nt_list_is_config_error(self, tmp_path, cfg_file, capsys):
         rc = main([

@@ -169,7 +169,7 @@ class TestQuadraticForm:
             v = rng.standard_normal(10)
             lhs = float(v @ fin.Gbar @ v)
             rhs = float(
-                np.mean([np.sum((stacked_hankel(e, 2).matrix.T @ v) ** 2) for e in ds.experiments])
+                np.mean([np.sum((stacked_hankel(e, 2).matrix.T @ v) ** 2) for e in ds])
             )
             assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
 

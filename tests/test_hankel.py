@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,17 @@ def test_stacked_hankel_noiseless_rank(demo_system):
     assert np.linalg.matrix_rank(H.matrix) == 7
 
 
+def test_stacked_hankel_batch_matches_per_record():
+    rng = np.random.default_rng(2)
+    batch = SimpleNamespace(U=rng.standard_normal((7, 12, 2)), Y=rng.standard_normal((7, 12, 3)))
+    H = stacked_hankel(batch, 3)
+    assert H.matrix.shape == (7, 15, 10)
+    assert (H.d, H.Nc, H.m, H.p) == (15, 10, 2, 3)
+    for i in range(7):
+        one = stacked_hankel(Experiment(batch.U[i], batch.Y[i]), 3).matrix
+        assert np.array_equal(H.matrix[i], one)
+
+
 def test_row_index_corners():
     assert row_index("input", 0, 0, m=2, p=3, L=2) == 0
     assert row_index("output", 0, 0, m=2, p=3, L=2) == 4
@@ -138,6 +151,16 @@ def test_pe_order_check_impulse():
         early = np.zeros(2 * order + 2)
         early[0] = 1.0
         assert not pe_order_check(early, order)
+
+
+def test_pe_order_check_batch_matches_per_record():
+    rng = np.random.default_rng(14)
+    U = rng.standard_normal((6, 20, 2))
+    U[1] = 0.0
+    U[4, :, 1] = U[4, :, 0]  # two identical channels never reach full rank
+    verdicts = pe_order_check(U, 4)
+    assert verdicts.dtype == bool and verdicts.shape == (6,)
+    assert verdicts.tolist() == [pe_order_check(u, 4) for u in U] == [True, False, True, True, False, True]
 
 
 def test_pe_order_check_scale_free():

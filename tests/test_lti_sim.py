@@ -45,12 +45,11 @@ def test_experiment_length_check():
 
 
 def test_dataset_uniformity_check():
-    a = Experiment(np.zeros((5, 1)), np.zeros((5, 1)))
-    b = Experiment(np.zeros((6, 1)), np.zeros((6, 1)))
+    # the (Nt, N, c) arrays force one N per dataset; U and Y must agree on it
     with pytest.raises(ValueError):
-        Dataset((a, b))
+        Dataset(np.zeros((2, 5, 1)), np.zeros((2, 6, 1)))
     with pytest.raises(ValueError):
-        Dataset(())
+        Dataset(np.zeros((0, 5, 1)), np.zeros((0, 5, 1)))
 
 
 # ---------------------------------------------------------------- simulate
@@ -147,7 +146,7 @@ def test_zero_noise_is_identity(demo_system):
     ds = generate_dataset(demo_system, 3, 20, 2, "zero", rng)
     zero = NoiseSpec("gaussian", 0.0, 0.0)
     out = add_noise(ds, zero, zero, rng)
-    for a, b in zip(ds.experiments, out.experiments):
+    for a, b in zip(ds, out):
         assert np.array_equal(a.u, b.u)
         assert np.array_equal(a.y, b.y)
 
@@ -192,9 +191,9 @@ def test_noise_per_experiment_streams_do_not_depend_on_ensemble_size(demo_system
     ds = generate_dataset(demo_system, 2, 20, 2, "zero", np.random.default_rng(9))
     spec = NoiseSpec("gaussian", 1.0, 5.0)
     both = add_noise(ds, spec, spec, np.random.default_rng(42))
-    only_first = add_noise(Dataset(ds.experiments[:1]), spec, spec, np.random.default_rng(42))
-    assert np.array_equal(both.experiments[0].u, only_first.experiments[0].u)
-    assert np.array_equal(both.experiments[0].y, only_first.experiments[0].y)
+    only_first = add_noise(ds[:1], spec, spec, np.random.default_rng(42))
+    assert np.array_equal(both[0].u, only_first[0].u)
+    assert np.array_equal(both[0].y, only_first[0].y)
 
 
 # ---------------------------------------------------------------- datasets
@@ -202,29 +201,144 @@ def test_noise_per_experiment_streams_do_not_depend_on_ensemble_size(demo_system
 def test_generate_dataset_deterministic(demo_system):
     a = generate_dataset(demo_system, 4, 20, 2, "random-bounded", np.random.default_rng(123))
     b = generate_dataset(demo_system, 4, 20, 2, "random-bounded", np.random.default_rng(123))
-    for ea, eb in zip(a.experiments, b.experiments):
+    for ea, eb in zip(a, b):
         assert np.array_equal(ea.u, eb.u)
         assert np.array_equal(ea.y, eb.y)
 
 
-def test_generate_dataset_worker_invariance(demo_system):
-    a = generate_dataset(demo_system, 9, 20, 2, "random-bounded", np.random.default_rng(5), workers=1)
-    b = generate_dataset(demo_system, 9, 20, 2, "random-bounded", np.random.default_rng(5), workers=4)
-    for ea, eb in zip(a.experiments, b.experiments):
-        assert np.array_equal(ea.u, eb.u)
-        assert np.array_equal(ea.y, eb.y)
+def _per_record_oracle(ss, Nt, N, L, seed, halfwidth=1.0):
+    """generate_dataset transcribed one record at a time: stream i draws x0,
+    then U, and the state recursion runs one matrix-vector step at a time."""
+    out = []
+    for g in np.random.default_rng(seed).spawn(Nt):
+        x = g.uniform(-halfwidth, halfwidth, ss.n)
+        U = generate_pe_input(N, ss.m, L + ss.n, g)
+        Y = np.empty((N, ss.p))
+        for k in range(N):
+            Y[k] = ss.C @ x + ss.D @ U[k]
+            x = ss.A @ x + ss.B @ U[k]
+        out.append((U, Y))
+    return out
+
+
+def test_generate_dataset_matches_per_record_oracle(demo_system):
+    # more than two blocks, so block offsets are exercised
+    ds = generate_dataset(demo_system, 1100, 20, 2, "random-bounded", np.random.default_rng(5))
+    assert (ds.U.shape, ds.Y.shape) == ((1100, 20, 2), (1100, 20, 3))
+    for i, (U, Y) in enumerate(_per_record_oracle(demo_system, 1100, 20, 2, 5)):
+        assert np.array_equal(ds.U[i], U)
+        assert np.abs(ds.Y[i] - Y).max() <= 1e-14 * np.abs(Y).max()
+
+
+def test_generate_dataset_random_system_matches_oracle():
+    ss = random_system(4, 3, 2, np.random.default_rng(40))
+    ds = generate_dataset(ss, 300, 40, 3, "random-bounded", np.random.default_rng(41), x0_halfwidth=2.0)
+    for i, (U, Y) in enumerate(_per_record_oracle(ss, 300, 40, 3, 41, halfwidth=2.0)):
+        assert np.array_equal(ds.U[i], U)
+        assert np.abs(ds.Y[i] - Y).max() <= 1e-14 * np.abs(Y).max()
+
+
+def test_prefix_of_big_ensemble_is_the_small_ensemble(demo_system):
+    big = generate_dataset(demo_system, 1100, 20, 2, "random-bounded", np.random.default_rng(6))
+    for k in (1, 2, 511, 513):
+        small = generate_dataset(demo_system, k, 20, 2, "random-bounded", np.random.default_rng(6))
+        assert np.array_equal(big[:k].U, small.U)
+        assert np.array_equal(big[:k].Y, small.Y)
+
+
+class _FirstDrawsZero:
+    """Child stream whose first `zeros` standard-normal draws are all zero."""
+
+    def __init__(self, g, zeros):
+        self.g, self.zeros = g, zeros
+
+    def uniform(self, lo, hi, size):
+        return self.g.uniform(lo, hi, size)
+
+    def standard_normal(self, shape):
+        if self.zeros > 0:
+            self.zeros -= 1
+            return np.zeros(shape)
+        return self.g.standard_normal(shape)
+
+
+class _RootWithBadStreams:
+    """Root generator whose spawned streams at `bad` start with zero inputs."""
+
+    def __init__(self, seed, bad, zeros=1):
+        self.seed, self.bad, self.zeros = seed, bad, zeros
+
+    def spawn(self, n):
+        streams = np.random.default_rng(self.seed).spawn(n)
+        return [_FirstDrawsZero(g, self.zeros) if i in self.bad else g for i, g in enumerate(streams)]
+
+
+def test_excitation_failure_redraws_from_own_stream(demo_system):
+    # record 3 sits in the first block and record 600 in the second
+    ds = generate_dataset(demo_system, 700, 20, 2, "random-bounded", _RootWithBadStreams(8, {3, 600}))
+    ref = generate_dataset(demo_system, 700, 20, 2, "random-bounded", np.random.default_rng(8))
+    # a rejected all-zero draw consumes nothing, so each bad stream's retry
+    # is the draw its record makes anyway
+    assert np.array_equal(ds.U, ref.U)
+    assert np.array_equal(ds.Y, ref.Y)
+
+
+def test_excitation_failure_gives_up_after_max_tries(demo_system):
+    from hankelnull.lti_sim import MAX_TRIES
+
+    root = _RootWithBadStreams(8, {5}, zeros=MAX_TRIES - 1)
+    ds = generate_dataset(demo_system, 10, 20, 2, "zero", root)
+    assert pe_order_check(ds.U[5], 2 + demo_system.n)
+    with pytest.raises(RuntimeError, match="record 5"):
+        generate_dataset(demo_system, 10, 20, 2, "zero", _RootWithBadStreams(8, {5}, zeros=MAX_TRIES))
+
+
+def test_noise_matches_per_stream_draws(demo_system):
+    ds = generate_dataset(demo_system, 600, 20, 2, "zero", np.random.default_rng(11))
+    spec_u, spec_y = NoiseSpec("shifted-exponential", 1.0, 5.0), NoiseSpec("gaussian", -0.5, 2.0)
+    noisy = add_noise(ds, spec_u, spec_y, np.random.default_rng(12))
+    for i, g in enumerate(np.random.default_rng(12).spawn(600)):
+        assert np.array_equal(noisy.U[i], ds.U[i] + spec_u.draw(g, (20, 2)))
+        assert np.array_equal(noisy.Y[i], ds.Y[i] + spec_y.draw(g, (20, 3)))
+
+
+def test_dataset_indexing(demo_system):
+    ds = generate_dataset(demo_system, 5, 20, 2, "zero", np.random.default_rng(13))
+    assert ds[1:3].Nt == 2
+    assert np.array_equal(ds[1:3].U, ds.U[1:3]) and np.array_equal(ds[1:3].Y, ds.Y[1:3])
+    e = ds[4]
+    assert np.array_equal(e.u, ds.U[4]) and np.array_equal(e.y, ds.Y[4])
+    assert [r.u.tobytes() for r in ds] == [u.tobytes() for u in ds.U]
+
+
+def test_dataset_rejects_non_finite_samples():
+    U, Y = np.zeros((4, 6, 1)), np.zeros((4, 6, 2))
+    Y[2, 3, 1] = np.nan
+    with pytest.raises(ValueError, match="record 2 has non-finite"):
+        Dataset(U, Y)
+    Y[2, 3, 1] = 0.0
+    U[3, 0, 0] = -np.inf
+    with pytest.raises(ValueError, match="record 3 has non-finite"):
+        Dataset(U, Y)
+
+
+def test_dataset_rejects_bad_shapes():
+    with pytest.raises(ValueError):
+        Dataset(np.zeros((4, 6)), np.zeros((4, 6)))
+    with pytest.raises(ValueError):
+        Dataset(np.zeros((4, 6, 1)), np.zeros((3, 6, 1)))
 
 
 def test_generate_dataset_inputs_are_exciting(demo_system):
     ds = generate_dataset(demo_system, 20, 30, 2, "random-bounded", np.random.default_rng(2))
     order = 2 + demo_system.n
-    assert all(pe_order_check(e.u, order) for e in ds.experiments)
+    assert all(pe_order_check(e.u, order) for e in ds)
 
 
 def test_generate_dataset_zero_policy_starts_at_rest(demo_system):
     # D = 0, so a zero initial state forces y_0 = 0
     ds = generate_dataset(demo_system, 3, 20, 2, "zero", np.random.default_rng(4))
-    for e in ds.experiments:
+    for e in ds:
         assert np.array_equal(e.y[0], np.zeros(3))
 
 
@@ -253,7 +367,7 @@ def test_dataset_jsonl_roundtrip(tmp_path, demo_system):
     save_dataset(noisy, path)
     back = load_dataset(path)
     assert back.Nt == noisy.Nt
-    for a, b in zip(noisy.experiments, back.experiments):
+    for a, b in zip(noisy, back):
         assert np.array_equal(a.u, b.u)  # 17 significant digits round-trip exactly
         assert np.array_equal(a.y, b.y)
 
@@ -266,6 +380,62 @@ def test_dataset_jsonl_header(tmp_path, demo_system):
     assert len(lines) == 3
     assert json.loads(lines[0])["meta"] == {"Nt": 2, "N": 20, "m": 2, "p": 3}
     assert json.loads(lines[1])["i"] == 0
+
+
+def _per_record_writer(ds, path):
+    """save_dataset transcribed one record and one float at a time."""
+    def fmt(a):
+        return "[" + ",".join("[" + ",".join(f"{v:.17g}" for v in row) + "]" for row in a) + "]"
+
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps({"meta": {"Nt": ds.Nt, "N": ds.N, "m": ds.m, "p": ds.p}}) + "\n")
+        for i, e in enumerate(ds):
+            fh.write('{"i":%d,"u":%s,"y":%s}\n' % (i, fmt(e.u), fmt(e.y)))
+
+
+def test_save_dataset_bytes_match_per_record_writer(tmp_path, demo_system):
+    rng = np.random.default_rng(32)
+    ds = generate_dataset(demo_system, 1100, 20, 2, "random-bounded", rng)
+    noisy = add_noise(ds, NoiseSpec("gaussian", 1.0, 5.0), NoiseSpec("gaussian", 1.0, 5.0), rng)
+    U = noisy.U.copy()
+    U[0, :7, 0] = [0.0, -0.0, 1e-300, -1e300, 123456789.0, 0.1, 5e-324]
+    special = Dataset(U, noisy.Y)
+    for name, d in (("clean", ds), ("noisy", noisy), ("special", special)):
+        save_dataset(d, tmp_path / f"{name}.jsonl")
+        _per_record_writer(d, tmp_path / f"{name}_ref.jsonl")
+        assert (tmp_path / f"{name}.jsonl").read_bytes() == (tmp_path / f"{name}_ref.jsonl").read_bytes()
+    back = load_dataset(tmp_path / "special.jsonl")
+    assert back.U.tobytes() == special.U.tobytes() and back.Y.tobytes() == special.Y.tobytes()
+
+
+def test_load_dataset_names_non_finite_record(tmp_path, demo_system):
+    ds = generate_dataset(demo_system, 4, 20, 2, "zero", np.random.default_rng(0))
+    path = tmp_path / "ds.jsonl"
+    save_dataset(ds, path)
+    lines = path.read_text().split("\n")
+    rec = json.loads(lines[3])  # record 2
+    rec["y"][5][1] = float("nan")
+    lines[3] = json.dumps(rec)
+    path.write_text("\n".join(lines))
+    with pytest.raises(ValueError, match="record 2 has non-finite"):
+        load_dataset(path)
+
+
+def test_load_dataset_rejects_wrong_record_shape(tmp_path, demo_system):
+    ds = generate_dataset(demo_system, 3, 20, 2, "zero", np.random.default_rng(0))
+    path = tmp_path / "ds.jsonl"
+    save_dataset(ds, path)
+    lines = path.read_text().split("\n")
+    rec = json.loads(lines[2])
+    rec["u"] = rec["u"][:-1]
+    rec["y"] = rec["y"][:-1]
+    lines[2] = json.dumps(rec)
+    path.write_text("\n".join(lines))
+    with pytest.raises(ValueError, match="record 1"):
+        load_dataset(path)
+    path.write_text("\n".join(lines[:1] + [lines[1]] * 4) + "\n")  # one line too many
+    with pytest.raises(ValueError, match="more experiment lines"):
+        load_dataset(path)
 
 
 def test_load_dataset_rejects_bad_header(tmp_path):

@@ -65,12 +65,12 @@ def test_merge_rejects_shape_mismatch():
 def test_sharded_merge_matches_serial(demo_system):
     ds = _noisy_demo(demo_system, 200)
     serial = SufficientStats(10, 29)
-    for e in ds.experiments:
+    for e in ds:
         serial.accumulate(stacked_hankel(e, 2))
     shards = []
     for i in range(8):
         st = SufficientStats(10, 29)
-        for e in ds.experiments[i * 25 : (i + 1) * 25]:
+        for e in ds[i * 25 : (i + 1) * 25]:
             st.accumulate(stacked_hankel(e, 2))
         shards.append(st)
     merged = shards[0]
@@ -104,20 +104,31 @@ def test_noiseless_average_matches_direct_oracle(demo_system):
     assert np.abs(fin.Gbar - M).max() <= 1e-12 * np.abs(M).max()
 
 
-def test_aggregate_worker_count_is_bitwise_invariant(demo_system):
+def test_aggregate_matches_accumulate_loop(demo_system):
+    # three blocks of the default plan, the last one partial
+    ds = _noisy_demo(demo_system, 1100, seed=6)
+    st = aggregate(ds, 2)
+    loop = SufficientStats(10, 29)
+    for e in ds:
+        loop.accumulate(stacked_hankel(e, 2))
+    assert st.count == loop.count == 1100
+    assert np.abs(st.G - loop.G).max() <= 1e-13 * np.abs(loop.G).max()
+    assert np.abs(st.rowsum - loop.rowsum).max() <= 1e-13 * np.abs(loop.rowsum).max()
+
+
+def test_aggregate_is_bitwise_repeatable(demo_system):
     ds = _noisy_demo(demo_system, 120, seed=6)
-    a = aggregate(ds, 2, workers=1, block_size=32)
-    b = aggregate(ds, 2, workers=5, block_size=32)
-    assert np.array_equal(a.G, b.G)
-    assert np.array_equal(a.rowsum, b.rowsum)
-    assert a.count == b.count == 120
+    a = aggregate(ds, 2, block_size=32)
+    b = aggregate(ds[:], 2, block_size=32)
+    assert a.G.tobytes() == b.G.tobytes()
+    assert a.rowsum.tobytes() == b.rowsum.tobytes()
 
 
 def test_aggregate_matches_running_accumulation(demo_system):
     ds = _noisy_demo(demo_system, 150, seed=7)
     tree = aggregate(ds, 2, block_size=64)
     running = SufficientStats(10, 29)
-    for e in ds.experiments:
+    for e in ds:
         running.accumulate(stacked_hankel(e, 2))
     assert np.abs(tree.G - running.G).max() <= 1e-9 * np.abs(running.G).max()
 
@@ -147,4 +158,17 @@ def test_load_stats_rejects_bad_payload(tmp_path):
         load_stats(path)
     path.write_text('{"d": 2, "Nc": 3}')
     with pytest.raises(ValueError):
+        load_stats(path)
+
+
+@pytest.mark.parametrize("payload, cause", [
+    ('{"d": 2, "Nc": 3, "count": 0, "G": [1, 0, 0, 1], "rowsum": [0, 0]}', "count is 0"),
+    ('{"d": 2, "Nc": 3, "count": 4, "G": [1, NaN, NaN, 1], "rowsum": [0, 0]}', "non-finite"),
+    ('{"d": 2, "Nc": 3, "count": 4, "G": [1, 0, 0, 1], "rowsum": [Infinity, 0]}', "non-finite"),
+    ('{"d": 2, "Nc": 3, "count": 4, "G": [1, 0.5, 0.25, 1], "rowsum": [0, 0]}', "not symmetric"),
+])
+def test_load_stats_rejects_impossible_aggregates(tmp_path, payload, cause):
+    path = tmp_path / "stats.json"
+    path.write_text(payload)
+    with pytest.raises(ValueError, match=cause):
         load_stats(path)

@@ -127,7 +127,7 @@ class TestTrajectoryMembership:
         V = true_nullspace(demo_system, 2)
         rng = np.random.default_rng(50)
         ds = generate_dataset(demo_system, 1, 20, 2, "random-bounded", rng)
-        H = stacked_hankel(ds.experiments[0], 2).matrix
+        H = stacked_hankel(ds[0], 2).matrix
         z = H[:, 4]
         assert np.abs(V.basis @ z).max() <= 1e-8
         bad = z + 0.1 * V.basis[0]
