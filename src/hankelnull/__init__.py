@@ -15,9 +15,6 @@ from .estimator import (
     SubspaceBasis,
     assemble_M,
     grid_search,
-    noiseless_M,
-    numerical_rank,
-    svd_spectrum,
     write_candidate_json,
     write_landscape_csv,
 )
@@ -74,8 +71,6 @@ __all__ = [
     "hankel",
     "load_dataset",
     "load_stats",
-    "noiseless_M",
-    "numerical_rank",
     "pe_order_check",
     "random_system",
     "row_index",
@@ -84,7 +79,6 @@ __all__ = [
     "simulate",
     "stacked_hankel",
     "subspace_angle",
-    "svd_spectrum",
     "true_nullspace",
     "write_candidate_json",
     "write_convergence_csv",

@@ -10,6 +10,7 @@ admitted no candidate, 3 invalid configuration or arguments, 4 I/O failure.
 import argparse
 import copy
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -132,13 +133,19 @@ class ExperimentConfig:
             raise ValueError(f"moment_mode must be one of {tuple(_AXIS_NAMES)}, got {self.moment_mode!r}")
         if self.eps_mode not in EPS_MODES:
             raise ValueError(f"eps_mode must be one of {EPS_MODES}, got {self.eps_mode!r}")
-        if len(self.grid) != len(_AXIS_NAMES[self.moment_mode]):
-            raise ValueError(f"{self.moment_mode} mode needs {len(_AXIS_NAMES[self.moment_mode])} grid axes, got {len(self.grid)}")
-        for lo, hi, points in self.grid:
+        names = _AXIS_NAMES[self.moment_mode]
+        if len(self.grid) != len(names):
+            raise ValueError(f"{self.moment_mode} mode needs {len(names)} grid axes, got {len(self.grid)}")
+        for name, (lo, hi, points) in zip(names, self.grid):
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"grid axis {name!r} needs finite bounds, got [{lo}, {hi}]")
             if not lo < hi:
                 raise ValueError(f"grid axis needs lo < hi, got [{lo}, {hi}]")
             if points < 1:
                 raise ValueError(f"grid axis needs at least one point, got {points}")
+        for name in ("eps_sigma", "eps_factor", "eps_rank", "x0_halfwidth"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.eps_sigma <= 0 or self.eps_factor <= 0 or self.eps_rank <= 0:
             raise ValueError("eps_sigma, eps_factor and eps_rank must be positive")
         if self.x0_policy not in ("zero", "random-bounded"):
@@ -477,7 +484,7 @@ def _add_config_flags(sp) -> None:
     sp.add_argument("--L", type=int, help="Hankel window depth")
     sp.add_argument("--seed", type=int, help="root seed")
     sp.add_argument("--workers", type=int, help="ignored; kept so older command lines still parse")
-    sp.add_argument("--eps-sigma", type=float, help="admission threshold (abs and rel modes)")
+    sp.add_argument("--eps-sigma", type=float, help="admission threshold (abs mode)")
     sp.add_argument("--eps-mode", choices=EPS_MODES, help="admission threshold mode")
     sp.add_argument("--eps-factor", type=float, help="multiplier on the grid noise floor (auto mode)")
     sp.add_argument("--eps-rank", type=float, help="relative cutoff for numerical rank")

@@ -1,8 +1,12 @@
 """Discrete-time LTI simulation and noisy multi-experiment dataset generation.
 
 All randomness flows from a single root generator. Anything that touches
-several experiments derives one child stream per experiment index up front,
-so record i depends only on the root seed and i, not on the ensemble size.
+several experiments derives one child stream per experiment index up front.
+generate_dataset spawns its Nt streams first, so a noiseless record i
+depends only on the root seed and i. add_noise spawns its streams from the
+same root afterwards, so the noise on record i also depends on how many
+streams were spawned before it, that is on the ensemble size: the first k
+records of a noisy ensemble are not the noisy k-record ensemble.
 Everything else runs as array code over the whole ensemble, or over blocks
 of BLOCK_SIZE records where a per-record temporary would otherwise grow
 with the ensemble.

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hankelnull import StateSpace
+from hankelnull import StateSpace, stacked_hankel
 
 
 @pytest.fixture(scope="session")
@@ -23,3 +23,17 @@ def demo_system() -> StateSpace:
 def scalar_system() -> StateSpace:
     """First-order single-input single-output plant with direct read-out."""
     return StateSpace([[0.7]], [[1.3]], [[1.0]], [[0.0]])
+
+
+def noiseless_M(ds, L: int) -> np.ndarray:
+    """Direct ensemble average of H_i H_i^T, bypassing the aggregates.
+
+    Oracle for the tests: on noiseless data this equals the assembly at the
+    zero-moment point.
+    """
+    M = 0.0
+    for e in ds:
+        H = stacked_hankel(e, L).matrix
+        M = M + H @ H.T
+    M = M / ds.Nt
+    return (M + M.T) / 2.0

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import noiseless_M
 from hankelnull import (
     MomentPoint,
     NoiseSpec,
@@ -23,8 +24,6 @@ from hankelnull import (
     convergence_study,
     generate_dataset,
     grid_search,
-    noiseless_M,
-    numerical_rank,
     random_system,
     simulate,
     stacked_hankel,
@@ -93,8 +92,11 @@ def test_moment_recovery_at_scale(reference_run, capsys):
 
 def test_rank_landscape_at_scale(reference_run, capsys):
     r = reference_run
-    rank_true = numerical_rank(assemble_M(r["fin"], MomentPoint.identical(1.0, 5.0)))
-    rank_best = numerical_rank(assemble_M(r["fin"], r["res"].best.point))
+    cfg, res = r["cfg"], r["res"]
+    at_true = grid_search(r["fin"], ([1.0], [5.0]), cfg.eps_sigma, cfg.nullity, eps_rank=cfg.eps_rank)
+    rank_true = int(at_true.ranks[0])
+    best = (res.best.point.m1u, res.best.point.m2u)
+    rank_best = int(res.ranks[(res.points == best).all(axis=1)][0])
     ok = rank_true == 7 and rank_best == 7
     _check(capsys, "numerical rank at true and best moments", ok,
            f"rank(true)={rank_true} rank(best)={rank_best}, expected 7 of 10")
@@ -194,8 +196,10 @@ def test_estimator_deviation_shrinks_as_data_doubles(capsys):
     devs = {nt: [] for nt in sizes}
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        # per-experiment streams are spawn-indexed, so a prefix of one big
-        # ensemble is bitwise the same as generating the smaller one
+        # a prefix of the clean ensemble is bitwise the smaller clean
+        # ensemble; the noise streams are spawned after all Nt generation
+        # streams, so noisy[:nt] is not the noisy nt-record ensemble of this
+        # seed, only an equally valid draw of it
         clean = generate_dataset(cfg.system, sizes[-1], cfg.N, cfg.L, cfg.x0_policy, rng)
         noisy = add_noise(clean, spec, spec, rng)
         for nt in sizes:

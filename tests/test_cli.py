@@ -222,6 +222,34 @@ class TestAggregateAndRecover:
         assert rc == 3
         assert "G is not symmetric" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, field", [
+        ("--eps-factor", "eps_factor"),
+        ("--eps-sigma", "eps_sigma"),
+        ("--eps-rank", "eps_rank"),
+        ("--x0-halfwidth", "x0_halfwidth"),
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_number_is_config_error(self, tmp_path, cfg_file, gen_dir, capsys, flag, field, value):
+        out = tmp_path / "rec"
+        capsys.readouterr()
+        rc = main(["recover", "--config", cfg_file, flag, value, "--dataset", str(gen_dir / "dataset_noisy.jsonl"), "--out", str(out)])
+        assert rc == 3
+        assert f"{field} must be finite" in capsys.readouterr().err
+        assert not (out / "landscape.csv").exists()
+
+    @pytest.mark.parametrize("bounds", ["[0, 1e999, 5]", "[-1e999, 1.5, 5]", "[NaN, 1.5, 5]"])
+    def test_non_finite_grid_bound_is_config_error(self, tmp_path, gen_dir, capsys, bounds):
+        cfg = json.dumps(SMALL_CONFIG).replace('"m1": [-0.5, 0.5, 3]', f'"m1": {bounds}')
+        assert bounds in cfg
+        path = tmp_path / "config.json"
+        path.write_text(cfg)
+        out = tmp_path / "rec"
+        capsys.readouterr()
+        rc = main(["recover", "--config", str(path), "--dataset", str(gen_dir / "dataset_noisy.jsonl"), "--out", str(out)])
+        assert rc == 3
+        assert "grid axis 'm1' needs finite bounds" in capsys.readouterr().err
+        assert not (out / "landscape.csv").exists()
+
     def test_workers_key_of_old_manifests_is_ignored(self, tmp_path, cfg_file, gen_dir, capsys):
         old = dict(SMALL_CONFIG, workers=4)
         path = tmp_path / "old.json"

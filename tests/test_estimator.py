@@ -3,8 +3,11 @@ import json
 import numpy as np
 import pytest
 
+import hankelnull.estimator as estimator
+from conftest import noiseless_M
 from hankelnull import (
     Candidate,
+    FinalizedStats,
     MomentPoint,
     NoiseSpec,
     SubspaceBasis,
@@ -13,9 +16,6 @@ from hankelnull import (
     assemble_M,
     generate_dataset,
     grid_search,
-    noiseless_M,
-    numerical_rank,
-    svd_spectrum,
     write_candidate_json,
     write_landscape_csv,
 )
@@ -82,9 +82,10 @@ class TestAssembly:
 
     def test_noiseless_zero_point_has_expected_nullity(self, demo_system):
         fin = aggregate(_clean(demo_system, 40), 2).finalize()
-        s, _ = svd_spectrum(assemble_M(fin, MomentPoint.identical(0.0, 0.0)))
+        res = grid_search(fin, ([0.0], [0.0]), eps_sigma=1e-8, nullity=3)
+        s = res.singular_values[0]
         assert int((s < 1e-10 * s[0]).sum()) == 3
-        assert numerical_rank(assemble_M(fin, MomentPoint.identical(0.0, 0.0))) == 7
+        assert res.ranks[0] == 7
 
     def test_matches_scalar_loop_transcription(self, demo_system):
         fin = aggregate(_noisy(demo_system, 30, seed=4), 2).finalize()
@@ -153,8 +154,9 @@ class TestAssembly:
             rng,
         )
         fin = aggregate(noisy, 2).finalize()
-        s, _ = svd_spectrum(assemble_M(fin, MomentPoint(0.5, 1.25, -0.2, 0.34), input_rows=INPUT_ROWS))
-        assert numerical_rank(assemble_M(fin, MomentPoint(0.5, 1.25, -0.2, 0.34), input_rows=INPUT_ROWS)) == 7
+        res = grid_search(fin, ([0.5], [1.25], [-0.2], [0.34]), eps_sigma=1e-3, nullity=3, input_rows=INPUT_ROWS)
+        s = res.singular_values[0]
+        assert res.ranks[0] == 7
         assert s[6] / s[7] > 10.0
 
 
@@ -174,41 +176,24 @@ class TestQuadraticForm:
             assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
 
 
-class TestSpectrum:
-    def test_identity_spectrum(self):
-        s, Vt = svd_spectrum(np.eye(5))
-        assert np.allclose(s, 1.0, rtol=0, atol=1e-15)
-        assert np.allclose(Vt @ Vt.T, np.eye(5), atol=1e-12)
-
-    def test_diagonal_values_sorted(self):
-        s, _ = svd_spectrum(np.diag([1.0, 4.0, 0.0]))
-        assert np.array_equal(s, [4.0, 1.0, 0.0])
-
-    def test_action_norms_match_singular_values(self):
-        rng = np.random.default_rng(14)
-        A = rng.standard_normal((8, 8))
-        M = A + A.T
-        s, Vt = svd_spectrum(M)
-        assert np.abs(np.linalg.norm(M @ Vt.T, axis=0) - s).max() <= 1e-10 * s[0]
-
-    def test_rejects_non_finite(self):
-        M = np.eye(3)
-        M[1, 1] = np.nan
-        with pytest.raises(ValueError):
-            svd_spectrum(M)
-
-
 class TestNumericalRank:
+    @staticmethod
+    def _rank(G, eps_rank=1e-2):
+        # at the zero-moment point the assembled matrix is Gbar itself
+        d = G.shape[0]
+        fin = FinalizedStats(np.asarray(G, dtype=float), np.zeros(d), d, 1, 1)
+        return grid_search(fin, ([0.0], [0.0]), eps_sigma=1e-3, nullity=1, eps_rank=eps_rank).ranks[0]
+
     def test_identity_full_rank(self):
-        assert numerical_rank(np.eye(10)) == 10
+        assert self._rank(np.eye(10)) == 10
 
     def test_zero_matrix(self):
-        assert numerical_rank(np.zeros((6, 6))) == 0
+        assert self._rank(np.zeros((6, 6))) == 0
 
     def test_threshold_is_relative(self):
         M = np.diag([1.0, 0.5, 1e-5])
-        assert numerical_rank(M, eps_rank=1e-2) == 2
-        assert numerical_rank(M, eps_rank=1e-7) == 3
+        assert self._rank(M, eps_rank=1e-2) == 2
+        assert self._rank(M, eps_rank=1e-7) == 3
 
 
 class TestGridSearch:
@@ -260,15 +245,6 @@ class TestGridSearch:
         assert np.array_equal(res.admitted, counts == 3)
         assert len(res.candidates) == int(res.admitted.sum())
 
-    def test_rel_threshold_scales_per_point(self, demo_system):
-        fin = aggregate(_noisy(demo_system, 40, seed=20), 2).finalize()
-        grid = (np.linspace(0.5, 1.5, 3), np.linspace(3.0, 7.0, 3))
-        res = grid_search(fin, grid, eps_sigma=1e-4, nullity=3, eps_mode="rel")
-        assert np.isnan(res.threshold)
-        per_point = 1e-4 * res.singular_values[:, 0]
-        counts = (res.singular_values < per_point[:, None]).sum(axis=1)
-        assert np.array_equal(res.admitted, counts == 3)
-
     def test_separate_channel_axes_pick_true_combination(self, demo_system):
         rng = np.random.default_rng(21)
         ds = generate_dataset(demo_system, 40, 30, 2, "random-bounded", rng)
@@ -293,13 +269,48 @@ class TestGridSearch:
         assert (best.m1u, best.m1y) == (mu_u, mu_y)
         assert not best.is_identical
 
-    def test_chunking_does_not_change_results(self, demo_system):
+    def test_chunking_does_not_change_results(self, demo_system, monkeypatch):
         fin = aggregate(_noisy(demo_system, 30, seed=22), 2).finalize()
         grid = (np.linspace(0.5, 1.5, 4), np.linspace(3.0, 7.0, 4))
-        whole = grid_search(fin, grid, eps_sigma=1e-3, nullity=3)
-        tiny = grid_search(fin, grid, eps_sigma=1e-3, nullity=3, chunk_size=3)
+        whole = grid_search(fin, grid, eps_sigma=1e-3, nullity=3, eps_mode="auto")
+        monkeypatch.setattr(estimator, "CHUNK_SIZE", 1)
+        tiny = grid_search(fin, grid, eps_sigma=1e-3, nullity=3, eps_mode="auto")
+        assert len(whole.candidates) >= 2
         assert np.array_equal(whole.singular_values, tiny.singular_values)
         assert np.array_equal(whole.admitted, tiny.admitted)
+        for a, b in zip(whole.candidates, tiny.candidates, strict=True):
+            assert a.point == b.point and a.sigma_min == b.sigma_min
+            assert np.array_equal(a.singular_values, b.singular_values)
+            assert np.array_equal(a.nullspace.basis, b.nullspace.basis)
+
+    @pytest.mark.parametrize("distinct", [False, True])
+    def test_matches_per_point_svd_oracle(self, demo_system, monkeypatch, distinct):
+        # a small chunk makes both the landscape and the candidate pass cross
+        # chunk boundaries; every figure must equal a per-point assembly and
+        # SVD bitwise
+        monkeypatch.setattr(estimator, "CHUNK_SIZE", 64)
+        fin = aggregate(_noisy(demo_system, 200, seed=25), 2).finalize()
+        m1, m2 = np.linspace(0.0, 1.5, 12), np.linspace(2.5, 7.0, 12)
+        grid = (m1, m2, m1[::2], m2[::2]) if distinct else (np.linspace(0.0, 1.5, 30), np.linspace(2.5, 7.0, 30))
+        res = grid_search(fin, grid, eps_sigma=1e-3, nullity=3, eps_mode="auto", eps_factor=5.0, input_rows=INPUT_ROWS)
+        assert len(res.candidates) > 3 * 64
+        Ms = [
+            assemble_M(fin, estimator._point_from_row(row), input_rows=INPUT_ROWS)
+            for row in res.points
+        ]
+        sv = np.array([np.linalg.svd(M, compute_uv=False) for M in Ms])
+        assert np.array_equal(res.singular_values, sv)
+        assert np.array_equal(res.ranks, (sv > 1e-2 * sv[:, :1]).sum(axis=1))
+        picked = np.flatnonzero(res.admitted)
+        assert len(res.candidates) == picked.size
+        for j, cand in zip(picked, res.candidates):
+            _, s, Vt = np.linalg.svd(Ms[j])
+            assert cand.point == estimator._point_from_row(res.points[j])
+            assert np.array_equal(cand.singular_values, s)
+            assert cand.sigma_min == s[-1]
+            assert np.array_equal(cand.nullspace.basis, Vt[7:])
+        sig = [c.sigma_min for c in res.candidates]
+        assert res.best is res.candidates[int(np.argmin(sig))]
 
     def test_invalid_arguments(self, demo_system):
         fin = aggregate(_clean(demo_system, 5, seed=23), 2).finalize()
@@ -311,10 +322,15 @@ class TestGridSearch:
             grid_search(fin, ([0.0], [0.0]), eps_sigma=1e-3, nullity=10)
         with pytest.raises(ValueError):
             grid_search(fin, ([0.0], [0.0]), eps_sigma=1e-3, nullity=3, eps_mode="magic")
+        with pytest.raises(ValueError, match="eps_mode"):
+            grid_search(fin, ([0.0], [0.0]), eps_sigma=1e-3, nullity=3, eps_mode="rel")
         with pytest.raises(ValueError):
             grid_search(fin, ([0.0], [0.0], [0.0], [0.0]), eps_sigma=1e-3, nullity=3)
         with pytest.raises(ValueError):
             grid_search(fin, ([], [0.0]), eps_sigma=1e-3, nullity=3)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="grid axis 1 has non-finite values"):
+                grid_search(fin, ([0.0], [0.0, bad]), eps_sigma=1e-3, nullity=3)
 
 
 class TestWriters:

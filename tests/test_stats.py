@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import noiseless_M
 from hankelnull import (
     NoiseSpec,
     SufficientStats,
@@ -8,7 +9,6 @@ from hankelnull import (
     aggregate,
     generate_dataset,
     load_stats,
-    noiseless_M,
     save_stats,
     stacked_hankel,
 )
