@@ -309,8 +309,8 @@ def resolve_config(args) -> ExperimentConfig:
     return config_from_dict(merged)
 
 
-def _write_manifest(path, command: str, cfg: ExperimentConfig, timings: dict, outputs: dict) -> None:
-    obj = {"command": command, "config": config_to_dict(cfg), "timings": timings, "outputs": outputs}
+def _write_manifest(path, command: str, cfg: ExperimentConfig, timings: dict, outputs: dict, **extra) -> None:
+    obj = {"command": command, "config": config_to_dict(cfg), "timings": timings, "outputs": outputs, **extra}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2)
         fh.write("\n")
@@ -368,6 +368,34 @@ def cmd_aggregate(cfg: ExperimentConfig, dataset_path, out_dir) -> int:
     return 0
 
 
+def _diagnostics(res) -> dict:
+    """Why the grid search admitted what it did.
+
+    below_threshold counts grid points by how many singular values fall
+    below the threshold (entry c is the number of points with c of them);
+    admission needs exactly `nullity`. spectral_gap is s[d-k-1] / s[d-k] at
+    the best point, the smallest kept singular value over the largest null
+    one, and best_on_edge says whether any coordinate of the best point is
+    an endpoint of its axis, where the optimum may lie outside the grid.
+    """
+    counts = (res.singular_values < res.threshold).sum(axis=1)
+    diag = {
+        "threshold": res.threshold,
+        "admitted": int(res.admitted.sum()),
+        "below_threshold": np.bincount(counts, minlength=res.singular_values.shape[1] + 1).tolist(),
+        "spectral_gap": None,
+        "best_on_edge": None,
+    }
+    if res.best is not None:
+        s, k = res.best.singular_values, res.nullity
+        if s[-k] > 0.0:
+            diag["spectral_gap"] = float(s[-k - 1] / s[-k])
+        pt = res.best.point
+        coords = (pt.m1u, pt.m2u, pt.m1y, pt.m2y)[: len(res.axes)]
+        diag["best_on_edge"] = any(v in (a.min(), a.max()) for v, a in zip(coords, res.axes))
+    return diag
+
+
 def cmd_recover(cfg: ExperimentConfig, dataset_path, stats_path, out_dir) -> int:
     if (dataset_path is None) == (stats_path is None):
         raise ValueError("give exactly one of --dataset or --stats")
@@ -402,9 +430,14 @@ def cmd_recover(cfg: ExperimentConfig, dataset_path, stats_path, out_dir) -> int
         outputs["candidate"] = "candidate.json"
         write_candidate_json(res.best, out / "candidate.json")
     timings["write_s"] = time.perf_counter() - t1
-    _write_manifest(out / "manifest.json", "recover", cfg, timings, outputs)
+    diag = _diagnostics(res)
+    _write_manifest(out / "manifest.json", "recover", cfg, timings, outputs, diagnostics=diag)
     if res.best is None:
         print(f"no admitted candidate over {res.points.shape[0]} grid points; landscape written to {out}")
+        print(
+            f"threshold {diag['threshold']:.6g}; admission needs exactly {res.nullity} singular values below it; "
+            f"grid points by count below: {diag['below_threshold']}"
+        )
         return 2
     pt = res.best.point
     label = (

@@ -13,6 +13,15 @@ the second moment enters on the diagonal, where each sample meets itself.
 At the true moments the corrections cancel the noise in expectation and the
 matrix regains the rank deficiency of the noiseless ensemble; the search
 scans a moment grid for that signature.
+
+With tied moments the second moment enters only as a spectral shift,
+M(mu, nu) = M(mu, 0) - Nc*nu*I, so one symmetric eigendecomposition per
+first-moment value gives the whole second-moment column: the singular values
+are |lambda - Nc*nu| and the null space is spanned by the eigenvectors
+nearest the shift. Where the subtraction cancels too many digits to be
+trusted (the shift sits on an eigenvalue) the row is recomputed by SVD of
+the assembled matrix. Distinct input and output moments get one SVD per
+grid point.
 """
 
 from dataclasses import dataclass
@@ -35,6 +44,11 @@ __all__ = [
 EPS_MODES = ("abs", "auto")
 
 CHUNK_SIZE = 8192  # grid points per batched assembly and SVD
+# A tied-mode landscape row from the spectral shift is recomputed by SVD when
+# the shift's rounding bound, GUARD_ULPS*eps*(max|lambda| + Nc*|nu|), exceeds
+# GUARD_RTOL times its smallest singular value.
+GUARD_ULPS = 16
+GUARD_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -67,7 +81,8 @@ class SubspaceBasis:
         object.__setattr__(self, "basis", arr)
         if arr.shape[0] > 0:
             gram = arr @ arr.T
-            if np.max(np.abs(gram - np.eye(arr.shape[0]))) > 1e-10:
+            gram.flat[:: arr.shape[0] + 1] -= 1.0  # gram - I, without building I
+            if np.abs(gram).max() > 1e-10:
                 raise ValueError("basis rows are not orthonormal")
 
     @property
@@ -156,10 +171,38 @@ def assemble_M(st: FinalizedStats, pt: MomentPoint, input_rows=None) -> np.ndarr
     return _assemble(st, np.array([[pt.m1u, pt.m2u, pt.m1y, pt.m2y]]), input_rows)[0]
 
 
-def _point_from_row(row: np.ndarray) -> MomentPoint:
-    if row.shape[0] == 2:
+def _point_from_row(row) -> MomentPoint:
+    if len(row) == 2:
         return MomentPoint.identical(float(row[0]), float(row[1]))
     return MomentPoint(float(row[0]), float(row[1]), float(row[2]), float(row[3]))
+
+
+def _svd_rows(st: FinalizedStats, points: np.ndarray, input_rows) -> np.ndarray:
+    """Singular values, (n, d) descending, of the assemblies at an (n, 2|4) batch."""
+    sv = np.empty((points.shape[0], st.d))
+    for lo in range(0, points.shape[0], CHUNK_SIZE):
+        sv[lo : lo + CHUNK_SIZE] = np.linalg.svd(
+            _assemble(st, points[lo : lo + CHUNK_SIZE], input_rows), compute_uv=False
+        )
+    return sv
+
+
+def _shifted_landscape(st: FinalizedStats, m1: np.ndarray, m2: np.ndarray, points: np.ndarray) -> tuple:
+    """Tied-mode landscape from one eigh per m1 value.
+
+    Returns the singular values (n1*n2, d) in row-major point order, and the
+    eigenvalues lam (n1, d), eigenvectors V (n1, d, d) and shifts Nc*m2 the
+    candidates are read from.
+    """
+    lam, V = np.linalg.eigh(_assemble(st, np.stack([m1, np.zeros_like(m1)], axis=-1), None))
+    shift = st.Nc * m2
+    dist = np.abs(lam[:, None, :] - shift[None, :, None])
+    dist.sort(axis=-1)
+    sv = dist[..., ::-1].reshape(-1, st.d)
+    bound = GUARD_ULPS * np.finfo(float).eps * (np.abs(lam).max(axis=1)[:, None] + np.abs(shift))
+    guard = np.flatnonzero(bound.reshape(-1) > GUARD_RTOL * sv[:, -1])
+    sv[guard] = _svd_rows(st, points[guard], None)
+    return sv, lam, V, shift
 
 
 def grid_search(
@@ -189,11 +232,17 @@ def grid_search(
     floor of the ensemble, which shrinks as more experiments are absorbed,
     so the admitted set stays tight at any ensemble size. The numerical rank
     of a point counts its singular values above eps_rank times the largest.
-    Each admitted point gets a full SVD of its matrix, whose right singular
-    vectors for the `nullity` smallest values span its null space. Among
-    admitted points the best is the one with the smallest minimum singular
-    value, ties broken by grid order. Returns the full landscape either way;
-    best is None when nothing is admitted.
+
+    In tied mode the spectrum at (m1, m2) is |lambda - Nc*m2| over the
+    eigenvalues lambda of the assembly at (m1, 0); rows where that
+    subtraction may have lost more than GUARD_RTOL of the smallest value are
+    recomputed by SVD. An admitted tied point's null space is spanned by the
+    `nullity` eigenvectors nearest the shift and its spectrum is its
+    landscape row. In the general mode each admitted point gets a full SVD,
+    whose right singular vectors for the `nullity` smallest values span its
+    null space. Among admitted points the best is the one with the smallest
+    minimum singular value, ties broken by grid order. Returns the full
+    landscape either way; best is None when nothing is admitted.
     """
     axes = tuple(np.asarray(a, dtype=float).reshape(-1) for a in grid)
     if len(axes) not in (2, 4):
@@ -212,11 +261,11 @@ def grid_search(
 
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.stack([g.reshape(-1) for g in mesh], axis=-1)
-    npts = points.shape[0]
-    sv_all = np.empty((npts, st.d))
-    for lo in range(0, npts, CHUNK_SIZE):
-        M = _assemble(st, points[lo : lo + CHUNK_SIZE], input_rows)
-        sv_all[lo : lo + CHUNK_SIZE] = np.linalg.svd(M, compute_uv=False)
+    tied = len(axes) == 2
+    if tied:
+        sv_all, lam, V, shift = _shifted_landscape(st, *axes, points)
+    else:
+        sv_all = _svd_rows(st, points, input_rows)
 
     if eps_mode == "abs":
         threshold = float(eps_sigma)
@@ -225,23 +274,32 @@ def grid_search(
     admitted = (sv_all < threshold).sum(axis=1) == nullity
     ranks = (sv_all > eps_rank * sv_all[:, 0:1]).sum(axis=1).astype(int)
 
-    candidates = []
-    picked = points[admitted]
-    for lo in range(0, picked.shape[0], CHUNK_SIZE):
-        rows = picked[lo : lo + CHUNK_SIZE]
-        _, s, Vt = np.linalg.svd(_assemble(st, rows, input_rows))
-        # copies, so that no candidate keeps the batch arrays alive; with
-        # views into them the reference workload's peak RSS measured about
-        # 6 MB higher (heap fragmentation)
-        for row, sj, Vtj in zip(rows, s, Vt):
-            candidates.append(
-                Candidate(
-                    point=_point_from_row(row),
-                    sigma_min=float(sj[-1]),
-                    nullspace=SubspaceBasis(Vtj[st.d - nullity :].copy()),
-                    singular_values=sj.copy(),
-                )
-            )
+    picked = np.flatnonzero(admitted)
+    if tied:
+        i, j = np.divmod(picked, axes[1].size)
+        # nearest eigenvalue last, like the trailing rows of an SVD's Vt
+        near = np.argsort(np.abs(lam[i] - shift[j, None]), axis=1)[:, nullity - 1 :: -1]
+        bases = np.take_along_axis(V[i], near[:, None, :], axis=2).swapaxes(1, 2)
+        spectra = sv_all[picked]
+    else:
+        bases = np.empty((picked.size, nullity, st.d))
+        spectra = np.empty((picked.size, st.d))
+        for lo in range(0, picked.size, CHUNK_SIZE):
+            _, s, Vt = np.linalg.svd(_assemble(st, points[picked[lo : lo + CHUNK_SIZE]], input_rows))
+            spectra[lo : lo + CHUNK_SIZE] = s
+            bases[lo : lo + CHUNK_SIZE] = Vt[:, st.d - nullity :]
+    # copies, so that no candidate keeps the batch arrays alive; with views
+    # into them the reference workload's peak RSS measured about 6 MB higher
+    # (heap fragmentation)
+    candidates = tuple(
+        Candidate(
+            point=_point_from_row(row),
+            sigma_min=smin,
+            nullspace=SubspaceBasis(b.copy()),
+            singular_values=s.copy(),
+        )
+        for row, smin, s, b in zip(points[picked].tolist(), spectra[:, -1].tolist(), spectra, bases)
+    )
     best = None
     if candidates:
         best = candidates[int(np.argmin([c.sigma_min for c in candidates]))]
@@ -255,7 +313,7 @@ def grid_search(
         threshold=threshold,
         eps_mode=eps_mode,
         nullity=nullity,
-        candidates=tuple(candidates),
+        candidates=candidates,
         best=best,
     )
 
@@ -265,14 +323,22 @@ def _point_columns(naxes: int) -> tuple:
 
 
 def write_landscape_csv(result: GridResult, path) -> None:
-    """Write per-point sigma_min, numerical rank and admission to CSV."""
+    """Write per-point sigma_min, numerical rank and admission to CSV.
+
+    Each block of CHUNK_SIZE rows is formatted by one %-operation over a
+    repeated row template; %d prints the rank and admission flag, which the
+    block carries as exact floats.
+    """
     cols = _point_columns(result.points.shape[1])
-    sigma = result.sigma_min
+    row = ",".join(["%.17g"] * (len(cols) + 1)) + ",%d,%d\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(cols) + ",sigma_min,numerical_rank,admitted\n")
-        for j in range(result.points.shape[0]):
-            coords = ",".join(f"{v:.17g}" for v in result.points[j])
-            fh.write(f"{coords},{sigma[j]:.17g},{result.ranks[j]},{int(result.admitted[j])}\n")
+        for lo in range(0, result.points.shape[0], CHUNK_SIZE):
+            part = slice(lo, lo + CHUNK_SIZE)
+            block = np.column_stack(
+                [result.points[part], result.sigma_min[part], result.ranks[part], result.admitted[part]]
+            )
+            fh.write(row * block.shape[0] % tuple(block.ravel().tolist()))
 
 
 def write_candidate_json(cand: Candidate, path) -> None:

@@ -271,6 +271,31 @@ def test_grid_cost_independent_of_ensemble_size(reference_run, capsys):
            f"aggregation log-log slope {slope:.2f}")
 
 
+def test_spectral_shift_matches_svd_landscape(reference_run, capsys):
+    # the tied grid search reads its landscape off one eigh per m1 value;
+    # at full scale it must admit, rank and pick exactly as per-point SVDs do
+    r = reference_run
+    cfg, fin, res = r["cfg"], r["fin"], r["res"]
+    sv = np.array([
+        np.linalg.svd(assemble_M(fin, MomentPoint.identical(*row)), compute_uv=False)
+        for row in res.points
+    ])
+    dev = float(np.max(np.abs(res.singular_values - sv) / sv))
+    threshold = cfg.eps_factor * sv[:, cfg.d - cfg.nullity].min()
+    thr_dev = abs(res.threshold - threshold) / threshold
+    admitted = (sv < threshold).sum(axis=1) == cfg.nullity
+    best = np.flatnonzero(admitted)[np.argmin(sv[admitted, -1])]
+    ok = (
+        dev <= 1e-10
+        and thr_dev <= 1e-12
+        and np.array_equal(res.admitted, admitted)
+        and np.array_equal(res.ranks, (sv > cfg.eps_rank * sv[:, :1]).sum(axis=1))
+        and res.best.point == MomentPoint.identical(*res.points[best])
+    )
+    _check(capsys, "spectral shift matches SVD landscape", ok,
+           f"{int(admitted.sum())} admitted; largest relative deviation {dev:.2g}, threshold {thr_dev:.2g}")
+
+
 def test_scalar_null_vector_matches_recursion(capsys):
     a, b = 0.7, 1.3
     ss = StateSpace([[a]], [[b]], [[1.0]], [[0.0]])

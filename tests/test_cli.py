@@ -154,6 +154,30 @@ class TestAggregateAndRecover:
         assert rc == 2
         assert (out / "landscape.csv").exists()
         assert not (out / "candidate.json").exists()
+        # the run says why: nothing falls below the threshold anywhere
+        text = capsys.readouterr().out
+        diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
+        assert diag["threshold"] == 1e-30 and diag["admitted"] == 0
+        assert diag["below_threshold"] == [6] + [0] * 10
+        assert diag["spectral_gap"] is None and diag["best_on_edge"] is None
+        assert "threshold 1e-30" in text
+        assert f"count below: {diag['below_threshold']}" in text
+
+    @pytest.mark.parametrize("m2_axis, on_edge", [([0.0, 1.0, 2], True), ([-1.0, 1.0, 3], False)])
+    def test_manifest_records_diagnostics(self, tmp_path, gen_dir, capsys, m2_axis, on_edge):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(dict(SMALL_CONFIG, grid={"m1": [-0.5, 0.5, 3], "m2": m2_axis})))
+        out = tmp_path / "rec"
+        assert main(["recover", "--config", str(cfg), "--dataset", str(gen_dir / "dataset_noisy.jsonl"), "--out", str(out)]) == 0
+        diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
+        rows = [line.split(",") for line in (out / "landscape.csv").read_text().split("\n")[1:-1]]
+        assert diag["threshold"] == 1e-8
+        assert diag["admitted"] == sum(int(r[-1]) for r in rows) == 1
+        assert len(diag["below_threshold"]) == 11 and sum(diag["below_threshold"]) == len(rows)
+        assert diag["below_threshold"][3] == 1
+        # noiseless records: the null space is exact, the gap is wide
+        assert diag["spectral_gap"] > 1e6
+        assert diag["best_on_edge"] is on_edge
 
     def test_both_sources_rejected(self, tmp_path, cfg_file, gen_dir, capsys):
         rc = main([

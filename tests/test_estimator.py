@@ -2,10 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 import hankelnull.estimator as estimator
 from conftest import noiseless_M
 from hankelnull import (
+    NOISE_FAMILIES,
     Candidate,
     FinalizedStats,
     MomentPoint,
@@ -16,6 +19,8 @@ from hankelnull import (
     assemble_M,
     generate_dataset,
     grid_search,
+    random_system,
+    subspace_angle,
     write_candidate_json,
     write_landscape_csv,
 )
@@ -49,6 +54,21 @@ def _reference_assembly(fin, pt, input_rows):
             else:
                 M[i, j] = G[i, j] - mu[i] * r[j] - mu[j] * r[i] + Nc * mu[i] * mu[j]
     return M
+
+
+def _assert_same_admission(res, sv, eps_factor, nullity=3, eps_rank=1e-2, threshold_rtol=1e-12):
+    """Ranks, auto threshold, admitted set and best point as an SVD landscape sv gives them."""
+    d = sv.shape[1]
+    threshold = eps_factor * sv[:, d - nullity].min()
+    assert abs(res.threshold - threshold) <= threshold_rtol * threshold
+    assert np.array_equal(res.ranks, (sv > eps_rank * sv[:, :1]).sum(axis=1))
+    admitted = (sv < threshold).sum(axis=1) == nullity
+    assert np.array_equal(res.admitted, admitted)
+    if admitted.any():
+        j = np.flatnonzero(admitted)[np.argmin(sv[admitted, -1])]
+        assert res.best.point == estimator._point_from_row(res.points[j])
+    else:
+        assert res.best is None
 
 
 class TestMomentPoint:
@@ -286,8 +306,10 @@ class TestGridSearch:
     @pytest.mark.parametrize("distinct", [False, True])
     def test_matches_per_point_svd_oracle(self, demo_system, monkeypatch, distinct):
         # a small chunk makes both the landscape and the candidate pass cross
-        # chunk boundaries; every figure must equal a per-point assembly and
-        # SVD bitwise
+        # chunk boundaries. The 4-axis path must equal a per-point assembly
+        # and SVD bitwise; the tied path reads its landscape off a spectral
+        # shift, so it must agree to 1e-10 relative per entry with the same
+        # ranks, admission and best point and bases within 1e-12 rad
         monkeypatch.setattr(estimator, "CHUNK_SIZE", 64)
         fin = aggregate(_noisy(demo_system, 200, seed=25), 2).finalize()
         m1, m2 = np.linspace(0.0, 1.5, 12), np.linspace(2.5, 7.0, 12)
@@ -299,18 +321,26 @@ class TestGridSearch:
             for row in res.points
         ]
         sv = np.array([np.linalg.svd(M, compute_uv=False) for M in Ms])
-        assert np.array_equal(res.singular_values, sv)
-        assert np.array_equal(res.ranks, (sv > 1e-2 * sv[:, :1]).sum(axis=1))
+        if distinct:
+            assert np.array_equal(res.singular_values, sv)
+        else:
+            assert np.all(np.abs(res.singular_values - sv) <= 1e-10 * sv)
+        _assert_same_admission(res, sv, 5.0)
         picked = np.flatnonzero(res.admitted)
         assert len(res.candidates) == picked.size
         for j, cand in zip(picked, res.candidates):
             _, s, Vt = np.linalg.svd(Ms[j])
             assert cand.point == estimator._point_from_row(res.points[j])
-            assert np.array_equal(cand.singular_values, s)
-            assert cand.sigma_min == s[-1]
-            assert np.array_equal(cand.nullspace.basis, Vt[7:])
-        sig = [c.sigma_min for c in res.candidates]
-        assert res.best is res.candidates[int(np.argmin(sig))]
+            if distinct:
+                assert np.array_equal(cand.singular_values, s)
+                assert cand.sigma_min == s[-1]
+                assert np.array_equal(cand.nullspace.basis, Vt[7:])
+            else:
+                assert np.array_equal(cand.singular_values, res.singular_values[j])
+                assert cand.sigma_min == res.singular_values[j, -1]
+                assert subspace_angle(SubspaceBasis(Vt[7:]), cand.nullspace).theta_max <= 1e-12
+                # row by row in the SVD's order, up to sign
+                assert np.all(np.abs(np.sum(cand.nullspace.basis * Vt[7:], axis=1)) >= 1.0 - 1e-12)
 
     def test_invalid_arguments(self, demo_system):
         fin = aggregate(_clean(demo_system, 5, seed=23), 2).finalize()
@@ -333,6 +363,74 @@ class TestGridSearch:
                 grid_search(fin, ([0.0], [0.0, bad]), eps_sigma=1e-3, nullity=3)
 
 
+def _svd_landscape(fin, points):
+    # per-point assembly and SVD of tied points: the oracle for the shift
+    return np.array([
+        np.linalg.svd(assemble_M(fin, estimator._point_from_row(row)), compute_uv=False)
+        for row in points
+    ])
+
+
+class TestSpectralShift:
+    def test_exact_crossing_goes_through_the_guard(self, demo_system):
+        # with Nc*m2 on an eigenvalue of M(m1, 0) the shift cancels every
+        # digit of sigma_min, so that row must be the SVD's, bitwise
+        fin = aggregate(_noisy(demo_system, 200, seed=26), 2).finalize()
+        m1 = 1.0
+        lam = np.linalg.eigvalsh(assemble_M(fin, MomentPoint.identical(m1, 0.0)))
+        grid = ([m1], [2.0, lam[4] / fin.Nc, 9.0])
+        res = grid_search(fin, grid, eps_sigma=1e-6, nullity=1)
+        sv = _svd_landscape(fin, res.points)
+        assert sv[1, -1] < 1e-9 * sv[1, 0]
+        assert np.array_equal(res.singular_values[1], sv[1])
+        assert np.all(np.abs(res.singular_values - sv) <= 1e-10 * sv)
+        assert np.array_equal(res.admitted, (sv < 1e-6).sum(axis=1) == 1)
+        assert res.admitted[1] and res.best.point == MomentPoint.identical(m1, lam[4] / fin.Nc)
+        Vt = np.linalg.svd(assemble_M(fin, res.best.point))[2]
+        assert subspace_angle(SubspaceBasis(Vt[-1:]), res.best.nullspace).theta_max <= 1e-12
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=hs.integers(0, 2**32 - 1),
+        n=hs.integers(1, 3),
+        m=hs.integers(1, 2),
+        p=hs.integers(1, 2),
+        m1=hs.floats(-1.0, 1.0),
+        var=hs.floats(0.05, 2.0),
+        family=hs.sampled_from(NOISE_FAMILIES),
+    )
+    def test_agrees_with_per_point_svd_on_random_systems(self, seed, n, m, p, m1, var, family):
+        rng = np.random.default_rng(seed)
+        ss = random_system(n, m, p, rng)
+        L = n + 1  # nullity p*L - n >= 1
+        nullity = p * L - n
+        clean = generate_dataset(ss, 40, 20, L, "random-bounded", rng)
+        spec = NoiseSpec(family, m1, m1 * m1 + var)
+        cases = (
+            (aggregate(add_noise(clean, spec, spec, rng), L).finalize(),
+             (np.linspace(m1 - 0.5, m1 + 0.5, 7), np.linspace(m1 * m1 + 0.5 * var, m1 * m1 + 1.5 * var, 6))),
+            # noiseless: the zero point is an exact crossing of nullity eigenvalues
+            (aggregate(clean, L).finalize(), (np.array([-0.5, 0.0, 0.5]), np.array([0.0, 0.5, 1.0]))),
+        )
+        for fin, grid in cases:
+            res = grid_search(fin, grid, eps_sigma=1e-3, nullity=nullity, eps_mode="auto", eps_factor=2.0)
+            sv = _svd_landscape(fin, res.points)
+            assert np.all(np.abs(res.singular_values - sv) <= 1e-10 * sv)
+            # the threshold is twice a landscape entry, so it agrees as they do
+            _assert_same_admission(res, sv, 2.0, nullity, threshold_rtol=1e-10)
+        assert res.best.point == MomentPoint.identical(0.0, 0.0)
+
+
+def _per_row_landscape(res) -> bytes:
+    # one f-string per row: the oracle for the block writer's bytes
+    cols = ("m1", "m2") if res.points.shape[1] == 2 else ("m1u", "m2u", "m1y", "m2y")
+    lines = [",".join(cols) + ",sigma_min,numerical_rank,admitted\n"]
+    for j in range(res.points.shape[0]):
+        coords = ",".join(f"{v:.17g}" for v in res.points[j])
+        lines.append(f"{coords},{res.sigma_min[j]:.17g},{res.ranks[j]},{int(res.admitted[j])}\n")
+    return "".join(lines).encode()
+
+
 class TestWriters:
     def _tiny_result(self, demo_system):
         fin = aggregate(_clean(demo_system, 10, seed=24), 2).finalize()
@@ -351,6 +449,20 @@ class TestWriters:
         assert float(row[2]) == res.sigma_min[j]
         assert int(row[3]) == res.ranks[j]
         assert int(row[4]) == int(res.admitted[j])
+
+    @pytest.mark.parametrize("distinct", [False, True])
+    def test_landscape_csv_matches_per_row_writer(self, tmp_path, demo_system, monkeypatch, distinct):
+        fin = aggregate(_noisy(demo_system, 50, seed=27), 2).finalize()
+        m1, m2 = np.array([-0.0, 0.25, 1.0, 1.3]), np.linspace(2.5, 7.0, 5)
+        grid = (m1, m2, m1[1:], m2[:2]) if distinct else (m1, m2)
+        res = grid_search(fin, grid, eps_sigma=1e-3, nullity=3, eps_mode="auto", eps_factor=5.0, input_rows=INPUT_ROWS)
+        assert 0 < res.admitted.sum() < res.points.shape[0]
+        # 7 does not divide the row count, so the last block is partial
+        monkeypatch.setattr(estimator, "CHUNK_SIZE", 7)
+        assert res.points.shape[0] % 7 != 0
+        path = tmp_path / "landscape.csv"
+        write_landscape_csv(res, path)
+        assert path.read_bytes() == _per_row_landscape(res)
 
     def test_landscape_csv_is_byte_deterministic(self, tmp_path, demo_system):
         res = self._tiny_result(demo_system)
