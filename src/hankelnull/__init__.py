@@ -18,7 +18,7 @@ from .estimator import (
     write_candidate_json,
     write_landscape_csv,
 )
-from .hankel import StackedHankel, hankel, pe_order_check, row_index, stacked_hankel
+from .hankel import hankel, pe_order_check, row_index, stacked_hankel
 from .lti_sim import (
     NOISE_FAMILIES,
     Dataset,
@@ -55,7 +55,6 @@ __all__ = [
     "MomentPoint",
     "NOISE_FAMILIES",
     "NoiseSpec",
-    "StackedHankel",
     "StateSpace",
     "StudyResult",
     "SubspaceBasis",

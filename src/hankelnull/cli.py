@@ -8,7 +8,6 @@ admitted no candidate, 3 invalid configuration or arguments, 4 I/O failure.
 """
 
 import argparse
-import copy
 import json
 import math
 import sys
@@ -19,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .estimator import (
+    AXIS_NAMES,
     EPS_MODES,
     SubspaceBasis,
     grid_search,
@@ -56,35 +56,8 @@ __all__ = [
     "cmd_sweep",
 ]
 
-# Third-order demo plant with two inputs and full state output. With L=2 the
-# stacked Hankel matrix has d=10 rows, noiseless rank 7 and nullity 3. The
-# seed is pinned so the shipped configuration recovers the injected moments
-# out of the box; admission at this ensemble size is a minority event over
-# random seeds.
-_REFERENCE = {
-    "system": {
-        "A": [[0.8, -0.1, 0.0], [0.1, 0.7, 0.1], [0.0, -0.2, 0.6]],
-        "B": [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]],
-        "C": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
-        "D": [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
-    },
-    "Nt": 10000,
-    "N": 30,
-    "L": 2,
-    "noise": {"family": "gaussian", "m1": 1.0, "m2": 5.0},
-    "grid": {"m1": [0.0, 1.5, 200], "m2": [2.5, 7.0, 200]},
-    "eps_sigma": 1e-3,
-    "eps_mode": "auto",
-    "eps_factor": 2.0,
-    "eps_rank": 1e-2,
-    "seed": 14,
-    "x0_policy": "random-bounded",
-    "x0_halfwidth": 1.0,
-    "moment_mode": "identical",
-}
-
-PRESETS = {"reference": _REFERENCE}
-
+# Every field a config may leave out. The grid's axis names choose the
+# moment mode: AXIS_NAMES[2] ties the channels, AXIS_NAMES[4] splits them.
 _DEFAULTS = {
     "Nt": 100,
     "N": 30,
@@ -98,10 +71,28 @@ _DEFAULTS = {
     "seed": 0,
     "x0_policy": "random-bounded",
     "x0_halfwidth": 1.0,
-    "moment_mode": "identical",
 }
 
-_AXIS_NAMES = {"identical": ("m1", "m2"), "distinct": ("m1u", "m2u", "m1y", "m2y")}
+# Third-order demo plant with two inputs and full state output. With L=2 the
+# stacked Hankel matrix has d=10 rows, noiseless rank 7 and nullity 3. The
+# seed is pinned so the shipped configuration recovers the injected moments
+# out of the box; admission at this ensemble size is a minority event over
+# random seeds. Fields not listed take their _DEFAULTS values.
+_REFERENCE = {
+    "system": {
+        "A": [[0.8, -0.1, 0.0], [0.1, 0.7, 0.1], [0.0, -0.2, 0.6]],
+        "B": [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]],
+        "C": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+        "D": [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+    },
+    "Nt": 10000,
+    "noise": {"family": "gaussian", "m1": 1.0, "m2": 5.0},
+    "grid": {"m1": [0.0, 1.5, 200], "m2": [2.5, 7.0, 200]},
+    "eps_mode": "auto",
+    "seed": 14,
+}
+
+PRESETS = {"reference": _REFERENCE}
 
 
 @dataclass(frozen=True)
@@ -114,7 +105,7 @@ class ExperimentConfig:
     L: int
     noise_u: NoiseSpec
     noise_y: NoiseSpec
-    grid: tuple  # per-axis (lo, hi, points)
+    grid: dict  # axis name -> (lo, hi, points), in AXIS_NAMES order
     eps_sigma: float
     eps_mode: str
     eps_factor: float
@@ -122,21 +113,15 @@ class ExperimentConfig:
     seed: int
     x0_policy: str
     x0_halfwidth: float
-    moment_mode: str
 
     def __post_init__(self):
         if self.Nt < 1 or self.N < 1 or self.L < 1:
             raise ValueError("Nt, N and L must all be positive")
         if self.N < self.L:
             raise ValueError(f"N={self.N} is shorter than the window depth L={self.L}")
-        if self.moment_mode not in _AXIS_NAMES:
-            raise ValueError(f"moment_mode must be one of {tuple(_AXIS_NAMES)}, got {self.moment_mode!r}")
         if self.eps_mode not in EPS_MODES:
             raise ValueError(f"eps_mode must be one of {EPS_MODES}, got {self.eps_mode!r}")
-        names = _AXIS_NAMES[self.moment_mode]
-        if len(self.grid) != len(names):
-            raise ValueError(f"{self.moment_mode} mode needs {len(names)} grid axes, got {len(self.grid)}")
-        for name, (lo, hi, points) in zip(names, self.grid):
+        for name, (lo, hi, points) in self.grid.items():
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise ValueError(f"grid axis {name!r} needs finite bounds, got [{lo}, {hi}]")
             if not lo < hi:
@@ -164,29 +149,28 @@ class ExperimentConfig:
         return self.system.m * self.L
 
     def axes(self) -> tuple:
-        return tuple(np.linspace(lo, hi, int(points)) for lo, hi, points in self.grid)
+        return tuple(np.linspace(lo, hi, int(points)) for lo, hi, points in self.grid.values())
 
 
 def config_from_dict(obj: dict) -> ExperimentConfig:
     """Build a validated config from a plain JSON-style dict.
 
-    Keys it does not know are ignored, such as the `workers` key of configs
-    and manifests from versions that ran threads.
+    Missing fields take their _DEFAULTS values. The grid's axis names must
+    be one of the AXIS_NAMES sets, and they choose the moment mode; the
+    `moment_mode` key of older configs and manifests is accepted when it
+    agrees with them. Keys it does not know are ignored, such as the
+    `workers` key of versions that ran threads.
     """
+    obj = {**_DEFAULTS, **obj}
     sys_spec = obj.get("system")
     if sys_spec is None:
         raise ValueError("config has no system; give matrices inline or use a preset")
-    if "preset" in sys_spec:
-        name = sys_spec["preset"]
-        if name not in PRESETS:
-            raise ValueError(f"unknown preset {name!r}, available: {sorted(PRESETS)}")
-        sys_spec = PRESETS[name]["system"]
     try:
         system = StateSpace(sys_spec["A"], sys_spec["B"], sys_spec["C"], sys_spec["D"])
     except KeyError as e:
         raise ValueError(f"system spec is missing matrix {e.args[0]!r}") from None
 
-    noise = obj.get("noise", _DEFAULTS["noise"])
+    noise = obj["noise"]
     if "u" in noise or "y" in noise:
         if "u" not in noise or "y" not in noise:
             raise ValueError("per-channel noise needs both 'u' and 'y' specs")
@@ -196,39 +180,42 @@ def config_from_dict(obj: dict) -> ExperimentConfig:
     noise_u = NoiseSpec(spec_u["family"], float(spec_u["m1"]), float(spec_u["m2"]))
     noise_y = NoiseSpec(spec_y["family"], float(spec_y["m1"]), float(spec_y["m2"]))
 
-    moment_mode = obj.get("moment_mode", _DEFAULTS["moment_mode"])
-    names = _AXIS_NAMES.get(moment_mode)
+    grid_spec = obj["grid"]
+    if not isinstance(grid_spec, dict):
+        raise ValueError(f"grid must map axis names to [lo, hi, points], got {grid_spec!r}")
+    names = next((n for n in AXIS_NAMES.values() if set(n) == set(grid_spec)), None)
     if names is None:
-        raise ValueError(f"moment_mode must be one of {tuple(_AXIS_NAMES)}, got {moment_mode!r}")
-    grid_spec = obj.get("grid", _DEFAULTS["grid"])
-    axes = []
+        raise ValueError(
+            f"grid axes {sorted(grid_spec)} must be {list(AXIS_NAMES[2])} (tied moments) "
+            f"or {list(AXIS_NAMES[4])} (input and output separate)"
+        )
+    mode = obj.get("moment_mode")
+    if mode is not None and mode != ("identical" if len(names) == 2 else "distinct"):
+        raise ValueError(f"moment_mode {mode!r} disagrees with the grid axes {list(names)}")
+    grid = {}
     for name in names:
-        if name not in grid_spec:
-            raise ValueError(f"grid is missing axis {name!r} for {moment_mode} mode")
         lo, hi, points = grid_spec[name]
-        axes.append((float(lo), float(hi), int(points)))
+        grid[name] = (float(lo), float(hi), int(points))
 
     return ExperimentConfig(
         system=system,
-        Nt=int(obj.get("Nt", _DEFAULTS["Nt"])),
-        N=int(obj.get("N", _DEFAULTS["N"])),
-        L=int(obj.get("L", _DEFAULTS["L"])),
+        Nt=int(obj["Nt"]),
+        N=int(obj["N"]),
+        L=int(obj["L"]),
         noise_u=noise_u,
         noise_y=noise_y,
-        grid=tuple(axes),
-        eps_sigma=float(obj.get("eps_sigma", _DEFAULTS["eps_sigma"])),
-        eps_mode=str(obj.get("eps_mode", _DEFAULTS["eps_mode"])),
-        eps_factor=float(obj.get("eps_factor", _DEFAULTS["eps_factor"])),
-        eps_rank=float(obj.get("eps_rank", _DEFAULTS["eps_rank"])),
-        seed=int(obj.get("seed", _DEFAULTS["seed"])),
-        x0_policy=str(obj.get("x0_policy", _DEFAULTS["x0_policy"])),
-        x0_halfwidth=float(obj.get("x0_halfwidth", _DEFAULTS["x0_halfwidth"])),
-        moment_mode=moment_mode,
+        grid=grid,
+        eps_sigma=float(obj["eps_sigma"]),
+        eps_mode=str(obj["eps_mode"]),
+        eps_factor=float(obj["eps_factor"]),
+        eps_rank=float(obj["eps_rank"]),
+        seed=int(obj["seed"]),
+        x0_policy=str(obj["x0_policy"]),
+        x0_halfwidth=float(obj["x0_halfwidth"]),
     )
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    names = _AXIS_NAMES[cfg.moment_mode]
     return {
         "system": {
             "A": cfg.system.A.tolist(),
@@ -243,7 +230,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
             "u": {"family": cfg.noise_u.family, "m1": cfg.noise_u.m1, "m2": cfg.noise_u.m2},
             "y": {"family": cfg.noise_y.family, "m1": cfg.noise_y.m1, "m2": cfg.noise_y.m2},
         },
-        "grid": {name: list(axis) for name, axis in zip(names, cfg.grid)},
+        "grid": {name: list(axis) for name, axis in cfg.grid.items()},
         "eps_sigma": cfg.eps_sigma,
         "eps_mode": cfg.eps_mode,
         "eps_factor": cfg.eps_factor,
@@ -251,7 +238,6 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         "seed": cfg.seed,
         "x0_policy": cfg.x0_policy,
         "x0_halfwidth": cfg.x0_halfwidth,
-        "moment_mode": cfg.moment_mode,
     }
 
 
@@ -267,7 +253,7 @@ def _apply_flag_overrides(obj: dict, args) -> None:
     for key in (
         "Nt", "N", "L", "seed",
         "eps_sigma", "eps_mode", "eps_factor", "eps_rank",
-        "x0_policy", "x0_halfwidth", "moment_mode",
+        "x0_policy", "x0_halfwidth",
     ):
         v = getattr(args, key, None)
         if v is not None:
@@ -299,14 +285,12 @@ def _apply_flag_overrides(obj: dict, args) -> None:
 
 
 def resolve_config(args) -> ExperimentConfig:
-    obj = {}
-    if args.preset is not None:
-        obj.update(copy.deepcopy(PRESETS[args.preset]))
+    # flag overrides replace top-level keys, so a shallow copy keeps PRESETS intact
+    obj = dict(PRESETS[args.preset]) if args.preset is not None else {}
     if args.config is not None:
         obj.update(_load_config_file(args.config))
     _apply_flag_overrides(obj, args)
-    merged = {**_DEFAULTS, **obj}
-    return config_from_dict(merged)
+    return config_from_dict(obj)
 
 
 def _write_manifest(path, command: str, cfg: ExperimentConfig, timings: dict, outputs: dict, **extra) -> None:
@@ -378,7 +362,7 @@ def _diagnostics(res) -> dict:
     one, and best_on_edge says whether any coordinate of the best point is
     an endpoint of its axis, where the optimum may lie outside the grid.
     """
-    counts = (res.singular_values < res.threshold).sum(axis=1)
+    counts = np.count_nonzero(res.singular_values < res.threshold, axis=1)
     diag = {
         "threshold": res.threshold,
         "admitted": int(res.admitted.sum()),
@@ -390,9 +374,7 @@ def _diagnostics(res) -> dict:
         s, k = res.best.singular_values, res.nullity
         if s[-k] > 0.0:
             diag["spectral_gap"] = float(s[-k - 1] / s[-k])
-        pt = res.best.point
-        coords = (pt.m1u, pt.m2u, pt.m1y, pt.m2y)[: len(res.axes)]
-        diag["best_on_edge"] = any(v in (a.min(), a.max()) for v, a in zip(coords, res.axes))
+        diag["best_on_edge"] = any(v in (a.min(), a.max()) for v, a in zip(res.best.coords.values(), res.axes))
     return diag
 
 
@@ -439,12 +421,7 @@ def cmd_recover(cfg: ExperimentConfig, dataset_path, stats_path, out_dir) -> int
             f"grid points by count below: {diag['below_threshold']}"
         )
         return 2
-    pt = res.best.point
-    label = (
-        f"m1={pt.m1u:.6g} m2={pt.m2u:.6g}"
-        if pt.is_identical
-        else f"m1u={pt.m1u:.6g} m2u={pt.m2u:.6g} m1y={pt.m1y:.6g} m2y={pt.m2y:.6g}"
-    )
+    label = " ".join(f"{name}={v:.6g}" for name, v in res.best.coords.items())
     print(f"best candidate {label} sigma_min={res.best.sigma_min:.6g} ({n_adm} admitted)")
     return 0
 
@@ -523,12 +500,11 @@ def _add_config_flags(sp) -> None:
     sp.add_argument("--eps-rank", type=float, help="relative cutoff for numerical rank")
     sp.add_argument("--x0-policy", choices=("zero", "random-bounded"), help="initial state policy")
     sp.add_argument("--x0-halfwidth", type=float, help="hypercube half-width for random initial states")
-    sp.add_argument("--moment-mode", choices=sorted(_AXIS_NAMES), help="tie input and output noise moments or search them separately")
     sp.add_argument("--noise-family", choices=NOISE_FAMILIES, help="noise family for both channels")
     sp.add_argument("--noise-m1", type=float, help="first raw noise moment for both channels")
     sp.add_argument("--noise-m2", type=float, help="second raw noise moment for both channels")
-    sp.add_argument("--grid-m1", nargs=3, type=float, metavar=("LO", "HI", "POINTS"), help="first-moment grid axis")
-    sp.add_argument("--grid-m2", nargs=3, type=float, metavar=("LO", "HI", "POINTS"), help="second-moment grid axis")
+    sp.add_argument("--grid-m1", nargs=3, type=float, metavar=("LO", "HI", "POINTS"), help="first-moment axis m1 of a tied grid")
+    sp.add_argument("--grid-m2", nargs=3, type=float, metavar=("LO", "HI", "POINTS"), help="second-moment axis m2 of a tied grid")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -24,6 +24,7 @@ the assembled matrix. Distinct input and output moments get one SVD per
 grid point.
 """
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,10 @@ __all__ = [
 ]
 
 EPS_MODES = ("abs", "auto")
+
+# Moment grid axes by axis count: tied channels, or input and output apart.
+# The axis names are the moment mode; landscape and candidate files use them.
+AXIS_NAMES = {2: ("m1", "m2"), 4: ("m1u", "m2u", "m1y", "m2y")}
 
 CHUNK_SIZE = 8192  # grid points per batched assembly and SVD
 # A tied-mode landscape row from the spectral shift is recomputed by SVD when
@@ -64,10 +69,6 @@ class MomentPoint:
     def identical(cls, m1: float, m2: float) -> "MomentPoint":
         """Tie the input and output channels to the same moment pair."""
         return cls(m1, m2, m1, m2)
-
-    @property
-    def is_identical(self) -> bool:
-        return self.m1u == self.m1y and self.m2u == self.m2y
 
 
 @dataclass(frozen=True)
@@ -96,12 +97,24 @@ class SubspaceBasis:
 
 @dataclass(frozen=True)
 class Candidate:
-    """An admitted grid point with its spectrum and extracted null space."""
+    """An admitted grid point with its spectrum and extracted null space.
+
+    axis_names are the names of the grid's axes; a tied grid's point is
+    (m1, m2), which MomentPoint.identical spreads over both channels. A
+    candidate made outside a grid search keeps all four coordinates.
+    """
 
     point: MomentPoint
     sigma_min: float
     nullspace: SubspaceBasis
     singular_values: np.ndarray
+    axis_names: tuple = AXIS_NAMES[4]
+
+    @property
+    def coords(self) -> dict:
+        """The point's coordinates on its grid's axes, by axis name."""
+        pt = self.point
+        return dict(zip(self.axis_names, (pt.m1u, pt.m2u, pt.m1y, pt.m2y)))
 
 
 @dataclass(frozen=True)
@@ -217,9 +230,9 @@ def grid_search(
 ) -> GridResult:
     """Scan a moment grid for points whose assembly drops rank by `nullity`.
 
-    grid is a sequence of per-axis 1-D arrays: (m1, m2) in tied-moment mode
-    or (m1u, m2u, m1y, m2y) in the general mode (the latter needs
-    input_rows). Points are enumerated in row-major axis order.
+    grid is a sequence of per-axis 1-D arrays in AXIS_NAMES order: two for
+    tied moments or four for the general mode (which needs input_rows).
+    Points are enumerated in row-major axis order.
 
     Admission requires exactly `nullity` singular values below the
     threshold, which depends on eps_mode:
@@ -245,7 +258,7 @@ def grid_search(
     landscape either way; best is None when nothing is admitted.
     """
     axes = tuple(np.asarray(a, dtype=float).reshape(-1) for a in grid)
-    if len(axes) not in (2, 4):
+    if len(axes) not in AXIS_NAMES:
         raise ValueError("grid needs 2 axes (tied moments) or 4 (input and output separate)")
     if any(a.size == 0 for a in axes):
         raise ValueError("grid axes must be nonempty")
@@ -271,8 +284,8 @@ def grid_search(
         threshold = float(eps_sigma)
     else:
         threshold = float(eps_factor * sv_all[:, st.d - nullity].min())
-    admitted = (sv_all < threshold).sum(axis=1) == nullity
-    ranks = (sv_all > eps_rank * sv_all[:, 0:1]).sum(axis=1).astype(int)
+    admitted = np.count_nonzero(sv_all < threshold, axis=1) == nullity
+    ranks = np.count_nonzero(sv_all > eps_rank * sv_all[:, 0:1], axis=1)
 
     picked = np.flatnonzero(admitted)
     if tied:
@@ -297,6 +310,7 @@ def grid_search(
             sigma_min=smin,
             nullspace=SubspaceBasis(b.copy()),
             singular_values=s.copy(),
+            axis_names=AXIS_NAMES[len(axes)],
         )
         for row, smin, s, b in zip(points[picked].tolist(), spectra[:, -1].tolist(), spectra, bases)
     )
@@ -318,10 +332,6 @@ def grid_search(
     )
 
 
-def _point_columns(naxes: int) -> tuple:
-    return ("m1", "m2") if naxes == 2 else ("m1u", "m2u", "m1y", "m2y")
-
-
 def write_landscape_csv(result: GridResult, path) -> None:
     """Write per-point sigma_min, numerical rank and admission to CSV.
 
@@ -329,7 +339,7 @@ def write_landscape_csv(result: GridResult, path) -> None:
     repeated row template; %d prints the rank and admission flag, which the
     block carries as exact floats.
     """
-    cols = _point_columns(result.points.shape[1])
+    cols = AXIS_NAMES[len(result.axes)]
     row = ",".join(["%.17g"] * (len(cols) + 1)) + ",%d,%d\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(cols) + ",sigma_min,numerical_rank,admitted\n")
@@ -342,12 +352,8 @@ def write_landscape_csv(result: GridResult, path) -> None:
 
 
 def write_candidate_json(cand: Candidate, path) -> None:
-    """Write a candidate as JSON with its moment point and null space rows."""
-    pt = cand.point
-    if pt.is_identical:
-        head = f'"m1":{pt.m1u:.17g},"m2":{pt.m2u:.17g}'
-    else:
-        head = f'"m1u":{pt.m1u:.17g},"m2u":{pt.m2u:.17g},"m1y":{pt.m1y:.17g},"m2y":{pt.m2y:.17g}'
-    rows = ",".join("[" + ",".join(f"{v:.17g}" for v in row) + "]" for row in cand.nullspace.basis)
+    """Write a candidate as JSON: its coordinates by axis name, sigma_min and null space rows."""
+    obj = {**cand.coords, "sigma_min": cand.sigma_min, "nullspace": cand.nullspace.basis.tolist()}
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("{%s,\"sigma_min\":%.17g,\"nullspace\":[%s]}\n" % (head, cand.sigma_min, rows))
+        json.dump(obj, fh)
+        fh.write("\n")

@@ -9,13 +9,10 @@ shape (..., N, c), and give one matrix or verdict per leading index, built
 from one strided window view.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
-    "StackedHankel",
     "hankel",
     "stacked_hankel",
     "pe_order_check",
@@ -61,35 +58,17 @@ def hankel(seq, L: int) -> np.ndarray:
     return _block_hankel(_as_signal(seq), L)
 
 
-@dataclass(frozen=True)
-class StackedHankel:
-    """Input Hankel block stacked over the output Hankel block."""
-
-    matrix: np.ndarray  # (d, Nc), or (..., d, Nc) for a batch
-    m: int
-    p: int
-    L: int
-
-    @property
-    def d(self) -> int:
-        return (self.m + self.p) * self.L
-
-    @property
-    def Nc(self) -> int:
-        return self.matrix.shape[-1]
-
-
-def stacked_hankel(e, L: int) -> StackedHankel:
-    """Stack hankel(u, L) on top of hankel(y, L).
+def stacked_hankel(e, L: int) -> np.ndarray:
+    """Stack hankel(u, L) on top of hankel(y, L): a (d, Nc) matrix.
 
     `e` is one record (an Experiment: u (N, m), y (N, p)) or a batch of
     them (a Dataset or a slice of one: U (Nt, N, m), Y (Nt, N, p)), which
-    gives one stacked matrix per record.
+    gives one stacked matrix per record, (Nt, d, Nc).
     """
     u, y = (e.U, e.Y) if hasattr(e, "U") else (e.u, e.y)
     Hu = _block_hankel(_as_signal(u, batched=True), L)
     Hy = _block_hankel(_as_signal(y, batched=True), L)
-    return StackedHankel(np.concatenate([Hu, Hy], axis=-2), Hu.shape[-2] // L, Hy.shape[-2] // L, L)
+    return np.concatenate([Hu, Hy], axis=-2)
 
 
 def pe_order_check(U, order: int, tol: float = 1e-10):

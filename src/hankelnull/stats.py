@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hankel import StackedHankel, stacked_hankel
+from .hankel import stacked_hankel
 from .lti_sim import BLOCK_SIZE
 
 __all__ = [
@@ -49,7 +49,7 @@ class SufficientStats:
 
     def accumulate(self, H) -> "SufficientStats":
         """Absorb one stacked Hankel matrix."""
-        M = H.matrix if isinstance(H, StackedHankel) else np.asarray(H, dtype=float)
+        M = np.asarray(H, dtype=float)
         if M.shape != (self.d, self.Nc):
             raise ValueError(f"expected a {self.d}x{self.Nc} matrix, got {M.shape}")
         P = M @ M.T
@@ -95,7 +95,7 @@ def aggregate(ds, L: int, block_size: int = BLOCK_SIZE) -> SufficientStats:
     """
     parts = []
     for a in range(0, ds.Nt, block_size):
-        Hs = stacked_hankel(ds[a : a + block_size], L).matrix  # (B, d, Nc)
+        Hs = stacked_hankel(ds[a : a + block_size], L)  # (B, d, Nc)
         P = Hs @ Hs.transpose(0, 2, 1)
         parts.append((_tree_sum((P + P.transpose(0, 2, 1)) / 2.0), _tree_sum(Hs.sum(axis=2))))
     d, Nc = Hs.shape[1:]
@@ -107,11 +107,14 @@ def aggregate(ds, L: int, block_size: int = BLOCK_SIZE) -> SufficientStats:
 
 
 def save_stats(st: SufficientStats, path) -> None:
-    """Write an aggregate snapshot as JSON with G in row-major order."""
-    g = ",".join(f"{v:.17g}" for v in st.G.reshape(-1))
-    r = ",".join(f"{v:.17g}" for v in st.rowsum)
+    """Write an aggregate snapshot as JSON with G in row-major order.
+
+    json writes each float by repr, which reads back bitwise, -0.0 included.
+    """
+    obj = {"d": st.d, "Nc": st.Nc, "count": st.count, "G": st.G.reshape(-1).tolist(), "rowsum": st.rowsum.tolist()}
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write('{"d":%d,"Nc":%d,"count":%d,"G":[%s],"rowsum":[%s]}\n' % (st.d, st.Nc, st.count, g, r))
+        json.dump(obj, fh)
+        fh.write("\n")
 
 
 def load_stats(path) -> SufficientStats:

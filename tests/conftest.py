@@ -33,7 +33,7 @@ def noiseless_M(ds, L: int) -> np.ndarray:
     """
     M = 0.0
     for e in ds:
-        H = stacked_hankel(e, L).matrix
+        H = stacked_hankel(e, L)
         M = M + H @ H.T
     M = M / ds.Nt
     return (M + M.T) / 2.0

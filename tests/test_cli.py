@@ -284,6 +284,73 @@ class TestAggregateAndRecover:
         assert (a / "landscape.csv").read_bytes() == (b / "landscape.csv").read_bytes()
 
 
+DISTINCT_GRID = {"m1u": [-0.5, 0.5, 3], "m2u": [0.0, 1.0, 2], "m1y": [-0.5, 0.5, 3], "m2y": [0.0, 1.0, 2]}
+
+
+class TestMomentAxes:
+    """The grid's axis names choose tied or split channel moments."""
+
+    @staticmethod
+    def _config(tmp_path, **fields):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(SMALL_CONFIG, grid=DISTINCT_GRID, **fields)))
+        return str(path)
+
+    def test_four_axis_config_without_moment_mode_runs(self, tmp_path, gen_dir, capsys):
+        out = tmp_path / "rec"
+        rc = main(["recover", "--config", self._config(tmp_path), "--dataset", str(gen_dir / "dataset_noisy.jsonl"), "--out", str(out)])
+        assert rc == 0
+        assert (out / "landscape.csv").read_text().split("\n", 1)[0] == "m1u,m2u,m1y,m2y,sigma_min,numerical_rank,admitted"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert list(manifest["config"]["grid"]) == list(DISTINCT_GRID)
+        assert "moment_mode" not in manifest["config"]
+        assert manifest["diagnostics"]["best_on_edge"] is True  # m2u = 0 is an endpoint
+
+    def test_four_axis_best_point_with_equal_channels_keeps_axis_names(self, tmp_path, gen_dir, capsys):
+        # zero-variance noise: the best point (0, 0, 0, 0) has equal channel moments
+        out = tmp_path / "rec"
+        cfg = self._config(tmp_path, moment_mode="distinct")
+        capsys.readouterr()
+        assert main(["recover", "--config", cfg, "--dataset", str(gen_dir / "dataset_noisy.jsonl"), "--out", str(out)]) == 0
+        cand = json.loads((out / "candidate.json").read_text())
+        assert list(cand) == ["m1u", "m2u", "m1y", "m2y", "sigma_min", "nullspace"]
+        assert cand["m1u"] == cand["m2u"] == cand["m1y"] == cand["m2y"] == 0.0
+        assert "best candidate m1u=0 m2u=0 m1y=0 m2y=0 sigma_min=" in capsys.readouterr().out
+
+    def test_tied_axis_flag_on_four_axis_config_is_config_error(self, tmp_path, gen_dir, capsys):
+        out = tmp_path / "rec"
+        capsys.readouterr()
+        rc = main([
+            "recover", "--config", self._config(tmp_path), "--grid-m1", "0", "1", "50",
+            "--dataset", str(gen_dir / "dataset_noisy.jsonl"), "--out", str(out),
+        ])
+        assert rc == 3
+        assert "grid axes ['m1', 'm1u', 'm1y', 'm2u', 'm2y']" in capsys.readouterr().err
+        assert not (out / "landscape.csv").exists()
+
+    @pytest.mark.parametrize("grid", [[[-0.5, 0.5, 3], [0.0, 1.0, 2]], {"m1": [-0.5, 0.5, 3]}, {}])
+    def test_grid_without_a_full_axis_set_is_config_error(self, tmp_path, gen_dir, capsys, grid):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(SMALL_CONFIG, grid=grid)))
+        out = tmp_path / "rec"
+        capsys.readouterr()
+        rc = main(["recover", "--config", str(path), "--dataset", str(gen_dir / "dataset_noisy.jsonl"), "--out", str(out)])
+        assert rc == 3
+        assert "grid" in capsys.readouterr().err
+        assert not (out / "landscape.csv").exists()
+
+    @pytest.mark.parametrize("grid, mode", [(DISTINCT_GRID, "identical"), (SMALL_CONFIG["grid"], "distinct")])
+    def test_moment_mode_disagreeing_with_grid_is_config_error(self, tmp_path, gen_dir, capsys, grid, mode):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(SMALL_CONFIG, grid=grid, moment_mode=mode)))
+        out = tmp_path / "rec"
+        capsys.readouterr()
+        rc = main(["recover", "--config", str(path), "--dataset", str(gen_dir / "dataset_noisy.jsonl"), "--out", str(out)])
+        assert rc == 3
+        assert f"moment_mode {mode!r} disagrees" in capsys.readouterr().err
+        assert not (out / "landscape.csv").exists()
+
+
 class TestValidate:
     def test_scores_recovered_candidate(self, tmp_path, cfg_file, gen_dir, capsys):
         rec = tmp_path / "rec"

@@ -65,14 +65,13 @@ def test_stacked_hankel_dimensions(demo_system):
     rng = np.random.default_rng(0)
     e = simulate(demo_system, np.zeros(3), rng.standard_normal((30, 2)))
     H = stacked_hankel(e, 2)
-    assert H.matrix.shape == (10, 29)
-    assert (H.d, H.Nc, H.m, H.p, H.L) == (10, 29, 2, 3, 2)
+    assert H.shape == (10, 29)
 
 
 def test_stacked_hankel_block_order():
     e = Experiment(np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0, 6.0]))
     H = stacked_hankel(e, 2)
-    assert np.array_equal(H.matrix, [[1.0, 2.0], [2.0, 3.0], [4.0, 5.0], [5.0, 6.0]])
+    assert np.array_equal(H, [[1.0, 2.0], [2.0, 3.0], [4.0, 5.0], [5.0, 6.0]])
 
 
 def test_stacked_hankel_noiseless_rank(demo_system):
@@ -80,18 +79,17 @@ def test_stacked_hankel_noiseless_rank(demo_system):
     rng = np.random.default_rng(1)
     e = simulate(demo_system, rng.uniform(-1, 1, 3), generate_pe_input(30, 2, 5, rng))
     H = stacked_hankel(e, 2)
-    assert np.linalg.matrix_rank(H.matrix) == 7
+    assert np.linalg.matrix_rank(H) == 7
 
 
 def test_stacked_hankel_batch_matches_per_record():
     rng = np.random.default_rng(2)
     batch = SimpleNamespace(U=rng.standard_normal((7, 12, 2)), Y=rng.standard_normal((7, 12, 3)))
     H = stacked_hankel(batch, 3)
-    assert H.matrix.shape == (7, 15, 10)
-    assert (H.d, H.Nc, H.m, H.p) == (15, 10, 2, 3)
+    assert H.shape == (7, 15, 10)
     for i in range(7):
-        one = stacked_hankel(Experiment(batch.U[i], batch.Y[i]), 3).matrix
-        assert np.array_equal(H.matrix[i], one)
+        one = stacked_hankel(Experiment(batch.U[i], batch.Y[i]), 3)
+        assert np.array_equal(H[i], one)
 
 
 def test_row_index_corners():
@@ -116,10 +114,10 @@ def test_row_index_is_bijection_and_matches_rows():
         for lag in range(L):
             for ch in range(m):
                 r = row_index("input", ch, lag, m, p, L)
-                assert np.array_equal(H.matrix[r], e.u[lag : lag + H.Nc, ch])
+                assert np.array_equal(H[r], e.u[lag : lag + H.shape[-1], ch])
             for ch in range(p):
                 r = row_index("output", ch, lag, m, p, L)
-                assert np.array_equal(H.matrix[r], e.y[lag : lag + H.Nc, ch])
+                assert np.array_equal(H[r], e.y[lag : lag + H.shape[-1], ch])
 
 
 def test_row_index_rejects_out_of_range():

@@ -151,6 +151,18 @@ def test_stats_json_roundtrip(tmp_path, demo_system):
     assert (back.d, back.Nc, back.count) == (st.d, st.Nc, st.count)
 
 
+def test_stats_json_roundtrip_keeps_negative_zero(tmp_path):
+    st = SufficientStats(2, 3)
+    st.G = np.array([[1.0, -0.0], [-0.0, 2.5]])
+    st.rowsum = np.array([-0.0, 0.1])
+    st.count = 4
+    path = tmp_path / "stats.json"
+    save_stats(st, path)
+    back = load_stats(path)
+    assert back.G.tobytes() == st.G.tobytes()
+    assert back.rowsum.tobytes() == st.rowsum.tobytes()
+
+
 def test_load_stats_rejects_bad_payload(tmp_path):
     path = tmp_path / "stats.json"
     path.write_text('{"d": 2, "Nc": 3, "count": 1, "G": [1, 2, 3], "rowsum": [0, 0]}')

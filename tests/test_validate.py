@@ -45,7 +45,7 @@ class TestTrueNullspace:
             u = rng.standard_normal((12, 1))
             x0 = rng.standard_normal(1)
             e = simulate(scalar_system, x0, u)
-            H = stacked_hankel(e, 2).matrix
+            H = stacked_hankel(e, 2)
             assert np.abs(hand @ H).max() <= 1e-10
 
     def test_basis_annihilates_fresh_experiments(self, demo_system):
@@ -56,7 +56,7 @@ class TestTrueNullspace:
             u = rng.standard_normal((25, 2))
             x0 = rng.uniform(-1.0, 1.0, 3)
             e = simulate(demo_system, x0, u)
-            H = stacked_hankel(e, 2).matrix
+            H = stacked_hankel(e, 2)
             worst = max(worst, float(np.abs(V.basis @ H).max()))
         assert worst <= 1e-8
 
@@ -127,7 +127,7 @@ class TestTrajectoryMembership:
         V = true_nullspace(demo_system, 2)
         rng = np.random.default_rng(50)
         ds = generate_dataset(demo_system, 1, 20, 2, "random-bounded", rng)
-        H = stacked_hankel(ds[0], 2).matrix
+        H = stacked_hankel(ds[0], 2)
         z = H[:, 4]
         assert np.abs(V.basis @ z).max() <= 1e-8
         bad = z + 0.1 * V.basis[0]
