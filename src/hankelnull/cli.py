@@ -361,21 +361,34 @@ def _diagnostics(res) -> dict:
     the best point, the smallest kept singular value over the largest null
     one, and best_on_edge says whether any coordinate of the best point is
     an endpoint of its axis, where the optimum may lie outside the grid.
+    When nothing is admitted, nearest_miss is the grid point with the
+    smallest nullity-th-smallest singular value (the first in grid order on
+    ties): its coordinates by axis name and its below_threshold count.
     """
-    counts = np.count_nonzero(res.singular_values < res.threshold, axis=1)
+    sv = res.singular_values
+    counts = np.count_nonzero(sv < res.threshold, axis=1)
     diag = {
         "threshold": res.threshold,
         "admitted": int(res.admitted.sum()),
-        "below_threshold": np.bincount(counts, minlength=res.singular_values.shape[1] + 1).tolist(),
+        "below_threshold": np.bincount(counts, minlength=sv.shape[1] + 1).tolist(),
         "spectral_gap": None,
         "best_on_edge": None,
+        "nearest_miss": None,
     }
-    if res.best is not None:
+    if res.best is None:
+        j = int(np.argmin(sv[:, sv.shape[1] - res.nullity]))
+        point = dict(zip(AXIS_NAMES[len(res.axes)], res.points[j].tolist()))
+        diag["nearest_miss"] = {"point": point, "below_threshold": int(counts[j])}
+    else:
         s, k = res.best.singular_values, res.nullity
         if s[-k] > 0.0:
             diag["spectral_gap"] = float(s[-k - 1] / s[-k])
         diag["best_on_edge"] = any(v in (a.min(), a.max()) for v, a in zip(res.best.coords.values(), res.axes))
     return diag
+
+
+def _label(coords: dict) -> str:
+    return " ".join(f"{name}={v:.6g}" for name, v in coords.items())
 
 
 def cmd_recover(cfg: ExperimentConfig, dataset_path, stats_path, out_dir) -> int:
@@ -420,9 +433,10 @@ def cmd_recover(cfg: ExperimentConfig, dataset_path, stats_path, out_dir) -> int
             f"threshold {diag['threshold']:.6g}; admission needs exactly {res.nullity} singular values below it; "
             f"grid points by count below: {diag['below_threshold']}"
         )
+        miss = diag["nearest_miss"]
+        print(f"nearest miss {_label(miss['point'])} with {miss['below_threshold']} singular values below the threshold")
         return 2
-    label = " ".join(f"{name}={v:.6g}" for name, v in res.best.coords.items())
-    print(f"best candidate {label} sigma_min={res.best.sigma_min:.6g} ({n_adm} admitted)")
+    print(f"best candidate {_label(res.best.coords)} sigma_min={res.best.sigma_min:.6g} ({n_adm} admitted)")
     return 0
 
 

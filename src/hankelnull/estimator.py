@@ -14,14 +14,15 @@ At the true moments the corrections cancel the noise in expectation and the
 matrix regains the rank deficiency of the noiseless ensemble; the search
 scans a moment grid for that signature.
 
-With tied moments the second moment enters only as a spectral shift,
-M(mu, nu) = M(mu, 0) - Nc*nu*I, so one symmetric eigendecomposition per
-first-moment value gives the whole second-moment column: the singular values
-are |lambda - Nc*nu| and the null space is spanned by the eigenvectors
-nearest the shift. Where the subtraction cancels too many digits to be
-trusted (the shift sits on an eigenvalue) the row is recomputed by SVD of
-the assembled matrix. Distinct input and output moments get one SVD per
-grid point.
+Every grid is searched as base matrices times scalar shifts. With tied
+moments the second moment enters only as a spectral shift,
+M(mu, nu) = M(mu, 0) - Nc*nu*I, so the bases are the points (mu, 0), one per
+first-moment value, and the shifts are Nc*nu; a 4-axis grid's bases are its
+points, with the single shift 0. One symmetric eigendecomposition per base
+gives the singular values |lambda - shift| of every point it covers, and the
+null space is spanned by the eigenvectors nearest the shift. Where the
+subtraction cancels too many digits to be trusted (the shift sits on an
+eigenvalue) the row is recomputed by SVD of the assembled matrix.
 """
 
 import json
@@ -48,10 +49,10 @@ EPS_MODES = ("abs", "auto")
 # The axis names are the moment mode; landscape and candidate files use them.
 AXIS_NAMES = {2: ("m1", "m2"), 4: ("m1u", "m2u", "m1y", "m2y")}
 
-CHUNK_SIZE = 8192  # grid points per batched assembly and SVD
-# A tied-mode landscape row from the spectral shift is recomputed by SVD when
-# the shift's rounding bound, GUARD_ULPS*eps*(max|lambda| + Nc*|nu|), exceeds
-# GUARD_RTOL times its smallest singular value.
+CHUNK_SIZE = 8192  # grid points per batch
+# A landscape row |lambda - shift| is recomputed by SVD when its rounding
+# bound, GUARD_ULPS*eps*(max|lambda| + |shift|), exceeds GUARD_RTOL times its
+# smallest singular value.
 GUARD_ULPS = 16
 GUARD_RTOL = 1e-10
 
@@ -127,7 +128,6 @@ class GridResult:
     ranks: np.ndarray
     admitted: np.ndarray
     threshold: float
-    eps_mode: str
     nullity: int
     candidates: tuple
     best: "Candidate | None"
@@ -192,30 +192,7 @@ def _point_from_row(row) -> MomentPoint:
 
 def _svd_rows(st: FinalizedStats, points: np.ndarray, input_rows) -> np.ndarray:
     """Singular values, (n, d) descending, of the assemblies at an (n, 2|4) batch."""
-    sv = np.empty((points.shape[0], st.d))
-    for lo in range(0, points.shape[0], CHUNK_SIZE):
-        sv[lo : lo + CHUNK_SIZE] = np.linalg.svd(
-            _assemble(st, points[lo : lo + CHUNK_SIZE], input_rows), compute_uv=False
-        )
-    return sv
-
-
-def _shifted_landscape(st: FinalizedStats, m1: np.ndarray, m2: np.ndarray, points: np.ndarray) -> tuple:
-    """Tied-mode landscape from one eigh per m1 value.
-
-    Returns the singular values (n1*n2, d) in row-major point order, and the
-    eigenvalues lam (n1, d), eigenvectors V (n1, d, d) and shifts Nc*m2 the
-    candidates are read from.
-    """
-    lam, V = np.linalg.eigh(_assemble(st, np.stack([m1, np.zeros_like(m1)], axis=-1), None))
-    shift = st.Nc * m2
-    dist = np.abs(lam[:, None, :] - shift[None, :, None])
-    dist.sort(axis=-1)
-    sv = dist[..., ::-1].reshape(-1, st.d)
-    bound = GUARD_ULPS * np.finfo(float).eps * (np.abs(lam).max(axis=1)[:, None] + np.abs(shift))
-    guard = np.flatnonzero(bound.reshape(-1) > GUARD_RTOL * sv[:, -1])
-    sv[guard] = _svd_rows(st, points[guard], None)
-    return sv, lam, V, shift
+    return np.linalg.svd(_assemble(st, points, input_rows), compute_uv=False)
 
 
 def grid_search(
@@ -246,16 +223,18 @@ def grid_search(
     so the admitted set stays tight at any ensemble size. The numerical rank
     of a point counts its singular values above eps_rank times the largest.
 
-    In tied mode the spectrum at (m1, m2) is |lambda - Nc*m2| over the
-    eigenvalues lambda of the assembly at (m1, 0); rows where that
-    subtraction may have lost more than GUARD_RTOL of the smallest value are
-    recomputed by SVD. An admitted tied point's null space is spanned by the
-    `nullity` eigenvectors nearest the shift and its spectrum is its
-    landscape row. In the general mode each admitted point gets a full SVD,
-    whose right singular vectors for the `nullity` smallest values span its
-    null space. Among admitted points the best is the one with the smallest
-    minimum singular value, ties broken by grid order. Returns the full
-    landscape either way; best is None when nothing is admitted.
+    The grid is read as base matrices and scalar shifts: a tied grid's bases
+    are the points (m1, 0) and its shifts Nc*m2; a 4-axis grid's bases are
+    its points and its one shift is 0. The spectrum of a point is
+    |lambda - shift|, sorted descending, over the eigenvalues lambda of its
+    base; rows where that subtraction may have lost more than GUARD_RTOL of
+    the smallest value are recomputed by SVD. An admitted point's null
+    space is spanned by the `nullity` eigenvectors of its base nearest the
+    shift, nearest last like the trailing rows of an SVD's Vt, and its
+    spectrum is its landscape row. Among admitted points the best is the one
+    with the smallest minimum singular value, ties broken by grid order.
+    Returns the full landscape either way; best is None when nothing is
+    admitted.
     """
     axes = tuple(np.asarray(a, dtype=float).reshape(-1) for a in grid)
     if len(axes) not in AXIS_NAMES:
@@ -272,35 +251,50 @@ def grid_search(
     if eps_mode not in EPS_MODES:
         raise ValueError(f"eps_mode must be one of {EPS_MODES}, got {eps_mode!r}")
 
+    d = st.d
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.stack([g.reshape(-1) for g in mesh], axis=-1)
-    tied = len(axes) == 2
-    if tied:
-        sv_all, lam, V, shift = _shifted_landscape(st, *axes, points)
+    # point index = base index * shifts.size + shift index
+    if len(axes) == 2:
+        bases, shifts = np.stack([axes[0], np.zeros_like(axes[0])], axis=-1), st.Nc * axes[1]
     else:
-        sv_all = _svd_rows(st, points, input_rows)
+        bases, shifts = points, np.zeros(1)
+
+    # filled a chunk of bases at a time, each chunk's lam and dist dropped
+    # before the next assembly: held over, they raised the 4-axis recover's
+    # peak RSS by about 2 MB
+    sv_all = np.empty((points.shape[0], d))
+    step = max(1, CHUNK_SIZE // shifts.size)
+    for lo in range(0, bases.shape[0], step):
+        lam = np.linalg.eigvalsh(_assemble(st, bases[lo : lo + step], input_rows))
+        dist = np.abs(lam[:, None, :] - shifts[None, :, None])
+        dist.sort(axis=-1)
+        rows = slice(lo * shifts.size, (lo + lam.shape[0]) * shifts.size)
+        sv = sv_all[rows]
+        sv[:] = dist[..., ::-1].reshape(-1, d)
+        bound = GUARD_ULPS * np.finfo(float).eps * (np.abs(lam).max(axis=1)[:, None] + np.abs(shifts))
+        guard = np.flatnonzero(bound.reshape(-1) > GUARD_RTOL * sv[:, -1])
+        sv[guard] = _svd_rows(st, points[rows][guard], input_rows)
+        del lam, dist
 
     if eps_mode == "abs":
         threshold = float(eps_sigma)
     else:
-        threshold = float(eps_factor * sv_all[:, st.d - nullity].min())
-    admitted = np.count_nonzero(sv_all < threshold, axis=1) == nullity
+        threshold = float(eps_factor * sv_all[:, d - nullity].min())
+    # rows are sorted descending, so exactly `nullity` values fall below the
+    # threshold when the nullity-th smallest does and the next one does not
+    admitted = (sv_all[:, d - nullity] < threshold) & (sv_all[:, d - nullity - 1] >= threshold)
     ranks = np.count_nonzero(sv_all > eps_rank * sv_all[:, 0:1], axis=1)
 
     picked = np.flatnonzero(admitted)
-    if tied:
-        i, j = np.divmod(picked, axes[1].size)
-        # nearest eigenvalue last, like the trailing rows of an SVD's Vt
-        near = np.argsort(np.abs(lam[i] - shift[j, None]), axis=1)[:, nullity - 1 :: -1]
-        bases = np.take_along_axis(V[i], near[:, None, :], axis=2).swapaxes(1, 2)
-        spectra = sv_all[picked]
-    else:
-        bases = np.empty((picked.size, nullity, st.d))
-        spectra = np.empty((picked.size, st.d))
-        for lo in range(0, picked.size, CHUNK_SIZE):
-            _, s, Vt = np.linalg.svd(_assemble(st, points[picked[lo : lo + CHUNK_SIZE]], input_rows))
-            spectra[lo : lo + CHUNK_SIZE] = s
-            bases[lo : lo + CHUNK_SIZE] = Vt[:, st.d - nullity :]
+    base_of, shift_of = np.divmod(picked, shifts.size)
+    # one eigh per distinct base, however many of its points are admitted
+    distinct, which = np.unique(base_of, return_inverse=True)
+    lam, V = np.linalg.eigh(_assemble(st, bases[distinct], input_rows))
+    # nearest eigenvalue last, like the trailing rows of an SVD's Vt
+    near = np.argsort(np.abs(lam[which] - shifts[shift_of, None]), axis=1)[:, nullity - 1 :: -1]
+    vecs = V[which[:, None], :, near]  # (picked, nullity, d)
+    spectra = sv_all[picked]
     # copies, so that no candidate keeps the batch arrays alive; with views
     # into them the reference workload's peak RSS measured about 6 MB higher
     # (heap fragmentation)
@@ -312,11 +306,9 @@ def grid_search(
             singular_values=s.copy(),
             axis_names=AXIS_NAMES[len(axes)],
         )
-        for row, smin, s, b in zip(points[picked].tolist(), spectra[:, -1].tolist(), spectra, bases)
+        for row, smin, s, b in zip(points[picked].tolist(), spectra[:, -1].tolist(), spectra, vecs)
     )
-    best = None
-    if candidates:
-        best = candidates[int(np.argmin([c.sigma_min for c in candidates]))]
+    best = candidates[int(np.argmin(spectra[:, -1]))] if candidates else None
 
     return GridResult(
         axes=axes,
@@ -325,7 +317,6 @@ def grid_search(
         ranks=ranks,
         admitted=admitted,
         threshold=threshold,
-        eps_mode=eps_mode,
         nullity=nullity,
         candidates=candidates,
         best=best,

@@ -162,6 +162,10 @@ class TestAggregateAndRecover:
         assert diag["spectral_gap"] is None and diag["best_on_edge"] is None
         assert "threshold 1e-30" in text
         assert f"count below: {diag['below_threshold']}" in text
+        # and where it came closest: the true point (0, 0), still with
+        # none of its singular values below 1e-30
+        assert diag["nearest_miss"] == {"point": {"m1": 0.0, "m2": 0.0}, "below_threshold": 0}
+        assert "nearest miss m1=0 m2=0 with 0 singular values below the threshold" in text
 
     @pytest.mark.parametrize("m2_axis, on_edge", [([0.0, 1.0, 2], True), ([-1.0, 1.0, 3], False)])
     def test_manifest_records_diagnostics(self, tmp_path, gen_dir, capsys, m2_axis, on_edge):
@@ -178,6 +182,7 @@ class TestAggregateAndRecover:
         # noiseless records: the null space is exact, the gap is wide
         assert diag["spectral_gap"] > 1e6
         assert diag["best_on_edge"] is on_edge
+        assert diag["nearest_miss"] is None
 
     def test_both_sources_rejected(self, tmp_path, cfg_file, gen_dir, capsys):
         rc = main([

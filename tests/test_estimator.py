@@ -299,11 +299,10 @@ class TestGridSearch:
 
     @pytest.mark.parametrize("distinct", [False, True])
     def test_matches_per_point_svd_oracle(self, demo_system, monkeypatch, distinct):
-        # a small chunk makes both the landscape and the candidate pass cross
-        # chunk boundaries. The 4-axis path must equal a per-point assembly
-        # and SVD bitwise; the tied path reads its landscape off a spectral
-        # shift, so it must agree to 1e-10 relative per entry with the same
-        # ranks, admission and best point and bases within 1e-12 rad
+        # a small chunk makes the landscape cross chunk boundaries. Both grids
+        # read their landscape off eigenvalues and a shift, so each entry must
+        # agree with a per-point assembly and SVD to 1e-10 relative, with the
+        # same ranks, admission and best point and bases within 1e-12 rad
         monkeypatch.setattr(estimator, "CHUNK_SIZE", 64)
         fin = aggregate(_noisy(demo_system, 200, seed=25), 2).finalize()
         m1, m2 = np.linspace(0.0, 1.5, 12), np.linspace(2.5, 7.0, 12)
@@ -315,26 +314,28 @@ class TestGridSearch:
             for row in res.points
         ]
         sv = np.array([np.linalg.svd(M, compute_uv=False) for M in Ms])
-        if distinct:
-            assert np.array_equal(res.singular_values, sv)
-        else:
-            assert np.all(np.abs(res.singular_values - sv) <= 1e-10 * sv)
+        assert np.all(np.abs(res.singular_values - sv) <= 1e-10 * sv)
         _assert_same_admission(res, sv, 5.0)
         picked = np.flatnonzero(res.admitted)
         assert len(res.candidates) == picked.size
         for j, cand in zip(picked, res.candidates):
-            _, s, Vt = np.linalg.svd(Ms[j])
+            Vt = np.linalg.svd(Ms[j])[2]
             assert cand.point == estimator._point_from_row(res.points[j])
-            if distinct:
-                assert np.array_equal(cand.singular_values, s)
-                assert cand.sigma_min == s[-1]
-                assert np.array_equal(cand.nullspace.basis, Vt[7:])
-            else:
-                assert np.array_equal(cand.singular_values, res.singular_values[j])
-                assert cand.sigma_min == res.singular_values[j, -1]
-                assert subspace_angle(SubspaceBasis(Vt[7:]), cand.nullspace).theta_max <= 1e-12
-                # row by row in the SVD's order, up to sign
-                assert np.all(np.abs(np.sum(cand.nullspace.basis * Vt[7:], axis=1)) >= 1.0 - 1e-12)
+            assert np.array_equal(cand.singular_values, res.singular_values[j])
+            assert cand.sigma_min == res.singular_values[j, -1]
+            assert subspace_angle(SubspaceBasis(Vt[7:]), cand.nullspace).theta_max <= 1e-12
+            # row by row in the SVD's order, up to sign
+            assert np.all(np.abs(np.sum(cand.nullspace.basis * Vt[7:], axis=1)) >= 1.0 - 1e-12)
+
+    def test_admission_rejects_more_than_nullity_below(self, demo_system):
+        # the noiseless zero point has three singular values near zero: a
+        # nullity-2 search must not admit it, though its 2nd smallest is below
+        fin = aggregate(_clean(demo_system, 40, seed=15), 2).finalize()
+        res = grid_search(fin, ([0.0, 0.5], [0.0]), eps_sigma=1e-8, nullity=2)
+        counts = (res.singular_values < 1e-8).sum(axis=1)
+        assert counts[0] == 3 and res.singular_values[0, 8] < 1e-8
+        assert np.array_equal(res.admitted, counts == 2)
+        assert not res.admitted.any() and res.best is None
 
     def test_invalid_arguments(self, demo_system):
         fin = aggregate(_clean(demo_system, 5, seed=23), 2).finalize()
@@ -357,10 +358,10 @@ class TestGridSearch:
                 grid_search(fin, ([0.0], [0.0, bad]), eps_sigma=1e-3, nullity=3)
 
 
-def _svd_landscape(fin, points):
-    # per-point assembly and SVD of tied points: the oracle for the shift
+def _svd_landscape(fin, points, input_rows=None):
+    # per-point assembly and SVD: the oracle for the eigenvalue landscape
     return np.array([
-        np.linalg.svd(assemble_M(fin, estimator._point_from_row(row)), compute_uv=False)
+        np.linalg.svd(assemble_M(fin, estimator._point_from_row(row), input_rows), compute_uv=False)
         for row in points
     ])
 
@@ -383,6 +384,23 @@ class TestSpectralShift:
         Vt = np.linalg.svd(assemble_M(fin, res.best.point))[2]
         assert subspace_angle(SubspaceBasis(Vt[-1:]), res.best.nullspace).theta_max <= 1e-12
 
+    def test_split_grid_zero_point_goes_through_the_guard(self, demo_system):
+        # at shift 0 a 4-axis row is |lambda|; on noiseless data the zero
+        # point's three smallest cancel to rounding level, so the guard must
+        # hand that row to the SVD, bitwise
+        fin = aggregate(_clean(demo_system, 40, seed=15), 2).finalize()
+        grid = ([-0.5, 0.0], [0.0, 0.5], [0.0, 0.3], [0.0])
+        res = grid_search(fin, grid, eps_sigma=1e-8, nullity=3, input_rows=INPUT_ROWS)
+        sv = _svd_landscape(fin, res.points, INPUT_ROWS)
+        zero = np.flatnonzero((res.points == 0.0).all(axis=1))[0]
+        assert sv[zero, -3] < 1e-12 * sv[zero, 0]
+        assert np.array_equal(res.singular_values[zero], sv[zero])
+        assert np.all(np.abs(res.singular_values - sv) <= 1e-10 * sv)
+        assert np.array_equal(res.admitted, (sv < 1e-8).sum(axis=1) == 3)
+        assert res.best.coords == {"m1u": 0.0, "m2u": 0.0, "m1y": 0.0, "m2y": 0.0}
+        Vt = np.linalg.svd(assemble_M(fin, res.best.point, INPUT_ROWS))[2]
+        assert subspace_angle(SubspaceBasis(Vt[-3:]), res.best.nullspace).theta_max <= 1e-12
+
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(
         seed=hs.integers(0, 2**32 - 1),
@@ -391,28 +409,43 @@ class TestSpectralShift:
         p=hs.integers(1, 2),
         m1=hs.floats(-1.0, 1.0),
         var=hs.floats(0.05, 2.0),
+        m1y=hs.floats(-1.0, 1.0),
+        var_y=hs.floats(0.05, 2.0),
         family=hs.sampled_from(NOISE_FAMILIES),
     )
-    def test_agrees_with_per_point_svd_on_random_systems(self, seed, n, m, p, m1, var, family):
+    def test_agrees_with_per_point_svd_on_random_systems(self, seed, n, m, p, m1, var, m1y, var_y, family):
         rng = np.random.default_rng(seed)
         ss = random_system(n, m, p, rng)
         L = n + 1  # nullity p*L - n >= 1
         nullity = p * L - n
         clean = generate_dataset(ss, 40, 20, L, "random-bounded", rng)
         spec = NoiseSpec(family, m1, m1 * m1 + var)
+        spec_y = NoiseSpec(family, m1y, m1y * m1y + var_y)
+        m2_axis = np.linspace(m1 * m1 + 0.5 * var, m1 * m1 + 1.5 * var, 6)
+        m2y_axis = np.linspace(m1y * m1y + 0.5 * var_y, m1y * m1y + 1.5 * var_y, 2)
+        noiseless = aggregate(clean, L).finalize()
+        # (stats, grid, noiseless): tied and split channel moments; on
+        # noiseless data the zero point is an exact crossing of nullity
+        # eigenvalues
         cases = (
             (aggregate(add_noise(clean, spec, spec, rng), L).finalize(),
-             (np.linspace(m1 - 0.5, m1 + 0.5, 7), np.linspace(m1 * m1 + 0.5 * var, m1 * m1 + 1.5 * var, 6))),
-            # noiseless: the zero point is an exact crossing of nullity eigenvalues
-            (aggregate(clean, L).finalize(), (np.array([-0.5, 0.0, 0.5]), np.array([0.0, 0.5, 1.0]))),
+             (np.linspace(m1 - 0.5, m1 + 0.5, 7), m2_axis), False),
+            (aggregate(add_noise(clean, spec, spec_y, rng), L).finalize(),
+             (np.linspace(m1 - 0.5, m1 + 0.5, 3), m2_axis[::2], np.linspace(m1y - 0.5, m1y + 0.5, 3), m2y_axis),
+             False),
+            (noiseless, (np.array([-0.5, 0.0, 0.5]), np.array([0.0, 0.5, 1.0])), True),
+            (noiseless, ([-0.5, 0.0, 0.5], [0.0, 0.5], [0.0, 0.5], [0.0, 1.0]), True),
         )
-        for fin, grid in cases:
-            res = grid_search(fin, grid, eps_sigma=1e-3, nullity=nullity, eps_mode="auto", eps_factor=2.0)
-            sv = _svd_landscape(fin, res.points)
+        for fin, grid, exact in cases:
+            res = grid_search(
+                fin, grid, eps_sigma=1e-3, nullity=nullity, eps_mode="auto", eps_factor=2.0, input_rows=m * L
+            )
+            sv = _svd_landscape(fin, res.points, m * L)
             assert np.all(np.abs(res.singular_values - sv) <= 1e-10 * sv)
             # the threshold is twice a landscape entry, so it agrees as they do
             _assert_same_admission(res, sv, 2.0, nullity, threshold_rtol=1e-10)
-        assert res.best.point == MomentPoint.identical(0.0, 0.0)
+            if exact:
+                assert res.best.point == MomentPoint.identical(0.0, 0.0)
 
 
 def _per_row_landscape(res) -> bytes:
