@@ -244,8 +244,10 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 def _load_config_file(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    if "config" in obj and "command" in obj:
+    if isinstance(obj, dict) and "config" in obj and "command" in obj:
         obj = obj["config"]  # a manifest doubles as a config
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: a config must be a JSON object, got {type(obj).__name__}")
     return obj
 
 
@@ -444,11 +446,16 @@ def cmd_validate(cfg: ExperimentConfig, candidate_path, out_dir) -> int:
     out = _outdir(out_dir)
     with open(candidate_path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
+    if not isinstance(obj, dict) or "nullspace" not in obj:
+        raise ValueError(f"{candidate_path}: a candidate must be a JSON object with a nullspace key")
     basis = np.asarray(obj["nullspace"], dtype=float)
+    t0 = time.perf_counter()
     V_true = true_nullspace(cfg.system, cfg.L)
+    t1 = time.perf_counter()
     if basis.ndim != 2 or basis.shape != V_true.basis.shape:
         raise ValueError(f"candidate null space has shape {basis.shape}, expected {V_true.basis.shape}")
     err = subspace_angle(V_true, SubspaceBasis(basis))
+    timings = {"true_nullspace_s": t1 - t0, "angle_s": time.perf_counter() - t1}
     report = {
         "theta_max": err.theta_max,
         "singular_values": [float(v) for v in err.singular_values],
@@ -457,7 +464,7 @@ def cmd_validate(cfg: ExperimentConfig, candidate_path, out_dir) -> int:
     with open(out / "subspace_error.json", "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
-    _write_manifest(out / "manifest.json", "validate", cfg, {}, {"report": "subspace_error.json"})
+    _write_manifest(out / "manifest.json", "validate", cfg, timings, {"report": "subspace_error.json"})
     print(f"theta_max={err.theta_max:.6g} rad")
     return 0
 
@@ -495,9 +502,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _int_list(text: str) -> list:
     try:
-        return [int(v) for v in text.split(",") if v.strip() != ""]
+        values = [int(v) for v in text.split(",") if v.strip() != ""]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    return values
 
 
 def _add_config_flags(sp) -> None:

@@ -18,11 +18,12 @@ Every grid is searched as base matrices times scalar shifts. With tied
 moments the second moment enters only as a spectral shift,
 M(mu, nu) = M(mu, 0) - Nc*nu*I, so the bases are the points (mu, 0), one per
 first-moment value, and the shifts are Nc*nu; a 4-axis grid's bases are its
-points, with the single shift 0. One symmetric eigendecomposition per base
-gives the singular values |lambda - shift| of every point it covers, and the
-null space is spanned by the eigenvectors nearest the shift. Where the
-subtraction cancels too many digits to be trusted (the shift sits on an
-eigenvalue) the row is recomputed by SVD of the assembled matrix.
+points, with the single shift 0. One symmetric eigenvalue decomposition per
+base gives the singular values |lambda - shift| of every point it covers.
+Where the subtraction cancels too many digits to be trusted (the shift sits
+on an eigenvalue) the row is recomputed by SVD of the assembled matrix. Only
+the best admitted point's null space is extracted: one eigh of its base,
+keeping the eigenvectors nearest its shift.
 """
 
 import json
@@ -120,7 +121,11 @@ class Candidate:
 
 @dataclass(frozen=True)
 class GridResult:
-    """Full landscape of a grid search plus the admitted candidates."""
+    """Full landscape of a grid search plus the best admitted point.
+
+    Every point's spectrum, rank and admission are in the landscape; only
+    the best point's null space is extracted.
+    """
 
     axes: tuple
     points: np.ndarray
@@ -129,7 +134,6 @@ class GridResult:
     admitted: np.ndarray
     threshold: float
     nullity: int
-    candidates: tuple
     best: "Candidate | None"
 
     @property
@@ -228,13 +232,12 @@ def grid_search(
     its points and its one shift is 0. The spectrum of a point is
     |lambda - shift|, sorted descending, over the eigenvalues lambda of its
     base; rows where that subtraction may have lost more than GUARD_RTOL of
-    the smallest value are recomputed by SVD. An admitted point's null
-    space is spanned by the `nullity` eigenvectors of its base nearest the
-    shift, nearest last like the trailing rows of an SVD's Vt, and its
-    spectrum is its landscape row. Among admitted points the best is the one
-    with the smallest minimum singular value, ties broken by grid order.
-    Returns the full landscape either way; best is None when nothing is
-    admitted.
+    the smallest value are recomputed by SVD. Among admitted points the best
+    is the one with the smallest minimum singular value, the first in grid
+    order on ties. Only its null space is extracted, by one eigh of its
+    base: the `nullity` eigenvectors nearest its shift, nearest last like the
+    trailing rows of an SVD's Vt. Its spectrum is its landscape row. Returns
+    the full landscape either way; best is None when nothing is admitted.
     """
     axes = tuple(np.asarray(a, dtype=float).reshape(-1) for a in grid)
     if len(axes) not in AXIS_NAMES:
@@ -286,29 +289,21 @@ def grid_search(
     admitted = (sv_all[:, d - nullity] < threshold) & (sv_all[:, d - nullity - 1] >= threshold)
     ranks = np.count_nonzero(sv_all > eps_rank * sv_all[:, 0:1], axis=1)
 
+    best = None
     picked = np.flatnonzero(admitted)
-    base_of, shift_of = np.divmod(picked, shifts.size)
-    # one eigh per distinct base, however many of its points are admitted
-    distinct, which = np.unique(base_of, return_inverse=True)
-    lam, V = np.linalg.eigh(_assemble(st, bases[distinct], input_rows))
-    # nearest eigenvalue last, like the trailing rows of an SVD's Vt
-    near = np.argsort(np.abs(lam[which] - shifts[shift_of, None]), axis=1)[:, nullity - 1 :: -1]
-    vecs = V[which[:, None], :, near]  # (picked, nullity, d)
-    spectra = sv_all[picked]
-    # copies, so that no candidate keeps the batch arrays alive; with views
-    # into them the reference workload's peak RSS measured about 6 MB higher
-    # (heap fragmentation)
-    candidates = tuple(
-        Candidate(
-            point=_point_from_row(row),
-            sigma_min=smin,
-            nullspace=SubspaceBasis(b.copy()),
-            singular_values=s.copy(),
+    if picked.size:
+        j = int(picked[np.argmin(sv_all[picked, -1])])  # argmin keeps the first on ties
+        b, s = divmod(j, shifts.size)
+        lam, V = np.linalg.eigh(_assemble(st, bases[b : b + 1], input_rows)[0])
+        # nearest eigenvalue last, like the trailing rows of an SVD's Vt
+        near = np.argsort(np.abs(lam - shifts[s]))[nullity - 1 :: -1]
+        best = Candidate(
+            point=_point_from_row(points[j]),
+            sigma_min=float(sv_all[j, -1]),
+            nullspace=SubspaceBasis(V[:, near].T),
+            singular_values=sv_all[j].copy(),
             axis_names=AXIS_NAMES[len(axes)],
         )
-        for row, smin, s, b in zip(points[picked].tolist(), spectra[:, -1].tolist(), spectra, vecs)
-    )
-    best = candidates[int(np.argmin(spectra[:, -1]))] if candidates else None
 
     return GridResult(
         axes=axes,
@@ -318,7 +313,6 @@ def grid_search(
         admitted=admitted,
         threshold=threshold,
         nullity=nullity,
-        candidates=candidates,
         best=best,
     )
 

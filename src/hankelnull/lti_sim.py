@@ -336,10 +336,11 @@ def load_dataset(path) -> Dataset:
     """Read a dataset written by save_dataset into arrays sized from its meta header."""
     with open(path, "r", encoding="utf-8") as fh:
         header = json.loads(fh.readline())
-        if "meta" not in header:
-            raise ValueError(f"{path}: missing meta header line")
-        meta = header["meta"]
-        Nt, N, m, p = (int(meta[k]) for k in ("Nt", "N", "m", "p"))
+        meta = header.get("meta") if isinstance(header, dict) else None
+        try:
+            Nt, N, m, p = (int(meta[k]) for k in ("Nt", "N", "m", "p"))
+        except (KeyError, TypeError, ValueError):
+            raise ValueError(f"{path}: first line needs a meta header object with integer Nt, N, m and p") from None
         if min(Nt, N, m, p) < 1:
             raise ValueError(f"{path}: meta header needs positive Nt, N, m and p, got {meta}")
         U, Y = np.empty((Nt, N, m)), np.empty((Nt, N, p))
@@ -352,6 +353,8 @@ def load_dataset(path) -> Dataset:
             obj = _decode_record(line)
             try:
                 e = Experiment(obj["u"], obj["y"])
+            except (KeyError, TypeError):
+                raise ValueError(f"{path}: record {i} needs u and y sample arrays") from None
             except ValueError as err:
                 raise ValueError(f"{path}: record {i}: {err}") from None
             if e.u.shape != (N, m) or e.y.shape != (N, p):

@@ -104,10 +104,10 @@ def test_rank_landscape_at_scale(reference_run, capsys):
 
 def test_admitted_candidates_have_exact_nullity(reference_run, capsys):
     res = reference_run["res"]
-    counts = [int((c.singular_values < res.threshold).sum()) for c in res.candidates]
-    ok = res.nullity == 3 and len(counts) > 0 and all(c == 3 for c in counts)
+    counts = (res.singular_values[res.admitted] < res.threshold).sum(axis=1)
+    ok = res.nullity == 3 and counts.size > 0 and bool((counts == 3).all())
     _check(capsys, "admitted nullity", ok,
-           f"{len(counts)} candidates, below-threshold counts {sorted(set(counts))}, expected all 3")
+           f"{counts.size} admitted points, below-threshold counts {sorted(set(counts.tolist()))}, expected all 3")
 
 
 def test_subspace_error_decays_with_ensemble_size(reference_run, capsys):

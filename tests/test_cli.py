@@ -206,6 +206,25 @@ class TestAggregateAndRecover:
         rc = main(["recover", "--config", str(bad), "--stats", "s.json", "--out", str(tmp_path / "o")])
         assert rc == 4
 
+    def test_config_that_is_not_an_object_is_config_error(self, tmp_path, capsys):
+        bad = tmp_path / "list.json"
+        bad.write_text("[1, 2]")
+        rc = main(["recover", "--config", str(bad), "--stats", "s.json", "--out", str(tmp_path / "o")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert str(bad) in err and "JSON object" in err
+
+    @pytest.mark.parametrize("line, text, cause", [(0, '{"meta": []}', "meta header"), (1, "[1, 2]", "record 0")])
+    def test_dataset_line_of_wrong_json_shape_is_config_error(self, tmp_path, cfg_file, gen_dir, capsys, line, text, cause):
+        lines = (gen_dir / "dataset_noisy.jsonl").read_text().split("\n")
+        lines[line] = text
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines))
+        rc = main(["aggregate", "--config", cfg_file, "--dataset", str(bad), "--out", str(tmp_path / "o")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert str(bad) in err and cause in err
+
     def test_mismatched_dataset_rejected(self, tmp_path, cfg_file, gen_dir, capsys):
         rc = main([
             "aggregate", "--config", cfg_file, "--N", "24",
@@ -367,6 +386,9 @@ class TestValidate:
         assert report["theta_max"] <= 1e-8
         assert len(report["singular_values"]) == 3
         assert report["candidate"]["m1"] == 0.0
+        timings = json.loads((out / "manifest.json").read_text())["timings"]
+        assert set(timings) == {"true_nullspace_s", "angle_s"}
+        assert all(v >= 0.0 for v in timings.values())
 
     def test_wrong_basis_shape_rejected(self, tmp_path, cfg_file, capsys):
         cand = tmp_path / "cand.json"
@@ -377,6 +399,15 @@ class TestValidate:
     def test_missing_candidate_is_io_error(self, tmp_path, cfg_file, capsys):
         rc = main(["validate", "--config", cfg_file, "--candidate", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])
         assert rc == 4
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '{"m1": 0.0, "m2": 0.0}'])
+    def test_candidate_without_nullspace_object_is_config_error(self, tmp_path, cfg_file, capsys, text):
+        cand = tmp_path / "cand.json"
+        cand.write_text(text)
+        rc = main(["validate", "--config", cfg_file, "--candidate", str(cand), "--out", str(tmp_path / "o")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert str(cand) in err and "nullspace" in err
 
 
 class TestSweep:
@@ -418,3 +449,11 @@ class TestSweep:
             "--out", str(tmp_path / "o"),
         ])
         assert rc == 3
+
+    @pytest.mark.parametrize("nt_list, seeds, flag", [("", "0", "--Nt-list"), ("5", "", "--seeds"), ("5", ",", "--seeds")])
+    def test_empty_list_is_config_error(self, tmp_path, cfg_file, capsys, nt_list, seeds, flag):
+        out = tmp_path / "o"
+        rc = main(["sweep", "--config", cfg_file, "--Nt-list", nt_list, "--seeds", seeds, "--out", str(out)])
+        assert rc == 3
+        assert flag in capsys.readouterr().err
+        assert not out.exists()

@@ -240,16 +240,19 @@ class TestGridSearch:
             nullity=3,
         )
         assert res.best is None
-        assert len(res.candidates) == 0
         assert not res.admitted.any()
         assert res.singular_values.shape == (9, 10)
         assert (res.sigma_min > 1e-3).all()
 
     def test_tie_breaks_to_first_grid_point(self, demo_system):
+        # with no input rows the input moments enter no entry, so both points
+        # assemble the same matrix and tie; the first in grid order wins
         fin = aggregate(_clean(demo_system, 20, seed=18), 2).finalize()
-        res = grid_search(fin, ([0.0, 0.0], [0.0]), eps_sigma=1e-8, nullity=3)
-        assert len(res.candidates) == 2
-        assert res.best is res.candidates[0]
+        res = grid_search(fin, ([0.5, 0.0], [0.0], [0.0], [0.0]), eps_sigma=1e-8, nullity=3, input_rows=0)
+        assert res.admitted.all()
+        assert np.array_equal(res.singular_values[0], res.singular_values[1])
+        assert res.best.coords == {"m1u": 0.5, "m2u": 0.0, "m1y": 0.0, "m2y": 0.0}
+        assert np.array_equal(res.best.singular_values, res.singular_values[0])
 
     def test_auto_threshold_tracks_grid_floor(self, demo_system):
         fin = aggregate(_noisy(demo_system, 80, seed=19), 2).finalize()
@@ -259,7 +262,10 @@ class TestGridSearch:
         assert res.threshold == 2.0 * floor
         counts = (res.singular_values < res.threshold).sum(axis=1)
         assert np.array_equal(res.admitted, counts == 3)
-        assert len(res.candidates) == int(res.admitted.sum())
+        assert res.admitted.any()
+        j = np.flatnonzero(res.admitted)[np.argmin(res.sigma_min[res.admitted])]
+        assert res.best.point == estimator._point_from_row(res.points[j])
+        assert np.array_equal(res.best.singular_values, res.singular_values[j])
 
     def test_separate_channel_axes_pick_true_combination(self, demo_system):
         rng = np.random.default_rng(21)
@@ -289,26 +295,28 @@ class TestGridSearch:
         whole = grid_search(fin, grid, eps_sigma=1e-3, nullity=3, eps_mode="auto")
         monkeypatch.setattr(estimator, "CHUNK_SIZE", 1)
         tiny = grid_search(fin, grid, eps_sigma=1e-3, nullity=3, eps_mode="auto")
-        assert len(whole.candidates) >= 2
+        assert int(whole.admitted.sum()) >= 2
         assert np.array_equal(whole.singular_values, tiny.singular_values)
         assert np.array_equal(whole.admitted, tiny.admitted)
-        for a, b in zip(whole.candidates, tiny.candidates, strict=True):
-            assert a.point == b.point and a.sigma_min == b.sigma_min
-            assert np.array_equal(a.singular_values, b.singular_values)
-            assert np.array_equal(a.nullspace.basis, b.nullspace.basis)
+        a, b = whole.best, tiny.best
+        assert a.point == b.point and a.sigma_min == b.sigma_min
+        assert np.array_equal(a.singular_values, b.singular_values)
+        assert np.array_equal(a.nullspace.basis, b.nullspace.basis)
 
     @pytest.mark.parametrize("distinct", [False, True])
     def test_matches_per_point_svd_oracle(self, demo_system, monkeypatch, distinct):
         # a small chunk makes the landscape cross chunk boundaries. Both grids
         # read their landscape off eigenvalues and a shift, so each entry must
         # agree with a per-point assembly and SVD to 1e-10 relative, with the
-        # same ranks, admission and best point and bases within 1e-12 rad
+        # same ranks, admission and best point. Each admitted point, searched as
+        # a one-point grid at the same threshold, is admitted with its landscape
+        # row and a basis within 1e-12 rad of the SVD's
         monkeypatch.setattr(estimator, "CHUNK_SIZE", 64)
         fin = aggregate(_noisy(demo_system, 200, seed=25), 2).finalize()
         m1, m2 = np.linspace(0.0, 1.5, 12), np.linspace(2.5, 7.0, 12)
         grid = (m1, m2, m1[::2], m2[::2]) if distinct else (np.linspace(0.0, 1.5, 30), np.linspace(2.5, 7.0, 30))
         res = grid_search(fin, grid, eps_sigma=1e-3, nullity=3, eps_mode="auto", eps_factor=5.0, input_rows=INPUT_ROWS)
-        assert len(res.candidates) > 3 * 64
+        assert int(res.admitted.sum()) > 3 * 64
         Ms = [
             assemble_M(fin, estimator._point_from_row(row), input_rows=INPUT_ROWS)
             for row in res.points
@@ -316,9 +324,14 @@ class TestGridSearch:
         sv = np.array([np.linalg.svd(M, compute_uv=False) for M in Ms])
         assert np.all(np.abs(res.singular_values - sv) <= 1e-10 * sv)
         _assert_same_admission(res, sv, 5.0)
-        picked = np.flatnonzero(res.admitted)
-        assert len(res.candidates) == picked.size
-        for j, cand in zip(picked, res.candidates):
+        for j in np.flatnonzero(res.admitted):
+            one = grid_search(
+                fin, tuple([v] for v in res.points[j]), eps_sigma=res.threshold, nullity=3, input_rows=INPUT_ROWS
+            )
+            assert one.admitted[0]
+            cand = one.best
+            if cand.point == res.best.point:
+                assert np.array_equal(cand.nullspace.basis, res.best.nullspace.basis)
             Vt = np.linalg.svd(Ms[j])[2]
             assert cand.point == estimator._point_from_row(res.points[j])
             assert np.array_equal(cand.singular_values, res.singular_values[j])
