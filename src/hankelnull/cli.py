@@ -165,20 +165,22 @@ def config_from_dict(obj: dict) -> ExperimentConfig:
     sys_spec = obj.get("system")
     if sys_spec is None:
         raise ValueError("config has no system; give matrices inline or use a preset")
+    if not isinstance(sys_spec, dict):
+        raise ValueError(f"system must be an object with matrices A, B, C, D, got {sys_spec!r}")
     try:
         system = StateSpace(sys_spec["A"], sys_spec["B"], sys_spec["C"], sys_spec["D"])
     except KeyError as e:
         raise ValueError(f"system spec is missing matrix {e.args[0]!r}") from None
 
     noise = obj["noise"]
+    if not isinstance(noise, dict):
+        raise ValueError(f"noise must be an object, got {noise!r}")
     if "u" in noise or "y" in noise:
         if "u" not in noise or "y" not in noise:
             raise ValueError("per-channel noise needs both 'u' and 'y' specs")
-        spec_u, spec_y = noise["u"], noise["y"]
+        noise_u, noise_y = _noise_spec(noise["u"], "noise.u"), _noise_spec(noise["y"], "noise.y")
     else:
-        spec_u = spec_y = noise
-    noise_u = NoiseSpec(spec_u["family"], float(spec_u["m1"]), float(spec_u["m2"]))
-    noise_y = NoiseSpec(spec_y["family"], float(spec_y["m1"]), float(spec_y["m2"]))
+        noise_u = noise_y = _noise_spec(noise, "noise")
 
     grid_spec = obj["grid"]
     if not isinstance(grid_spec, dict):
@@ -194,25 +196,46 @@ def config_from_dict(obj: dict) -> ExperimentConfig:
         raise ValueError(f"moment_mode {mode!r} disagrees with the grid axes {list(names)}")
     grid = {}
     for name in names:
-        lo, hi, points = grid_spec[name]
-        grid[name] = (float(lo), float(hi), int(points))
+        axis = grid_spec[name]
+        bad = f"grid axis {name!r} must be [lo, hi, points], got {axis!r}"
+        if not (isinstance(axis, (list, tuple)) and len(axis) == 3):
+            raise ValueError(bad)
+        try:
+            grid[name] = (float(axis[0]), float(axis[1]), int(axis[2]))
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(bad) from None
 
     return ExperimentConfig(
         system=system,
-        Nt=int(obj["Nt"]),
-        N=int(obj["N"]),
-        L=int(obj["L"]),
+        Nt=_number(obj, "Nt", int),
+        N=_number(obj, "N", int),
+        L=_number(obj, "L", int),
         noise_u=noise_u,
         noise_y=noise_y,
         grid=grid,
-        eps_sigma=float(obj["eps_sigma"]),
+        eps_sigma=_number(obj, "eps_sigma", float),
         eps_mode=str(obj["eps_mode"]),
-        eps_factor=float(obj["eps_factor"]),
-        eps_rank=float(obj["eps_rank"]),
-        seed=int(obj["seed"]),
+        eps_factor=_number(obj, "eps_factor", float),
+        eps_rank=_number(obj, "eps_rank", float),
+        seed=_number(obj, "seed", int),
         x0_policy=str(obj["x0_policy"]),
-        x0_halfwidth=float(obj["x0_halfwidth"]),
+        x0_halfwidth=_number(obj, "x0_halfwidth", float),
     )
+
+
+def _noise_spec(spec, field: str) -> NoiseSpec:
+    try:
+        family, m1, m2 = spec["family"], float(spec["m1"]), float(spec["m2"])
+    except (TypeError, KeyError, ValueError, OverflowError):
+        raise ValueError(f"{field} must be an object with a family and numbers m1, m2, got {spec!r}") from None
+    return NoiseSpec(family, m1, m2)
+
+
+def _number(obj: dict, name: str, kind):
+    try:
+        return kind(obj[name])
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} must be {'an integer' if kind is int else 'a number'}, got {obj[name]!r}") from None
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
@@ -260,10 +283,15 @@ def _apply_flag_overrides(obj: dict, args) -> None:
         v = getattr(args, key, None)
         if v is not None:
             obj[key] = v
-    if args.noise_family is not None or args.noise_m1 is not None or args.noise_m2 is not None:
-        base = obj.get("noise", _DEFAULTS["noise"])
+    # a noise or grid value that is not an object is left for config_from_dict to reject
+    base = obj.get("noise", _DEFAULTS["noise"])
+    if isinstance(base, dict) and any(
+        v is not None for v in (args.noise_family, args.noise_m1, args.noise_m2)
+    ):
 
         def upd(spec):
+            if not isinstance(spec, dict):
+                return spec
             new = dict(spec)
             if args.noise_family is not None:
                 new["family"] = args.noise_family
@@ -273,13 +301,14 @@ def _apply_flag_overrides(obj: dict, args) -> None:
                 new["m2"] = args.noise_m2
             return new
 
-        if "u" in base:
+        if "u" in base and "y" in base:
             obj["noise"] = {"u": upd(base["u"]), "y": upd(base["y"])}
         else:
             obj["noise"] = upd(base)
     grid_flags = {"m1": args.grid_m1, "m2": args.grid_m2}
-    if any(v is not None for v in grid_flags.values()):
-        grid = dict(obj.get("grid", _DEFAULTS["grid"]))
+    grid = obj.get("grid", _DEFAULTS["grid"])
+    if isinstance(grid, dict) and any(v is not None for v in grid_flags.values()):
+        grid = dict(grid)
         for name, v in grid_flags.items():
             if v is not None:
                 grid[name] = [v[0], v[1], int(v[2])]

@@ -14,12 +14,15 @@ At the true moments the corrections cancel the noise in expectation and the
 matrix regains the rank deficiency of the noiseless ensemble; the search
 scans a moment grid for that signature.
 
-Every grid is searched as base matrices times scalar shifts. With tied
-moments the second moment enters only as a spectral shift,
-M(mu, nu) = M(mu, 0) - Nc*nu*I, so the bases are the points (mu, 0), one per
-first-moment value, and the shifts are Nc*nu; a 4-axis grid's bases are its
-points, with the single shift 0. One symmetric eigenvalue decomposition per
-base gives the singular values |lambda - shift| of every point it covers.
+Every grid is searched as base matrices times scalar shifts. The second
+moments enter only on the diagonal, so with tied moments they are a spectral
+shift, M(mu, nu) = M(mu, 0) - Nc*nu*I: the bases are the points (mu, 0), one
+per first-moment value, and the shifts are Nc*nu. With split channels
+M(m1u, m2u, m1y, m2y) = M(m1u, m2u - m2y, m1y, 0) - Nc*m2y*I: the bases are
+(m1u, m2u - m2y, m1y, 0), one per exactly equal difference of the two
+second-moment axes, and the shifts are Nc*m2y. One symmetric eigenvalue
+decomposition per base gives the singular values |lambda - shift| of every
+point it covers.
 Where the subtraction cancels too many digits to be trusted (the shift sits
 on an eigenvalue) the row is recomputed by SVD of the assembled matrix. Only
 the best admitted point's null space is extracted: one eigh of its base,
@@ -199,6 +202,11 @@ def _svd_rows(st: FinalizedStats, points: np.ndarray, input_rows) -> np.ndarray:
     return np.linalg.svd(_assemble(st, points, input_rows), compute_uv=False)
 
 
+def _mesh_points(axes) -> np.ndarray:
+    """All points of a grid, (n, len(axes)), in row-major axis order."""
+    return np.stack([g.reshape(-1) for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+
+
 def grid_search(
     st: FinalizedStats,
     grid,
@@ -227,17 +235,19 @@ def grid_search(
     so the admitted set stays tight at any ensemble size. The numerical rank
     of a point counts its singular values above eps_rank times the largest.
 
-    The grid is read as base matrices and scalar shifts: a tied grid's bases
-    are the points (m1, 0) and its shifts Nc*m2; a 4-axis grid's bases are
-    its points and its one shift is 0. The spectrum of a point is
-    |lambda - shift|, sorted descending, over the eigenvalues lambda of its
-    base; rows where that subtraction may have lost more than GUARD_RTOL of
-    the smallest value are recomputed by SVD. Among admitted points the best
-    is the one with the smallest minimum singular value, the first in grid
-    order on ties. Only its null space is extracted, by one eigh of its
-    base: the `nullity` eigenvectors nearest its shift, nearest last like the
-    trailing rows of an SVD's Vt. Its spectrum is its landscape row. Returns
-    the full landscape either way; best is None when nothing is admitted.
+    The grid is read as base matrices and scalar shifts. A tied point
+    (m1, m2) has base (m1, 0) and shift Nc*m2; a 4-axis point has base
+    (m1u, m2u - m2y, m1y, 0) and shift Nc*m2y, with one base per exactly
+    equal difference m2u - m2y. One eigvalsh per base gives the spectrum of
+    every point on it, |lambda - shift| sorted descending, over the
+    eigenvalues lambda of the base; rows where that subtraction may have
+    lost more than GUARD_RTOL of the smallest value are recomputed by SVD.
+    Among admitted points the best is the one with the smallest minimum
+    singular value, the first in grid order on ties. Only its null space is
+    extracted, by one eigh of its base: the `nullity` eigenvectors nearest
+    its shift, nearest last like the trailing rows of an SVD's Vt. Its
+    spectrum is its landscape row. Returns the full landscape either way;
+    best is None when nothing is admitted.
     """
     axes = tuple(np.asarray(a, dtype=float).reshape(-1) for a in grid)
     if len(axes) not in AXIS_NAMES:
@@ -255,30 +265,40 @@ def grid_search(
         raise ValueError(f"eps_mode must be one of {EPS_MODES}, got {eps_mode!r}")
 
     d = st.d
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([g.reshape(-1) for g in mesh], axis=-1)
-    # point index = base index * shifts.size + shift index
+    points = _mesh_points(axes)
+    # point j is the base bases[base_of[j]] shifted by Nc times its last
+    # coordinate, m2 or m2y
     if len(axes) == 2:
-        bases, shifts = np.stack([axes[0], np.zeros_like(axes[0])], axis=-1), st.Nc * axes[1]
+        m1, m2 = axes
+        bases = _mesh_points((m1, np.zeros(1)))
+        base_of = np.repeat(np.arange(m1.size), m2.size)
     else:
-        bases, shifts = points, np.zeros(1)
+        m1u, m2u, m1y, m2y = axes
+        # bases (m1u, m2u - m2y, m1y, 0), one per exactly equal difference:
+        # a point's base depends on that point alone
+        diffs, diff_of = np.unique((m2u[:, None] - m2y).reshape(-1), return_inverse=True)
+        diff_of = diff_of.reshape(m2u.size, m2y.size)  # its shape varies across numpy versions
+        bases = _mesh_points((m1u, diffs, m1y, np.zeros(1)))
+        a, c = np.arange(m1u.size)[:, None, None, None], np.arange(m1y.size)[:, None]
+        base_of = ((a * diffs.size + diff_of[:, None, :]) * m1y.size + c).reshape(-1)
+    shift_of = st.Nc * points[:, -1]
 
-    # filled a chunk of bases at a time, each chunk's lam and dist dropped
-    # before the next assembly: held over, they raised the 4-axis recover's
-    # peak RSS by about 2 MB
+    lam = np.empty((bases.shape[0], d))
+    for lo in range(0, bases.shape[0], CHUNK_SIZE):
+        lam[lo : lo + CHUNK_SIZE] = np.linalg.eigvalsh(_assemble(st, bases[lo : lo + CHUNK_SIZE], input_rows))
+    lam_max = np.abs(lam).max(axis=1)
+
     sv_all = np.empty((points.shape[0], d))
-    step = max(1, CHUNK_SIZE // shifts.size)
-    for lo in range(0, bases.shape[0], step):
-        lam = np.linalg.eigvalsh(_assemble(st, bases[lo : lo + step], input_rows))
-        dist = np.abs(lam[:, None, :] - shifts[None, :, None])
+    for lo in range(0, points.shape[0], CHUNK_SIZE):
+        rows = slice(lo, lo + CHUNK_SIZE)
+        base, shift = base_of[rows], shift_of[rows]
+        dist = np.abs(lam[base] - shift[:, None])
         dist.sort(axis=-1)
-        rows = slice(lo * shifts.size, (lo + lam.shape[0]) * shifts.size)
         sv = sv_all[rows]
-        sv[:] = dist[..., ::-1].reshape(-1, d)
-        bound = GUARD_ULPS * np.finfo(float).eps * (np.abs(lam).max(axis=1)[:, None] + np.abs(shifts))
-        guard = np.flatnonzero(bound.reshape(-1) > GUARD_RTOL * sv[:, -1])
+        sv[:] = dist[:, ::-1]
+        bound = GUARD_ULPS * np.finfo(float).eps * (lam_max[base] + np.abs(shift))
+        guard = np.flatnonzero(bound > GUARD_RTOL * sv[:, -1])
         sv[guard] = _svd_rows(st, points[rows][guard], input_rows)
-        del lam, dist
 
     if eps_mode == "abs":
         threshold = float(eps_sigma)
@@ -293,10 +313,9 @@ def grid_search(
     picked = np.flatnonzero(admitted)
     if picked.size:
         j = int(picked[np.argmin(sv_all[picked, -1])])  # argmin keeps the first on ties
-        b, s = divmod(j, shifts.size)
-        lam, V = np.linalg.eigh(_assemble(st, bases[b : b + 1], input_rows)[0])
+        w, V = np.linalg.eigh(_assemble(st, bases[base_of[j] : base_of[j] + 1], input_rows)[0])
         # nearest eigenvalue last, like the trailing rows of an SVD's Vt
-        near = np.argsort(np.abs(lam - shifts[s]))[nullity - 1 :: -1]
+        near = np.argsort(np.abs(w - shift_of[j]))[nullity - 1 :: -1]
         best = Candidate(
             point=_point_from_row(points[j]),
             sigma_min=float(sv_all[j, -1]),
@@ -320,19 +339,26 @@ def grid_search(
 def write_landscape_csv(result: GridResult, path) -> None:
     """Write per-point sigma_min, numerical rank and admission to CSV.
 
-    Each block of CHUNK_SIZE rows is formatted by one %-operation over a
-    repeated row template; %d prints the rank and admission flag, which the
-    block carries as exact floats.
+    Each axis value is formatted once; a block of CHUNK_SIZE rows takes its
+    coordinate strings from those by grid index and is written by one
+    %-operation over a repeated row template, which formats sigma_min.
     """
     cols = AXIS_NAMES[len(result.axes)]
-    row = ",".join(["%.17g"] * (len(cols) + 1)) + ",%d,%d\n"
+    labels = [np.array(["%.17g" % v for v in a.tolist()], dtype=object) for a in result.axes]
+    shape = tuple(a.size for a in result.axes)
+    row = "%s," * len(cols) + "%.17g,%d,%d\n"
+    n = result.points.shape[0]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(cols) + ",sigma_min,numerical_rank,admitted\n")
-        for lo in range(0, result.points.shape[0], CHUNK_SIZE):
+        for lo in range(0, n, CHUNK_SIZE):
             part = slice(lo, lo + CHUNK_SIZE)
-            block = np.column_stack(
-                [result.points[part], result.sigma_min[part], result.ranks[part], result.admitted[part]]
-            )
+            idx = np.unravel_index(np.arange(lo, min(lo + CHUNK_SIZE, n)), shape)
+            block = np.empty((idx[0].size, len(cols) + 3), dtype=object)
+            for k, (lab, i) in enumerate(zip(labels, idx)):
+                block[:, k] = lab[i]
+            block[:, -3] = result.sigma_min[part].tolist()
+            block[:, -2] = result.ranks[part].tolist()
+            block[:, -1] = result.admitted[part].tolist()
             fh.write(row * block.shape[0] % tuple(block.ravel().tolist()))
 
 

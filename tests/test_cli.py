@@ -214,6 +214,28 @@ class TestAggregateAndRecover:
         err = capsys.readouterr().err
         assert str(bad) in err and "JSON object" in err
 
+    @pytest.mark.parametrize("fields, flags, cause", [
+        ({"system": [1]}, [], "system must be an object"),
+        ({"noise": 5}, [], "noise must be an object"),
+        ({"noise": 5}, ["--noise-m1", "1"], "noise must be an object"),
+        ({"noise": {"u": 5, "y": SMALL_CONFIG["noise"]}}, [], "noise.u must be an object"),
+        ({"noise": {"u": 5, "y": SMALL_CONFIG["noise"]}}, ["--noise-m1", "1"], "noise.u must be an object"),
+        ({"noise": {"u": SMALL_CONFIG["noise"]}}, ["--noise-m1", "1"], "needs both 'u' and 'y'"),
+        ({"noise": {"family": "gaussian", "m1": None, "m2": 1.0}}, [], "noise must be an object"),
+        ({"grid": {"m1": 5, "m2": [2.5, 7, 3]}}, [], "grid axis 'm1' must be [lo, hi, points]"),
+        ({"grid": {"m1": [0, 1], "m2": [2.5, 7, 3]}}, [], "grid axis 'm1' must be [lo, hi, points]"),
+        ({"grid": {"m1": [0, 1, None], "m2": [2.5, 7, 3]}}, [], "grid axis 'm1' must be [lo, hi, points]"),
+        ({"grid": 5}, ["--grid-m1", "0", "1", "3"], "grid must map axis names"),
+        ({"Nt": None}, [], "Nt must be an integer"),
+        ({"eps_sigma": [1e-3]}, [], "eps_sigma must be a number"),
+    ])
+    def test_config_value_of_wrong_type_is_config_error(self, tmp_path, capsys, fields, flags, cause):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(SMALL_CONFIG, **fields)))
+        rc = main(["recover", "--config", str(path), *flags, "--stats", "s.json", "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert cause in capsys.readouterr().err
+
     @pytest.mark.parametrize("line, text, cause", [(0, '{"meta": []}', "meta header"), (1, "[1, 2]", "record 0")])
     def test_dataset_line_of_wrong_json_shape_is_config_error(self, tmp_path, cfg_file, gen_dir, capsys, line, text, cause):
         lines = (gen_dir / "dataset_noisy.jsonl").read_text().split("\n")

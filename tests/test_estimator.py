@@ -71,6 +71,42 @@ def _assert_same_admission(res, sv, eps_factor, nullity=3, eps_rank=1e-2, thresh
         assert res.best is None
 
 
+def _check_per_point_svd_oracle(demo_system, monkeypatch, grid):
+    # a small chunk makes the landscape cross chunk boundaries. Every grid
+    # reads its landscape off eigenvalues and a shift, so each entry must
+    # agree with a per-point assembly and SVD to 1e-10 relative, with the
+    # same ranks, admission and best point. Each admitted point, searched as
+    # a one-point grid at the same threshold, is admitted with its landscape
+    # row and a basis within 1e-12 rad of the SVD's
+    monkeypatch.setattr(estimator, "CHUNK_SIZE", 64)
+    fin = aggregate(_noisy(demo_system, 200, seed=25), 2).finalize()
+    res = grid_search(fin, grid, eps_sigma=1e-3, nullity=3, eps_mode="auto", eps_factor=5.0, input_rows=INPUT_ROWS)
+    assert int(res.admitted.sum()) > 3 * 64
+    Ms = [
+        assemble_M(fin, estimator._point_from_row(row), input_rows=INPUT_ROWS)
+        for row in res.points
+    ]
+    sv = np.array([np.linalg.svd(M, compute_uv=False) for M in Ms])
+    assert np.all(np.abs(res.singular_values - sv) <= 1e-10 * sv)
+    _assert_same_admission(res, sv, 5.0)
+    for j in np.flatnonzero(res.admitted):
+        one = grid_search(
+            fin, tuple([v] for v in res.points[j]), eps_sigma=res.threshold, nullity=3, input_rows=INPUT_ROWS
+        )
+        assert one.admitted[0]
+        cand = one.best
+        if cand.point == res.best.point:
+            assert np.array_equal(cand.nullspace.basis, res.best.nullspace.basis)
+        Vt = np.linalg.svd(Ms[j])[2]
+        assert cand.point == estimator._point_from_row(res.points[j])
+        assert np.array_equal(cand.singular_values, res.singular_values[j])
+        assert cand.sigma_min == res.singular_values[j, -1]
+        assert subspace_angle(SubspaceBasis(Vt[7:]), cand.nullspace).theta_max <= 1e-12
+        # row by row in the SVD's order, up to sign
+        assert np.all(np.abs(np.sum(cand.nullspace.basis * Vt[7:], axis=1)) >= 1.0 - 1e-12)
+    return res
+
+
 class TestMomentPoint:
     def test_identical_ties_channels(self):
         pt = MomentPoint.identical(1.0, 5.0)
@@ -305,40 +341,33 @@ class TestGridSearch:
 
     @pytest.mark.parametrize("distinct", [False, True])
     def test_matches_per_point_svd_oracle(self, demo_system, monkeypatch, distinct):
-        # a small chunk makes the landscape cross chunk boundaries. Both grids
-        # read their landscape off eigenvalues and a shift, so each entry must
-        # agree with a per-point assembly and SVD to 1e-10 relative, with the
-        # same ranks, admission and best point. Each admitted point, searched as
-        # a one-point grid at the same threshold, is admitted with its landscape
-        # row and a basis within 1e-12 rad of the SVD's
-        monkeypatch.setattr(estimator, "CHUNK_SIZE", 64)
-        fin = aggregate(_noisy(demo_system, 200, seed=25), 2).finalize()
         m1, m2 = np.linspace(0.0, 1.5, 12), np.linspace(2.5, 7.0, 12)
         grid = (m1, m2, m1[::2], m2[::2]) if distinct else (np.linspace(0.0, 1.5, 30), np.linspace(2.5, 7.0, 30))
-        res = grid_search(fin, grid, eps_sigma=1e-3, nullity=3, eps_mode="auto", eps_factor=5.0, input_rows=INPUT_ROWS)
-        assert int(res.admitted.sum()) > 3 * 64
-        Ms = [
-            assemble_M(fin, estimator._point_from_row(row), input_rows=INPUT_ROWS)
-            for row in res.points
-        ]
-        sv = np.array([np.linalg.svd(M, compute_uv=False) for M in Ms])
-        assert np.all(np.abs(res.singular_values - sv) <= 1e-10 * sv)
-        _assert_same_admission(res, sv, 5.0)
-        for j in np.flatnonzero(res.admitted):
-            one = grid_search(
-                fin, tuple([v] for v in res.points[j]), eps_sigma=res.threshold, nullity=3, input_rows=INPUT_ROWS
-            )
-            assert one.admitted[0]
-            cand = one.best
-            if cand.point == res.best.point:
-                assert np.array_equal(cand.nullspace.basis, res.best.nullspace.basis)
-            Vt = np.linalg.svd(Ms[j])[2]
-            assert cand.point == estimator._point_from_row(res.points[j])
-            assert np.array_equal(cand.singular_values, res.singular_values[j])
-            assert cand.sigma_min == res.singular_values[j, -1]
-            assert subspace_angle(SubspaceBasis(Vt[7:]), cand.nullspace).theta_max <= 1e-12
-            # row by row in the SVD's order, up to sign
-            assert np.all(np.abs(np.sum(cand.nullspace.basis * Vt[7:], axis=1)) >= 1.0 - 1e-12)
+        _check_per_point_svd_oracle(demo_system, monkeypatch, grid)
+
+    def test_uneven_split_grid_matches_per_point_svd_oracle(self, demo_system, monkeypatch):
+        # second-moment axes of different length and spacing that share some
+        # values (points with m2u == m2y) and some differences, and a
+        # one-point axis: one eigvalsh per (m1u, m2u - m2y, m1y) base
+        m1, m2 = np.linspace(0.0, 1.5, 12), np.linspace(2.5, 7.0, 12)
+        m2y = np.concatenate([m2[::2], [4.0, 5.2]])
+        grid = (m1, m2, np.array([1.0]), m2y)
+        eigvalsh = np.linalg.eigvalsh
+        assembled = []
+
+        def counted(a):
+            assembled.append(a.shape[0])
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        res = _check_per_point_svd_oracle(demo_system, monkeypatch, grid)
+        assert (res.points[:, 1] == res.points[:, 3]).any()
+        diffs = np.unique(m2[:, None] - m2y)
+        assert diffs.size < m2.size * m2y.size
+        # the full grid's chunks, then one matrix per one-point grid
+        n_one = int(res.admitted.sum())
+        assert sum(assembled[: len(assembled) - n_one]) == m1.size * diffs.size
+        assert assembled[len(assembled) - n_one :] == [1] * n_one
 
     def test_admission_rejects_more_than_nullity_below(self, demo_system):
         # the noiseless zero point has three singular values near zero: a
@@ -435,7 +464,9 @@ class TestSpectralShift:
         spec = NoiseSpec(family, m1, m1 * m1 + var)
         spec_y = NoiseSpec(family, m1y, m1y * m1y + var_y)
         m2_axis = np.linspace(m1 * m1 + 0.5 * var, m1 * m1 + 1.5 * var, 6)
-        m2y_axis = np.linspace(m1y * m1y + 0.5 * var_y, m1y * m1y + 1.5 * var_y, 2)
+        # uneven, with one value of the m2u axis: the split grid's two m2
+        # axes differ in spacing and share some points with m2u == m2y
+        m2y_axis = np.array([m1y * m1y + 0.5 * var_y, m2_axis[2], m1y * m1y + 0.8 * var_y, m1y * m1y + 1.5 * var_y])
         noiseless = aggregate(clean, L).finalize()
         # (stats, grid, noiseless): tied and split channel moments; on
         # noiseless data the zero point is an exact crossing of nullity
@@ -493,8 +524,9 @@ class TestWriters:
     @pytest.mark.parametrize("distinct", [False, True])
     def test_landscape_csv_matches_per_row_writer(self, tmp_path, demo_system, monkeypatch, distinct):
         fin = aggregate(_noisy(demo_system, 50, seed=27), 2).finalize()
-        m1, m2 = np.array([-0.0, 0.25, 1.0, 1.3]), np.linspace(2.5, 7.0, 5)
-        grid = (m1, m2, m1[1:], m2[:2]) if distinct else (m1, m2)
+        # uneven axes, and a one-point axis on the split grid
+        m1, m2 = np.array([-0.0, 0.25, 1.0, 1.3]), np.array([2.5, 3.0, 4.75, 5.2, 7.0])
+        grid = (m1, m2, m1[2:3], np.linspace(2.5, 7.0, 5)) if distinct else (m1, m2)
         res = grid_search(fin, grid, eps_sigma=1e-3, nullity=3, eps_mode="auto", eps_factor=5.0, input_rows=INPUT_ROWS)
         assert 0 < res.admitted.sum() < res.points.shape[0]
         # 7 does not divide the row count, so the last block is partial
