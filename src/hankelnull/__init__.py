@@ -21,6 +21,7 @@ from .estimator import (
 from .hankel import hankel, pe_order_check, row_index, stacked_hankel
 from .lti_sim import (
     NOISE_FAMILIES,
+    X0_POLICIES,
     Dataset,
     Experiment,
     NoiseSpec,
@@ -60,6 +61,7 @@ __all__ = [
     "SubspaceBasis",
     "SubspaceError",
     "SufficientStats",
+    "X0_POLICIES",
     "add_noise",
     "aggregate",
     "assemble_M",

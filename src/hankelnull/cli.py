@@ -27,6 +27,7 @@ from .estimator import (
 )
 from .lti_sim import (
     NOISE_FAMILIES,
+    X0_POLICIES,
     NoiseSpec,
     StateSpace,
     add_noise,
@@ -56,21 +57,28 @@ __all__ = [
     "cmd_sweep",
 ]
 
+# The scalar config fields: name -> (kind, default, flag help). A kind is
+# int, float or the tuple of allowed strings. Parsing, checks, the manifest
+# echo and the --flags all read this table.
+_SCALARS = {
+    "Nt": (int, 100, "number of experiments"),
+    "N": (int, 30, "samples per experiment"),
+    "L": (int, 2, "Hankel window depth"),
+    "seed": (int, 0, "root seed"),
+    "eps_sigma": (float, 1e-3, "admission threshold (abs mode)"),
+    "eps_mode": (EPS_MODES, "abs", "admission threshold mode"),
+    "eps_factor": (float, 2.0, "multiplier on the grid noise floor (auto mode)"),
+    "eps_rank": (float, 1e-2, "relative cutoff for numerical rank"),
+    "x0_policy": (X0_POLICIES, "random-bounded", "initial state policy"),
+    "x0_halfwidth": (float, 1.0, "hypercube half-width for random initial states"),
+}
+
 # Every field a config may leave out. The grid's axis names choose the
 # moment mode: AXIS_NAMES[2] ties the channels, AXIS_NAMES[4] splits them.
 _DEFAULTS = {
-    "Nt": 100,
-    "N": 30,
-    "L": 2,
     "noise": {"family": "gaussian", "m1": 0.0, "m2": 1.0},
     "grid": {"m1": [0.0, 1.5, 100], "m2": [2.5, 7.0, 100]},
-    "eps_sigma": 1e-3,
-    "eps_mode": "abs",
-    "eps_factor": 2.0,
-    "eps_rank": 1e-2,
-    "seed": 0,
-    "x0_policy": "random-bounded",
-    "x0_halfwidth": 1.0,
+    **{name: default for name, (_, default, _) in _SCALARS.items()},
 }
 
 # Third-order demo plant with two inputs and full state output. With L=2 the
@@ -119,22 +127,21 @@ class ExperimentConfig:
             raise ValueError("Nt, N and L must all be positive")
         if self.N < self.L:
             raise ValueError(f"N={self.N} is shorter than the window depth L={self.L}")
-        if self.eps_mode not in EPS_MODES:
-            raise ValueError(f"eps_mode must be one of {EPS_MODES}, got {self.eps_mode!r}")
+        for name, (kind, _, _) in _SCALARS.items():
+            value = getattr(self, name)
+            if isinstance(kind, tuple) and value not in kind:
+                raise ValueError(f"{name} must be one of {kind}, got {value!r}")
+            if kind is float and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         for name, (lo, hi, points) in self.grid.items():
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise ValueError(f"grid axis {name!r} needs finite bounds, got [{lo}, {hi}]")
             if not lo < hi:
-                raise ValueError(f"grid axis needs lo < hi, got [{lo}, {hi}]")
+                raise ValueError(f"grid axis {name!r} needs lo < hi, got [{lo}, {hi}]")
             if points < 1:
-                raise ValueError(f"grid axis needs at least one point, got {points}")
-        for name in ("eps_sigma", "eps_factor", "eps_rank", "x0_halfwidth"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+                raise ValueError(f"grid axis {name!r} needs at least one point, got {points}")
         if self.eps_sigma <= 0 or self.eps_factor <= 0 or self.eps_rank <= 0:
             raise ValueError("eps_sigma, eps_factor and eps_rank must be positive")
-        if self.x0_policy not in ("zero", "random-bounded"):
-            raise ValueError(f"unknown x0 policy {self.x0_policy!r}")
 
     @property
     def d(self) -> int:
@@ -197,29 +204,20 @@ def config_from_dict(obj: dict) -> ExperimentConfig:
     grid = {}
     for name in names:
         axis = grid_spec[name]
-        bad = f"grid axis {name!r} must be [lo, hi, points], got {axis!r}"
+        bad = f"grid axis {name!r} must be [lo, hi, points] with an integer count of points, got {axis!r}"
         if not (isinstance(axis, (list, tuple)) and len(axis) == 3):
             raise ValueError(bad)
         try:
-            grid[name] = (float(axis[0]), float(axis[1]), int(axis[2]))
+            grid[name] = (float(axis[0]), float(axis[1]), _parse("points", int, axis[2]))
         except (TypeError, ValueError, OverflowError):
             raise ValueError(bad) from None
 
     return ExperimentConfig(
         system=system,
-        Nt=_number(obj, "Nt", int),
-        N=_number(obj, "N", int),
-        L=_number(obj, "L", int),
         noise_u=noise_u,
         noise_y=noise_y,
         grid=grid,
-        eps_sigma=_number(obj, "eps_sigma", float),
-        eps_mode=str(obj["eps_mode"]),
-        eps_factor=_number(obj, "eps_factor", float),
-        eps_rank=_number(obj, "eps_rank", float),
-        seed=_number(obj, "seed", int),
-        x0_policy=str(obj["x0_policy"]),
-        x0_halfwidth=_number(obj, "x0_halfwidth", float),
+        **{name: _parse(name, kind, obj[name]) for name, (kind, _, _) in _SCALARS.items()},
     )
 
 
@@ -231,36 +229,34 @@ def _noise_spec(spec, field: str) -> NoiseSpec:
     return NoiseSpec(family, m1, m2)
 
 
-def _number(obj: dict, name: str, kind):
+def _parse(name: str, kind, value):
+    """A scalar value as its kind. A number is not a bool, and an int is integral.
+
+    A string kind is left to ExperimentConfig to check against its choices.
+    """
+    if isinstance(kind, tuple):
+        return str(value)
+    bad = f"{name} must be {'an integer' if kind is int else 'a number'}, got {value!r}"
+    if isinstance(value, bool):
+        raise ValueError(bad)
     try:
-        return kind(obj[name])
+        number = kind(value)
     except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{name} must be {'an integer' if kind is int else 'a number'}, got {obj[name]!r}") from None
+        raise ValueError(bad) from None
+    if kind is int and isinstance(value, float) and number != value:
+        raise ValueError(bad)  # int() truncated a non-integral float
+    return number
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     return {
-        "system": {
-            "A": cfg.system.A.tolist(),
-            "B": cfg.system.B.tolist(),
-            "C": cfg.system.C.tolist(),
-            "D": cfg.system.D.tolist(),
-        },
-        "Nt": cfg.Nt,
-        "N": cfg.N,
-        "L": cfg.L,
+        "system": {k: getattr(cfg.system, k).tolist() for k in "ABCD"},
+        **{name: getattr(cfg, name) for name in _SCALARS},
         "noise": {
             "u": {"family": cfg.noise_u.family, "m1": cfg.noise_u.m1, "m2": cfg.noise_u.m2},
             "y": {"family": cfg.noise_y.family, "m1": cfg.noise_y.m1, "m2": cfg.noise_y.m2},
         },
         "grid": {name: list(axis) for name, axis in cfg.grid.items()},
-        "eps_sigma": cfg.eps_sigma,
-        "eps_mode": cfg.eps_mode,
-        "eps_factor": cfg.eps_factor,
-        "eps_rank": cfg.eps_rank,
-        "seed": cfg.seed,
-        "x0_policy": cfg.x0_policy,
-        "x0_halfwidth": cfg.x0_halfwidth,
     }
 
 
@@ -274,45 +270,24 @@ def _load_config_file(path) -> dict:
     return obj
 
 
+def _flags(args, prefix: str, keys) -> dict:
+    """The given --prefix-key flags, by key, that the command line set."""
+    values = {key: getattr(args, prefix + key, None) for key in keys}
+    return {key: v for key, v in values.items() if v is not None}
+
+
 def _apply_flag_overrides(obj: dict, args) -> None:
-    for key in (
-        "Nt", "N", "L", "seed",
-        "eps_sigma", "eps_mode", "eps_factor", "eps_rank",
-        "x0_policy", "x0_halfwidth",
-    ):
-        v = getattr(args, key, None)
-        if v is not None:
-            obj[key] = v
+    obj.update(_flags(args, "", _SCALARS))
     # a noise or grid value that is not an object is left for config_from_dict to reject
-    base = obj.get("noise", _DEFAULTS["noise"])
-    if isinstance(base, dict) and any(
-        v is not None for v in (args.noise_family, args.noise_m1, args.noise_m2)
-    ):
-
-        def upd(spec):
-            if not isinstance(spec, dict):
-                return spec
-            new = dict(spec)
-            if args.noise_family is not None:
-                new["family"] = args.noise_family
-            if args.noise_m1 is not None:
-                new["m1"] = args.noise_m1
-            if args.noise_m2 is not None:
-                new["m2"] = args.noise_m2
-            return new
-
-        if "u" in base and "y" in base:
-            obj["noise"] = {"u": upd(base["u"]), "y": upd(base["y"])}
+    noise, flags = obj.get("noise", _DEFAULTS["noise"]), _flags(args, "noise_", ("family", "m1", "m2"))
+    if isinstance(noise, dict) and flags:
+        if "u" in noise and "y" in noise:
+            obj["noise"] = {ch: {**noise[ch], **flags} if isinstance(noise[ch], dict) else noise[ch] for ch in "uy"}
         else:
-            obj["noise"] = upd(base)
-    grid_flags = {"m1": args.grid_m1, "m2": args.grid_m2}
-    grid = obj.get("grid", _DEFAULTS["grid"])
-    if isinstance(grid, dict) and any(v is not None for v in grid_flags.values()):
-        grid = dict(grid)
-        for name, v in grid_flags.items():
-            if v is not None:
-                grid[name] = [v[0], v[1], int(v[2])]
-        obj["grid"] = grid
+            obj["noise"] = {**noise, **flags}
+    grid, flags = obj.get("grid", _DEFAULTS["grid"]), _flags(args, "grid_", AXIS_NAMES[2])
+    if isinstance(grid, dict) and flags:
+        obj["grid"] = {**grid, **flags}  # config_from_dict parses POINTS like a config's
 
 
 def resolve_config(args) -> ExperimentConfig:
@@ -542,17 +517,13 @@ def _int_list(text: str) -> list:
 def _add_config_flags(sp) -> None:
     sp.add_argument("--config", help="JSON config file; a run manifest also works")
     sp.add_argument("--preset", choices=sorted(PRESETS), help="start from a built-in configuration")
-    sp.add_argument("--Nt", type=int, help="number of experiments")
-    sp.add_argument("--N", type=int, help="samples per experiment")
-    sp.add_argument("--L", type=int, help="Hankel window depth")
-    sp.add_argument("--seed", type=int, help="root seed")
+    for name, (kind, _, help_text) in _SCALARS.items():
+        flag = "--" + name.replace("_", "-")
+        if isinstance(kind, tuple):
+            sp.add_argument(flag, choices=kind, help=help_text)
+        else:
+            sp.add_argument(flag, type=kind, help=help_text)
     sp.add_argument("--workers", type=int, help="ignored; kept so older command lines still parse")
-    sp.add_argument("--eps-sigma", type=float, help="admission threshold (abs mode)")
-    sp.add_argument("--eps-mode", choices=EPS_MODES, help="admission threshold mode")
-    sp.add_argument("--eps-factor", type=float, help="multiplier on the grid noise floor (auto mode)")
-    sp.add_argument("--eps-rank", type=float, help="relative cutoff for numerical rank")
-    sp.add_argument("--x0-policy", choices=("zero", "random-bounded"), help="initial state policy")
-    sp.add_argument("--x0-halfwidth", type=float, help="hypercube half-width for random initial states")
     sp.add_argument("--noise-family", choices=NOISE_FAMILIES, help="noise family for both channels")
     sp.add_argument("--noise-m1", type=float, help="first raw noise moment for both channels")
     sp.add_argument("--noise-m2", type=float, help="second raw noise moment for both channels")

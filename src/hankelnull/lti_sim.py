@@ -26,6 +26,7 @@ __all__ = [
     "Dataset",
     "NoiseSpec",
     "NOISE_FAMILIES",
+    "X0_POLICIES",
     "simulate",
     "generate_pe_input",
     "add_noise",
@@ -36,6 +37,7 @@ __all__ = [
 ]
 
 NOISE_FAMILIES = ("gaussian", "uniform", "shifted-exponential")
+X0_POLICIES = ("zero", "random-bounded")
 
 BLOCK_SIZE = 512  # records per block in the excitation check, the writer and aggregation
 MAX_TRIES = 10  # input draws per record before the excitation check gives up
@@ -267,7 +269,7 @@ def generate_dataset(
     """
     if Nt < 1:
         raise ValueError("Nt must be >= 1")
-    if x0_policy not in ("zero", "random-bounded"):
+    if x0_policy not in X0_POLICIES:
         raise ValueError(f"unknown x0 policy {x0_policy!r}")
     order = L + ss.n
     if N < (ss.m + 1) * order - 1:

@@ -96,11 +96,11 @@ def aggregate(ds, L: int, block_size: int = BLOCK_SIZE) -> SufficientStats:
     parts = []
     for a in range(0, ds.Nt, block_size):
         Hs = stacked_hankel(ds[a : a + block_size], L)  # (B, d, Nc)
-        P = Hs @ Hs.transpose(0, 2, 1)
-        parts.append((_tree_sum((P + P.transpose(0, 2, 1)) / 2.0), _tree_sum(Hs.sum(axis=2))))
+        parts.append((_tree_sum(Hs @ Hs.transpose(0, 2, 1)), _tree_sum(Hs.sum(axis=2))))
     d, Nc = Hs.shape[1:]
     out = SufficientStats(d, Nc)
-    out.G = _tree_sum(np.stack([G for G, _ in parts]))
+    G = _tree_sum(np.stack([g for g, _ in parts]))
+    out.G = (G + G.T) / 2.0  # batched gemm output need not be exactly symmetric; G must be
     out.rowsum = _tree_sum(np.stack([r for _, r in parts]))
     out.count = ds.Nt
     return out

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from hankelnull import load_dataset
-from hankelnull.cli import main
+from hankelnull.cli import _SCALARS, config_from_dict, config_to_dict, main
 
 DEMO_SYSTEM = {
     "A": [[0.8, -0.1, 0.0], [0.1, 0.7, 0.1], [0.0, -0.2, 0.6]],
@@ -228,6 +229,12 @@ class TestAggregateAndRecover:
         ({"grid": 5}, ["--grid-m1", "0", "1", "3"], "grid must map axis names"),
         ({"Nt": None}, [], "Nt must be an integer"),
         ({"eps_sigma": [1e-3]}, [], "eps_sigma must be a number"),
+        ({"Nt": 99.9}, [], "Nt must be an integer, got 99.9"),
+        ({"seed": True}, [], "seed must be an integer, got True"),
+        ({"grid": {"m1": [0, 1.5, 2.5], "m2": [2.5, 7, 3]}}, [], "grid axis 'm1' must be [lo, hi, points] with an integer"),
+        ({}, ["--grid-m1", "0", "1", "2.5"], "grid axis 'm1' must be [lo, hi, points] with an integer"),
+        ({"grid": {"m1": [1, 0, 3], "m2": [2.5, 7, 3]}}, [], "grid axis 'm1' needs lo < hi"),
+        ({"grid": {"m1": [0, 1, 0], "m2": [2.5, 7, 3]}}, [], "grid axis 'm1' needs at least one point"),
     ])
     def test_config_value_of_wrong_type_is_config_error(self, tmp_path, capsys, fields, flags, cause):
         path = tmp_path / "config.json"
@@ -395,6 +402,60 @@ class TestMomentAxes:
         assert rc == 3
         assert f"moment_mode {mode!r} disagrees" in capsys.readouterr().err
         assert not (out / "landscape.csv").exists()
+
+
+# per scalar config field, a flag and a value unlike SMALL_CONFIG's
+SCALAR_FLAGS = {
+    "Nt": ("--Nt", "9"),
+    "N": ("--N", "26"),
+    "L": ("--L", "3"),
+    "seed": ("--seed", "8"),
+    "eps_sigma": ("--eps-sigma", "1e-07"),
+    "eps_mode": ("--eps-mode", "auto"),
+    "eps_factor": ("--eps-factor", "3.5"),
+    "eps_rank": ("--eps-rank", "0.02"),
+    "x0_policy": ("--x0-policy", "zero"),
+    "x0_halfwidth": ("--x0-halfwidth", "0.5"),
+}
+
+SPLIT_NOISE = {"u": SMALL_CONFIG["noise"], "y": {"family": "gaussian", "m1": 0.5, "m2": 0.25}}
+
+
+class TestConfigFields:
+    @pytest.mark.parametrize("name", list(_SCALARS))
+    def test_flag_overrides_config_and_manifest_echoes_it(self, tmp_path, cfg_file, capsys, name):
+        kind = _SCALARS[name][0]
+        flag, text = SCALAR_FLAGS[name]
+        value = text if isinstance(kind, tuple) else kind(text)
+        base = config_to_dict(config_from_dict(SMALL_CONFIG))
+        assert base[name] != value
+        assert main(["generate", "--config", cfg_file, flag, text, "--out", str(tmp_path)]) == 0
+        echoed = json.loads((tmp_path / "manifest.json").read_text())["config"]
+        assert echoed == {**base, name: value}
+        assert type(echoed[name]) is type(value)
+
+    @pytest.mark.parametrize("noise", [SMALL_CONFIG["noise"], SPLIT_NOISE])
+    def test_noise_flags_override_every_channel(self, tmp_path, capsys, noise):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(SMALL_CONFIG, noise=noise)))
+        out = tmp_path / "gen"
+        assert main(["generate", "--config", str(path), "--noise-family", "uniform", "--noise-m2", "0.5", "--out", str(out)]) == 0
+        echoed = json.loads((out / "manifest.json").read_text())["config"]["noise"]
+        m1_y = noise.get("y", noise)["m1"]
+        assert echoed == {"u": {"family": "uniform", "m1": 0.0, "m2": 0.5}, "y": {"family": "uniform", "m1": m1_y, "m2": 0.5}}
+
+    @pytest.mark.parametrize("fields", [{}, {"grid": DISTINCT_GRID, "noise": SPLIT_NOISE}])
+    def test_dict_round_trip(self, fields):
+        cfg = config_from_dict(dict(SMALL_CONFIG, **fields))
+        back = config_from_dict(config_to_dict(cfg))
+        assert all(np.array_equal(getattr(back.system, k), getattr(cfg.system, k)) for k in "ABCD")
+        assert dataclasses.replace(back, system=cfg.system) == cfg
+        assert [type(getattr(back, name)) for name in _SCALARS] == [type(getattr(cfg, name)) for name in _SCALARS]
+
+    def test_integral_json_numbers_are_integers(self):
+        cfg = config_from_dict(dict(SMALL_CONFIG, Nt=1e4, grid={"m1": [-0.5, 0.5, 3.0], "m2": [0.0, 1.0, 2]}))
+        assert cfg.Nt == 10000 and type(cfg.Nt) is int
+        assert cfg.grid["m1"] == (-0.5, 0.5, 3) and type(cfg.grid["m1"][2]) is int
 
 
 class TestValidate:
