@@ -30,6 +30,9 @@ from .lti_sim import (
     X0_POLICIES,
     NoiseSpec,
     StateSpace,
+    _concurrently,
+    _load_parts,
+    _processes,
     add_noise,
     generate_dataset,
     load_dataset,
@@ -208,7 +211,7 @@ def config_from_dict(obj: dict) -> ExperimentConfig:
         if not (isinstance(axis, (list, tuple)) and len(axis) == 3):
             raise ValueError(bad)
         try:
-            grid[name] = (float(axis[0]), float(axis[1]), _parse("points", int, axis[2]))
+            grid[name] = (_parse(name, float, axis[0]), _parse(name, float, axis[1]), _parse("points", int, axis[2]))
         except (TypeError, ValueError, OverflowError):
             raise ValueError(bad) from None
 
@@ -223,7 +226,7 @@ def config_from_dict(obj: dict) -> ExperimentConfig:
 
 def _noise_spec(spec, field: str) -> NoiseSpec:
     try:
-        family, m1, m2 = spec["family"], float(spec["m1"]), float(spec["m2"])
+        family, m1, m2 = spec["family"], _parse(field, float, spec["m1"]), _parse(field, float, spec["m2"])
     except (TypeError, KeyError, ValueError, OverflowError):
         raise ValueError(f"{field} must be an object with a family and numbers m1, m2, got {spec!r}") from None
     return NoiseSpec(family, m1, m2)
@@ -329,13 +332,17 @@ def cmd_generate(cfg: ExperimentConfig, out_dir) -> int:
     )
     noisy = add_noise(clean, cfg.noise_u, cfg.noise_y, rng)
     t1 = time.perf_counter()
-    save_dataset(clean, out / "dataset_noiseless.jsonl")
-    save_dataset(noisy, out / "dataset_noisy.jsonl")
+    # with a second CPU, a forked child writes the noiseless file meanwhile
+    _concurrently([
+        lambda: save_dataset(noisy, out / "dataset_noisy.jsonl"),
+        lambda: save_dataset(clean, out / "dataset_noiseless.jsonl"),
+    ])
     t2 = time.perf_counter()
     _write_manifest(
         out / "manifest.json", "generate", cfg,
         {"generate_s": t1 - t0, "write_s": t2 - t1},
         {"noiseless": "dataset_noiseless.jsonl", "noisy": "dataset_noisy.jsonl"},
+        io_processes=_processes(2),
     )
     print(f"generated {cfg.Nt} experiments of length {cfg.N} into {out}")
     return 0
@@ -353,6 +360,7 @@ def cmd_aggregate(cfg: ExperimentConfig, dataset_path, out_dir) -> int:
         out / "manifest.json", "aggregate", cfg,
         {"load_s": t1 - t0, "aggregate_s": t2 - t1},
         {"stats": "stats.json"},
+        io_processes=_load_parts(ds.Nt),
     )
     print(f"aggregated {st.count} experiments into {out / 'stats.json'}")
     return 0
@@ -401,7 +409,7 @@ def cmd_recover(cfg: ExperimentConfig, dataset_path, stats_path, out_dir) -> int
     if (dataset_path is None) == (stats_path is None):
         raise ValueError("give exactly one of --dataset or --stats")
     out = _outdir(out_dir)
-    outputs = {"landscape": "landscape.csv"}
+    outputs, extra = {"landscape": "landscape.csv"}, {}
     t0 = time.perf_counter()
     if stats_path is not None:
         st = load_stats(stats_path)
@@ -413,6 +421,7 @@ def cmd_recover(cfg: ExperimentConfig, dataset_path, stats_path, out_dir) -> int
         t1 = time.perf_counter()
         st = aggregate(ds, cfg.L)
         timings = {"load_s": t1 - t0, "aggregate_s": time.perf_counter() - t1}
+        extra["io_processes"] = _load_parts(ds.Nt)
     fin = st.finalize()
     t0 = time.perf_counter()
     res = grid_search(
@@ -432,7 +441,7 @@ def cmd_recover(cfg: ExperimentConfig, dataset_path, stats_path, out_dir) -> int
         write_candidate_json(res.best, out / "candidate.json")
     timings["write_s"] = time.perf_counter() - t1
     diag = _diagnostics(res)
-    _write_manifest(out / "manifest.json", "recover", cfg, timings, outputs, diagnostics=diag)
+    _write_manifest(out / "manifest.json", "recover", cfg, timings, outputs, diagnostics=diag, **extra)
     if res.best is None:
         print(f"no admitted candidate over {res.points.shape[0]} grid points; landscape written to {out}")
         print(

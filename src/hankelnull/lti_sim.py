@@ -9,11 +9,16 @@ streams were spawned before it, that is on the ensemble size: the first k
 records of a noisy ensemble are not the noisy k-record ensemble.
 Everything else runs as array code over the whole ensemble, or over blocks
 of BLOCK_SIZE records where a per-record temporary would otherwise grow
-with the ensemble.
+with the ensemble. Dataset text I/O, which is bound by float formatting
+and parsing, runs in forked processes on a machine with more than one CPU
+(see _concurrently).
 """
 
+import functools
 import json
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -335,9 +340,14 @@ _decode_record = json.JSONDecoder(parse_int=float).decode
 
 
 def load_dataset(path) -> Dataset:
-    """Read a dataset written by save_dataset into arrays sized from its meta header."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
+    """Read a dataset written by save_dataset into arrays sized from its meta header.
+
+    The records are cut at line starts into _load_parts(Nt) byte ranges that
+    are parsed at once (see _concurrently), each record with the same checks;
+    an error names the record by its index in the whole file.
+    """
+    with open(path, "rb") as fh:
+        header = json.loads(fh.readline().decode("utf-8"))
         meta = header.get("meta") if isinstance(header, dict) else None
         try:
             Nt, N, m, p = (int(meta[k]) for k in ("Nt", "N", "m", "p"))
@@ -345,14 +355,72 @@ def load_dataset(path) -> Dataset:
             raise ValueError(f"{path}: first line needs a meta header object with integer Nt, N, m and p") from None
         if min(Nt, N, m, p) < 1:
             raise ValueError(f"{path}: meta header needs positive Nt, N, m and p, got {meta}")
-        U, Y = np.empty((Nt, N, m)), np.empty((Nt, N, p))
-        i = 0
+        ranges = _record_ranges(fh, _load_parts(Nt))
+    U, Y = np.empty((Nt, N, m)), np.empty((Nt, N, p))
+    ends = [first for _, _, first in ranges[1:]] + [Nt]
+    i = _concurrently(
+        [functools.partial(_parse_records, path, a, b, first, U, Y) for a, b, first in ranges],
+        [(_flat(U[first:end]), _flat(Y[first:end])) for (_, _, first), end in zip(ranges, ends)],
+    )[-1]
+    if i != Nt:
+        raise ValueError(f"{path}: {i} experiment lines disagree with the meta header's Nt={Nt}")
+    try:
+        return Dataset(U, Y)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
+
+
+def _load_parts(Nt: int) -> int:
+    """Byte ranges load_dataset parses at once: one per CPU, each of at least BLOCK_SIZE records."""
+    return max(1, min(_cpus(), Nt // BLOCK_SIZE))
+
+
+def _record_ranges(fh, parts: int) -> list:
+    """Cut the rest of an open dataset file into `parts` byte ranges of about
+    equal size, each starting at a line start.
+
+    Returns (start, end, first) per range, where first is the index of the
+    range's first record; the lines before the last cut are read once to
+    count them.
+    """
+    start = pos = fh.tell()
+    size = os.fstat(fh.fileno()).st_size
+    cuts, firsts, records = [start], [0], 0
+    for k in range(1, parts):
+        target = start + (size - start) * k // parts
+        while pos < target:
+            line = fh.readline()
+            if not line:
+                break
+            pos += len(line)
+            # blank as _parse_records sees it; bytes that are not UTF-8 are no whitespace
+            records += bool(line.decode("utf-8", "replace").strip())
+        cuts.append(pos)
+        firsts.append(records)
+    return list(zip(cuts, cuts[1:] + [size], firsts))
+
+
+def _parse_records(path, start: int, end: int, i: int, U: np.ndarray, Y: np.ndarray) -> int:
+    """Parse the dataset lines in bytes [start, end) of path into U[i:] and Y[i:].
+
+    i is the index of the first record in the range; blank lines are
+    skipped. Returns the index after the last record parsed.
+    """
+    Nt, N, m = U.shape
+    p = Y.shape[2]
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        pos = start
         for line in fh:
-            if not line.strip():
+            if pos >= end:
+                break
+            pos += len(line)
+            text = line.decode("utf-8")
+            if not text.strip():
                 continue
             if i == Nt:
                 raise ValueError(f"{path}: more experiment lines than the meta header's Nt={Nt}")
-            obj = _decode_record(line)
+            obj = _decode_record(text)
             try:
                 e = Experiment(obj["u"], obj["y"])
             except (KeyError, TypeError):
@@ -363,9 +431,102 @@ def load_dataset(path) -> Dataset:
                 raise ValueError(f"{path}: record {i} has u {e.u.shape} and y {e.y.shape}, meta header says ({N}, {m}) and ({N}, {p})")
             U[i], Y[i] = e.u, e.y
             i += 1
-    if i != Nt:
-        raise ValueError(f"{path}: {i} experiment lines disagree with the meta header's Nt={Nt}")
+    return i
+
+
+def _flat(a: np.ndarray) -> memoryview:
+    """The bytes of a C-contiguous array, as a writable flat buffer."""
+    return memoryview(a).cast("B")
+
+
+def _cpus() -> int:
+    """CPUs this process may run on, or 1 where _concurrently cannot fork.
+
+    It cannot off Linux, nor inside a daemonic multiprocessing worker (a
+    Pool's, say), which may not start children.
+    """
+    mp = sys.modules.get("multiprocessing")
+    if sys.platform != "linux" or (mp is not None and mp.current_process().daemon):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _processes(calls: int) -> int:
+    """How many processes _concurrently runs this many calls in."""
+    return calls if _cpus() > 1 else 1
+
+
+def _concurrently(calls, buffers=None) -> list:
+    """Run zero-argument calls at once; return their results in call order.
+
+    The first call runs in this process. Where _cpus() is more than one,
+    each other call runs in a child process started with fork, which sends
+    back its return value or its exception over a pipe. The first failure
+    in call order is raised here, and every child has ended when this
+    returns. buffers[k], if given, holds writable flat buffers that call k
+    fills in place: a child sends them as raw bytes, received straight into
+    the caller's buffers with Connection.recv_bytes_into, so no pickled copy
+    is made. On one CPU the calls run in order in this process.
+
+    fork, not spawn or forkserver: the child starts with the caller's data
+    and imports nothing, so a caller script needs no `if __name__ ==
+    "__main__":` guard. Python 3.12 and later warn when a multi-threaded
+    process forks, because a lock held by another thread stays locked in
+    the child. The calls made here only format or parse text: they call no
+    BLAS and take no lock that another thread could hold.
+    """
+    buffers = buffers or [()] * len(calls)
+    if _processes(len(calls)) == 1:
+        return [call() for call in calls]
+    import multiprocessing  # here, so that importing hankelnull does not load it
+
+    ctx = multiprocessing.get_context("fork")
+    children = []
     try:
-        return Dataset(U, Y)
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from None
+        for call, bufs in zip(calls[1:], buffers[1:]):
+            recv, send = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_child, args=(call, bufs, send), daemon=True)
+            child.start()
+            send.close()
+            children.append((child, recv))
+        results = [calls[0]()]
+        for (child, recv), bufs in zip(children, buffers[1:]):
+            results.append(_receive(child, recv, bufs))
+        return results
+    except BaseException:
+        for child, _ in children:
+            child.terminate()  # a later failure, or a result no longer wanted
+        raise
+    finally:
+        for child, recv in children:
+            child.join()
+            recv.close()
+
+
+def _child(call, bufs, send) -> None:
+    """The body of a child of _concurrently: run the call and send back what it gave."""
+    try:
+        value = call()
+    except BaseException as err:
+        try:
+            send.send((False, err))
+        except Exception:  # the exception does not pickle
+            send.send((False, RuntimeError(f"{type(err).__name__}: {err}")))
+        return
+    send.send((True, value))
+    for buf in bufs:
+        send.send_bytes(buf)
+
+
+def _receive(child, recv, bufs):
+    """A child's return value, its buffers received in place, or its exception raised."""
+    try:
+        ok, value = recv.recv()
+    except EOFError:
+        child.join()
+        raise RuntimeError(f"a forked I/O process exited with code {child.exitcode} before sending its result") from None
+    if not ok:
+        raise value
+    for buf in bufs:
+        recv.recv_bytes_into(buf)
+    return value

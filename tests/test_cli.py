@@ -1,12 +1,13 @@
 import dataclasses
 import json
+import multiprocessing
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from hankelnull import load_dataset
+from hankelnull import load_dataset, lti_sim
 from hankelnull.cli import _SCALARS, config_from_dict, config_to_dict, main
 
 DEMO_SYSTEM = {
@@ -31,6 +32,11 @@ SMALL_CONFIG = {
 }
 
 
+# dataset I/O runs in forked processes on Linux only; the tests that force a
+# CPU count above 1 need that
+FORKS = pytest.mark.skipif(sys.platform != "linux", reason="dataset I/O forks on Linux only")
+
+
 @pytest.fixture(scope="module")
 def cfg_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("cfg") / "config.json"
@@ -42,6 +48,14 @@ def cfg_file(tmp_path_factory):
 def gen_dir(tmp_path_factory, cfg_file):
     out = tmp_path_factory.mktemp("gen")
     assert main(["generate", "--config", cfg_file, "--out", str(out)]) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def big_gen_dir(tmp_path_factory, cfg_file):
+    """1,600 records: enough for load_dataset to split them at 3 CPUs."""
+    out = tmp_path_factory.mktemp("big")
+    assert main(["generate", "--config", cfg_file, "--Nt", "1600", "--out", str(out)]) == 0
     return out
 
 
@@ -104,6 +118,25 @@ class TestGenerate:
         assert main(["generate", "--config", cfg_file, "--workers", "3", "--out", str(b)]) == 0
         for name in ("dataset_noiseless.jsonl", "dataset_noisy.jsonl"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    @pytest.mark.parametrize("cpus", [1, pytest.param(2, marks=FORKS)])
+    def test_manifest_records_io_processes(self, tmp_path, cfg_file, gen_dir, monkeypatch, capsys, cpus):
+        monkeypatch.setattr(lti_sim, "_cpus", lambda: cpus)
+        out = tmp_path / "o"
+        assert main(["generate", "--config", cfg_file, "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["io_processes"] == cpus
+        for name in ("dataset_noiseless.jsonl", "dataset_noisy.jsonl"):
+            assert (out / name).read_bytes() == (gen_dir / name).read_bytes()
+
+    @FORKS
+    def test_failing_child_writer_is_io_error(self, tmp_path, cfg_file, monkeypatch, capsys):
+        monkeypatch.setattr(lti_sim, "_cpus", lambda: 2)
+        out = tmp_path / "o"
+        (out / "dataset_noiseless.jsonl").mkdir(parents=True)  # the child cannot open it
+        assert main(["generate", "--config", cfg_file, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "Is a directory" in err and "dataset_noiseless.jsonl" in err
+        assert multiprocessing.active_children() == []
 
 
 class TestAggregateAndRecover:
@@ -223,6 +256,10 @@ class TestAggregateAndRecover:
         ({"noise": {"u": 5, "y": SMALL_CONFIG["noise"]}}, ["--noise-m1", "1"], "noise.u must be an object"),
         ({"noise": {"u": SMALL_CONFIG["noise"]}}, ["--noise-m1", "1"], "needs both 'u' and 'y'"),
         ({"noise": {"family": "gaussian", "m1": None, "m2": 1.0}}, [], "noise must be an object"),
+        ({"noise": {"family": "gaussian", "m1": True, "m2": True}}, [], "noise must be an object with a family and numbers m1, m2, got {'family': 'gaussian', 'm1': True"),
+        ({"noise": {"u": {"family": "gaussian", "m1": 0.0, "m2": False}, "y": SMALL_CONFIG["noise"]}}, [], "noise.u must be an object with a family and numbers m1, m2"),
+        ({"grid": {"m1": [False, True, 3], "m2": [2.5, 7, 3]}}, [], "grid axis 'm1' must be [lo, hi, points] with an integer count of points, got [False, True, 3]"),
+        ({"grid": {"m1": [-0.5, 0.5, 3], "m2": [0, True, 3]}}, [], "grid axis 'm2' must be [lo, hi, points] with an integer count of points, got [0, True, 3]"),
         ({"grid": {"m1": 5, "m2": [2.5, 7, 3]}}, [], "grid axis 'm1' must be [lo, hi, points]"),
         ({"grid": {"m1": [0, 1], "m2": [2.5, 7, 3]}}, [], "grid axis 'm1' must be [lo, hi, points]"),
         ({"grid": {"m1": [0, 1, None], "m2": [2.5, 7, 3]}}, [], "grid axis 'm1' must be [lo, hi, points]"),
@@ -253,6 +290,30 @@ class TestAggregateAndRecover:
         assert rc == 3
         err = capsys.readouterr().err
         assert str(bad) in err and cause in err
+
+    @FORKS
+    def test_split_dataset_load_gives_the_same_outputs(self, tmp_path, cfg_file, big_gen_dir, monkeypatch, capsys):
+        dataset = str(big_gen_dir / "dataset_noisy.jsonl")
+        for cpus in (1, 3):
+            monkeypatch.setattr(lti_sim, "_cpus", lambda n=cpus: n)
+            for command in ("aggregate", "recover"):
+                out = tmp_path / f"{command}{cpus}"
+                assert main([command, "--config", cfg_file, "--dataset", dataset, "--out", str(out)]) == 0
+                assert json.loads((out / "manifest.json").read_text())["io_processes"] == cpus
+        for name in ("aggregate/stats.json", "recover/stats.json", "recover/landscape.csv", "recover/candidate.json"):
+            command, file = name.split("/")
+            assert (tmp_path / f"{command}1" / file).read_bytes() == (tmp_path / f"{command}3" / file).read_bytes()
+
+    @FORKS
+    def test_malformed_line_in_last_range_is_io_error(self, tmp_path, cfg_file, big_gen_dir, monkeypatch, capsys):
+        monkeypatch.setattr(lti_sim, "_cpus", lambda: 3)
+        lines = (big_gen_dir / "dataset_noisy.jsonl").read_text().split("\n")
+        lines[1501] = lines[1501][:-9]  # record 1500
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines))
+        rc = main(["recover", "--config", cfg_file, "--dataset", str(bad), "--out", str(tmp_path / "o")])
+        assert rc == 4
+        assert "malformed JSON" in capsys.readouterr().err
 
     def test_mismatched_dataset_rejected(self, tmp_path, cfg_file, gen_dir, capsys):
         rc = main([

@@ -1,9 +1,12 @@
 import json
 import math
+import multiprocessing
+import sys
 
 import numpy as np
 import pytest
 
+from hankelnull import lti_sim
 from hankelnull import (
     Dataset,
     Experiment,
@@ -453,3 +456,122 @@ def test_load_dataset_rejects_meta_mismatch(tmp_path, demo_system):
     path.write_text("\n".join([lines[0], lines[1]]) + "\n")  # drop one experiment
     with pytest.raises(ValueError):
         load_dataset(path)
+
+
+# ---------------------------------------------------------------- split loading
+
+# load_dataset parses min(CPUs, Nt // BLOCK_SIZE) byte ranges at once. The
+# tests force the CPU count, so the split does not depend on the machine;
+# at 3 CPUs a 1,600-record file is cut into three ranges of about 533.
+SPLIT_NT = 1600
+BAD = 1500  # a record in the last range
+forks = pytest.mark.skipif(sys.platform != "linux", reason="ranges are parsed in forked processes on Linux only")
+
+
+@pytest.fixture(scope="module")
+def split_file(tmp_path_factory, demo_system):
+    rng = np.random.default_rng(34)
+    clean = generate_dataset(demo_system, SPLIT_NT, 20, 2, "random-bounded", rng)
+    ds = add_noise(clean, NoiseSpec("gaussian", 1.0, 5.0), NoiseSpec("gaussian", 1.0, 5.0), rng)
+    path = tmp_path_factory.mktemp("split") / "ds.jsonl"
+    save_dataset(ds, path)
+    return ds, path
+
+
+def _outcome(monkeypatch, cpus, path):
+    """What loading gives at a CPU count: the arrays' bytes, or the error's type and message."""
+    monkeypatch.setattr(lti_sim, "_cpus", lambda: cpus)
+    try:
+        ds = load_dataset(path)
+    except Exception as e:  # noqa: BLE001 - the error is the outcome
+        return type(e), str(e)
+    return ds.U.tobytes(), ds.Y.tobytes()
+
+
+def _edit(line, change):
+    rec = json.loads(line)
+    change(rec)
+    return json.dumps(rec)
+
+
+def _set_nan(rec):
+    rec["y"][5][1] = float("nan")
+
+
+@forks
+def test_split_load_matches_one_process(monkeypatch, split_file):
+    ds, path = split_file
+    monkeypatch.setattr(lti_sim, "_cpus", lambda: 3)
+    assert lti_sim._load_parts(SPLIT_NT) == 3
+    assert _outcome(monkeypatch, 3, path) == _outcome(monkeypatch, 1, path) == (ds.U.tobytes(), ds.Y.tobytes())
+
+
+@forks
+@pytest.mark.parametrize("bad_line, kind, cause", [
+    (lambda line: _edit(line, _set_nan), ValueError, f"record {BAD} has non-finite samples"),
+    (lambda line: _edit(line, lambda rec: rec.update(u=rec["u"][:-1])), ValueError, f"record {BAD}: u has 19 samples but y has 20"),
+    (lambda line: _edit(line, lambda rec: rec.pop("y")), ValueError, f"record {BAD} needs u and y sample arrays"),
+    (lambda line: line[:-9], json.JSONDecodeError, "Expecting"),
+])
+def test_split_load_names_bad_record_by_its_index_in_the_file(monkeypatch, split_file, tmp_path, bad_line, kind, cause):
+    lines = split_file[1].read_text().split("\n")
+    lines[BAD + 1] = bad_line(lines[BAD + 1])
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines))
+    split = _outcome(monkeypatch, 3, bad)
+    assert split == _outcome(monkeypatch, 1, bad)
+    assert split[0] is kind and cause in split[1]
+
+
+@forks
+def test_split_load_skips_blank_lines_at_cuts(monkeypatch, split_file, tmp_path):
+    ds, path = split_file
+    header, *records = path.read_text().rstrip("\n").split("\n")
+    records[BAD] = _edit(records[BAD], _set_nan)
+    # a blank line after every record, so each cut lands next to one, and
+    # every range but the first starts after blank lines it must not count
+    lines = [header] + [line for rec, blank in zip(records, ["", " \t", "\r"] * SPLIT_NT) for line in (rec, blank)]
+    bad = tmp_path / "blank.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    split = _outcome(monkeypatch, 3, bad)
+    assert split == _outcome(monkeypatch, 1, bad)
+    assert split[0] is ValueError and f"record {BAD} has non-finite samples" in split[1]
+    records[BAD] = path.read_text().split("\n")[BAD + 1]
+    lines = [header] + [line for rec in records for line in (rec, "  ")]
+    bad.write_text("\n".join(lines) + "\n")
+    assert _outcome(monkeypatch, 3, bad) == (ds.U.tobytes(), ds.Y.tobytes())
+
+
+@forks
+@pytest.mark.parametrize("change, cause", [
+    (lambda text: text.rstrip("\n"), None),  # no final newline
+    (lambda text: text + text.split("\n")[1] + "\n", "more experiment lines than the meta header's Nt=1600"),
+    (lambda text: text + "not json\n", "more experiment lines than the meta header's Nt=1600"),
+    (lambda text: text[: text.rstrip("\n").rfind("\n") + 1], "1599 experiment lines disagree with the meta header's Nt=1600"),
+])
+def test_split_load_checks_the_line_count(monkeypatch, split_file, tmp_path, change, cause):
+    ds, path = split_file
+    bad = tmp_path / "count.jsonl"
+    bad.write_text(change(path.read_text()))
+    split = _outcome(monkeypatch, 3, bad)
+    assert split == _outcome(monkeypatch, 1, bad)
+    if cause is None:
+        assert split == (ds.U.tobytes(), ds.Y.tobytes())
+    else:
+        assert split[0] is ValueError and cause in split[1]
+
+
+def _fail(exc):
+    raise exc
+
+
+@forks
+def test_concurrently_raises_the_first_failure_in_call_order(monkeypatch):
+    monkeypatch.setattr(lti_sim, "_cpus", lambda: 2)
+    assert lti_sim._concurrently([lambda: 0, lambda: 1, lambda: "two"]) == [0, 1, "two"]
+    calls = [lambda: 0, lambda: _fail(KeyError("first")), lambda: _fail(ValueError("second"))]
+    with pytest.raises(KeyError, match="first"):
+        lti_sim._concurrently(calls)
+    with pytest.raises(OSError, match="in this process"):
+        lti_sim._concurrently([lambda: _fail(OSError("in this process")), *calls[1:]])
+    assert multiprocessing.active_children() == []
