@@ -46,6 +46,7 @@ X0_POLICIES = ("zero", "random-bounded")
 
 BLOCK_SIZE = 512  # records per block in the excitation check, the writer and aggregation
 MAX_TRIES = 10  # input draws per record before the excitation check gives up
+PIPE_PIECE = 1 << 18  # bytes per message when a forked child sends back an array
 
 
 @dataclass(frozen=True)
@@ -371,7 +372,7 @@ def load_dataset(path) -> Dataset:
 
 
 def _load_parts(Nt: int) -> int:
-    """Byte ranges load_dataset parses at once: one per CPU, each of at least BLOCK_SIZE records."""
+    """Byte ranges load_dataset parses at once: one per CPU, but no more than one per BLOCK_SIZE records."""
     return max(1, min(_cpus(), Nt // BLOCK_SIZE))
 
 
@@ -511,11 +512,11 @@ def _child(call, bufs, send) -> None:
         try:
             send.send((False, err))
         except Exception:  # the exception does not pickle
-            send.send((False, RuntimeError(f"{type(err).__name__}: {err}")))
+            send.send((False, ChildProcessError(f"{type(err).__name__}: {err}")))
         return
     send.send((True, value))
-    for buf in bufs:
-        send.send_bytes(buf)
+    for piece in _pieces(bufs):
+        send.send_bytes(piece)
 
 
 def _receive(child, recv, bufs):
@@ -524,9 +525,18 @@ def _receive(child, recv, bufs):
         ok, value = recv.recv()
     except EOFError:
         child.join()
-        raise RuntimeError(f"a forked I/O process exited with code {child.exitcode} before sending its result") from None
+        raise ChildProcessError(f"a forked I/O process exited with code {child.exitcode} before sending its result") from None
     if not ok:
         raise value
-    for buf in bufs:
-        recv.recv_bytes_into(buf)
+    for piece in _pieces(bufs):
+        recv.recv_bytes_into(piece)
     return value
+
+
+def _pieces(bufs) -> list:
+    """Flat buffers cut into views of at most PIPE_PIECE bytes, one message each.
+
+    Connection reads a whole message into memory before recv_bytes_into
+    copies it out, so the pieces bound that transient copy.
+    """
+    return [buf[k : k + PIPE_PIECE] for buf in bufs for k in range(0, len(buf), PIPE_PIECE)]

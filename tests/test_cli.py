@@ -256,10 +256,6 @@ class TestAggregateAndRecover:
         ({"noise": {"u": 5, "y": SMALL_CONFIG["noise"]}}, ["--noise-m1", "1"], "noise.u must be an object"),
         ({"noise": {"u": SMALL_CONFIG["noise"]}}, ["--noise-m1", "1"], "needs both 'u' and 'y'"),
         ({"noise": {"family": "gaussian", "m1": None, "m2": 1.0}}, [], "noise must be an object"),
-        ({"noise": {"family": "gaussian", "m1": True, "m2": True}}, [], "noise must be an object with a family and numbers m1, m2, got {'family': 'gaussian', 'm1': True"),
-        ({"noise": {"u": {"family": "gaussian", "m1": 0.0, "m2": False}, "y": SMALL_CONFIG["noise"]}}, [], "noise.u must be an object with a family and numbers m1, m2"),
-        ({"grid": {"m1": [False, True, 3], "m2": [2.5, 7, 3]}}, [], "grid axis 'm1' must be [lo, hi, points] with an integer count of points, got [False, True, 3]"),
-        ({"grid": {"m1": [-0.5, 0.5, 3], "m2": [0, True, 3]}}, [], "grid axis 'm2' must be [lo, hi, points] with an integer count of points, got [0, True, 3]"),
         ({"grid": {"m1": 5, "m2": [2.5, 7, 3]}}, [], "grid axis 'm1' must be [lo, hi, points]"),
         ({"grid": {"m1": [0, 1], "m2": [2.5, 7, 3]}}, [], "grid axis 'm1' must be [lo, hi, points]"),
         ({"grid": {"m1": [0, 1, None], "m2": [2.5, 7, 3]}}, [], "grid axis 'm1' must be [lo, hi, points]"),
@@ -272,6 +268,10 @@ class TestAggregateAndRecover:
         ({}, ["--grid-m1", "0", "1", "2.5"], "grid axis 'm1' must be [lo, hi, points] with an integer"),
         ({"grid": {"m1": [1, 0, 3], "m2": [2.5, 7, 3]}}, [], "grid axis 'm1' needs lo < hi"),
         ({"grid": {"m1": [0, 1, 0], "m2": [2.5, 7, 3]}}, [], "grid axis 'm1' needs at least one point"),
+        ({"noise": {"family": "gaussian", "m1": True, "m2": True}}, [], "noise must be an object with a family and numbers m1, m2, got {'family': 'gaussian', 'm1': True"),
+        ({"noise": {"u": {"family": "gaussian", "m1": 0.0, "m2": False}, "y": SMALL_CONFIG["noise"]}}, [], "noise.u must be an object with a family and numbers m1, m2"),
+        ({"grid": {"m1": [False, True, 3], "m2": [2.5, 7, 3]}}, [], "grid axis 'm1' must be [lo, hi, points] with an integer count of points, got [False, True, 3]"),
+        ({"grid": {"m1": [-0.5, 0.5, 3], "m2": [0, True, 3]}}, [], "grid axis 'm2' must be [lo, hi, points] with an integer count of points, got [0, True, 3]"),
     ])
     def test_config_value_of_wrong_type_is_config_error(self, tmp_path, capsys, fields, flags, cause):
         path = tmp_path / "config.json"

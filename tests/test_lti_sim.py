@@ -1,6 +1,7 @@
 import json
 import math
 import multiprocessing
+import os
 import sys
 
 import numpy as np
@@ -545,6 +546,7 @@ def test_split_load_skips_blank_lines_at_cuts(monkeypatch, split_file, tmp_path)
 @forks
 @pytest.mark.parametrize("change, cause", [
     (lambda text: text.rstrip("\n"), None),  # no final newline
+    (lambda text: text.replace("\n", "\r\n"), None),
     (lambda text: text + text.split("\n")[1] + "\n", "more experiment lines than the meta header's Nt=1600"),
     (lambda text: text + "not json\n", "more experiment lines than the meta header's Nt=1600"),
     (lambda text: text[: text.rstrip("\n").rfind("\n") + 1], "1599 experiment lines disagree with the meta header's Nt=1600"),
@@ -574,4 +576,6 @@ def test_concurrently_raises_the_first_failure_in_call_order(monkeypatch):
         lti_sim._concurrently(calls)
     with pytest.raises(OSError, match="in this process"):
         lti_sim._concurrently([lambda: _fail(OSError("in this process")), *calls[1:]])
+    with pytest.raises(ChildProcessError, match="exited with code 3 before sending"):
+        lti_sim._concurrently([lambda: 0, lambda: os._exit(3)])
     assert multiprocessing.active_children() == []
