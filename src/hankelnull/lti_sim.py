@@ -465,9 +465,10 @@ def _concurrently(calls, buffers=None) -> list:
     back its return value or its exception over a pipe. The first failure
     in call order is raised here, and every child has ended when this
     returns. buffers[k], if given, holds writable flat buffers that call k
-    fills in place: a child sends them as raw bytes, received straight into
-    the caller's buffers with Connection.recv_bytes_into, so no pickled copy
-    is made. On one CPU the calls run in order in this process.
+    fills in place: a child sends them as raw bytes (see _pieces), received
+    straight into the caller's buffers with Connection.recv_bytes_into, so
+    no pickled copy is made. On one CPU the calls run in order in this
+    process.
 
     fork, not spawn or forkserver: the child starts with the caller's data
     and imports nothing, so a caller script needs no `if __name__ ==
