@@ -300,9 +300,9 @@ class TestAggregateAndRecover:
                 out = tmp_path / f"{command}{cpus}"
                 assert main([command, "--config", cfg_file, "--dataset", dataset, "--out", str(out)]) == 0
                 assert json.loads((out / "manifest.json").read_text())["io_processes"] == cpus
-        for name in ("aggregate/stats.json", "recover/stats.json", "recover/landscape.csv", "recover/candidate.json"):
-            command, file = name.split("/")
-            assert (tmp_path / f"{command}1" / file).read_bytes() == (tmp_path / f"{command}3" / file).read_bytes()
+        for name in ("stats.json", "landscape.csv", "candidate.json"):
+            assert (tmp_path / "recover1" / name).read_bytes() == (tmp_path / "recover3" / name).read_bytes()
+        assert (tmp_path / "aggregate1" / "stats.json").read_bytes() == (tmp_path / "aggregate3" / "stats.json").read_bytes()
 
     @FORKS
     def test_malformed_line_in_last_range_is_io_error(self, tmp_path, cfg_file, big_gen_dir, monkeypatch, capsys):

@@ -7,7 +7,6 @@ import sys
 import numpy as np
 import pytest
 
-from hankelnull import lti_sim
 from hankelnull import (
     Dataset,
     Experiment,
@@ -18,6 +17,7 @@ from hankelnull import (
     generate_pe_input,
     hankel,
     load_dataset,
+    lti_sim,
     pe_order_check,
     random_system,
     save_dataset,
