@@ -333,16 +333,17 @@ def cmd_generate(cfg: ExperimentConfig, out_dir) -> int:
     noisy = add_noise(clean, cfg.noise_u, cfg.noise_y, rng)
     t1 = time.perf_counter()
     # with a second CPU, a forked child writes the noiseless file meanwhile
+    samples = 2 * (clean.U.size + clean.Y.size)
     _concurrently([
         lambda: save_dataset(noisy, out / "dataset_noisy.jsonl"),
         lambda: save_dataset(clean, out / "dataset_noiseless.jsonl"),
-    ])
+    ], samples)
     t2 = time.perf_counter()
     _write_manifest(
         out / "manifest.json", "generate", cfg,
         {"generate_s": t1 - t0, "write_s": t2 - t1},
         {"noiseless": "dataset_noiseless.jsonl", "noisy": "dataset_noisy.jsonl"},
-        io_processes=_processes(2),
+        io_processes=_processes(2, samples),
     )
     print(f"generated {cfg.Nt} experiments of length {cfg.N} into {out}")
     return 0
@@ -360,7 +361,7 @@ def cmd_aggregate(cfg: ExperimentConfig, dataset_path, out_dir) -> int:
         out / "manifest.json", "aggregate", cfg,
         {"load_s": t1 - t0, "aggregate_s": t2 - t1},
         {"stats": "stats.json"},
-        io_processes=_load_parts(ds.Nt),
+        io_processes=_load_parts(dataset_path, ds.U.size + ds.Y.size),
     )
     print(f"aggregated {st.count} experiments into {out / 'stats.json'}")
     return 0
@@ -421,7 +422,7 @@ def cmd_recover(cfg: ExperimentConfig, dataset_path, stats_path, out_dir) -> int
         t1 = time.perf_counter()
         st = aggregate(ds, cfg.L)
         timings = {"load_s": t1 - t0, "aggregate_s": time.perf_counter() - t1}
-        extra["io_processes"] = _load_parts(ds.Nt)
+        extra["io_processes"] = _load_parts(dataset_path, ds.U.size + ds.Y.size)
     fin = st.finalize()
     t0 = time.perf_counter()
     res = grid_search(

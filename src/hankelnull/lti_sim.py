@@ -18,6 +18,7 @@ import functools
 import json
 import math
 import os
+import stat
 import sys
 from dataclasses import dataclass
 
@@ -46,7 +47,7 @@ X0_POLICIES = ("zero", "random-bounded")
 
 BLOCK_SIZE = 512  # records per block in the excitation check, the writer and aggregation
 MAX_TRIES = 10  # input draws per record before the excitation check gives up
-PIPE_PIECE = 1 << 18  # bytes per message when a forked child sends back an array
+FORK_MIN_SAMPLES = 50_000  # samples a forked I/O process must format or parse to repay starting it
 
 
 @dataclass(frozen=True)
@@ -343,9 +344,10 @@ _decode_record = json.JSONDecoder(parse_int=float).decode
 def load_dataset(path) -> Dataset:
     """Read a dataset written by save_dataset into arrays sized from its meta header.
 
-    The records are cut at line starts into _load_parts(Nt) byte ranges that
-    are parsed at once (see _concurrently), each record with the same checks;
-    an error names the record by its index in the whole file.
+    A regular file's records are cut at line starts into _load_parts byte
+    ranges that are parsed at once (see _concurrently); any other file, a
+    pipe say, is read in one pass. Each record gets the same checks either
+    way, and an error names it by its index in the whole file.
     """
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode("utf-8"))
@@ -356,13 +358,18 @@ def load_dataset(path) -> Dataset:
             raise ValueError(f"{path}: first line needs a meta header object with integer Nt, N, m and p") from None
         if min(Nt, N, m, p) < 1:
             raise ValueError(f"{path}: meta header needs positive Nt, N, m and p, got {meta}")
-        ranges = _record_ranges(fh, _load_parts(Nt))
-    U, Y = np.empty((Nt, N, m)), np.empty((Nt, N, p))
-    ends = [first for _, _, first in ranges[1:]] + [Nt]
-    i = _concurrently(
-        [functools.partial(_parse_records, path, a, b, first, U, Y) for a, b, first in ranges],
-        [(_flat(U[first:end]), _flat(Y[first:end])) for (_, _, first), end in zip(ranges, ends)],
-    )[-1]
+        samples = Nt * N * (m + p)
+        parts = _load_parts(fh.fileno(), samples)
+        if parts == 1:
+            U, Y = np.empty((Nt, N, m)), np.empty((Nt, N, p))
+            i = _parse_records(fh, path, math.inf, 0, U, Y)
+        else:
+            ranges = _record_ranges(fh, parts)
+    if parts > 1:
+        # forked parsers write straight into the caller's arrays
+        U, Y = _shared_empty((Nt, N, m)), _shared_empty((Nt, N, p))
+        calls = [functools.partial(_parse_range, path, a, b, first, U, Y) for a, b, first in ranges]
+        i = _concurrently(calls, samples)[-1]
     if i != Nt:
         raise ValueError(f"{path}: {i} experiment lines disagree with the meta header's Nt={Nt}")
     try:
@@ -371,9 +378,13 @@ def load_dataset(path) -> Dataset:
         raise ValueError(f"{path}: {err}") from None
 
 
-def _load_parts(Nt: int) -> int:
-    """Byte ranges load_dataset parses at once: one per CPU, but no more than one per BLOCK_SIZE records."""
-    return max(1, min(_cpus(), Nt // BLOCK_SIZE))
+def _load_parts(file, samples: int) -> int:
+    """Byte ranges load_dataset parses at once from a file (a path or a
+    descriptor) holding this many samples: see _processes. A file that is
+    not regular cannot be cut, so it is one range."""
+    if not stat.S_ISREG(os.stat(file).st_mode):
+        return 1
+    return _processes(_cpus(), samples)
 
 
 def _record_ranges(fh, parts: int) -> list:
@@ -401,43 +412,50 @@ def _record_ranges(fh, parts: int) -> list:
     return list(zip(cuts, cuts[1:] + [size], firsts))
 
 
-def _parse_records(path, start: int, end: int, i: int, U: np.ndarray, Y: np.ndarray) -> int:
-    """Parse the dataset lines in bytes [start, end) of path into U[i:] and Y[i:].
+def _parse_range(path, start: int, end: int, i: int, U: np.ndarray, Y: np.ndarray) -> int:
+    """Parse the dataset lines in bytes [start, end) of path: see _parse_records."""
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        return _parse_records(fh, path, end - start, i, U, Y)
 
-    i is the index of the first record in the range; blank lines are
-    skipped. Returns the index after the last record parsed.
+
+def _parse_records(fh, path, size, i: int, U: np.ndarray, Y: np.ndarray) -> int:
+    """Parse dataset lines from fh into U[i:] and Y[i:] until size bytes are read.
+
+    i is the index of the first record read; blank lines are skipped.
+    Returns the index after the last record parsed.
     """
     Nt, N, m = U.shape
     p = Y.shape[2]
-    with open(path, "rb") as fh:
-        fh.seek(start)
-        pos = start
-        for line in fh:
-            if pos >= end:
-                break
-            pos += len(line)
-            text = line.decode("utf-8")
-            if not text.strip():
-                continue
-            if i == Nt:
-                raise ValueError(f"{path}: more experiment lines than the meta header's Nt={Nt}")
-            obj = _decode_record(text)
-            try:
-                e = Experiment(obj["u"], obj["y"])
-            except (KeyError, TypeError):
-                raise ValueError(f"{path}: record {i} needs u and y sample arrays") from None
-            except ValueError as err:
-                raise ValueError(f"{path}: record {i}: {err}") from None
-            if e.u.shape != (N, m) or e.y.shape != (N, p):
-                raise ValueError(f"{path}: record {i} has u {e.u.shape} and y {e.y.shape}, meta header says ({N}, {m}) and ({N}, {p})")
-            U[i], Y[i] = e.u, e.y
-            i += 1
+    for line in fh:
+        if size <= 0:
+            break
+        size -= len(line)
+        text = line.decode("utf-8")
+        if not text.strip():
+            continue
+        if i == Nt:
+            raise ValueError(f"{path}: more experiment lines than the meta header's Nt={Nt}")
+        obj = _decode_record(text)
+        try:
+            e = Experiment(obj["u"], obj["y"])
+        except (KeyError, TypeError):
+            raise ValueError(f"{path}: record {i} needs u and y sample arrays") from None
+        except ValueError as err:
+            raise ValueError(f"{path}: record {i}: {err}") from None
+        if e.u.shape != (N, m) or e.y.shape != (N, p):
+            raise ValueError(f"{path}: record {i} has u {e.u.shape} and y {e.y.shape}, meta header says ({N}, {m}) and ({N}, {p})")
+        U[i], Y[i] = e.u, e.y
+        i += 1
     return i
 
 
-def _flat(a: np.ndarray) -> memoryview:
-    """The bytes of a C-contiguous array, as a writable flat buffer."""
-    return memoryview(a).cast("B")
+def _shared_empty(shape) -> np.ndarray:
+    """An uninitialised float array in an anonymous shared mapping, so that
+    what a forked child writes into it, this process sees."""
+    import mmap  # here, so that importing hankelnull does not load it
+
+    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
 
 
 def _cpus() -> int:
@@ -452,23 +470,23 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _processes(calls: int) -> int:
-    """How many processes _concurrently runs this many calls in."""
-    return calls if _cpus() > 1 else 1
+def _processes(calls: int, samples: int) -> int:
+    """How many processes share calls that format or parse this many samples
+    in all: one per call and CPU, but only as many as get FORK_MIN_SAMPLES
+    samples each."""
+    return max(1, min(calls, _cpus(), samples // FORK_MIN_SAMPLES))
 
 
-def _concurrently(calls, buffers=None) -> list:
-    """Run zero-argument calls at once; return their results in call order.
+def _concurrently(calls, samples: int) -> list:
+    """Run zero-argument calls that format or parse this many samples in all
+    at once; return their results in call order.
 
-    The first call runs in this process. Where _cpus() is more than one,
-    each other call runs in a child process started with fork, which sends
-    back its return value or its exception over a pipe. The first failure
-    in call order is raised here, and every child has ended when this
-    returns. buffers[k], if given, holds writable flat buffers that call k
-    fills in place: a child sends them as raw bytes (see _pieces), received
-    straight into the caller's buffers with Connection.recv_bytes_into, so
-    no pickled copy is made. On one CPU the calls run in order in this
-    process.
+    The first call runs in this process. Where _processes gives more than
+    one, each other call runs in a child process started with fork, which
+    sends back its return value or its exception over a pipe; a call that
+    fills an array makes it with _shared_empty. The first failure in call
+    order is raised here, and every child has ended when this returns.
+    Otherwise the calls run in order in this process.
 
     fork, not spawn or forkserver: the child starts with the caller's data
     and imports nothing, so a caller script needs no `if __name__ ==
@@ -477,24 +495,20 @@ def _concurrently(calls, buffers=None) -> list:
     the child. The calls made here only format or parse text: they call no
     BLAS and take no lock that another thread could hold.
     """
-    buffers = buffers or [()] * len(calls)
-    if _processes(len(calls)) == 1:
+    if _processes(len(calls), samples) == 1:
         return [call() for call in calls]
     import multiprocessing  # here, so that importing hankelnull does not load it
 
     ctx = multiprocessing.get_context("fork")
     children = []
     try:
-        for call, bufs in zip(calls[1:], buffers[1:]):
+        for call in calls[1:]:
             recv, send = ctx.Pipe(duplex=False)
-            child = ctx.Process(target=_child, args=(call, bufs, send), daemon=True)
+            child = ctx.Process(target=_child, args=(call, send), daemon=True)
             child.start()
             send.close()
             children.append((child, recv))
-        results = [calls[0]()]
-        for (child, recv), bufs in zip(children, buffers[1:]):
-            results.append(_receive(child, recv, bufs))
-        return results
+        return [calls[0](), *(_receive(child, recv) for child, recv in children)]
     except BaseException:
         for child, _ in children:
             child.terminate()  # a later failure, or a result no longer wanted
@@ -505,7 +519,7 @@ def _concurrently(calls, buffers=None) -> list:
             recv.close()
 
 
-def _child(call, bufs, send) -> None:
+def _child(call, send) -> None:
     """The body of a child of _concurrently: run the call and send back what it gave."""
     try:
         value = call()
@@ -516,12 +530,10 @@ def _child(call, bufs, send) -> None:
             send.send((False, ChildProcessError(f"{type(err).__name__}: {err}")))
         return
     send.send((True, value))
-    for piece in _pieces(bufs):
-        send.send_bytes(piece)
 
 
-def _receive(child, recv, bufs):
-    """A child's return value, its buffers received in place, or its exception raised."""
+def _receive(child, recv):
+    """A child's return value, or its exception raised."""
     try:
         ok, value = recv.recv()
     except EOFError:
@@ -529,15 +541,4 @@ def _receive(child, recv, bufs):
         raise ChildProcessError(f"a forked I/O process exited with code {child.exitcode} before sending its result") from None
     if not ok:
         raise value
-    for piece in _pieces(bufs):
-        recv.recv_bytes_into(piece)
     return value
-
-
-def _pieces(bufs) -> list:
-    """Flat buffers cut into views of at most PIPE_PIECE bytes, one message each.
-
-    Connection reads a whole message into memory before recv_bytes_into
-    copies it out, so the pieces bound that transient copy.
-    """
-    return [buf[k : k + PIPE_PIECE] for buf in bufs for k in range(0, len(buf), PIPE_PIECE)]

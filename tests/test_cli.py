@@ -119,21 +119,22 @@ class TestGenerate:
         for name in ("dataset_noiseless.jsonl", "dataset_noisy.jsonl"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
-    @pytest.mark.parametrize("cpus", [1, pytest.param(2, marks=FORKS)])
-    def test_manifest_records_io_processes(self, tmp_path, cfg_file, gen_dir, monkeypatch, capsys, cpus):
+    # below lti_sim.FORK_MIN_SAMPLES samples a file, the two writes stay in one process
+    @pytest.mark.parametrize("cpus, Nt, io_processes", [(1, 1600, 1), (2, 8, 1), pytest.param(2, 1600, 2, marks=FORKS)])
+    def test_manifest_records_io_processes(self, tmp_path, cfg_file, gen_dir, big_gen_dir, monkeypatch, capsys, cpus, Nt, io_processes):
         monkeypatch.setattr(lti_sim, "_cpus", lambda: cpus)
         out = tmp_path / "o"
-        assert main(["generate", "--config", cfg_file, "--out", str(out)]) == 0
-        assert json.loads((out / "manifest.json").read_text())["io_processes"] == cpus
+        assert main(["generate", "--config", cfg_file, "--Nt", str(Nt), "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["io_processes"] == io_processes
         for name in ("dataset_noiseless.jsonl", "dataset_noisy.jsonl"):
-            assert (out / name).read_bytes() == (gen_dir / name).read_bytes()
+            assert (out / name).read_bytes() == ((gen_dir if Nt == 8 else big_gen_dir) / name).read_bytes()
 
     @FORKS
     def test_failing_child_writer_is_io_error(self, tmp_path, cfg_file, monkeypatch, capsys):
         monkeypatch.setattr(lti_sim, "_cpus", lambda: 2)
         out = tmp_path / "o"
         (out / "dataset_noiseless.jsonl").mkdir(parents=True)  # the child cannot open it
-        assert main(["generate", "--config", cfg_file, "--out", str(out)]) == 4
+        assert main(["generate", "--config", cfg_file, "--Nt", "1600", "--out", str(out)]) == 4
         err = capsys.readouterr().err
         assert "Is a directory" in err and "dataset_noiseless.jsonl" in err
         assert multiprocessing.active_children() == []

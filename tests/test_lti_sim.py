@@ -3,6 +3,7 @@ import math
 import multiprocessing
 import os
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -461,9 +462,10 @@ def test_load_dataset_rejects_meta_mismatch(tmp_path, demo_system):
 
 # ---------------------------------------------------------------- split loading
 
-# load_dataset parses min(CPUs, Nt // BLOCK_SIZE) byte ranges at once. The
-# tests force the CPU count, so the split does not depend on the machine;
-# at 3 CPUs a 1,600-record file is cut into three ranges of about 533.
+# load_dataset parses a regular file in one byte range per CPU, as long as
+# each range holds FORK_MIN_SAMPLES samples. The tests force the CPU count,
+# so the split does not depend on the machine; at 3 CPUs a 1,600-record file
+# of 160,000 samples is cut into three ranges of about 533 records.
 SPLIT_NT = 1600
 BAD = 1500  # a record in the last range
 forks = pytest.mark.skipif(sys.platform != "linux", reason="ranges are parsed in forked processes on Linux only")
@@ -503,8 +505,40 @@ def _set_nan(rec):
 def test_split_load_matches_one_process(monkeypatch, split_file):
     ds, path = split_file
     monkeypatch.setattr(lti_sim, "_cpus", lambda: 3)
-    assert lti_sim._load_parts(SPLIT_NT) == 3
+    assert lti_sim._load_parts(path, ds.U.size + ds.Y.size) == 3
     assert _outcome(monkeypatch, 3, path) == _outcome(monkeypatch, 1, path) == (ds.U.tobytes(), ds.Y.tobytes())
+
+
+def test_small_file_is_one_range(monkeypatch, split_file, tmp_path):
+    ds, path = split_file
+    monkeypatch.setattr(lti_sim, "_cpus", lambda: 3)
+    assert lti_sim._load_parts(path, 2 * lti_sim.FORK_MIN_SAMPLES - 1) == 1
+    assert lti_sim._load_parts(path, 2 * lti_sim.FORK_MIN_SAMPLES) == 2
+    small = tmp_path / "small.jsonl"
+    save_dataset(ds[:100], small)  # 10,000 samples
+    assert lti_sim._load_parts(small, 10_000) == 1
+    assert _outcome(monkeypatch, 3, small) == (ds.U[:100].tobytes(), ds.Y[:100].tobytes())
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_pipe_is_read_in_one_pass(monkeypatch, split_file, tmp_path):
+    """A file that cannot be cut, a FIFO here, is read once, from its open handle."""
+    ds, path = split_file
+    fifo = tmp_path / "ds.fifo"
+    os.mkfifo(fifo)
+    assert lti_sim._load_parts(fifo, ds.U.size + ds.Y.size) == 1
+
+    def feed():
+        with open(fifo, "wb") as fh:
+            fh.write(path.read_bytes())
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        outcome = _outcome(monkeypatch, 3, fifo)
+    finally:
+        writer.join()
+    assert outcome == (ds.U.tobytes(), ds.Y.tobytes())
 
 
 @forks
@@ -570,12 +604,22 @@ def _fail(exc):
 @forks
 def test_concurrently_raises_the_first_failure_in_call_order(monkeypatch):
     monkeypatch.setattr(lti_sim, "_cpus", lambda: 2)
-    assert lti_sim._concurrently([lambda: 0, lambda: 1, lambda: "two"]) == [0, 1, "two"]
+    samples = 3 * lti_sim.FORK_MIN_SAMPLES
+    assert lti_sim._concurrently([lambda: 0, lambda: 1, lambda: "two"], samples) == [0, 1, "two"]
     calls = [lambda: 0, lambda: _fail(KeyError("first")), lambda: _fail(ValueError("second"))]
     with pytest.raises(KeyError, match="first"):
-        lti_sim._concurrently(calls)
+        lti_sim._concurrently(calls, samples)
     with pytest.raises(OSError, match="in this process"):
-        lti_sim._concurrently([lambda: _fail(OSError("in this process")), *calls[1:]])
+        lti_sim._concurrently([lambda: _fail(OSError("in this process")), *calls[1:]], samples)
     with pytest.raises(ChildProcessError, match="exited with code 3 before sending"):
-        lti_sim._concurrently([lambda: 0, lambda: os._exit(3)])
+        lti_sim._concurrently([lambda: 0, lambda: os._exit(3)], samples)
     assert multiprocessing.active_children() == []
+
+
+def test_concurrently_forks_only_past_the_size_cutoff(monkeypatch):
+    monkeypatch.setattr(lti_sim, "_cpus", lambda: 2)
+    pids = [os.getpid, os.getpid]
+    one, two = lti_sim._concurrently(pids, 2 * lti_sim.FORK_MIN_SAMPLES - 1)
+    assert one == two == os.getpid()
+    one, two = lti_sim._concurrently(pids, 2 * lti_sim.FORK_MIN_SAMPLES)
+    assert one == os.getpid() != two
