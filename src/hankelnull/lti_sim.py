@@ -11,7 +11,7 @@ Everything else runs as array code over the whole ensemble, or over blocks
 of BLOCK_SIZE records where a per-record temporary would otherwise grow
 with the ensemble. Dataset text I/O, which is bound by float formatting
 and parsing, runs in forked processes on a machine with more than one CPU
-(see _concurrently).
+when the files are big enough to repay the fork (see _concurrently).
 """
 
 import functools
