@@ -47,17 +47,6 @@ class SufficientStats:
         self.G = np.zeros((self.d, self.d))
         self.rowsum = np.zeros(self.d)
 
-    def accumulate(self, H) -> "SufficientStats":
-        """Absorb one stacked Hankel matrix."""
-        M = np.asarray(H, dtype=float)
-        if M.shape != (self.d, self.Nc):
-            raise ValueError(f"expected a {self.d}x{self.Nc} matrix, got {M.shape}")
-        P = M @ M.T
-        self.G += (P + P.T) / 2.0  # gemm output is not exactly symmetric; G must be
-        self.rowsum += M.sum(axis=1)
-        self.count += 1
-        return self
-
     def merge(self, other: "SufficientStats") -> "SufficientStats":
         """Componentwise sum of two aggregates over disjoint experiment sets."""
         if (self.d, self.Nc) != (other.d, other.Nc):

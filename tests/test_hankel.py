@@ -1,8 +1,12 @@
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
+from conftest import svd_rule
 from hankelnull import (
     generate_pe_input,
     hankel,
@@ -165,3 +169,130 @@ def test_pe_order_check_scale_free():
     rng = np.random.default_rng(13)
     U = rng.standard_normal((20, 2))
     assert pe_order_check(U, 3) == pe_order_check(U * 1e-8, 3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_pe_order_check_rejects_non_finite_samples(bad):
+    # before any factorization: an SVD would fail to converge on a NaN and
+    # take an inf for a rank-deficient record
+    U = np.random.default_rng(3).standard_normal((6, 30, 2))
+    U[4, 7, 1] = bad
+    U[5, 0, 0] = bad
+    with pytest.raises(ValueError, match="record 4 of U has non-finite samples"):
+        pe_order_check(U, 5)
+    with pytest.raises(ValueError, match="record \\(2, 0\\) of U"):
+        pe_order_check(U.reshape(3, 2, 30, 2), 5)
+    with pytest.raises(ValueError, match="^U has non-finite samples"):
+        pe_order_check(U[4], 5)
+
+
+_NORMAL = np.random.default_rng(21).standard_normal((24, 30, 2))
+
+
+def _second_channel(values):
+    U = _NORMAL.copy()
+    U[..., 1] = values
+    return U
+
+
+_MIXED = np.concatenate([_NORMAL[:4], _second_channel(_NORMAL[..., 0])[:4], _second_channel(_NORMAL[..., 0] + 1e-9 * _NORMAL[..., 1])[:4]])
+
+# at order 1 a repeated channel leaves one zero singular value next to a large
+# one, so the rounding in G alone decides the sign of its determinant
+_ONE_DEFICIENT = np.concatenate([
+    _second_channel(np.random.default_rng(23).standard_normal((24, 1)) * _NORMAL[..., 0]),
+    _second_channel(_NORMAL[..., 0] + 1e-11 * _NORMAL[..., 1]),
+])
+
+# one (batch, order) per case; d = 2 * order rows
+PE_CASES = {
+    "standard-normal": (_NORMAL, 5),
+    "duplicated-channel": (_second_channel(_NORMAL[..., 0]), 5),
+    "scaled-channel": (_second_channel(-3.0 * _NORMAL[..., 0]), 5),
+    "channel-perturbed-1e-9": (_second_channel(_NORMAL[..., 0] + 1e-9 * _NORMAL[..., 1]), 5),
+    "channel-perturbed-1e-11": (_second_channel(_NORMAL[..., 0] + 1e-11 * _NORMAL[..., 1]), 5),
+    "one-deficient-direction": (_ONE_DEFICIENT, 1),
+    "zero-and-constant": (np.stack([np.zeros((30, 2)), np.full((30, 2), 2.5), np.tile([1.0, -4.0], (30, 1))]), 5),
+    "scale-1e150": (1e150 * _MIXED, 5),
+    "scale-1e-150": (1e-150 * _MIXED, 5),
+    "more-rows-than-columns": (_NORMAL[:, :12], 5),  # 8 columns
+    "long-record": (np.random.default_rng(22).standard_normal((2, 20_000, 2)), 5),
+}
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-3, 0.5])
+@pytest.mark.parametrize("case", sorted(PE_CASES))
+def test_pe_order_check_matches_svd_rule(case, tol):
+    U, order = PE_CASES[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verdicts = pe_order_check(U, order, tol)
+        single = pe_order_check(U[-1], order, tol)
+    assert verdicts.dtype == bool and verdicts.shape == U.shape[:1]
+    assert np.array_equal(verdicts, svd_rule(U, order, tol))
+    assert type(single) is bool and single == svd_rule(U[-1], order, tol)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=hs.integers(0, 2**32 - 1),
+    shape=hs.tuples(hs.integers(1, 8), hs.integers(1, 3), hs.integers(1, 6)),  # records, m, order
+    extra=hs.integers(-3, 40),  # samples beyond the (m + 1) * order - 1 full rank needs
+    defect=hs.sampled_from(["none", "repeat-channel", "zero-record", "near-repeat", "short-impulse"]),
+    scale_exp=hs.integers(-150, 150),
+    tol_exp=hs.floats(-14.0, -0.3),
+)
+def test_pe_order_check_matches_svd_rule_on_random_batches(seed, shape, extra, defect, scale_exp, tol_exp):
+    B, m, order = shape
+    N = max(order, (m + 1) * order - 1 + extra)
+    rng = np.random.default_rng(seed)
+    U = rng.standard_normal((B, N, m))
+    hit = rng.random(B) < 0.5
+    if defect == "repeat-channel" and m > 1:
+        U[hit, :, -1] = rng.standard_normal() * U[hit, :, 0]
+    elif defect == "near-repeat" and m > 1:
+        U[hit, :, -1] = U[hit, :, 0] + 10.0 ** rng.uniform(-14, -4) * U[hit, :, -1]
+    elif defect == "zero-record":
+        U[hit] = 0.0
+    elif defect == "short-impulse":
+        U[hit] = 0.0
+        U[hit, rng.integers(N)] = 1.0
+    U *= 10.0**scale_exp
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verdicts = pe_order_check(U, order, 10.0**tol_exp)
+    assert np.array_equal(verdicts, svd_rule(U, order, 10.0**tol_exp))
+
+
+def _count_svd_records(monkeypatch):
+    """Record every stack of matrices handed to np.linalg.svd."""
+    seen = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return seen
+
+
+def test_pe_order_check_skips_svd_for_exciting_records(monkeypatch):
+    U = np.random.default_rng(5).standard_normal((512, 30, 2))
+    seen = _count_svd_records(monkeypatch)
+    assert pe_order_check(U, 5).all()
+    assert seen == []
+
+
+def test_pe_order_check_runs_svd_on_exactly_the_deficient_records(monkeypatch):
+    U = np.random.default_rng(6).standard_normal((40, 30, 2))
+    deficient = [3, 17, 18, 31]
+    U[3] = 0.0
+    U[17, :, 1] = 2.0 * U[17, :, 0]
+    U[18, :, 1] = U[18, :, 0] + 1e-11 * U[18, :, 1]
+    U[31] = 1.5
+    seen = _count_svd_records(monkeypatch)
+    verdicts = pe_order_check(U, 5)
+    assert np.flatnonzero(~verdicts).tolist() == deficient
+    assert len(seen) == 1
+    assert np.array_equal(seen[0], np.stack([hankel(U[i], 5) for i in deficient]))

@@ -8,6 +8,7 @@ import threading
 import numpy as np
 import pytest
 
+from conftest import svd_rule
 from hankelnull import (
     Dataset,
     Experiment,
@@ -24,6 +25,7 @@ from hankelnull import (
     save_dataset,
     simulate,
 )
+from hankelnull.cli import PRESETS, config_from_dict
 
 
 # ---------------------------------------------------------------- types
@@ -296,6 +298,22 @@ def test_excitation_failure_gives_up_after_max_tries(demo_system):
     assert pe_order_check(ds.U[5], 2 + demo_system.n)
     with pytest.raises(RuntimeError, match="record 5"):
         generate_dataset(demo_system, 10, 20, 2, "zero", _RootWithBadStreams(8, {5}, zeros=MAX_TRIES))
+
+
+@pytest.mark.parametrize("Nt", [2000, 1])  # Nt=1 takes the one-row simulation path
+def test_reference_data_match_the_svd_rule_bitwise(monkeypatch, Nt):
+    cfg = config_from_dict({**PRESETS["reference"], "Nt": Nt})
+
+    def generate():
+        rng = np.random.default_rng(cfg.seed)
+        clean = generate_dataset(cfg.system, cfg.Nt, cfg.N, cfg.L, cfg.x0_policy, rng, x0_halfwidth=cfg.x0_halfwidth)
+        return clean, add_noise(clean, cfg.noise_u, cfg.noise_y, rng)
+
+    screened = generate()
+    monkeypatch.setattr(lti_sim, "pe_order_check", svd_rule)
+    for got, want in zip(screened, generate()):
+        assert got.U.tobytes() == want.U.tobytes()
+        assert got.Y.tobytes() == want.Y.tobytes()
 
 
 def test_noise_matches_per_stream_draws(demo_system):

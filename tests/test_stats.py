@@ -3,6 +3,7 @@ import pytest
 
 from conftest import noiseless_M
 from hankelnull import (
+    Dataset,
     NoiseSpec,
     SufficientStats,
     add_noise,
@@ -21,34 +22,38 @@ def _noisy_demo(demo_system, Nt, seed=0):
     return add_noise(ds, spec, spec, rng)
 
 
-def test_accumulate_inner_products():
-    st = SufficientStats(2, 2)
-    st.accumulate(np.array([[1.0, 2.0], [3.0, 4.0]]))
+def _dataset(*Hs):
+    """Dataset whose records have the given 2 x N stacked Hankel matrices at
+    L=1: one input channel in the first row, one output in the second."""
+    H = np.asarray(Hs, dtype=float)
+    return Dataset(H[:, 0, :, None], H[:, 1, :, None])
+
+
+def test_aggregate_inner_products():
+    st = aggregate(_dataset([[1.0, 2.0], [3.0, 4.0]]), 1)
+    assert (st.d, st.Nc) == (2, 2)
     assert np.array_equal(st.G, [[5.0, 11.0], [11.0, 25.0]])
     assert np.array_equal(st.rowsum, [3.0, 7.0])
     assert st.count == 1
 
 
-def test_accumulate_twice_doubles():
-    H = np.array([[1.0, 2.0], [3.0, 4.0]])
-    st = SufficientStats(2, 2).accumulate(H)
-    G1, r1 = st.G.copy(), st.rowsum.copy()
-    st.accumulate(H)
-    assert np.array_equal(st.G, 2 * G1)
-    assert np.array_equal(st.rowsum, 2 * r1)
-    assert st.count == 2
+def test_aggregate_of_a_record_twice_doubles():
+    H = [[1.0, 2.0], [3.0, 4.0]]
+    once = aggregate(_dataset(H), 1)
+    twice = aggregate(_dataset(H, H), 1)
+    assert np.array_equal(twice.G, 2 * once.G)
+    assert np.array_equal(twice.rowsum, 2 * once.rowsum)
+    assert twice.count == 2
 
 
-def test_accumulate_rejects_wrong_shape():
-    with pytest.raises(ValueError):
-        SufficientStats(2, 3).accumulate(np.zeros((2, 2)))
+def test_aggregate_rejects_records_shorter_than_the_window():
+    with pytest.raises(ValueError, match="need at least L=3 samples"):
+        aggregate(_dataset([[1.0, 2.0], [3.0, 4.0]]), 3)
 
 
 def test_merge_identity_and_commutativity():
-    H1 = np.array([[1.0, 2.0], [3.0, 4.0]])
-    H2 = np.array([[0.5, -1.0], [2.0, 0.0]])
-    a = SufficientStats(2, 2).accumulate(H1)
-    b = SufficientStats(2, 2).accumulate(H2)
+    a = aggregate(_dataset([[1.0, 2.0], [3.0, 4.0]]), 1)
+    b = aggregate(_dataset([[0.5, -1.0], [2.0, 0.0]]), 1)
     zero = SufficientStats(2, 2)
     merged = a.merge(zero)
     assert np.array_equal(merged.G, a.G) and merged.count == a.count
@@ -64,15 +69,8 @@ def test_merge_rejects_shape_mismatch():
 
 def test_sharded_merge_matches_serial(demo_system):
     ds = _noisy_demo(demo_system, 200)
-    serial = SufficientStats(10, 29)
-    for e in ds:
-        serial.accumulate(stacked_hankel(e, 2))
-    shards = []
-    for i in range(8):
-        st = SufficientStats(10, 29)
-        for e in ds[i * 25 : (i + 1) * 25]:
-            st.accumulate(stacked_hankel(e, 2))
-        shards.append(st)
+    serial = aggregate(ds, 2)
+    shards = [aggregate(ds[i * 25 : (i + 1) * 25], 2) for i in range(8)]
     merged = shards[0]
     for st in shards[1:]:
         merged = merged.merge(st)
@@ -84,9 +82,9 @@ def test_sharded_merge_matches_serial(demo_system):
 
 def test_finalize_averages():
     H = np.array([[1.0, 2.0], [3.0, 4.0]])
-    one = SufficientStats(2, 2).accumulate(H).finalize()
+    one = aggregate(_dataset(H), 1).finalize()
     assert np.allclose(one.Gbar, H @ H.T, rtol=0, atol=0)
-    both = SufficientStats(2, 2).accumulate(H).accumulate(3 * H).finalize()
+    both = aggregate(_dataset(H, 3 * H), 1).finalize()
     # (1 + 9) / 2 = 5
     assert np.allclose(both.Gbar, 5 * (H @ H.T), rtol=1e-12)
 
@@ -108,12 +106,13 @@ def test_aggregate_matches_accumulate_loop(demo_system):
     # three blocks of the default plan, the last one partial
     ds = _noisy_demo(demo_system, 1100, seed=6)
     st = aggregate(ds, 2)
-    loop = SufficientStats(10, 29)
+    G, rowsum = 0.0, 0.0
     for e in ds:
-        loop.accumulate(stacked_hankel(e, 2))
-    assert st.count == loop.count == 1100
-    assert np.abs(st.G - loop.G).max() <= 1e-13 * np.abs(loop.G).max()
-    assert np.abs(st.rowsum - loop.rowsum).max() <= 1e-13 * np.abs(loop.rowsum).max()
+        H = stacked_hankel(e, 2)
+        G, rowsum = G + H @ H.T, rowsum + H.sum(axis=1)
+    assert st.count == 1100
+    assert np.abs(st.G - G).max() <= 1e-13 * np.abs(G).max()
+    assert np.abs(st.rowsum - rowsum).max() <= 1e-13 * np.abs(rowsum).max()
 
 
 def test_aggregate_is_bitwise_repeatable(demo_system):
@@ -128,8 +127,9 @@ def test_aggregate_matches_running_accumulation(demo_system):
     ds = _noisy_demo(demo_system, 150, seed=7)
     tree = aggregate(ds, 2, block_size=64)
     running = SufficientStats(10, 29)
-    for e in ds:
-        running.accumulate(stacked_hankel(e, 2))
+    for i in range(ds.Nt):
+        running = running.merge(aggregate(ds[i : i + 1], 2))
+    assert running.count == 150
     assert np.abs(tree.G - running.G).max() <= 1e-9 * np.abs(running.G).max()
 
 
