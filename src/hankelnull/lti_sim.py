@@ -344,10 +344,11 @@ _decode_record = json.JSONDecoder(parse_int=float).decode
 def load_dataset(path) -> Dataset:
     """Read a dataset written by save_dataset into arrays sized from its meta header.
 
-    A regular file's records are cut at line starts into _load_parts byte
-    ranges that are parsed at once (see _concurrently); any other file, a
-    pipe say, is read in one pass. Each record gets the same checks either
-    way, and an error names it by its index in the whole file.
+    A regular file is read by _load_parts processes at once (see
+    _concurrently): each reads and counts every record, and process k parses
+    those whose index i has i % parts == k. Any other file, a pipe say, is
+    read in one pass. Each record gets the same checks either way, and an
+    error names it by its index in the whole file.
     """
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode("utf-8"))
@@ -362,14 +363,11 @@ def load_dataset(path) -> Dataset:
         parts = _load_parts(fh.fileno(), samples)
         if parts == 1:
             U, Y = np.empty((Nt, N, m)), np.empty((Nt, N, p))
-            i = _parse_records(fh, path, math.inf, 0, U, Y)
-        else:
-            ranges = _record_ranges(fh, parts)
+            i = _parse_records(fh, path, 0, 1, U, Y)
     if parts > 1:
         # forked parsers write straight into the caller's arrays
         U, Y = _shared_empty((Nt, N, m)), _shared_empty((Nt, N, p))
-        calls = [functools.partial(_parse_range, path, a, b, first, U, Y) for a, b, first in ranges]
-        i = _concurrently(calls, samples)[-1]
+        i = _concurrently([functools.partial(_parse_share, path, k, parts, U, Y) for k in range(parts)], samples)[0]
     if i != Nt:
         raise ValueError(f"{path}: {i} experiment lines disagree with the meta header's Nt={Nt}")
     try:
@@ -379,73 +377,48 @@ def load_dataset(path) -> Dataset:
 
 
 def _load_parts(file, samples: int) -> int:
-    """Byte ranges load_dataset parses at once from a file (a path or a
-    descriptor) holding this many samples: see _processes. A file that is
-    not regular cannot be cut, so it is one range."""
+    """Processes that load_dataset reads a file (a path or a descriptor)
+    holding this many samples with: see _processes. A file that is not
+    regular cannot be opened again from its start, so one process reads it."""
     if not stat.S_ISREG(os.stat(file).st_mode):
         return 1
     return _processes(_cpus(), samples)
 
 
-def _record_ranges(fh, parts: int) -> list:
-    """Cut the rest of an open dataset file into `parts` byte ranges of about
-    equal size, each starting at a line start.
-
-    Returns (start, end, first) per range, where first is the index of the
-    range's first record; the lines before the last cut are read once to
-    count them.
-    """
-    start = pos = fh.tell()
-    size = os.fstat(fh.fileno()).st_size
-    cuts, firsts, records = [start], [0], 0
-    for k in range(1, parts):
-        target = start + (size - start) * k // parts
-        while pos < target:
-            line = fh.readline()
-            if not line:
-                break
-            pos += len(line)
-            # blank as _parse_records sees it; bytes that are not UTF-8 are no whitespace
-            records += bool(line.decode("utf-8", "replace").strip())
-        cuts.append(pos)
-        firsts.append(records)
-    return list(zip(cuts, cuts[1:] + [size], firsts))
-
-
-def _parse_range(path, start: int, end: int, i: int, U: np.ndarray, Y: np.ndarray) -> int:
-    """Parse the dataset lines in bytes [start, end) of path: see _parse_records."""
+def _parse_share(path, k: int, parts: int, U: np.ndarray, Y: np.ndarray) -> int:
+    """Open path, skip its meta header and parse share k of parts: see _parse_records."""
     with open(path, "rb") as fh:
-        fh.seek(start)
-        return _parse_records(fh, path, end - start, i, U, Y)
+        fh.readline()
+        return _parse_records(fh, path, k, parts, U, Y)
 
 
-def _parse_records(fh, path, size, i: int, U: np.ndarray, Y: np.ndarray) -> int:
-    """Parse dataset lines from fh into U[i:] and Y[i:] until size bytes are read.
+def _parse_records(fh, path, k: int, parts: int, U: np.ndarray, Y: np.ndarray) -> int:
+    """Read the dataset lines left in fh, skipping blank ones, and parse each
+    record i with i % parts == k into U[i] and Y[i].
 
-    i is the index of the first record read; blank lines are skipped.
-    Returns the index after the last record parsed.
+    Every record is counted, so an error names a record by its index in the
+    whole file. Returns the number of records.
     """
     Nt, N, m = U.shape
     p = Y.shape[2]
+    i = 0
     for line in fh:
-        if size <= 0:
-            break
-        size -= len(line)
         text = line.decode("utf-8")
         if not text.strip():
             continue
         if i == Nt:
             raise ValueError(f"{path}: more experiment lines than the meta header's Nt={Nt}")
-        obj = _decode_record(text)
-        try:
-            e = Experiment(obj["u"], obj["y"])
-        except (KeyError, TypeError):
-            raise ValueError(f"{path}: record {i} needs u and y sample arrays") from None
-        except ValueError as err:
-            raise ValueError(f"{path}: record {i}: {err}") from None
-        if e.u.shape != (N, m) or e.y.shape != (N, p):
-            raise ValueError(f"{path}: record {i} has u {e.u.shape} and y {e.y.shape}, meta header says ({N}, {m}) and ({N}, {p})")
-        U[i], Y[i] = e.u, e.y
+        if i % parts == k:
+            obj = _decode_record(text)
+            try:
+                e = Experiment(obj["u"], obj["y"])
+            except (KeyError, TypeError):
+                raise ValueError(f"{path}: record {i} needs u and y sample arrays") from None
+            except ValueError as err:
+                raise ValueError(f"{path}: record {i}: {err}") from None
+            if e.u.shape != (N, m) or e.y.shape != (N, p):
+                raise ValueError(f"{path}: record {i} has u {e.u.shape} and y {e.y.shape}, meta header says ({N}, {m}) and ({N}, {p})")
+            U[i], Y[i] = e.u, e.y
         i += 1
     return i
 
