@@ -9,8 +9,8 @@ shape (..., N, c), and give one matrix or verdict per leading index, built
 from one strided window view.
 
 pe_order_check decides most records without an SVD. One batched slogdet of
-the Gram matrices H H^T, with their Frobenius norms, bounds each record's
-singular-value ratio from below; a record whose bound clears tol by a fixed
+the Gram matrices H H^T, with their traces and Frobenius norms, bounds each
+record's singular-value ratio from below; a record whose bound clears tol by a fixed
 margin is full rank. Only the records the bound cannot certify, those that
 are rank deficient or nearly so, go through the SVD rule, so every verdict
 is the SVD rule's.
@@ -90,12 +90,14 @@ def pe_order_check(U, order: int, tol: float = 1e-10):
 
     Most records skip the SVD. Each record is scaled by a power of two to a
     largest magnitude in [0.5, 1), which is exact and keeps G = H H^T (d x d,
-    d = m*order) clear of overflow and underflow. As lambda_min(G) >=
-    det G / lambda_max^(d-1) and lambda_max <= ||G||_F,
+    d = m*order) clear of overflow and underflow. The other d - 1
+    eigenvalues of G sum to at most trace G, so by the AM-GM inequality their
+    product is at most (trace G / (d-1))^(d-1), and lambda_min(G) is at least
+    det G over that product. With lambda_max <= ||G||_F,
 
-        (sigma_min / sigma_max)^2 >= b = det G / ||G||_F^d,
+        (sigma_min / sigma_max)^2 >= b = det G (d-1)^(d-1) / (trace G^(d-1) ||G||_F),
 
-    and one batched slogdet gives b. A record with
+    and one batched slogdet with one batched trace gives b. A record with
 
         b > 4 tol^2 + 8 (Nc + d) d eps
 
@@ -104,9 +106,12 @@ def pe_order_check(U, order: int, tol: float = 1e-10):
       of the SVD itself (a few eps * sigma_max) cannot take it under tol;
     - forming G from Nc-term inner products perturbs it by at most
       Nc * eps * trace G <= Nc d eps lambda_max, and the LU factorization
-      behind slogdet by about d^2 eps lambda_max more; the factor 8 covers
-      the small constants of both bounds, so rounding cannot lift b over the
-      threshold for a record whose exact G is singular or nearly so.
+      behind slogdet by about d^2 eps lambda_max more. So the determinant
+      computed for an exactly singular G is that of a matrix whose
+      lambda_min / lambda_max is at most about (Nc + d) d eps, and b, a
+      lower bound on that ratio, is no larger; the factor 8 covers the small
+      constants of both bounds, so rounding cannot lift b over the threshold
+      for a record whose exact G is singular or nearly so.
     Every other record (rank deficient, nearly so, zero, more rows than
     columns) goes through the SVD rule unchanged.
     """
@@ -124,8 +129,10 @@ def pe_order_check(U, order: int, tol: float = 1e-10):
     sign, logdet = np.linalg.slogdet(G)
     tol = float(tol)  # a Python float squares past 1e154 to inf without a numpy warning
     need = math.log(4 * tol * tol + 8 * (Nc + d) * d * np.finfo(float).eps)  # see the docstring
-    full = sign > 0  # a zero record has det G = 0 and ||G||_F = 0
-    full[full] = logdet[full] - d * np.log(np.linalg.norm(G[full], axis=(1, 2))) > need
+    full = sign > 0  # a zero record has det G = 0, trace G = 0 and ||G||_F = 0
+    Gf = G[full]
+    log_b = logdet[full] + (d - 1) * (math.log(max(d - 1, 1)) - np.log(np.trace(Gf, axis1=1, axis2=2)))
+    full[full] = log_b - np.log(np.linalg.norm(Gf, axis=(1, 2))) > need
     rest = np.flatnonzero(~full)
     if rest.size:
         sv = np.linalg.svd(_block_hankel(batch[rest], order), compute_uv=False)

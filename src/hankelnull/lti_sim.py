@@ -11,7 +11,9 @@ Everything else runs as array code over the whole ensemble, or over blocks
 of BLOCK_SIZE records where a per-record temporary would otherwise grow
 with the ensemble. Dataset text I/O, which is bound by float formatting
 and parsing, runs in forked processes on a machine with more than one CPU
-when the files are big enough to repay the fork (see _concurrently).
+when the files are big enough to repay the fork (see _concurrently): two
+files are written at once, and each loading process reads a whole file but
+parses only every parts-th record.
 """
 
 import functools
@@ -351,7 +353,10 @@ def load_dataset(path) -> Dataset:
     error names it by its index in the whole file.
     """
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
+        try:
+            header = json.loads(fh.readline().decode("utf-8"))
+        except UnicodeDecodeError as err:
+            raise ValueError(f"{path}: first line is not UTF-8: {err}") from None
         meta = header.get("meta") if isinstance(header, dict) else None
         try:
             Nt, N, m, p = (int(meta[k]) for k in ("Nt", "N", "m", "p"))
@@ -403,15 +408,20 @@ def _parse_records(fh, path, k: int, parts: int, U: np.ndarray, Y: np.ndarray) -
     p = Y.shape[2]
     i = 0
     for line in fh:
-        text = line.decode("utf-8")
+        try:
+            text = line.decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise ValueError(f"{path}: record {i} is not UTF-8: {err}") from None
         if not text.strip():
             continue
         if i == Nt:
             raise ValueError(f"{path}: more experiment lines than the meta header's Nt={Nt}")
         if i % parts == k:
-            obj = _decode_record(text)
             try:
+                obj = _decode_record(text)
                 e = Experiment(obj["u"], obj["y"])
+            except json.JSONDecodeError as err:
+                raise json.JSONDecodeError(f"{path}: record {i}: {err.msg}", err.doc, err.pos) from None
             except (KeyError, TypeError):
                 raise ValueError(f"{path}: record {i} needs u and y sample arrays") from None
             except ValueError as err:

@@ -309,12 +309,22 @@ class TestAggregateAndRecover:
     def test_malformed_line_in_last_range_is_io_error(self, tmp_path, cfg_file, big_gen_dir, monkeypatch, capsys):
         monkeypatch.setattr(lti_sim, "_cpus", lambda: 3)
         lines = (big_gen_dir / "dataset_noisy.jsonl").read_text().split("\n")
-        lines[1501] = lines[1501][:-9]  # record 1500
+        lines[1503] = lines[1503][:-9]  # record 1502, which the last of 3 processes parses
         bad = tmp_path / "bad.jsonl"
         bad.write_text("\n".join(lines))
         rc = main(["recover", "--config", cfg_file, "--dataset", str(bad), "--out", str(tmp_path / "o")])
         assert rc == 4
-        assert "malformed JSON" in capsys.readouterr().err
+        assert f"malformed JSON: {bad}: record 1502: Expecting" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, cause", [(0, "first line is not UTF-8"), (2, "record 1 is not UTF-8")])
+    def test_dataset_line_that_is_not_utf8_is_config_error(self, tmp_path, cfg_file, gen_dir, capsys, line, cause):
+        lines = (gen_dir / "dataset_noisy.jsonl").read_bytes().split(b"\n")
+        lines[line] = lines[line][:20] + b"\xff" + lines[line][21:]
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b"\n".join(lines))
+        rc = main(["aggregate", "--config", cfg_file, "--dataset", str(bad), "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert f"{bad}: {cause}: 'utf-8' codec can't decode byte 0xff in position 20" in capsys.readouterr().err
 
     def test_mismatched_dataset_rejected(self, tmp_path, cfg_file, gen_dir, capsys):
         rc = main([

@@ -217,6 +217,7 @@ PE_CASES = {
     "scale-1e-150": (1e-150 * _MIXED, 5),
     "more-rows-than-columns": (_NORMAL[:, :12], 5),  # 8 columns
     "long-record": (np.random.default_rng(22).standard_normal((2, 20_000, 2)), 5),
+    "standard-normal-d20": (np.random.default_rng(24).standard_normal((24, 60, 2)), 10),
 }
 
 
@@ -281,6 +282,13 @@ def test_pe_order_check_skips_svd_for_exciting_records(monkeypatch):
     U = np.random.default_rng(5).standard_normal((512, 30, 2))
     seen = _count_svd_records(monkeypatch)
     assert pe_order_check(U, 5).all()
+    assert seen == []
+
+
+def test_pe_order_check_skips_svd_for_exciting_records_at_d20(monkeypatch):
+    U = np.random.default_rng(7).standard_normal((512, 60, 2))
+    seen = _count_svd_records(monkeypatch)
+    assert pe_order_check(U, 10).all()  # d = 20 rows, Nc = 51 columns
     assert seen == []
 
 

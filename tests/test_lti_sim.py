@@ -466,6 +466,9 @@ def test_load_dataset_rejects_bad_header(tmp_path):
     path.write_text('{"Nt": 1}\n')
     with pytest.raises(ValueError):
         load_dataset(path)
+    path.write_bytes(b'{"meta": {"Nt": 1, "N": 1, "m": 1, "p": 1}}\xff\n')
+    with pytest.raises(ValueError, match="first line is not UTF-8"):
+        load_dataset(path)
 
 
 def test_load_dataset_rejects_meta_mismatch(tmp_path, demo_system):
@@ -480,13 +483,15 @@ def test_load_dataset_rejects_meta_mismatch(tmp_path, demo_system):
 
 # ---------------------------------------------------------------- split loading
 
-# load_dataset parses a regular file in one byte range per CPU, as long as
-# each range holds FORK_MIN_SAMPLES samples. The tests force the CPU count,
-# so the split does not depend on the machine; at 3 CPUs a 1,600-record file
-# of 160,000 samples is cut into three ranges of about 533 records.
+# load_dataset reads a regular file in one process per CPU, as long as each
+# process gets FORK_MIN_SAMPLES samples. Each process reads every line, and
+# process k of parts parses the records i with i % parts == k. The tests force
+# the CPU count, so the split does not depend on the machine; at 3 CPUs a
+# 1,600-record file of 160,000 samples is parsed in three strides of about
+# 533 records.
 SPLIT_NT = 1600
-BAD = 1500  # a record in the last range
-forks = pytest.mark.skipif(sys.platform != "linux", reason="ranges are parsed in forked processes on Linux only")
+BAD = 1502  # a record the last of 3 processes parses
+forks = pytest.mark.skipif(sys.platform != "linux", reason="strides are parsed in forked processes on Linux only")
 
 
 @pytest.fixture(scope="module")
@@ -564,16 +569,32 @@ def test_pipe_is_read_in_one_pass(monkeypatch, split_file, tmp_path):
     (lambda line: _edit(line, _set_nan), ValueError, f"record {BAD} has non-finite samples"),
     (lambda line: _edit(line, lambda rec: rec.update(u=rec["u"][:-1])), ValueError, f"record {BAD}: u has 19 samples but y has 20"),
     (lambda line: _edit(line, lambda rec: rec.pop("y")), ValueError, f"record {BAD} needs u and y sample arrays"),
-    (lambda line: line[:-9], json.JSONDecodeError, "Expecting"),
+    (lambda line: line[:-9], json.JSONDecodeError, f"record {BAD}: Expecting"),
+    (lambda line: line[:20] + "\udcff" + line[21:], ValueError, f"record {BAD} is not UTF-8"),  # a 0xff byte
 ])
 def test_split_load_names_bad_record_by_its_index_in_the_file(monkeypatch, split_file, tmp_path, bad_line, kind, cause):
     lines = split_file[1].read_text().split("\n")
     lines[BAD + 1] = bad_line(lines[BAD + 1])
     bad = tmp_path / "bad.jsonl"
-    bad.write_text("\n".join(lines))
+    bad.write_text("\n".join(lines), errors="surrogateescape")
     split = _outcome(monkeypatch, 3, bad)
     assert split == _outcome(monkeypatch, 1, bad)
     assert split[0] is kind and cause in split[1]
+
+
+@forks
+def test_split_load_names_a_bad_record_of_the_first_process_to_fail(monkeypatch, split_file, tmp_path):
+    """Bad records in two strides: one process names the first in the file, a
+    split load the first bad record of its earliest failing process in call
+    order, which need not be the lower index."""
+    lines = split_file[1].read_text().split("\n")
+    for i in (BAD, BAD + 1):
+        lines[i + 1] = _edit(lines[i + 1], lambda rec: rec.pop("y"))
+    bad = tmp_path / "two.jsonl"
+    bad.write_text("\n".join(lines))
+    assert _outcome(monkeypatch, 1, bad) == (ValueError, f"{bad}: record {BAD} needs u and y sample arrays")
+    kind, message = _outcome(monkeypatch, 3, bad)
+    assert kind is ValueError and message in (f"{bad}: record {i} needs u and y sample arrays" for i in (BAD, BAD + 1))
 
 
 @forks
@@ -581,8 +602,7 @@ def test_split_load_skips_blank_lines_at_cuts(monkeypatch, split_file, tmp_path)
     ds, path = split_file
     header, *records = path.read_text().rstrip("\n").split("\n")
     records[BAD] = _edit(records[BAD], _set_nan)
-    # a blank line after every record, so each cut lands next to one, and
-    # every range but the first starts after blank lines it must not count
+    # a blank line after every record, which no process may count
     lines = [header] + [line for rec, blank in zip(records, ["", " \t", "\r"] * SPLIT_NT) for line in (rec, blank)]
     bad = tmp_path / "blank.jsonl"
     bad.write_text("\n".join(lines) + "\n")
