@@ -9,11 +9,11 @@ shape (..., N, c), and give one matrix or verdict per leading index, built
 from one strided window view.
 
 pe_order_check decides most records without an SVD. One batched slogdet of
-the Gram matrices H H^T, with their traces and Frobenius norms, bounds each
-record's singular-value ratio from below; a record whose bound clears tol by a fixed
-margin is full rank. Only the records the bound cannot certify, those that
-are rank deficient or nearly so, go through the SVD rule, so every verdict
-is the SVD rule's.
+the Gram matrices H H^T, with their traces and Frobenius norms, bounds
+each record's singular-value ratio from below; a record whose bound clears
+tol by a fixed margin is full rank. Only the records the bound cannot
+certify, those that are rank deficient or nearly so, go through the SVD
+rule, so every verdict is the SVD rule's.
 """
 
 import math
@@ -95,7 +95,7 @@ def pe_order_check(U, order: int, tol: float = 1e-10):
     product is at most (trace G / (d-1))^(d-1), and lambda_min(G) is at least
     det G over that product. With lambda_max <= ||G||_F,
 
-        (sigma_min / sigma_max)^2 >= b = det G (d-1)^(d-1) / (trace G^(d-1) ||G||_F),
+        (sigma_min / sigma_max)^2 >= b = det G (d-1)^(d-1) / ((trace G)^(d-1) ||G||_F),
 
     and one batched slogdet with one batched trace gives b. A record with
 
@@ -131,6 +131,7 @@ def pe_order_check(U, order: int, tol: float = 1e-10):
     need = math.log(4 * tol * tol + 8 * (Nc + d) * d * np.finfo(float).eps)  # see the docstring
     full = sign > 0  # a zero record has det G = 0, trace G = 0 and ||G||_F = 0
     Gf = G[full]
+    # at d = 1 the AM-GM factor is 0^0 = 1 and b = det G / ||G||_F = 1
     log_b = logdet[full] + (d - 1) * (math.log(max(d - 1, 1)) - np.log(np.trace(Gf, axis1=1, axis2=2)))
     full[full] = log_b - np.log(np.linalg.norm(Gf, axis=(1, 2))) > need
     rest = np.flatnonzero(~full)

@@ -357,6 +357,8 @@ def load_dataset(path) -> Dataset:
             header = json.loads(fh.readline().decode("utf-8"))
         except UnicodeDecodeError as err:
             raise ValueError(f"{path}: first line is not UTF-8: {err}") from None
+        except json.JSONDecodeError as err:
+            raise json.JSONDecodeError(f"{path}: first line: {err.msg}", err.doc, err.pos) from None
         meta = header.get("meta") if isinstance(header, dict) else None
         try:
             Nt, N, m, p = (int(meta[k]) for k in ("Nt", "N", "m", "p"))
@@ -382,9 +384,9 @@ def load_dataset(path) -> Dataset:
 
 
 def _load_parts(file, samples: int) -> int:
-    """Processes that load_dataset reads a file (a path or a descriptor)
-    holding this many samples with: see _processes. A file that is not
-    regular cannot be opened again from its start, so one process reads it."""
+    """How many processes load a file (a path or a descriptor) holding this
+    many samples: see _processes. A file that is not regular cannot be
+    opened again from its start, so one process reads it."""
     if not stat.S_ISREG(os.stat(file).st_mode):
         return 1
     return _processes(_cpus(), samples)

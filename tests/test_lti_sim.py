@@ -469,6 +469,9 @@ def test_load_dataset_rejects_bad_header(tmp_path):
     path.write_bytes(b'{"meta": {"Nt": 1, "N": 1, "m": 1, "p": 1}}\xff\n')
     with pytest.raises(ValueError, match="first line is not UTF-8"):
         load_dataset(path)
+    path.write_text('{"meta": \n')
+    with pytest.raises(json.JSONDecodeError, match="bad.jsonl: first line: Expecting value"):
+        load_dataset(path)
 
 
 def test_load_dataset_rejects_meta_mismatch(tmp_path, demo_system):
