@@ -3,9 +3,9 @@ fragmented, noisy multi-experiment datasets.
 
 The pipeline: simulate or ingest many short input-output experiments, fold
 them once into sufficient statistics, assemble a moment-corrected
-correlation matrix over a grid of candidate noise moments, and read the
-shared left null space off the singular value decomposition at the point
-where the matrix drops rank.
+correlation matrix over a grid of candidate noise moments, and, at the
+point where the matrix drops rank, read the shared left null space off one
+symmetric eigendecomposition: the eigenvectors nearest that point's shift.
 """
 
 from .estimator import (
@@ -23,7 +23,6 @@ from .lti_sim import (
     NOISE_FAMILIES,
     X0_POLICIES,
     Dataset,
-    Experiment,
     NoiseSpec,
     StateSpace,
     add_noise,
@@ -50,7 +49,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Candidate",
     "Dataset",
-    "Experiment",
     "FinalizedStats",
     "GridResult",
     "MomentPoint",

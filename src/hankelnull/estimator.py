@@ -85,6 +85,8 @@ class SubspaceBasis:
     def __post_init__(self):
         arr = np.atleast_2d(np.asarray(self.basis, dtype=float))
         object.__setattr__(self, "basis", arr)
+        if not np.isfinite(arr).all():
+            raise ValueError("basis rows are not orthonormal: they hold non-finite entries")
         if arr.shape[0] > 0:
             gram = arr @ arr.T
             gram.flat[:: arr.shape[0] + 1] -= 1.0  # gram - I, without building I

@@ -67,14 +67,13 @@ def hankel(seq, L: int) -> np.ndarray:
     return _block_hankel(_as_signal(seq), L)
 
 
-def stacked_hankel(e, L: int) -> np.ndarray:
+def stacked_hankel(u, y, L: int) -> np.ndarray:
     """Stack hankel(u, L) on top of hankel(y, L): a (d, Nc) matrix.
 
-    `e` is one record (an Experiment: u (N, m), y (N, p)) or a batch of
-    them (a Dataset or a slice of one: U (Nt, N, m), Y (Nt, N, p)), which
-    gives one stacked matrix per record, (Nt, d, Nc).
+    u (N, m) and y (N, p) are one record. A batch of records, u (..., N, m)
+    and y (..., N, p) such as a Dataset's U and Y, gives one stacked matrix
+    per record, (..., d, Nc).
     """
-    u, y = (e.U, e.Y) if hasattr(e, "U") else (e.u, e.y)
     Hu = _block_hankel(_as_signal(u, batched=True), L)
     Hy = _block_hankel(_as_signal(y, batched=True), L)
     return np.concatenate([Hu, Hy], axis=-2)

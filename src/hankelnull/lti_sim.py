@@ -30,7 +30,6 @@ from .hankel import pe_order_check
 
 __all__ = [
     "StateSpace",
-    "Experiment",
     "Dataset",
     "NoiseSpec",
     "NOISE_FAMILIES",
@@ -92,31 +91,11 @@ class StateSpace:
 
 
 @dataclass(frozen=True)
-class Experiment:
-    """One input-output trajectory, u of shape (N, m) and y of shape (N, p)."""
-
-    u: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        for name in ("u", "y"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.ndim == 1:
-                arr = arr[:, None]
-            if arr.ndim != 2:
-                raise ValueError(f"{name} must be 1-D or 2-D, got shape {arr.shape}")
-            object.__setattr__(self, name, arr)
-        if self.u.shape[0] != self.y.shape[0]:
-            raise ValueError(f"u has {self.u.shape[0]} samples but y has {self.y.shape[0]}")
-
-
-@dataclass(frozen=True)
 class Dataset:
     """Nt records sharing N, m and p: inputs U (Nt, N, m), outputs Y (Nt, N, p).
 
-    Indexing with an integer gives one record as an Experiment; a slice
-    gives a smaller Dataset over the same arrays. Every sample must be
-    finite.
+    A slice gives a smaller Dataset over the same arrays; record i is
+    U[i] and Y[i]. Every sample must be finite.
     """
 
     U: np.ndarray
@@ -135,13 +114,10 @@ class Dataset:
         object.__setattr__(self, "U", U)
         object.__setattr__(self, "Y", Y)
 
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            return Dataset(self.U[key], self.Y[key])
-        return Experiment(self.U[key], self.Y[key])
-
-    def __iter__(self):
-        return (Experiment(u, y) for u, y in zip(self.U, self.Y))
+    def __getitem__(self, key: slice) -> "Dataset":
+        if not isinstance(key, slice):
+            raise TypeError(f"a Dataset takes a slice, not {type(key).__name__}; record i is U[i] and Y[i]")
+        return Dataset(self.U[key], self.Y[key])
 
     @property
     def Nt(self) -> int:
@@ -211,10 +187,10 @@ def _simulate_batch(ss: StateSpace, X0: np.ndarray, U: np.ndarray) -> np.ndarray
     return Y
 
 
-def simulate(ss: StateSpace, x0, U) -> Experiment:
-    """Run the exact state recursion over an input sequence.
+def simulate(ss: StateSpace, x0, U) -> np.ndarray:
+    """Run the exact state recursion over an input sequence U (N, m).
 
-    Returns the experiment (U, Y) with y_k = C x_k + D u_k and
+    Returns the outputs Y (N, p) with y_k = C x_k + D u_k and
     x_{k+1} = A x_k + B u_k.
     """
     U = np.asarray(U, dtype=float)
@@ -225,7 +201,7 @@ def simulate(ss: StateSpace, x0, U) -> Experiment:
     x = np.asarray(x0, dtype=float).reshape(-1)
     if x.shape != (ss.n,):
         raise ValueError(f"x0 must have {ss.n} entries, got shape {np.shape(x0)}")
-    return Experiment(U.copy(), _simulate_batch(ss, x[None], U[None])[0])
+    return _simulate_batch(ss, x[None], U[None])[0]
 
 
 def generate_pe_input(N: int, m: int, order: int, rng: np.random.Generator, max_tries: int = MAX_TRIES) -> np.ndarray:
@@ -421,16 +397,16 @@ def _parse_records(fh, path, k: int, parts: int, U: np.ndarray, Y: np.ndarray) -
         if i % parts == k:
             try:
                 obj = _decode_record(text)
-                e = Experiment(obj["u"], obj["y"])
+                u, y = np.asarray(obj["u"], dtype=float), np.asarray(obj["y"], dtype=float)
             except json.JSONDecodeError as err:
                 raise json.JSONDecodeError(f"{path}: record {i}: {err.msg}", err.doc, err.pos) from None
             except (KeyError, TypeError):
                 raise ValueError(f"{path}: record {i} needs u and y sample arrays") from None
             except ValueError as err:
                 raise ValueError(f"{path}: record {i}: {err}") from None
-            if e.u.shape != (N, m) or e.y.shape != (N, p):
-                raise ValueError(f"{path}: record {i} has u {e.u.shape} and y {e.y.shape}, meta header says ({N}, {m}) and ({N}, {p})")
-            U[i], Y[i] = e.u, e.y
+            if u.shape != (N, m) or y.shape != (N, p):
+                raise ValueError(f"{path}: record {i} has u {u.shape} and y {y.shape}, meta header says ({N}, {m}) and ({N}, {p})")
+            U[i], Y[i] = u, y
         i += 1
     return i
 

@@ -84,7 +84,7 @@ def aggregate(ds, L: int, block_size: int = BLOCK_SIZE) -> SufficientStats:
     """
     parts = []
     for a in range(0, ds.Nt, block_size):
-        Hs = stacked_hankel(ds[a : a + block_size], L)  # (B, d, Nc)
+        Hs = stacked_hankel(ds.U[a : a + block_size], ds.Y[a : a + block_size], L)  # (B, d, Nc)
         parts.append((_tree_sum(Hs @ Hs.transpose(0, 2, 1)), _tree_sum(Hs.sum(axis=2))))
     d, Nc = Hs.shape[1:]
     out = SufficientStats(d, Nc)
@@ -109,7 +109,8 @@ def save_stats(st: SufficientStats, path) -> None:
 def load_stats(path) -> SufficientStats:
     """Read a snapshot written by save_stats.
 
-    Rejects what no aggregate can hold: a count below one, non-finite
+    Rejects what no aggregate can hold: d, Nc or count that is not a
+    positive integer (an integral float such as 4.0 reads as 4), non-finite
     entries and a G that is not exactly symmetric.
     """
     with open(path, "r", encoding="utf-8") as fh:
@@ -117,6 +118,11 @@ def load_stats(path) -> SufficientStats:
     for key in ("d", "Nc", "count", "G", "rowsum"):
         if key not in obj:
             raise ValueError(f"{path}: missing field {key!r}")
+    for key in ("d", "Nc", "count"):
+        value = obj[key]
+        integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+        if isinstance(value, bool) or not integral or value < 1:
+            raise ValueError(f"{path}: {key} is {value!r}, expected a positive integer")
     st = SufficientStats(obj["d"], obj["Nc"])
     G = np.asarray(obj["G"], dtype=float)
     if G.size != st.d * st.d:
@@ -126,8 +132,6 @@ def load_stats(path) -> SufficientStats:
     if st.rowsum.shape != (st.d,):
         raise ValueError(f"{path}: rowsum has shape {st.rowsum.shape}, expected ({st.d},)")
     st.count = int(obj["count"])
-    if st.count < 1:
-        raise ValueError(f"{path}: count is {st.count}, an aggregate needs at least one experiment")
     if not (np.isfinite(st.G).all() and np.isfinite(st.rowsum).all()):
         raise ValueError(f"{path}: G or rowsum has non-finite entries")
     if not np.array_equal(st.G, st.G.T):

@@ -47,7 +47,7 @@ def true_nullspace(ss: StateSpace, L: int, rng=None, length=None) -> SubspaceBas
     if length is None:
         length = (ss.m + 1) * (L + ss.n) + L
     ds = generate_dataset(ss, 1, length, L, "zero", rng)
-    H = stacked_hankel(ds[0], L)
+    H = stacked_hankel(ds.U[0], ds.Y[0], L)
     U, s, _ = np.linalg.svd(H, full_matrices=True)
     sfull = np.zeros(H.shape[0])
     sfull[: s.size] = s

@@ -33,8 +33,8 @@ def noiseless_M(ds, L: int) -> np.ndarray:
     zero-moment point.
     """
     M = 0.0
-    for e in ds:
-        H = stacked_hankel(e, L)
+    for u, y in zip(ds.U, ds.Y):
+        H = stacked_hankel(u, y, L)
         M = M + H @ H.T
     M = M / ds.Nt
     return (M + M.T) / 2.0

@@ -167,7 +167,7 @@ def test_quadratic_form_identity(capsys):
         N = max(2 * (m + 1) * (L + n), 12)
         ds = generate_dataset(ss, Nt, N, L, "random-bounded", rng)
         M = aggregate(ds, L).finalize().Gbar
-        Hs = [stacked_hankel(e, L) for e in ds]
+        Hs = [stacked_hankel(u, y, L) for u, y in zip(ds.U, ds.Y)]
         scale = np.abs(M).max()
         for _ in range(10):
             v = rng.standard_normal(M.shape[0])
@@ -303,8 +303,8 @@ def test_scalar_null_vector_matches_recursion(capsys):
     hand /= np.linalg.norm(hand)
     theta = subspace_angle(true_nullspace(ss, 2), SubspaceBasis(hand)).theta_max
     rng = np.random.default_rng(9)
-    e = simulate(ss, rng.standard_normal(1), rng.standard_normal((15, 1)))
-    resid = float(np.abs(hand @ stacked_hankel(e, 2)).max())
+    x0, u = rng.standard_normal(1), rng.standard_normal((15, 1))
+    resid = float(np.abs(hand @ stacked_hankel(u, simulate(ss, x0, u), 2)).max())
     ok = theta <= 1e-8 and resid <= 1e-10
     _check(capsys, "scalar system null vector", ok,
            f"theta={theta:.2e} window residual={resid:.2e}")

@@ -551,6 +551,15 @@ class TestValidate:
         rc = main(["validate", "--config", cfg_file, "--candidate", str(cand), "--out", str(tmp_path / "o")])
         assert rc == 3
 
+    def test_non_finite_basis_is_config_error(self, tmp_path, cfg_file, capsys):
+        basis = np.eye(10)[:3]
+        basis[1] = np.nan
+        cand = tmp_path / "cand.json"
+        cand.write_text(json.dumps({"m1": 0.0, "m2": 0.0, "sigma_min": 0.0, "nullspace": basis.tolist()}))
+        rc = main(["validate", "--config", cfg_file, "--candidate", str(cand), "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert "not orthonormal" in capsys.readouterr().err
+
     def test_missing_candidate_is_io_error(self, tmp_path, cfg_file, capsys):
         rc = main(["validate", "--config", cfg_file, "--candidate", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])
         assert rc == 4

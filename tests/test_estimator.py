@@ -122,6 +122,13 @@ class TestSubspaceBasis:
         with pytest.raises(ValueError):
             SubspaceBasis(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_rows(self, bad):
+        basis = np.eye(4)[:2]
+        basis[1, 2] = bad
+        with pytest.raises(ValueError, match="not orthonormal"):
+            SubspaceBasis(basis)
+
     def test_empty_basis_allowed(self):
         assert SubspaceBasis(np.zeros((0, 4))).k == 0
 
@@ -223,7 +230,7 @@ class TestQuadraticForm:
             v = rng.standard_normal(10)
             lhs = float(v @ fin.Gbar @ v)
             rhs = float(
-                np.mean([np.sum((stacked_hankel(e, 2).T @ v) ** 2) for e in ds])
+                np.mean([np.sum((stacked_hankel(u, y, 2).T @ v) ** 2) for u, y in zip(ds.U, ds.Y)])
             )
             assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
 

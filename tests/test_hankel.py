@@ -1,5 +1,4 @@
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from hankelnull import (
     simulate,
     stacked_hankel,
 )
-from hankelnull.lti_sim import Experiment
 
 
 def test_hankel_scalar():
@@ -67,33 +65,39 @@ def test_hankel_window_content_matches_slices():
 
 def test_stacked_hankel_dimensions(demo_system):
     rng = np.random.default_rng(0)
-    e = simulate(demo_system, np.zeros(3), rng.standard_normal((30, 2)))
-    H = stacked_hankel(e, 2)
+    u = rng.standard_normal((30, 2))
+    H = stacked_hankel(u, simulate(demo_system, np.zeros(3), u), 2)
     assert H.shape == (10, 29)
 
 
 def test_stacked_hankel_block_order():
-    e = Experiment(np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0, 6.0]))
-    H = stacked_hankel(e, 2)
+    H = stacked_hankel(np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0, 6.0]), 2)
     assert np.array_equal(H, [[1.0, 2.0], [2.0, 3.0], [4.0, 5.0], [5.0, 6.0]])
 
 
 def test_stacked_hankel_noiseless_rank(demo_system):
     # noiseless trajectories expose rank m*L + n
     rng = np.random.default_rng(1)
-    e = simulate(demo_system, rng.uniform(-1, 1, 3), generate_pe_input(30, 2, 5, rng))
-    H = stacked_hankel(e, 2)
+    x0 = rng.uniform(-1, 1, 3)
+    u = generate_pe_input(30, 2, 5, rng)
+    H = stacked_hankel(u, simulate(demo_system, x0, u), 2)
     assert np.linalg.matrix_rank(H) == 7
 
 
 def test_stacked_hankel_batch_matches_per_record():
     rng = np.random.default_rng(2)
-    batch = SimpleNamespace(U=rng.standard_normal((7, 12, 2)), Y=rng.standard_normal((7, 12, 3)))
-    H = stacked_hankel(batch, 3)
+    U, Y = rng.standard_normal((7, 12, 2)), rng.standard_normal((7, 12, 3))
+    H = stacked_hankel(U, Y, 3)
     assert H.shape == (7, 15, 10)
     for i in range(7):
-        one = stacked_hankel(Experiment(batch.U[i], batch.Y[i]), 3)
-        assert np.array_equal(H[i], one)
+        assert np.array_equal(H[i], stacked_hankel(U[i], Y[i], 3))
+
+
+def test_stacked_hankel_rejects_signals_of_different_lengths():
+    with pytest.raises(ValueError):
+        stacked_hankel(np.zeros((5, 1)), np.zeros((4, 1)), 2)
+    with pytest.raises(ValueError):
+        stacked_hankel(np.zeros((3, 5, 1)), np.zeros((2, 5, 1)), 2)
 
 
 def test_row_index_corners():
@@ -113,15 +117,15 @@ def test_row_index_is_bijection_and_matches_rows():
         assert sorted(idx) == list(range(d))
 
         N = L + 6
-        e = Experiment(rng.standard_normal((N, m)), rng.standard_normal((N, p)))
-        H = stacked_hankel(e, L)
+        u, y = rng.standard_normal((N, m)), rng.standard_normal((N, p))
+        H = stacked_hankel(u, y, L)
         for lag in range(L):
             for ch in range(m):
                 r = row_index("input", ch, lag, m, p, L)
-                assert np.array_equal(H[r], e.u[lag : lag + H.shape[-1], ch])
+                assert np.array_equal(H[r], u[lag : lag + H.shape[-1], ch])
             for ch in range(p):
                 r = row_index("output", ch, lag, m, p, L)
-                assert np.array_equal(H[r], e.y[lag : lag + H.shape[-1], ch])
+                assert np.array_equal(H[r], y[lag : lag + H.shape[-1], ch])
 
 
 def test_row_index_rejects_out_of_range():

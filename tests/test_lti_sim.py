@@ -2,6 +2,7 @@ import json
 import math
 import multiprocessing
 import os
+import subprocess
 import sys
 import threading
 
@@ -11,7 +12,6 @@ import pytest
 from conftest import svd_rule
 from hankelnull import (
     Dataset,
-    Experiment,
     NoiseSpec,
     StateSpace,
     add_noise,
@@ -46,11 +46,6 @@ def test_demo_system_is_stable(demo_system):
     assert (demo_system.n, demo_system.m, demo_system.p) == (3, 2, 3)
 
 
-def test_experiment_length_check():
-    with pytest.raises(ValueError):
-        Experiment(np.zeros((5, 1)), np.zeros((4, 1)))
-
-
 def test_dataset_uniformity_check():
     # the (Nt, N, c) arrays force one N per dataset; U and Y must agree on it
     with pytest.raises(ValueError):
@@ -63,20 +58,18 @@ def test_dataset_uniformity_check():
 
 def test_simulate_unit_delay():
     ss = StateSpace([[0.0]], [[1.0]], [[1.0]], [[0.0]])
-    e = simulate(ss, [0.0], [1.0, 1.0])
-    assert np.array_equal(e.y, [[0.0], [1.0]])
+    assert np.array_equal(simulate(ss, [0.0], [1.0, 1.0]), [[0.0], [1.0]])
 
 
 def test_simulate_zero_input_zero_state(demo_system):
-    e = simulate(demo_system, np.zeros(3), np.zeros((12, 2)))
-    assert np.array_equal(e.y, np.zeros((12, 3)))
+    assert np.array_equal(simulate(demo_system, np.zeros(3), np.zeros((12, 2))), np.zeros((12, 3)))
 
 
 def test_simulate_free_response_reads_a_column(demo_system):
     # full state output and zero input make y_1 the first column of A
-    e = simulate(demo_system, [1.0, 0.0, 0.0], np.zeros((4, 2)))
-    assert np.array_equal(e.y[0], [1.0, 0.0, 0.0])
-    assert np.allclose(e.y[1], [0.8, 0.1, 0.0], rtol=0, atol=1e-15)
+    Y = simulate(demo_system, [1.0, 0.0, 0.0], np.zeros((4, 2)))
+    assert np.array_equal(Y[0], [1.0, 0.0, 0.0])
+    assert np.allclose(Y[1], [0.8, 0.1, 0.0], rtol=0, atol=1e-15)
 
 
 def test_simulate_matches_naive_loop():
@@ -85,11 +78,11 @@ def test_simulate_matches_naive_loop():
         ss = random_system(3, 2, 2, rng)
         x0 = rng.standard_normal(3)
         U = rng.standard_normal((15, 2))
-        e = simulate(ss, x0, U)
+        Y = simulate(ss, x0, U)
         x = x0.copy()
         for k in range(15):
             yk = ss.C @ x + ss.D @ U[k]
-            assert np.array_equal(e.y[k], yk)
+            assert np.array_equal(Y[k], yk)
             x = ss.A @ x + ss.B @ U[k]
 
 
@@ -98,8 +91,8 @@ def test_simulate_superposition():
     ss = random_system(3, 2, 2, rng)
     x1, x2 = rng.standard_normal((2, 3))
     U1, U2 = rng.standard_normal((2, 20, 2))
-    lhs = simulate(ss, x1 + x2, U1 + U2).y
-    rhs = simulate(ss, x1, U1).y + simulate(ss, x2, U2).y
+    lhs = simulate(ss, x1 + x2, U1 + U2)
+    rhs = simulate(ss, x1, U1) + simulate(ss, x2, U2)
     assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
@@ -153,9 +146,8 @@ def test_zero_noise_is_identity(demo_system):
     ds = generate_dataset(demo_system, 3, 20, 2, "zero", rng)
     zero = NoiseSpec("gaussian", 0.0, 0.0)
     out = add_noise(ds, zero, zero, rng)
-    for a, b in zip(ds, out):
-        assert np.array_equal(a.u, b.u)
-        assert np.array_equal(a.y, b.y)
+    assert np.array_equal(ds.U, out.U)
+    assert np.array_equal(ds.Y, out.Y)
 
 
 def test_degenerate_noise_is_constant_offset():
@@ -199,8 +191,8 @@ def test_noise_per_experiment_streams_do_not_depend_on_ensemble_size(demo_system
     spec = NoiseSpec("gaussian", 1.0, 5.0)
     both = add_noise(ds, spec, spec, np.random.default_rng(42))
     only_first = add_noise(ds[:1], spec, spec, np.random.default_rng(42))
-    assert np.array_equal(both[0].u, only_first[0].u)
-    assert np.array_equal(both[0].y, only_first[0].y)
+    assert np.array_equal(both.U[0], only_first.U[0])
+    assert np.array_equal(both.Y[0], only_first.Y[0])
 
 
 # ---------------------------------------------------------------- datasets
@@ -208,9 +200,8 @@ def test_noise_per_experiment_streams_do_not_depend_on_ensemble_size(demo_system
 def test_generate_dataset_deterministic(demo_system):
     a = generate_dataset(demo_system, 4, 20, 2, "random-bounded", np.random.default_rng(123))
     b = generate_dataset(demo_system, 4, 20, 2, "random-bounded", np.random.default_rng(123))
-    for ea, eb in zip(a, b):
-        assert np.array_equal(ea.u, eb.u)
-        assert np.array_equal(ea.y, eb.y)
+    assert np.array_equal(a.U, b.U)
+    assert np.array_equal(a.Y, b.Y)
 
 
 def _per_record_oracle(ss, Nt, N, L, seed, halfwidth=1.0):
@@ -329,9 +320,10 @@ def test_dataset_indexing(demo_system):
     ds = generate_dataset(demo_system, 5, 20, 2, "zero", np.random.default_rng(13))
     assert ds[1:3].Nt == 2
     assert np.array_equal(ds[1:3].U, ds.U[1:3]) and np.array_equal(ds[1:3].Y, ds.Y[1:3])
-    e = ds[4]
-    assert np.array_equal(e.u, ds.U[4]) and np.array_equal(e.y, ds.Y[4])
-    assert [r.u.tobytes() for r in ds] == [u.tobytes() for u in ds.U]
+    with pytest.raises(TypeError, match="record i is U"):
+        ds[4]
+    with pytest.raises(TypeError, match="record i is U"):
+        list(ds)
 
 
 def test_dataset_rejects_non_finite_samples():
@@ -355,14 +347,14 @@ def test_dataset_rejects_bad_shapes():
 def test_generate_dataset_inputs_are_exciting(demo_system):
     ds = generate_dataset(demo_system, 20, 30, 2, "random-bounded", np.random.default_rng(2))
     order = 2 + demo_system.n
-    assert all(pe_order_check(e.u, order) for e in ds)
+    assert all(pe_order_check(u, order) for u in ds.U)
 
 
 def test_generate_dataset_zero_policy_starts_at_rest(demo_system):
     # D = 0, so a zero initial state forces y_0 = 0
     ds = generate_dataset(demo_system, 3, 20, 2, "zero", np.random.default_rng(4))
-    for e in ds:
-        assert np.array_equal(e.y[0], np.zeros(3))
+    for Y in ds.Y:
+        assert np.array_equal(Y[0], np.zeros(3))
 
 
 def test_generate_dataset_infeasible_length(demo_system):
@@ -390,9 +382,8 @@ def test_dataset_jsonl_roundtrip(tmp_path, demo_system):
     save_dataset(noisy, path)
     back = load_dataset(path)
     assert back.Nt == noisy.Nt
-    for a, b in zip(noisy, back):
-        assert np.array_equal(a.u, b.u)  # 17 significant digits round-trip exactly
-        assert np.array_equal(a.y, b.y)
+    assert np.array_equal(noisy.U, back.U)  # 17 significant digits round-trip exactly
+    assert np.array_equal(noisy.Y, back.Y)
 
 
 def test_dataset_jsonl_header(tmp_path, demo_system):
@@ -412,8 +403,8 @@ def _per_record_writer(ds, path):
 
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"meta": {"Nt": ds.Nt, "N": ds.N, "m": ds.m, "p": ds.p}}) + "\n")
-        for i, e in enumerate(ds):
-            fh.write('{"i":%d,"u":%s,"y":%s}\n' % (i, fmt(e.u), fmt(e.y)))
+        for i, (u, y) in enumerate(zip(ds.U, ds.Y)):
+            fh.write('{"i":%d,"u":%s,"y":%s}\n' % (i, fmt(u), fmt(y)))
 
 
 def test_save_dataset_bytes_match_per_record_writer(tmp_path, demo_system):
@@ -456,6 +447,11 @@ def test_load_dataset_rejects_wrong_record_shape(tmp_path, demo_system):
     path.write_text("\n".join(lines))
     with pytest.raises(ValueError, match="record 1"):
         load_dataset(path)
+    # one channel each, written as flat lists rather than (N, 1) rows
+    flat = tmp_path / "flat.jsonl"
+    flat.write_text('{"meta": {"Nt": 1, "N": 3, "m": 1, "p": 1}}\n{"i": 0, "u": [1, 2, 3], "y": [4, 5, 6]}\n')
+    with pytest.raises(ValueError, match=r"record 0 has u \(3,\) and y \(3,\), meta header says \(3, 1\) and \(3, 1\)"):
+        load_dataset(flat)
     path.write_text("\n".join(lines[:1] + [lines[1]] * 4) + "\n")  # one line too many
     with pytest.raises(ValueError, match="more experiment lines"):
         load_dataset(path)
@@ -570,7 +566,7 @@ def test_pipe_is_read_in_one_pass(monkeypatch, split_file, tmp_path):
 @forks
 @pytest.mark.parametrize("bad_line, kind, cause", [
     (lambda line: _edit(line, _set_nan), ValueError, f"record {BAD} has non-finite samples"),
-    (lambda line: _edit(line, lambda rec: rec.update(u=rec["u"][:-1])), ValueError, f"record {BAD}: u has 19 samples but y has 20"),
+    (lambda line: _edit(line, lambda rec: rec.update(u=rec["u"][:-1])), ValueError, f"record {BAD} has u (19, 2) and y (20, 3), meta header says (20, 2) and (20, 3)"),
     (lambda line: _edit(line, lambda rec: rec.pop("y")), ValueError, f"record {BAD} needs u and y sample arrays"),
     (lambda line: line[:-9], json.JSONDecodeError, f"record {BAD}: Expecting"),
     (lambda line: line[:20] + "\udcff" + line[21:], ValueError, f"record {BAD} is not UTF-8"),  # a 0xff byte
@@ -664,3 +660,11 @@ def test_concurrently_forks_only_past_the_size_cutoff(monkeypatch):
     assert one == two == os.getpid()
     one, two = lti_sim._concurrently(pids, 2 * lti_sim.FORK_MIN_SAMPLES)
     assert one == os.getpid() != two
+
+
+def test_importing_the_package_loads_no_fork_machinery():
+    """multiprocessing and mmap load only when dataset I/O forks or shares memory."""
+    src = os.path.dirname(os.path.dirname(lti_sim.__file__))
+    code = f"import sys; sys.path.insert(0, {src!r}); import hankelnull; print(sorted({{'multiprocessing', 'mmap'}} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -107,8 +110,8 @@ def test_aggregate_matches_accumulate_loop(demo_system):
     ds = _noisy_demo(demo_system, 1100, seed=6)
     st = aggregate(ds, 2)
     G, rowsum = 0.0, 0.0
-    for e in ds:
-        H = stacked_hankel(e, 2)
+    for u, y in zip(ds.U, ds.Y):
+        H = stacked_hankel(u, y, 2)
         G, rowsum = G + H @ H.T, rowsum + H.sum(axis=1)
     assert st.count == 1100
     assert np.abs(st.G - G).max() <= 1e-13 * np.abs(G).max()
@@ -184,3 +187,22 @@ def test_load_stats_rejects_impossible_aggregates(tmp_path, payload, cause):
     path.write_text(payload)
     with pytest.raises(ValueError, match=cause):
         load_stats(path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("count", 2.5), ("count", True), ("d", True), ("Nc", 2.7), ("Nc", -1), ("Nc", 0), ("d", "2"), ("count", None),
+])
+def test_load_stats_rejects_counts_that_are_not_positive_integers(tmp_path, field, value):
+    payload = {"d": 2, "Nc": 3, "count": 4, "G": [1, 0, 0, 1], "rowsum": [0, 0], field: value}
+    path = tmp_path / "stats.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {field} is {value!r}, expected a positive integer")):
+        load_stats(path)
+
+
+def test_load_stats_reads_integral_floats_as_integers(tmp_path):
+    path = tmp_path / "stats.json"
+    path.write_text('{"d": 2.0, "Nc": 3.0, "count": 4.0, "G": [1, 0, 0, 1], "rowsum": [0, 0]}')
+    st = load_stats(path)
+    assert (st.d, st.Nc, st.count) == (2, 3, 4)
+    assert all(type(v) is int for v in (st.d, st.Nc, st.count))

@@ -44,8 +44,7 @@ class TestTrueNullspace:
         for _ in range(20):
             u = rng.standard_normal((12, 1))
             x0 = rng.standard_normal(1)
-            e = simulate(scalar_system, x0, u)
-            H = stacked_hankel(e, 2)
+            H = stacked_hankel(u, simulate(scalar_system, x0, u), 2)
             assert np.abs(hand @ H).max() <= 1e-10
 
     def test_basis_annihilates_fresh_experiments(self, demo_system):
@@ -55,8 +54,7 @@ class TestTrueNullspace:
         for _ in range(100):
             u = rng.standard_normal((25, 2))
             x0 = rng.uniform(-1.0, 1.0, 3)
-            e = simulate(demo_system, x0, u)
-            H = stacked_hankel(e, 2)
+            H = stacked_hankel(u, simulate(demo_system, x0, u), 2)
             worst = max(worst, float(np.abs(V.basis @ H).max()))
         assert worst <= 1e-8
 
@@ -127,7 +125,7 @@ class TestTrajectoryMembership:
         V = true_nullspace(demo_system, 2)
         rng = np.random.default_rng(50)
         ds = generate_dataset(demo_system, 1, 20, 2, "random-bounded", rng)
-        H = stacked_hankel(ds[0], 2)
+        H = stacked_hankel(ds.U[0], ds.Y[0], 2)
         z = H[:, 4]
         assert np.abs(V.basis @ z).max() <= 1e-8
         bad = z + 0.1 * V.basis[0]
