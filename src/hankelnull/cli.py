@@ -32,6 +32,7 @@ from .lti_sim import (
     StateSpace,
     _concurrently,
     _load_parts,
+    _number_array,
     _processes,
     add_noise,
     generate_dataset,
@@ -315,11 +316,17 @@ def _outdir(path) -> Path:
     return out
 
 
-def _load_matching_dataset(cfg: ExperimentConfig, path):
+def _dataset_stats(cfg: ExperimentConfig, path) -> tuple:
+    """Load a dataset that matches the config and aggregate it. Returns the
+    stats, the timings load_s and aggregate_s, and io_processes."""
+    t0 = time.perf_counter()
     ds = load_dataset(path)
     if ds.N != cfg.N or ds.m != cfg.system.m or ds.p != cfg.system.p:
         raise ValueError(f"dataset (N={ds.N}, m={ds.m}, p={ds.p}) does not match the config")
-    return ds
+    t1 = time.perf_counter()
+    st = aggregate(ds, cfg.L)
+    timings = {"load_s": t1 - t0, "aggregate_s": time.perf_counter() - t1}
+    return st, timings, _load_parts(path, ds.U.size + ds.Y.size)
 
 
 def cmd_generate(cfg: ExperimentConfig, out_dir) -> int:
@@ -351,18 +358,9 @@ def cmd_generate(cfg: ExperimentConfig, out_dir) -> int:
 
 def cmd_aggregate(cfg: ExperimentConfig, dataset_path, out_dir) -> int:
     out = _outdir(out_dir)
-    t0 = time.perf_counter()
-    ds = _load_matching_dataset(cfg, dataset_path)
-    t1 = time.perf_counter()
-    st = aggregate(ds, cfg.L)
-    t2 = time.perf_counter()
+    st, timings, io_processes = _dataset_stats(cfg, dataset_path)
     save_stats(st, out / "stats.json")
-    _write_manifest(
-        out / "manifest.json", "aggregate", cfg,
-        {"load_s": t1 - t0, "aggregate_s": t2 - t1},
-        {"stats": "stats.json"},
-        io_processes=_load_parts(dataset_path, ds.U.size + ds.Y.size),
-    )
+    _write_manifest(out / "manifest.json", "aggregate", cfg, timings, {"stats": "stats.json"}, io_processes=io_processes)
     print(f"aggregated {st.count} experiments into {out / 'stats.json'}")
     return 0
 
@@ -411,18 +409,14 @@ def cmd_recover(cfg: ExperimentConfig, dataset_path, stats_path, out_dir) -> int
         raise ValueError("give exactly one of --dataset or --stats")
     out = _outdir(out_dir)
     outputs, extra = {"landscape": "landscape.csv"}, {}
-    t0 = time.perf_counter()
     if stats_path is not None:
+        t0 = time.perf_counter()
         st = load_stats(stats_path)
         if st.d != cfg.d or st.Nc != cfg.N - cfg.L + 1:
             raise ValueError(f"stats (d={st.d}, Nc={st.Nc}) do not match the config")
         timings = {"load_s": time.perf_counter() - t0}
     else:
-        ds = _load_matching_dataset(cfg, dataset_path)
-        t1 = time.perf_counter()
-        st = aggregate(ds, cfg.L)
-        timings = {"load_s": t1 - t0, "aggregate_s": time.perf_counter() - t1}
-        extra["io_processes"] = _load_parts(dataset_path, ds.U.size + ds.Y.size)
+        st, timings, extra["io_processes"] = _dataset_stats(cfg, dataset_path)
     fin = st.finalize()
     t0 = time.perf_counter()
     res = grid_search(
@@ -436,7 +430,6 @@ def cmd_recover(cfg: ExperimentConfig, dataset_path, stats_path, out_dir) -> int
         save_stats(st, out / "stats.json")
         outputs["stats"] = "stats.json"
     write_landscape_csv(res, out / "landscape.csv")
-    n_adm = int(res.admitted.sum())
     if res.best is not None:
         outputs["candidate"] = "candidate.json"
         write_candidate_json(res.best, out / "candidate.json")
@@ -452,7 +445,7 @@ def cmd_recover(cfg: ExperimentConfig, dataset_path, stats_path, out_dir) -> int
         miss = diag["nearest_miss"]
         print(f"nearest miss {_label(miss['point'])} with {miss['below_threshold']} singular values below the threshold")
         return 2
-    print(f"best candidate {_label(res.best.coords)} sigma_min={res.best.sigma_min:.6g} ({n_adm} admitted)")
+    print(f"best candidate {_label(res.best.coords)} sigma_min={res.best.sigma_min:.6g} ({diag['admitted']} admitted)")
     return 0
 
 
@@ -462,7 +455,7 @@ def cmd_validate(cfg: ExperimentConfig, candidate_path, out_dir) -> int:
         obj = json.load(fh)
     if not isinstance(obj, dict) or "nullspace" not in obj:
         raise ValueError(f"{candidate_path}: a candidate must be a JSON object with a nullspace key")
-    basis = np.asarray(obj["nullspace"], dtype=float)
+    basis = _number_array(candidate_path, "nullspace", obj["nullspace"])
     t0 = time.perf_counter()
     V_true = true_nullspace(cfg.system, cfg.L)
     t1 = time.perf_counter()

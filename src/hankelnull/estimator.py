@@ -1,8 +1,10 @@
 """Moment-corrected correlation assembly and the singular value grid search.
 
 The estimator matrix at a noise moment point is an affine function of the
-finalized aggregates. With mu_r, nu_r the first and second raw noise moments
-attached to row r (input rows and output rows may carry different moments):
+finalized aggregates. A point is one row (m1u, m2u, m1y, m2y) split at
+input_rows: the first input_rows rows of the matrix carry the input moments,
+the rest the output moments. With mu_r, nu_r the first and second raw noise
+moments of row r:
 
     off-diagonal:  M[r,s] = Gbar[r,s] - mu_r*rbar[s] - mu_s*rbar[r] + Nc*mu_r*mu_s
     diagonal:      M[r,r] = Gbar[r,r] - 2*mu_r*rbar[r] + Nc*(2*mu_r**2 - nu_r)
@@ -16,8 +18,8 @@ scans a moment grid for that signature.
 
 Every grid is searched as base matrices times scalar shifts. The second
 moments enter only on the diagonal, so with tied moments they are a spectral
-shift, M(mu, nu) = M(mu, 0) - Nc*nu*I: the bases are the points (mu, 0), one
-per first-moment value, and the shifts are Nc*nu. With split channels
+shift, M(mu, nu) = M(mu, 0) - Nc*nu*I: the bases are the rows (mu, 0, mu, 0),
+one per first-moment value, and the shifts are Nc*nu. With split channels
 M(m1u, m2u, m1y, m2y) = M(m1u, m2u - m2y, m1y, 0) - Nc*m2y*I: the bases are
 (m1u, m2u - m2y, m1y, 0), one per exactly equal difference of the two
 second-moment axes, and the shifts are Nc*m2y. One symmetric eigenvalue
@@ -107,8 +109,8 @@ class Candidate:
     """An admitted grid point with its spectrum and extracted null space.
 
     axis_names are the names of the grid's axes; a tied grid's point is
-    (m1, m2), which MomentPoint.identical spreads over both channels. A
-    candidate made outside a grid search keeps all four coordinates.
+    (m1, m2), spread over both channels as (m1, m2, m1, m2). A candidate
+    made outside a grid search keeps all four coordinates.
     """
 
     point: MomentPoint
@@ -146,41 +148,25 @@ class GridResult:
         return self.singular_values[:, -1]
 
 
-def _row_moments(points: np.ndarray, d: int, input_rows) -> tuple:
-    """Per-row noise moments mu, nu, each (n, d), for an (n, 2|4) batch of points.
-
-    Two columns tie both channels to (m1, m2). Four columns are
-    (m1u, m2u, m1y, m2y); the input moments go on the first input_rows rows.
-    """
-    n = points.shape[0]
-    if points.shape[1] == 2:
-        return np.broadcast_to(points[:, 0:1], (n, d)), np.broadcast_to(points[:, 1:2], (n, d))
-    if input_rows is None:
-        if not np.array_equal(points[:, :2], points[:, 2:]):
-            raise ValueError("input_rows is required when input and output moments differ")
-        split = 0
-    else:
-        split = int(input_rows)
-        if not 0 <= split <= d:
-            raise ValueError(f"input_rows={input_rows} out of range for d={d}")
-    mu = np.empty((n, d))
-    nu = np.empty((n, d))
-    mu[:, :split] = points[:, 0:1]
-    nu[:, :split] = points[:, 1:2]
-    mu[:, split:] = points[:, 2:3]
-    nu[:, split:] = points[:, 3:4]
-    return mu, nu
-
-
-def _assemble(st: FinalizedStats, points: np.ndarray, input_rows) -> np.ndarray:
-    """Symmetrized estimator matrices, (n, d, d), for an (n, 2|4) batch of points."""
-    mu, nu = _row_moments(points, st.d, input_rows)
+def _assemble(st: FinalizedStats, points: np.ndarray, input_rows: int) -> np.ndarray:
+    """Symmetrized estimator matrices, (n, d, d), at an (n, 4) batch of points
+    (m1u, m2u, m1y, m2y), the input moments on the first input_rows rows."""
+    inputs = np.arange(st.d) < input_rows
+    mu = np.where(inputs, points[:, 0:1], points[:, 2:3])
+    nu = np.where(inputs, points[:, 1:2], points[:, 3:4])
     mu_c = mu[:, :, None]
     mu_r = mu[:, None, :]
     M = st.Gbar - mu_c * st.rbar - st.rbar[:, None] * mu_r + st.Nc * (mu_c * mu_r)
     idx = np.arange(st.d)
     M[:, idx, idx] += st.Nc * (mu * mu - nu)
     return (M + np.swapaxes(M, -1, -2)) / 2.0
+
+
+def _input_split(input_rows, d: int) -> int:
+    split = int(input_rows)
+    if not 0 <= split <= d:
+        raise ValueError(f"input_rows={input_rows} out of range for d={d}")
+    return split
 
 
 def assemble_M(st: FinalizedStats, pt: MomentPoint, input_rows=None) -> np.ndarray:
@@ -190,18 +176,12 @@ def assemble_M(st: FinalizedStats, pt: MomentPoint, input_rows=None) -> np.ndarr
     (m*L for a stacked Hankel layout); it may be omitted when the point ties
     both channels. The result is symmetrized.
     """
-    return _assemble(st, np.array([[pt.m1u, pt.m2u, pt.m1y, pt.m2y]]), input_rows)[0]
-
-
-def _point_from_row(row) -> MomentPoint:
-    if len(row) == 2:
-        return MomentPoint.identical(float(row[0]), float(row[1]))
-    return MomentPoint(float(row[0]), float(row[1]), float(row[2]), float(row[3]))
-
-
-def _svd_rows(st: FinalizedStats, points: np.ndarray, input_rows) -> np.ndarray:
-    """Singular values, (n, d) descending, of the assemblies at an (n, 2|4) batch."""
-    return np.linalg.svd(_assemble(st, points, input_rows), compute_uv=False)
+    if input_rows is None:
+        if not (pt.m1u == pt.m1y and pt.m2u == pt.m2y):
+            raise ValueError("input_rows is required when input and output moments differ")
+        input_rows = 0
+    split = _input_split(input_rows, st.d)
+    return _assemble(st, np.array([[pt.m1u, pt.m2u, pt.m1y, pt.m2y]]), split)[0]
 
 
 def _mesh_points(axes) -> np.ndarray:
@@ -238,7 +218,7 @@ def grid_search(
     of a point counts its singular values above eps_rank times the largest.
 
     The grid is read as base matrices and scalar shifts. A tied point
-    (m1, m2) has base (m1, 0) and shift Nc*m2; a 4-axis point has base
+    (m1, m2) has base (m1, 0, m1, 0) and shift Nc*m2; a 4-axis point has base
     (m1u, m2u - m2y, m1y, 0) and shift Nc*m2y, with one base per exactly
     equal difference m2u - m2y. One eigvalsh per base gives the spectrum of
     every point on it, |lambda - shift| sorted descending, over the
@@ -259,8 +239,12 @@ def grid_search(
     for i, a in enumerate(axes):
         if not np.isfinite(a).all():
             raise ValueError(f"grid axis {i} has non-finite values")
-    if len(axes) == 4 and input_rows is None:
-        raise ValueError("input_rows is required for a 4-axis grid")
+    if len(axes) == 4:
+        if input_rows is None:
+            raise ValueError("input_rows is required for a 4-axis grid")
+        split, cols = _input_split(input_rows, st.d), [0, 1, 2, 3]
+    else:
+        split, cols = 0, [0, 1, 0, 1]  # a tied row (m1, m2) spreads to (m1, m2, m1, m2)
     if not 1 <= nullity <= st.d - 1:
         raise ValueError(f"nullity must be in [1, {st.d - 1}], got {nullity}")
     if eps_mode not in EPS_MODES:
@@ -272,7 +256,7 @@ def grid_search(
     # coordinate, m2 or m2y
     if len(axes) == 2:
         m1, m2 = axes
-        bases = _mesh_points((m1, np.zeros(1)))
+        bases = _mesh_points((m1, np.zeros(1)))[:, cols]
         base_of = np.repeat(np.arange(m1.size), m2.size)
     else:
         m1u, m2u, m1y, m2y = axes
@@ -287,7 +271,7 @@ def grid_search(
 
     lam = np.empty((bases.shape[0], d))
     for lo in range(0, bases.shape[0], CHUNK_SIZE):
-        lam[lo : lo + CHUNK_SIZE] = np.linalg.eigvalsh(_assemble(st, bases[lo : lo + CHUNK_SIZE], input_rows))
+        lam[lo : lo + CHUNK_SIZE] = np.linalg.eigvalsh(_assemble(st, bases[lo : lo + CHUNK_SIZE], split))
     lam_max = np.abs(lam).max(axis=1)
 
     sv_all = np.empty((points.shape[0], d))
@@ -300,7 +284,7 @@ def grid_search(
         sv[:] = dist[:, ::-1]
         bound = GUARD_ULPS * np.finfo(float).eps * (lam_max[base] + np.abs(shift))
         guard = np.flatnonzero(bound > GUARD_RTOL * sv[:, -1])
-        sv[guard] = _svd_rows(st, points[rows][guard], input_rows)
+        sv[guard] = np.linalg.svd(_assemble(st, points[np.ix_(lo + guard, cols)], split), compute_uv=False)
 
     if eps_mode == "abs":
         threshold = float(eps_sigma)
@@ -315,11 +299,11 @@ def grid_search(
     picked = np.flatnonzero(admitted)
     if picked.size:
         j = int(picked[np.argmin(sv_all[picked, -1])])  # argmin keeps the first on ties
-        w, V = np.linalg.eigh(_assemble(st, bases[base_of[j] : base_of[j] + 1], input_rows)[0])
+        w, V = np.linalg.eigh(_assemble(st, bases[base_of[j] : base_of[j] + 1], split)[0])
         # nearest eigenvalue last, like the trailing rows of an SVD's Vt
         near = np.argsort(np.abs(w - shift_of[j]))[nullity - 1 :: -1]
         best = Candidate(
-            point=_point_from_row(points[j]),
+            point=MomentPoint(*points[j, cols].tolist()),
             sigma_min=float(sv_all[j, -1]),
             nullspace=SubspaceBasis(V[:, near].T),
             singular_values=sv_all[j].copy(),

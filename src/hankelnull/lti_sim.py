@@ -336,20 +336,20 @@ def load_dataset(path) -> Dataset:
         except json.JSONDecodeError as err:
             raise json.JSONDecodeError(f"{path}: first line: {err.msg}", err.doc, err.pos) from None
         meta = header.get("meta") if isinstance(header, dict) else None
-        try:
-            Nt, N, m, p = (int(meta[k]) for k in ("Nt", "N", "m", "p"))
-        except (KeyError, TypeError, ValueError):
-            raise ValueError(f"{path}: first line needs a meta header object with integer Nt, N, m and p") from None
-        if min(Nt, N, m, p) < 1:
-            raise ValueError(f"{path}: meta header needs positive Nt, N, m and p, got {meta}")
+        if not (isinstance(meta, dict) and all(k in meta for k in ("Nt", "N", "m", "p"))):
+            raise ValueError(f"{path}: first line needs a meta header object with integer Nt, N, m and p")
+        Nt, N, m, p = (_positive_int(path, f"meta header's {k}", meta[k]) for k in ("Nt", "N", "m", "p"))
         samples = Nt * N * (m + p)
         parts = _load_parts(fh.fileno(), samples)
+        # forked parsers write straight into the caller's arrays
+        empty = np.empty if parts == 1 else _shared_empty
+        try:
+            U, Y = empty((Nt, N, m)), empty((Nt, N, p))
+        except (MemoryError, OSError, OverflowError, ValueError):  # the last two past the address space
+            raise ValueError(f"{path}: meta header's Nt={Nt}, N={N}, m={m} and p={p} do not fit in memory") from None
         if parts == 1:
-            U, Y = np.empty((Nt, N, m)), np.empty((Nt, N, p))
             i = _parse_records(fh, path, 0, 1, U, Y)
     if parts > 1:
-        # forked parsers write straight into the caller's arrays
-        U, Y = _shared_empty((Nt, N, m)), _shared_empty((Nt, N, p))
         i = _concurrently([functools.partial(_parse_share, path, k, parts, U, Y) for k in range(parts)], samples)[0]
     if i != Nt:
         raise ValueError(f"{path}: {i} experiment lines disagree with the meta header's Nt={Nt}")
@@ -357,6 +357,27 @@ def load_dataset(path) -> Dataset:
         return Dataset(U, Y)
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
+
+
+def _positive_int(path, field: str, value) -> int:
+    """A JSON count as an int; 4.0 reads as 4. A bool, a string, a number
+    that is not integral or one below 1 raises, naming the file and field."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral or value < 1:
+        raise ValueError(f"{path}: {field} is {value!r}, expected a positive integer")
+    return int(value)
+
+
+def _number_array(path, field: str, value) -> np.ndarray:
+    """A JSON array of numbers as floats. A ragged array or an entry that is
+    not a number (a string or null, say) raises, naming the file and field."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:
+        arr = None  # ragged
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise ValueError(f"{path}: {field} is not a rectangular array of numbers")
+    return arr.astype(float)
 
 
 def _load_parts(file, samples: int) -> int:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hankel import stacked_hankel
-from .lti_sim import BLOCK_SIZE
+from .lti_sim import BLOCK_SIZE, _number_array, _positive_int
 
 __all__ = [
     "SufficientStats",
@@ -109,29 +109,29 @@ def save_stats(st: SufficientStats, path) -> None:
 def load_stats(path) -> SufficientStats:
     """Read a snapshot written by save_stats.
 
-    Rejects what no aggregate can hold: d, Nc or count that is not a
-    positive integer (an integral float such as 4.0 reads as 4), non-finite
-    entries and a G that is not exactly symmetric.
+    Rejects what no aggregate can hold, naming the file and the field: a
+    payload that is not a JSON object, d, Nc or count that is not a
+    positive integer (an integral float such as 4.0 reads as 4), a G or
+    rowsum that is not a rectangular array of numbers, non-finite entries
+    and a G that is not exactly symmetric.
     """
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: a stats snapshot must be a JSON object, got {type(obj).__name__}")
     for key in ("d", "Nc", "count", "G", "rowsum"):
         if key not in obj:
             raise ValueError(f"{path}: missing field {key!r}")
-    for key in ("d", "Nc", "count"):
-        value = obj[key]
-        integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-        if isinstance(value, bool) or not integral or value < 1:
-            raise ValueError(f"{path}: {key} is {value!r}, expected a positive integer")
-    st = SufficientStats(obj["d"], obj["Nc"])
-    G = np.asarray(obj["G"], dtype=float)
+    d, Nc, count = (_positive_int(path, key, obj[key]) for key in ("d", "Nc", "count"))
+    st = SufficientStats(d, Nc)
+    G = _number_array(path, "G", obj["G"])
     if G.size != st.d * st.d:
         raise ValueError(f"{path}: G has {G.size} entries, expected {st.d * st.d}")
     st.G = G.reshape(st.d, st.d)
-    st.rowsum = np.asarray(obj["rowsum"], dtype=float)
+    st.rowsum = _number_array(path, "rowsum", obj["rowsum"])
     if st.rowsum.shape != (st.d,):
         raise ValueError(f"{path}: rowsum has shape {st.rowsum.shape}, expected ({st.d},)")
-    st.count = int(obj["count"])
+    st.count = count
     if not (np.isfinite(st.G).all() and np.isfinite(st.rowsum).all()):
         raise ValueError(f"{path}: G or rowsum has non-finite entries")
     if not np.array_equal(st.G, st.G.T):

@@ -359,6 +359,17 @@ class TestAggregateAndRecover:
         assert "record 3 has non-finite samples" in err and "nan.jsonl" in err
         assert not (out / "stats.json").exists()
 
+    @pytest.mark.parametrize("text, cause", [
+        ("5", "a stats snapshot must be a JSON object, got int"),
+        ('{"d": 10, "Nc": 29, "count": 1, "G": [[1, 2], [3]], "rowsum": []}', "G is not a rectangular array of numbers"),
+    ])
+    def test_stats_of_wrong_json_shape_is_config_error(self, tmp_path, cfg_file, capsys, text, cause):
+        bad = tmp_path / "stats.json"
+        bad.write_text(text)
+        rc = main(["recover", "--config", cfg_file, "--stats", str(bad), "--out", str(tmp_path / "rec")])
+        assert rc == 3
+        assert f"{bad}: {cause}" in capsys.readouterr().err
+
     def test_impossible_stats_fail_at_load(self, tmp_path, cfg_file, gen_dir, capsys):
         agg = tmp_path / "agg"
         assert main(["aggregate", "--config", cfg_file, "--dataset", str(gen_dir / "dataset_noisy.jsonl"), "--out", str(agg)]) == 0
@@ -572,6 +583,15 @@ class TestValidate:
         assert rc == 3
         err = capsys.readouterr().err
         assert str(cand) in err and "nullspace" in err
+
+
+    @pytest.mark.parametrize("nullspace", [[[1, "x"]], [[1.0, 0.0], [0.0]], [[None] * 10] * 3])
+    def test_candidate_nullspace_not_numbers_is_config_error(self, tmp_path, cfg_file, capsys, nullspace):
+        cand = tmp_path / "cand.json"
+        cand.write_text(json.dumps({"m1": 0.0, "m2": 0.0, "sigma_min": 0.0, "nullspace": nullspace}))
+        rc = main(["validate", "--config", cfg_file, "--candidate", str(cand), "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert f"{cand}: nullspace is not a rectangular array of numbers" in capsys.readouterr().err
 
 
 class TestSweep:

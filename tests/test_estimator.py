@@ -56,6 +56,12 @@ def _reference_assembly(fin, pt, input_rows):
     return M
 
 
+def _point(row):
+    # a grid row as a MomentPoint; a tied grid's row (m1, m2) ties both channels
+    row = row.tolist()
+    return MomentPoint(*row) if len(row) == 4 else MomentPoint.identical(*row)
+
+
 def _assert_same_admission(res, sv, eps_factor, nullity=3, eps_rank=1e-2, threshold_rtol=1e-12):
     """Ranks, auto threshold, admitted set and best point as an SVD landscape sv gives them."""
     d = sv.shape[1]
@@ -66,7 +72,7 @@ def _assert_same_admission(res, sv, eps_factor, nullity=3, eps_rank=1e-2, thresh
     assert np.array_equal(res.admitted, admitted)
     if admitted.any():
         j = np.flatnonzero(admitted)[np.argmin(sv[admitted, -1])]
-        assert res.best.point == estimator._point_from_row(res.points[j])
+        assert res.best.point == _point(res.points[j])
     else:
         assert res.best is None
 
@@ -83,7 +89,7 @@ def _check_per_point_svd_oracle(demo_system, monkeypatch, grid):
     res = grid_search(fin, grid, eps_sigma=1e-3, nullity=3, eps_mode="auto", eps_factor=5.0, input_rows=INPUT_ROWS)
     assert int(res.admitted.sum()) > 3 * 64
     Ms = [
-        assemble_M(fin, estimator._point_from_row(row), input_rows=INPUT_ROWS)
+        assemble_M(fin, _point(row), input_rows=INPUT_ROWS)
         for row in res.points
     ]
     sv = np.array([np.linalg.svd(M, compute_uv=False) for M in Ms])
@@ -98,7 +104,7 @@ def _check_per_point_svd_oracle(demo_system, monkeypatch, grid):
         if cand.point == res.best.point:
             assert np.array_equal(cand.nullspace.basis, res.best.nullspace.basis)
         Vt = np.linalg.svd(Ms[j])[2]
-        assert cand.point == estimator._point_from_row(res.points[j])
+        assert cand.point == _point(res.points[j])
         assert np.array_equal(cand.singular_values, res.singular_values[j])
         assert cand.sigma_min == res.singular_values[j, -1]
         assert subspace_angle(SubspaceBasis(Vt[7:]), cand.nullspace).theta_max <= 1e-12
@@ -307,7 +313,7 @@ class TestGridSearch:
         assert np.array_equal(res.admitted, counts == 3)
         assert res.admitted.any()
         j = np.flatnonzero(res.admitted)[np.argmin(res.sigma_min[res.admitted])]
-        assert res.best.point == estimator._point_from_row(res.points[j])
+        assert res.best.point == _point(res.points[j])
         assert np.array_equal(res.best.singular_values, res.singular_values[j])
 
     def test_separate_channel_axes_pick_true_combination(self, demo_system):
@@ -398,8 +404,11 @@ class TestGridSearch:
             grid_search(fin, ([0.0], [0.0]), eps_sigma=1e-3, nullity=3, eps_mode="magic")
         with pytest.raises(ValueError, match="eps_mode"):
             grid_search(fin, ([0.0], [0.0]), eps_sigma=1e-3, nullity=3, eps_mode="rel")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="input_rows is required for a 4-axis grid"):
             grid_search(fin, ([0.0], [0.0], [0.0], [0.0]), eps_sigma=1e-3, nullity=3)
+        for bad in (-1, 11):
+            with pytest.raises(ValueError, match=f"input_rows={bad} out of range for d=10"):
+                grid_search(fin, ([0.0], [0.0], [0.0], [0.0]), eps_sigma=1e-3, nullity=3, input_rows=bad)
         with pytest.raises(ValueError):
             grid_search(fin, ([], [0.0]), eps_sigma=1e-3, nullity=3)
         for bad in (np.nan, np.inf, -np.inf):
@@ -410,7 +419,7 @@ class TestGridSearch:
 def _svd_landscape(fin, points, input_rows=None):
     # per-point assembly and SVD: the oracle for the eigenvalue landscape
     return np.array([
-        np.linalg.svd(assemble_M(fin, estimator._point_from_row(row), input_rows), compute_uv=False)
+        np.linalg.svd(assemble_M(fin, _point(row), input_rows), compute_uv=False)
         for row in points
     ])
 

@@ -2,6 +2,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -467,6 +468,43 @@ def test_load_dataset_rejects_bad_header(tmp_path):
         load_dataset(path)
     path.write_text('{"meta": \n')
     with pytest.raises(json.JSONDecodeError, match="bad.jsonl: first line: Expecting value"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("Nt", 50.9), ("m", True), ("N", "20"), ("p", 0), ("Nt", -2), ("N", None), ("m", 2.5),
+])
+def test_load_dataset_header_counts_are_positive_integers(tmp_path, demo_system, field, value):
+    path = tmp_path / "ds.jsonl"
+    save_dataset(generate_dataset(demo_system, 50, 20, 2, "zero", np.random.default_rng(0)), path)
+    lines = path.read_text().split("\n")
+    header = json.loads(lines[0])
+    header["meta"][field] = value
+    path.write_text("\n".join([json.dumps(header)] + lines[1:]))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: meta header's {field} is {value!r}, expected a positive integer")):
+        load_dataset(path)
+    # an integral float is a count
+    header["meta"][field] = float(json.loads(lines[0])["meta"][field])
+    path.write_text("\n".join([json.dumps(header)] + lines[1:]))
+    ds = load_dataset(path)
+    assert (ds.Nt, ds.N, ds.m, ds.p) == (50, 20, 2, 3)
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("Nt", [10**13, 10**20])
+def test_load_dataset_header_too_big_for_memory(tmp_path, demo_system, monkeypatch, cpus, Nt):
+    # the arrays are allocated before any record is read or any child is
+    # forked, so an allocation that fails ends the load at once
+    path = tmp_path / "ds.jsonl"
+    save_dataset(generate_dataset(demo_system, 50, 20, 2, "zero", np.random.default_rng(0)), path)
+    lines = path.read_text().split("\n")
+    lines[0] = json.dumps({"meta": {"Nt": Nt, "N": 20, "m": 2, "p": 3}})
+    path.write_text("\n".join(lines))
+    monkeypatch.setattr(lti_sim, "_cpus", lambda: cpus)
+    monkeypatch.setattr(lti_sim, "_concurrently", lambda *a: pytest.fail("a child was started"))
+    assert lti_sim._load_parts(path, Nt * 100) == cpus
+    cause = f"{path}: meta header's Nt={Nt}, N=20, m=2 and p=3 do not fit in memory"
+    with pytest.raises(ValueError, match=re.escape(cause)):
         load_dataset(path)
 
 

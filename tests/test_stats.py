@@ -174,6 +174,18 @@ def test_load_stats_rejects_bad_payload(tmp_path):
     path.write_text('{"d": 2, "Nc": 3}')
     with pytest.raises(ValueError):
         load_stats(path)
+    for payload, cause in [
+        ("5", "a stats snapshot must be a JSON object, got int"),
+        ('[{"d": 2}]', "a stats snapshot must be a JSON object, got list"),
+        ('{"d": 2, "Nc": 3, "count": 1, "G": [1, "a", 0, 1], "rowsum": [0, 0]}', "G is not a rectangular array of numbers"),
+        ('{"d": 2, "Nc": 3, "count": 1, "G": [[1, 0], [0]], "rowsum": [0, 0]}', "G is not a rectangular array of numbers"),
+        ('{"d": 2, "Nc": 3, "count": 1, "G": [1, 0, 0, 1], "rowsum": [[0, 0], [0]]}', "rowsum is not a rectangular array of numbers"),
+        ('{"d": 2, "Nc": 3, "count": 1, "G": [1, 0, 0, 1], "rowsum": [0, null]}', "rowsum is not a rectangular array of numbers"),
+        ('{"d": 2, "Nc": 3, "count": 1, "G": [1, 0, 0, 1], "rowsum": ["0", "0"]}', "rowsum is not a rectangular array of numbers"),
+    ]:
+        path.write_text(payload)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {cause}")):
+            load_stats(path)
 
 
 @pytest.mark.parametrize("payload, cause", [
