@@ -29,13 +29,26 @@ Where the subtraction cancels too many digits to be trusted (the shift sits
 on an eigenvalue) the row is recomputed by SVD of the assembled matrix. Only
 the best admitted point's null space is extracted: one eigh of its base,
 keeping the eigenvectors nearest its shift.
+
+A base's off-diagonal entries depend on its first moments alone, so they
+are built once per first-moment pair (m1u, m1y) of the grid, the core, and
+each base copies its pair's core and adds its own diagonal correction. The
+entries are the ones a one-pass assembly gives, bit for bit. Bases and
+points are both enumerated with the first axis outermost, so a range of
+first-axis values owns one range of each: a big enough grid is cut along
+its first axis into one part per CPU, each computing its bases' spectra and
+its points' landscape rows in a forked process (lti_sim._concurrently).
+Threshold, admission and the best point are then read off the whole
+landscape in the caller, so the result does not depend on the CPU count.
 """
 
+import functools
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from .lti_sim import _concurrently, _processes, _shared_empty
 from .stats import FinalizedStats
 
 __all__ = [
@@ -55,12 +68,17 @@ EPS_MODES = ("abs", "auto")
 # The axis names are the moment mode; landscape and candidate files use them.
 AXIS_NAMES = {2: ("m1", "m2"), 4: ("m1u", "m2u", "m1y", "m2y")}
 
-CHUNK_SIZE = 8192  # grid points per batch
+CHUNK_SIZE = 8192  # rows of d values per batch: grid points, or CHUNK_SIZE // d bases
 # A landscape row |lambda - shift| is recomputed by SVD when its rounding
 # bound, GUARD_ULPS*eps*(max|lambda| + |shift|), exceeds GUARD_RTOL times its
 # smallest singular value.
 GUARD_ULPS = 16
 GUARD_RTOL = 1e-10
+# A search's work is counted in bases: one base's assembly and eigvalsh cost
+# about as much as POINTS_PER_BASE landscape rows. Each forked part must get
+# GRID_FORK_MIN_WORK of it to repay starting it (see grid_search).
+POINTS_PER_BASE = 32
+GRID_FORK_MIN_WORK = 12_500
 
 
 @dataclass(frozen=True)
@@ -131,7 +149,8 @@ class GridResult:
     """Full landscape of a grid search plus the best admitted point.
 
     Every point's spectrum, rank and admission are in the landscape; only
-    the best point's null space is extracted.
+    the best point's null space is extracted. processes is the number of
+    processes that computed the landscape.
     """
 
     axes: tuple
@@ -142,24 +161,45 @@ class GridResult:
     threshold: float
     nullity: int
     best: "Candidate | None"
+    processes: int = 1
 
     @property
     def sigma_min(self) -> np.ndarray:
         return self.singular_values[:, -1]
 
 
-def _assemble(st: FinalizedStats, points: np.ndarray, input_rows: int) -> np.ndarray:
-    """Symmetrized estimator matrices, (n, d, d), at an (n, 4) batch of points
-    (m1u, m2u, m1y, m2y), the input moments on the first input_rows rows."""
-    inputs = np.arange(st.d) < input_rows
-    mu = np.where(inputs, points[:, 0:1], points[:, 2:3])
-    nu = np.where(inputs, points[:, 1:2], points[:, 3:4])
+def _moments(cols: np.ndarray, input_rows: int, d: int) -> np.ndarray:
+    """Per-row moments, (n, d), from an (n, 2) batch of (input, output)
+    moment pairs: the input moment on the first input_rows rows."""
+    return np.where(np.arange(d) < input_rows, cols[:, 0:1], cols[:, 1:2])
+
+
+def _core(st: FinalizedStats, pairs: np.ndarray, input_rows: int) -> np.ndarray:
+    """Symmetrized estimator matrices with zero second moments, (n, d, d), at
+    an (n, 2) batch of first-moment pairs (m1u, m1y)."""
+    mu = _moments(pairs, input_rows, st.d)
     mu_c = mu[:, :, None]
     mu_r = mu[:, None, :]
     M = st.Gbar - mu_c * st.rbar - st.rbar[:, None] * mu_r + st.Nc * (mu_c * mu_r)
-    idx = np.arange(st.d)
-    M[:, idx, idx] += st.Nc * (mu * mu - nu)
     return (M + np.swapaxes(M, -1, -2)) / 2.0
+
+
+def _assemble(st: FinalizedStats, points: np.ndarray, input_rows: int, core=None) -> np.ndarray:
+    """Symmetrized estimator matrices, (n, d, d), at an (n, 4) batch of points
+    (m1u, m2u, m1y, m2y), the input moments on the first input_rows rows.
+
+    Only the diagonal depends on the second moments: it is the diagonal of
+    the _core at the point's pair (m1u, m1y) plus Nc*(mu**2 - nu). core, if
+    given, holds that _core for each point and is written into; a search
+    builds it once per pair and gathers it for every base on the pair.
+    """
+    if core is None:
+        core = _core(st, points[:, 0::2], input_rows)
+    mu = _moments(points[:, 0::2], input_rows, st.d)
+    nu = _moments(points[:, 1::2], input_rows, st.d)
+    idx = np.arange(st.d)
+    core[:, idx, idx] += st.Nc * (mu * mu - nu)
+    return core
 
 
 def _input_split(input_rows, d: int) -> int:
@@ -230,6 +270,13 @@ def grid_search(
     its shift, nearest last like the trailing rows of an SVD's Vt. Its
     spectrum is its landscape row. Returns the full landscape either way;
     best is None when nothing is admitted.
+
+    The landscape is computed in result.processes parts, cut along the
+    first axis: one per CPU (lti_sim._cpus), but only as many as get
+    GRID_FORK_MIN_WORK bases of work each, a point counting 1/POINTS_PER_BASE
+    of a base; the caller computes the first part and forked children the
+    others, into one shared array. The result is the same bit for bit at
+    any part count.
     """
     axes = tuple(np.asarray(a, dtype=float).reshape(-1) for a in grid)
     if len(axes) not in AXIS_NAMES:
@@ -253,10 +300,12 @@ def grid_search(
     d = st.d
     points = _mesh_points(axes)
     # point j is the base bases[base_of[j]] shifted by Nc times its last
-    # coordinate, m2 or m2y
+    # coordinate, m2 or m2y; base k's off-diagonal entries are those of its
+    # first-moment pair, pairs[pair_of[k]]
     if len(axes) == 2:
         m1, m2 = axes
         bases = _mesh_points((m1, np.zeros(1)))[:, cols]
+        pairs, pair_of = bases[:, 0::2], np.arange(m1.size)
         base_of = np.repeat(np.arange(m1.size), m2.size)
     else:
         m1u, m2u, m1y, m2y = axes
@@ -265,26 +314,44 @@ def grid_search(
         diffs, diff_of = np.unique((m2u[:, None] - m2y).reshape(-1), return_inverse=True)
         diff_of = diff_of.reshape(m2u.size, m2y.size)  # its shape varies across numpy versions
         bases = _mesh_points((m1u, diffs, m1y, np.zeros(1)))
+        pairs = _mesh_points((m1u, m1y))
         a, c = np.arange(m1u.size)[:, None, None, None], np.arange(m1y.size)[:, None]
+        pair_of = np.broadcast_to(a[..., 0] * m1y.size + c[:, 0], (m1u.size, diffs.size, m1y.size)).reshape(-1)
         base_of = ((a * diffs.size + diff_of[:, None, :]) * m1y.size + c).reshape(-1)
     shift_of = st.Nc * points[:, -1]
 
-    lam = np.empty((bases.shape[0], d))
-    for lo in range(0, bases.shape[0], CHUNK_SIZE):
-        lam[lo : lo + CHUNK_SIZE] = np.linalg.eigvalsh(_assemble(st, bases[lo : lo + CHUNK_SIZE], split))
-    lam_max = np.abs(lam).max(axis=1)
+    # first-axis index i owns bases [i*nb, (i+1)*nb) and points [i*npt, (i+1)*npt)
+    n0 = axes[0].size
+    nb, npt = bases.shape[0] // n0, points.shape[0] // n0
+    work = bases.shape[0] + points.shape[0] // POINTS_PER_BASE
+    parts = _processes(n0, work, GRID_FORK_MIN_WORK)
+    # forked parts write their rows straight into the caller's landscape
+    sv_all = (np.empty if parts == 1 else _shared_empty)((points.shape[0], d))
 
-    sv_all = np.empty((points.shape[0], d))
-    for lo in range(0, points.shape[0], CHUNK_SIZE):
-        rows = slice(lo, lo + CHUNK_SIZE)
-        base, shift = base_of[rows], shift_of[rows]
-        dist = np.abs(lam[base] - shift[:, None])
-        dist.sort(axis=-1)
-        sv = sv_all[rows]
-        sv[:] = dist[:, ::-1]
-        bound = GUARD_ULPS * np.finfo(float).eps * (lam_max[base] + np.abs(shift))
-        guard = np.flatnonzero(bound > GUARD_RTOL * sv[:, -1])
-        sv[guard] = np.linalg.svd(_assemble(st, points[np.ix_(lo + guard, cols)], split), compute_uv=False)
+    def part(k: int) -> None:
+        i0, i1 = n0 * k // parts, n0 * (k + 1) // parts
+        b0, b1 = i0 * nb, i1 * nb
+        lam = np.empty((b1 - b0, d))
+        per_chunk = max(1, CHUNK_SIZE // d)
+        for lo in range(b0, b1, per_chunk):
+            rows = slice(lo, min(lo + per_chunk, b1))
+            pair = pair_of[rows]
+            first = pair.min()
+            core = _core(st, pairs[first : pair.max() + 1], split)[pair - first]
+            lam[lo - b0 : rows.stop - b0] = np.linalg.eigvalsh(_assemble(st, bases[rows], split, core))
+        lam_max = np.abs(lam).max(axis=1)
+        for lo in range(i0 * npt, i1 * npt, CHUNK_SIZE):
+            rows = slice(lo, min(lo + CHUNK_SIZE, i1 * npt))
+            base, shift = base_of[rows] - b0, shift_of[rows]
+            dist = np.abs(lam[base] - shift[:, None])
+            dist.sort(axis=-1)
+            sv = sv_all[rows]
+            sv[:] = dist[:, ::-1]
+            bound = GUARD_ULPS * np.finfo(float).eps * (lam_max[base] + np.abs(shift))
+            guard = np.flatnonzero(bound > GUARD_RTOL * sv[:, -1])
+            sv[guard] = np.linalg.svd(_assemble(st, points[np.ix_(lo + guard, cols)], split), compute_uv=False)
+
+    _concurrently([functools.partial(part, k) for k in range(parts)], work, GRID_FORK_MIN_WORK)
 
     if eps_mode == "abs":
         threshold = float(eps_sigma)
@@ -319,6 +386,7 @@ def grid_search(
         threshold=threshold,
         nullity=nullity,
         best=best,
+        processes=parts,
     )
 
 

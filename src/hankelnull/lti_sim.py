@@ -452,16 +452,18 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _processes(calls: int, samples: int) -> int:
-    """How many processes share calls that format or parse this many samples
-    in all: one per call and CPU, but only as many as get FORK_MIN_SAMPLES
-    samples each."""
-    return max(1, min(calls, _cpus(), samples // FORK_MIN_SAMPLES))
+def _processes(calls: int, work: int, min_work: int = FORK_MIN_SAMPLES) -> int:
+    """How many processes share calls that do this much work in all: one per
+    call and CPU, but only as many as get min_work each. Work is counted in
+    the caller's unit: samples formatted or parsed for dataset I/O, with
+    min_work FORK_MIN_SAMPLES, or bases for a grid search, with
+    estimator.GRID_FORK_MIN_WORK."""
+    return max(1, min(calls, _cpus(), work // min_work))
 
 
-def _concurrently(calls, samples: int) -> list:
-    """Run zero-argument calls that format or parse this many samples in all
-    at once; return their results in call order.
+def _concurrently(calls, work: int, min_work: int = FORK_MIN_SAMPLES) -> list:
+    """Run zero-argument calls that do this much work in all (see
+    _processes) at once; return their results in call order.
 
     The first call runs in this process. Where _processes gives more than
     one, each other call runs in a child process started with fork, which
@@ -474,10 +476,17 @@ def _concurrently(calls, samples: int) -> list:
     and imports nothing, so a caller script needs no `if __name__ ==
     "__main__":` guard. Python 3.12 and later warn when a multi-threaded
     process forks, because a lock held by another thread stays locked in
-    the child. The calls made here only format or parse text: they call no
-    BLAS and take no lock that another thread could hold.
+    the child. The calls made here take no Python-level lock: dataset I/O
+    formats or parses text, and a grid search part runs LAPACK (eigvalsh,
+    and svd on guard rows) on d x d matrices. The threads a forked process
+    may meet are those of numpy's BLAS. OpenBLAS, which numpy wheels ship,
+    shuts its thread pool down before a fork and the child starts a pool
+    of its own when it needs one, so no call waits on a thread that did not
+    come along. A BLAS that does not, such as an OpenMP build whose worker
+    pool is not fork-safe (GNU libgomp), could hang a child on its first
+    threaded call; there, pin the process to one CPU.
     """
-    if _processes(len(calls), samples) == 1:
+    if _processes(len(calls), work, min_work) == 1:
         return [call() for call in calls]
     import multiprocessing  # here, so that importing hankelnull does not load it
 
@@ -520,7 +529,7 @@ def _receive(child, recv):
         ok, value = recv.recv()
     except EOFError:
         child.join()
-        raise ChildProcessError(f"a forked I/O process exited with code {child.exitcode} before sending its result") from None
+        raise ChildProcessError(f"a forked process exited with code {child.exitcode} before sending its result") from None
     if not ok:
         raise value
     return value

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from hankelnull import load_dataset, lti_sim
+from hankelnull import estimator, load_dataset, lti_sim
 from hankelnull.cli import _SCALARS, config_from_dict, config_to_dict, main
 
 DEMO_SYSTEM = {
@@ -32,9 +32,9 @@ SMALL_CONFIG = {
 }
 
 
-# dataset I/O runs in forked processes on Linux only; the tests that force a
-# CPU count above 1 need that
-FORKS = pytest.mark.skipif(sys.platform != "linux", reason="dataset I/O forks on Linux only")
+# dataset I/O and grid parts run in forked processes on Linux only; the
+# tests that force a CPU count above 1 need that
+FORKS = pytest.mark.skipif(sys.platform != "linux", reason="dataset I/O and grid parts fork on Linux only")
 
 
 @pytest.fixture(scope="module")
@@ -452,6 +452,23 @@ class TestMomentAxes:
         assert list(cand) == ["m1u", "m2u", "m1y", "m2y", "sigma_min", "nullspace"]
         assert cand["m1u"] == cand["m2u"] == cand["m1y"] == cand["m2y"] == 0.0
         assert "best candidate m1u=0 m2u=0 m1y=0 m2y=0 sigma_min=" in capsys.readouterr().out
+
+    @FORKS
+    def test_landscape_in_parts_gives_the_same_outputs(self, tmp_path, gen_dir, monkeypatch, capsys):
+        # with the work cutoff lowered, the 3-point first axis is computed
+        # in one process per CPU; the files are the same either way
+        cfg = self._config(tmp_path)
+        agg = tmp_path / "agg"
+        assert main(["aggregate", "--config", cfg, "--dataset", str(gen_dir / "dataset_noisy.jsonl"), "--out", str(agg)]) == 0
+        monkeypatch.setattr(estimator, "GRID_FORK_MIN_WORK", 1)
+        for cpus in (1, 2):
+            monkeypatch.setattr(lti_sim, "_cpus", lambda n=cpus: n)
+            out = tmp_path / f"rec{cpus}"
+            assert main(["recover", "--config", cfg, "--stats", str(agg / "stats.json"), "--out", str(out)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["grid_processes"] == cpus and "grid_s" in manifest["timings"]
+        for name in ("landscape.csv", "candidate.json"):
+            assert (tmp_path / "rec1" / name).read_bytes() == (tmp_path / "rec2" / name).read_bytes()
 
     def test_tied_axis_flag_on_four_axis_config_is_config_error(self, tmp_path, gen_dir, capsys):
         out = tmp_path / "rec"

@@ -1,4 +1,7 @@
 import json
+import multiprocessing
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import strategies as hs
 
 import hankelnull.estimator as estimator
 from conftest import noiseless_M
+from hankelnull import lti_sim
 from hankelnull import (
     NOISE_FAMILIES,
     Candidate,
@@ -516,6 +520,144 @@ def _per_row_landscape(res) -> bytes:
         coords = ",".join(f"{v:.17g}" for v in res.points[j])
         lines.append(f"{coords},{res.sigma_min[j]:.17g},{res.ranks[j]},{int(res.admitted[j])}\n")
     return "".join(lines).encode()
+
+
+def _one_pass_assembly(fin, points, input_rows):
+    # the whole matrix at once, diagonal correction before symmetrizing: the
+    # oracle for the per-pair core plus per-row diagonal
+    inputs = np.arange(fin.d) < input_rows
+    mu = np.where(inputs, points[:, 0:1], points[:, 2:3])
+    nu = np.where(inputs, points[:, 1:2], points[:, 3:4])
+    mu_c, mu_r = mu[:, :, None], mu[:, None, :]
+    M = fin.Gbar - mu_c * fin.rbar - fin.rbar[:, None] * mu_r + fin.Nc * (mu_c * mu_r)
+    idx = np.arange(fin.d)
+    M[:, idx, idx] += fin.Nc * (mu * mu - nu)
+    return (M + np.swapaxes(M, -1, -2)) / 2.0
+
+
+class TestPairCore:
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=hs.integers(0, 2**32 - 1),
+        d=hs.integers(1, 8),
+        Nc=hs.integers(1, 60),
+        n=hs.integers(1, 12),
+        data=hs.data(),
+    )
+    def test_core_plus_diagonal_is_the_one_pass_assembly(self, seed, d, Nc, n, data):
+        rng = np.random.default_rng(seed)
+        G = rng.standard_normal((d, d)) * 10.0 ** rng.uniform(-3, 3)
+        fin = FinalizedStats(Gbar=G @ G.T, rbar=rng.standard_normal(d), d=d, Nc=Nc, count=1)
+        input_rows = data.draw(hs.integers(0, d))
+        # a few first-moment values, so that several points share a pair
+        m1 = rng.standard_normal(3) * 10.0 ** rng.uniform(-2, 2)
+        points = np.column_stack([rng.choice(m1, n), rng.standard_normal(n), rng.choice(m1, n), rng.standard_normal(n)])
+        want = _one_pass_assembly(fin, points, input_rows)
+        assert np.array_equal(estimator._assemble(fin, points, input_rows), want)
+        # as the search does it: one core per distinct pair, gathered per point
+        pairs, pair_of = np.unique(points[:, 0::2], axis=0, return_inverse=True)
+        core = estimator._core(fin, pairs, input_rows)[pair_of.reshape(-1)]
+        assert np.array_equal(estimator._assemble(fin, points, input_rows, core), want)
+
+
+# landscape parts run in forked processes on Linux only
+forks = pytest.mark.skipif(sys.platform != "linux", reason="grid parts fork on Linux only")
+
+
+def _assert_same_search(a, b):
+    for name in ("points", "singular_values", "ranks", "admitted"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.threshold == b.threshold
+    if a.best is None:
+        assert b.best is None
+        return
+    assert a.best.point == b.best.point and a.best.sigma_min == b.best.sigma_min
+    assert np.array_equal(a.best.singular_values, b.best.singular_values)
+    assert np.array_equal(a.best.nullspace.basis, b.best.nullspace.basis)
+
+
+@forks
+class TestParts:
+    """The landscape computed in one part per CPU, cut along the first axis."""
+
+    @staticmethod
+    def _search(fin, grid, monkeypatch, parts, **kw):
+        # parts CPUs and no work cutoff: one part per CPU, up to one per first-axis value
+        monkeypatch.setattr(lti_sim, "_cpus", lambda: parts)
+        monkeypatch.setattr(estimator, "GRID_FORK_MIN_WORK", 1)
+        kw = {"eps_sigma": 1e-3, "nullity": 3, "eps_mode": "auto", "eps_factor": 5.0, "input_rows": INPUT_ROWS, **kw}
+        return grid_search(fin, grid, **kw)
+
+    @pytest.mark.parametrize("parts", [2, 3])
+    @pytest.mark.parametrize("kind", ["tied", "split", "split-uneven"])
+    def test_parts_equal_one_process_bitwise(self, demo_system, monkeypatch, parts, kind):
+        # the uneven grid's 7 first-axis values split 3 + 4 and 2 + 2 + 3;
+        # a small chunk puts chunk boundaries inside every part
+        fin = aggregate(_noisy(demo_system, 200, seed=25), 2).finalize()
+        m1, m2 = np.linspace(0.0, 1.5, 12), np.linspace(2.5, 7.0, 12)
+        grid = {
+            "tied": (np.linspace(0.0, 1.5, 30), np.linspace(2.5, 7.0, 30)),
+            "split": (m1, m2, m1[::2], m2[::2]),
+            "split-uneven": (np.linspace(0.0, 1.5, 7), m2[::3], m1[::3], m2[1::2]),
+        }[kind]
+        assert kind != "split-uneven" or grid[0].size % parts != 0
+        monkeypatch.setattr(estimator, "CHUNK_SIZE", 64)
+        one = self._search(fin, grid, monkeypatch, 1)
+        split = self._search(fin, grid, monkeypatch, parts)
+        assert one.processes == 1 and split.processes == parts
+        assert one.best is not None
+        _assert_same_search(split, one)
+
+    def test_one_point_first_axis_is_one_part(self, demo_system, monkeypatch):
+        fin = aggregate(_noisy(demo_system, 200, seed=25), 2).finalize()
+        m2 = np.linspace(2.5, 7.0, 12)
+        grid = (np.array([1.0]), m2, np.linspace(0.0, 1.5, 12), m2)
+        one = self._search(fin, grid, monkeypatch, 1)
+        res = self._search(fin, grid, monkeypatch, 2)
+        assert res.processes == 1
+        _assert_same_search(res, one)
+
+    def test_guard_rows_in_a_forked_part(self, demo_system, monkeypatch):
+        # the set-up of test_exact_crossing_goes_through_the_guard, with a
+        # second m1 value first, so that the crossing falls in the child's part
+        fin = aggregate(_noisy(demo_system, 200, seed=26), 2).finalize()
+        m1 = 1.0
+        lam = np.linalg.eigvalsh(assemble_M(fin, MomentPoint.identical(m1, 0.0)))
+        grid = ([0.5, m1], [2.0, lam[4] / fin.Nc, 9.0])
+        kw = {"eps_sigma": 1e-6, "nullity": 1, "eps_mode": "abs"}
+        one = self._search(fin, grid, monkeypatch, 1, **kw)
+        res = self._search(fin, grid, monkeypatch, 2, **kw)
+        assert res.processes == 2
+        _assert_same_search(res, one)
+        sv = _svd_landscape(fin, res.points)
+        crossing = 4  # the point (m1, lam[4] / Nc), the child's second row
+        assert sv[crossing, -1] < 1e-9 * sv[crossing, 0]
+        assert np.array_equal(res.singular_values[crossing], sv[crossing])
+        assert res.best.point == MomentPoint.identical(m1, lam[4] / fin.Nc)
+
+    def test_failure_in_a_child_is_raised_here(self, demo_system, monkeypatch):
+        fin = aggregate(_noisy(demo_system, 50, seed=25), 2).finalize()
+        grid = (np.linspace(0.0, 1.5, 6), np.linspace(2.5, 7.0, 6))
+        parent, eigvalsh = os.getpid(), np.linalg.eigvalsh
+
+        def fails_in_a_child(a):
+            if os.getpid() != parent:
+                raise np.linalg.LinAlgError("eigvalsh failed in a child")
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fails_in_a_child)
+        with pytest.raises(np.linalg.LinAlgError, match="eigvalsh failed in a child"):
+            self._search(fin, grid, monkeypatch, 2)
+        assert multiprocessing.active_children() == []
+
+    def test_reference_sized_tied_grids_stay_in_process(self, demo_system, monkeypatch):
+        # the work cutoff keeps the tied 100x100 and 200x200 grids in one
+        # process at any CPU count: forking them would cost more than it saves
+        monkeypatch.setattr(lti_sim, "_cpus", lambda: 64)
+        fin = aggregate(_clean(demo_system, 5, seed=23), 2).finalize()
+        for n in (100, 200):
+            res = grid_search(fin, (np.linspace(0.0, 1.5, n), np.linspace(2.5, 7.0, n)), eps_sigma=1e-3, nullity=3)
+            assert res.processes == 1
 
 
 class TestWriters:
