@@ -31,6 +31,7 @@ from .lti_sim import (
     NoiseSpec,
     StateSpace,
     _concurrently,
+    _load_json,
     _load_parts,
     _number_array,
     _processes,
@@ -265,8 +266,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 
 def _load_config_file(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+    obj = _load_json(path)
     if isinstance(obj, dict) and "config" in obj and "command" in obj:
         obj = obj["config"]  # a manifest doubles as a config
     if not isinstance(obj, dict):
@@ -430,7 +430,7 @@ def cmd_recover(cfg: ExperimentConfig, dataset_path, stats_path, out_dir) -> int
     if stats_path is None:
         save_stats(st, out / "stats.json")
         outputs["stats"] = "stats.json"
-    write_landscape_csv(res, out / "landscape.csv")
+    extra["landscape_processes"] = write_landscape_csv(res, out / "landscape.csv")
     if res.best is not None:
         outputs["candidate"] = "candidate.json"
         write_candidate_json(res.best, out / "candidate.json")
@@ -452,8 +452,7 @@ def cmd_recover(cfg: ExperimentConfig, dataset_path, stats_path, out_dir) -> int
 
 def cmd_validate(cfg: ExperimentConfig, candidate_path, out_dir) -> int:
     out = _outdir(out_dir)
-    with open(candidate_path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+    obj = _load_json(candidate_path)
     if not isinstance(obj, dict) or "nullspace" not in obj:
         raise ValueError(f"{candidate_path}: a candidate must be a JSON object with a nullspace key")
     basis = _number_array(candidate_path, "nullspace", obj["nullspace"])

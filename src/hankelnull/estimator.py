@@ -44,6 +44,7 @@ landscape in the caller, so the result does not depend on the CPU count.
 
 import functools
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +80,9 @@ GUARD_RTOL = 1e-10
 # GRID_FORK_MIN_WORK of it to repay starting it (see grid_search).
 POINTS_PER_BASE = 32
 GRID_FORK_MIN_WORK = 12_500
+# Each forked part of a landscape CSV must format this many rows to repay
+# starting it (see write_landscape_csv).
+LANDSCAPE_FORK_MIN_ROWS = 80_000
 
 
 @dataclass(frozen=True)
@@ -390,30 +394,78 @@ def grid_search(
     )
 
 
-def write_landscape_csv(result: GridResult, path) -> None:
+def _landscape_rows(result: GridResult, lo: int, hi: int, fh) -> None:
+    """Write landscape rows [lo, hi) to the text file fh, CHUNK_SIZE at a time.
+
+    Each axis value is formatted once, with its trailing comma, and each row's
+    ",rank,admitted" tail is looked up in a (d+1) x 2 table; a block's rows
+    are written by one %-operation over a repeated row template, which
+    formats sigma_min.
+    """
+    labels = [np.array(["%.17g," % v for v in a.tolist()], dtype=object) for a in result.axes]
+    d = result.singular_values.shape[1]
+    tails = np.array([[",%d,%d\n" % (r, a) for a in (0, 1)] for r in range(d + 1)], dtype=object)
+    shape = tuple(a.size for a in result.axes)
+    row = "%s" * len(shape) + "%.17g%s"
+    for a in range(lo, hi, CHUNK_SIZE):
+        b = min(a + CHUNK_SIZE, hi)
+        block = np.empty((b - a, len(shape) + 2), dtype=object)
+        for k, (lab, i) in enumerate(zip(labels, np.unravel_index(np.arange(a, b), shape))):
+            block[:, k] = lab[i]
+        block[:, -2] = result.sigma_min[a:b].tolist()
+        block[:, -1] = tails[result.ranks[a:b], result.admitted[a:b].astype(np.intp)]
+        fh.write(row * (b - a) % tuple(block.ravel().tolist()))
+
+
+def _landscape_part(result: GridResult, lo: int, hi: int, fd: int) -> int:
+    """Format landscape rows [lo, hi) into the memory file fd; return its size in bytes."""
+    with open(fd, "w", encoding="utf-8", closefd=False) as fh:
+        _landscape_rows(result, lo, hi, fh)
+    return os.fstat(fd).st_size
+
+
+def write_landscape_csv(result: GridResult, path) -> int:
     """Write per-point sigma_min, numerical rank and admission to CSV.
 
-    Each axis value is formatted once; a block of CHUNK_SIZE rows takes its
-    coordinate strings from those by grid index and is written by one
-    %-operation over a repeated row template, which formats sigma_min.
+    The rows are formatted in parts of contiguous rows: one per CPU
+    (lti_sim._cpus), but only as many as get LANDSCAPE_FORK_MIN_ROWS rows
+    each. The caller formats the first part straight into the file; each
+    forked child (lti_sim._concurrently) formats its part into an anonymous
+    memory file and sends back only its size, and the caller appends the
+    parts in order with os.sendfile, a copy made in the kernel. The bytes
+    are the same at any part count. Returns the part count.
     """
-    cols = AXIS_NAMES[len(result.axes)]
-    labels = [np.array(["%.17g" % v for v in a.tolist()], dtype=object) for a in result.axes]
-    shape = tuple(a.size for a in result.axes)
-    row = "%s," * len(cols) + "%.17g,%d,%d\n"
     n = result.points.shape[0]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + ",sigma_min,numerical_rank,admitted\n")
-        for lo in range(0, n, CHUNK_SIZE):
-            part = slice(lo, lo + CHUNK_SIZE)
-            idx = np.unravel_index(np.arange(lo, min(lo + CHUNK_SIZE, n)), shape)
-            block = np.empty((idx[0].size, len(cols) + 3), dtype=object)
-            for k, (lab, i) in enumerate(zip(labels, idx)):
-                block[:, k] = lab[i]
-            block[:, -3] = result.sigma_min[part].tolist()
-            block[:, -2] = result.ranks[part].tolist()
-            block[:, -1] = result.admitted[part].tolist()
-            fh.write(row * block.shape[0] % tuple(block.ravel().tolist()))
+    header = ",".join(AXIS_NAMES[len(result.axes)]) + ",sigma_min,numerical_rank,admitted\n"
+    parts = _processes(n, n, LANDSCAPE_FORK_MIN_ROWS)  # a part holds at least a row
+    cuts = [n * k // parts for k in range(parts + 1)]
+    fds = []
+    try:
+        fds.extend(os.memfd_create(f"landscape part {k}") for k in range(1, parts))
+        # opened before the fork but written only after it, so a child never
+        # inherits a filled buffer of the output file
+        with open(path, "w", encoding="utf-8") as fh:
+
+            def first() -> None:
+                fh.write(header)
+                _landscape_rows(result, 0, cuts[1], fh)
+
+            calls = [first] + [
+                functools.partial(_landscape_part, result, cuts[k], cuts[k + 1], fds[k - 1]) for k in range(1, parts)
+            ]
+            sizes = _concurrently(calls, n, LANDSCAPE_FORK_MIN_ROWS)[1:]
+            fh.flush()
+            for fd, size in zip(fds, sizes):
+                sent = 0
+                while sent < size:
+                    copied = os.sendfile(fh.fileno(), fd, sent, size - sent)
+                    if copied == 0:
+                        raise OSError(f"{path}: a landscape part ended after {sent} of its {size} bytes")
+                    sent += copied
+    finally:
+        for fd in fds:
+            os.close(fd)
+    return parts
 
 
 def write_candidate_json(cand: Candidate, path) -> None:

@@ -359,6 +359,16 @@ def load_dataset(path) -> Dataset:
         raise ValueError(f"{path}: {err}") from None
 
 
+def _load_json(path):
+    """The JSON value in a whole file; a malformed one raises naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as err:
+        raise json.JSONDecodeError(f"{path}: {err.msg}", err.doc, err.pos) from None
+
+
 def _positive_int(path, field: str, value) -> int:
     """A JSON count as an int; 4.0 reads as 4. A bool, a string, a number
     that is not integral or one below 1 raises, naming the file and field."""
@@ -456,8 +466,9 @@ def _processes(calls: int, work: int, min_work: int = FORK_MIN_SAMPLES) -> int:
     """How many processes share calls that do this much work in all: one per
     call and CPU, but only as many as get min_work each. Work is counted in
     the caller's unit: samples formatted or parsed for dataset I/O, with
-    min_work FORK_MIN_SAMPLES, or bases for a grid search, with
-    estimator.GRID_FORK_MIN_WORK."""
+    min_work FORK_MIN_SAMPLES, bases for a grid search, with
+    estimator.GRID_FORK_MIN_WORK, or rows for a landscape CSV, with
+    estimator.LANDSCAPE_FORK_MIN_ROWS."""
     return max(1, min(calls, _cpus(), work // min_work))
 
 
@@ -467,8 +478,10 @@ def _concurrently(calls, work: int, min_work: int = FORK_MIN_SAMPLES) -> list:
 
     The first call runs in this process. Where _processes gives more than
     one, each other call runs in a child process started with fork, which
-    sends back its return value or its exception over a pipe; a call that
-    fills an array makes it with _shared_empty. The first failure in call
+    sends back its return value or its exception over a pipe. So a call
+    that fills an array makes it with _shared_empty, and one that formats
+    much text writes it to a file the caller opened (a memory file, say)
+    and returns its size, not the text. The first failure in call
     order is raised here, and every child has ended when this returns.
     Otherwise the calls run in order in this process.
 
@@ -477,8 +490,9 @@ def _concurrently(calls, work: int, min_work: int = FORK_MIN_SAMPLES) -> list:
     "__main__":` guard. Python 3.12 and later warn when a multi-threaded
     process forks, because a lock held by another thread stays locked in
     the child. The calls made here take no Python-level lock: dataset I/O
-    formats or parses text, and a grid search part runs LAPACK (eigvalsh,
-    and svd on guard rows) on d x d matrices. The threads a forked process
+    formats or parses text, a grid search part runs LAPACK (eigvalsh, and
+    svd on guard rows) on d x d matrices, and a landscape part formats text
+    into a memory file and calls no BLAS. The threads a forked process
     may meet are those of numpy's BLAS. OpenBLAS, which numpy wheels ship,
     shuts its thread pool down before a fork and the child starts a pool
     of its own when it needs one, so no call waits on a thread that did not
@@ -507,6 +521,7 @@ def _concurrently(calls, work: int, min_work: int = FORK_MIN_SAMPLES) -> list:
     finally:
         for child, recv in children:
             child.join()
+            child.close()  # its pipes, which a raised error's traceback would hold open
             recv.close()
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hankel import stacked_hankel
-from .lti_sim import BLOCK_SIZE, _number_array, _positive_int
+from .lti_sim import BLOCK_SIZE, _load_json, _number_array, _positive_int
 
 __all__ = [
     "SufficientStats",
@@ -115,8 +115,7 @@ def load_stats(path) -> SufficientStats:
     rowsum that is not a rectangular array of numbers, non-finite entries
     and a G that is not exactly symmetric.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+    obj = _load_json(path)
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: a stats snapshot must be a JSON object, got {type(obj).__name__}")
     for key in ("d", "Nc", "count", "G", "rowsum"):

@@ -240,6 +240,14 @@ class TestAggregateAndRecover:
         bad.write_text("{oops")
         rc = main(["recover", "--config", str(bad), "--stats", "s.json", "--out", str(tmp_path / "o")])
         assert rc == 4
+        assert f"malformed JSON: {bad}: Expecting property name" in capsys.readouterr().err
+
+    def test_malformed_stats_is_io_error(self, tmp_path, cfg_file, capsys):
+        bad = tmp_path / "stats.json"
+        bad.write_text('{"d": 10,')
+        rc = main(["recover", "--config", cfg_file, "--stats", str(bad), "--out", str(tmp_path / "o")])
+        assert rc == 4
+        assert f"malformed JSON: {bad}: Expecting property name" in capsys.readouterr().err
 
     def test_config_that_is_not_an_object_is_config_error(self, tmp_path, capsys):
         bad = tmp_path / "list.json"
@@ -455,18 +463,21 @@ class TestMomentAxes:
 
     @FORKS
     def test_landscape_in_parts_gives_the_same_outputs(self, tmp_path, gen_dir, monkeypatch, capsys):
-        # with the work cutoff lowered, the 3-point first axis is computed
-        # in one process per CPU; the files are the same either way
+        # with the work and row cutoffs lowered, the 3-point first axis is
+        # computed and the landscape rows are written in one process per CPU;
+        # the files are the same either way
         cfg = self._config(tmp_path)
         agg = tmp_path / "agg"
         assert main(["aggregate", "--config", cfg, "--dataset", str(gen_dir / "dataset_noisy.jsonl"), "--out", str(agg)]) == 0
         monkeypatch.setattr(estimator, "GRID_FORK_MIN_WORK", 1)
+        monkeypatch.setattr(estimator, "LANDSCAPE_FORK_MIN_ROWS", 1)
         for cpus in (1, 2):
             monkeypatch.setattr(lti_sim, "_cpus", lambda n=cpus: n)
             out = tmp_path / f"rec{cpus}"
             assert main(["recover", "--config", cfg, "--stats", str(agg / "stats.json"), "--out", str(out)]) == 0
             manifest = json.loads((out / "manifest.json").read_text())
             assert manifest["grid_processes"] == cpus and "grid_s" in manifest["timings"]
+            assert manifest["landscape_processes"] == cpus
         for name in ("landscape.csv", "candidate.json"):
             assert (tmp_path / "rec1" / name).read_bytes() == (tmp_path / "rec2" / name).read_bytes()
 
@@ -591,6 +602,13 @@ class TestValidate:
     def test_missing_candidate_is_io_error(self, tmp_path, cfg_file, capsys):
         rc = main(["validate", "--config", cfg_file, "--candidate", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])
         assert rc == 4
+
+    def test_malformed_candidate_is_io_error(self, tmp_path, cfg_file, capsys):
+        bad = tmp_path / "candidate.json"
+        bad.write_text('{"nullspace": [[1, 0],')
+        rc = main(["validate", "--config", cfg_file, "--candidate", str(bad), "--out", str(tmp_path / "o")])
+        assert rc == 4
+        assert f"malformed JSON: {bad}: Expecting value" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", ["[1, 2]", '{"m1": 0.0, "m2": 0.0}'])
     def test_candidate_without_nullspace_object_is_config_error(self, tmp_path, cfg_file, capsys, text):

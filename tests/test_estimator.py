@@ -679,20 +679,59 @@ class TestWriters:
         assert int(row[3]) == res.ranks[j]
         assert int(row[4]) == int(res.admitted[j])
 
-    @pytest.mark.parametrize("distinct", [False, True])
-    def test_landscape_csv_matches_per_row_writer(self, tmp_path, demo_system, monkeypatch, distinct):
+    @staticmethod
+    def _parts(monkeypatch, parts):
+        # parts CPUs and no row cutoff: one part per CPU, up to one per row
+        monkeypatch.setattr(lti_sim, "_cpus", lambda: parts)
+        monkeypatch.setattr(estimator, "LANDSCAPE_FORK_MIN_ROWS", 1)
+
+    @pytest.mark.parametrize("distinct, parts", [
+        # the one-part cases keep their ids from before parts were added
+        pytest.param(distinct, parts, id=f"{distinct}" + (f"-{parts}" if parts > 1 else ""), marks=[forks] if parts > 1 else [])
+        for parts in (1, 2, 3)
+        for distinct in (False, True)
+    ])
+    def test_landscape_csv_matches_per_row_writer(self, tmp_path, demo_system, monkeypatch, distinct, parts):
         fin = aggregate(_noisy(demo_system, 50, seed=27), 2).finalize()
         # uneven axes, and a one-point axis on the split grid
         m1, m2 = np.array([-0.0, 0.25, 1.0, 1.3]), np.array([2.5, 3.0, 4.75, 5.2, 7.0])
         grid = (m1, m2, m1[2:3], np.linspace(2.5, 7.0, 5)) if distinct else (m1, m2)
         res = grid_search(fin, grid, eps_sigma=1e-3, nullity=3, eps_mode="auto", eps_factor=5.0, input_rows=INPUT_ROWS)
         assert 0 < res.admitted.sum() < res.points.shape[0]
-        # 7 does not divide the row count, so the last block is partial
+        # neither 7 nor 3 divides the row count, so a part ends inside a
+        # block and the last block is partial
         monkeypatch.setattr(estimator, "CHUNK_SIZE", 7)
-        assert res.points.shape[0] % 7 != 0
+        assert res.points.shape[0] % 7 != 0 and res.points.shape[0] % 3 != 0
+        self._parts(monkeypatch, parts)
         path = tmp_path / "landscape.csv"
-        write_landscape_csv(res, path)
+        assert write_landscape_csv(res, path) == parts
         assert path.read_bytes() == _per_row_landscape(res)
+
+    def test_one_row_landscape_is_one_part(self, tmp_path, demo_system, monkeypatch):
+        fin = aggregate(_noisy(demo_system, 50, seed=27), 2).finalize()
+        res = grid_search(fin, ([1.0], [5.0]), eps_sigma=1e-3, nullity=3)
+        self._parts(monkeypatch, 2)
+        path = tmp_path / "landscape.csv"
+        assert write_landscape_csv(res, path) == 1
+        assert path.read_bytes() == _per_row_landscape(res)
+
+    @forks
+    def test_failure_in_a_child_part_is_raised_here(self, tmp_path, demo_system, monkeypatch):
+        res = self._tiny_result(demo_system)
+        parent, rows = os.getpid(), estimator._landscape_rows
+
+        def fails_in_a_child(*args):
+            if os.getpid() != parent:
+                raise OSError("formatting failed in a child")
+            return rows(*args)
+
+        self._parts(monkeypatch, 2)
+        monkeypatch.setattr(estimator, "_landscape_rows", fails_in_a_child)
+        fds = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(OSError, match="formatting failed in a child"):
+            write_landscape_csv(res, tmp_path / "landscape.csv")
+        assert multiprocessing.active_children() == []
+        assert len(os.listdir("/proc/self/fd")) == fds  # every memory file is closed
 
     def test_landscape_csv_is_byte_deterministic(self, tmp_path, demo_system):
         res = self._tiny_result(demo_system)
