@@ -30,11 +30,9 @@ from .lti_sim import (
     X0_POLICIES,
     NoiseSpec,
     StateSpace,
-    _concurrently,
     _load_json,
     _load_parts,
     _number_array,
-    _processes,
     add_noise,
     generate_dataset,
     load_dataset,
@@ -339,18 +337,15 @@ def cmd_generate(cfg: ExperimentConfig, out_dir) -> int:
     )
     noisy = add_noise(clean, cfg.noise_u, cfg.noise_y, rng)
     t1 = time.perf_counter()
-    # with a second CPU, a forked child writes the noiseless file meanwhile
-    samples = 2 * (clean.U.size + clean.Y.size)
-    _concurrently([
-        lambda: save_dataset(noisy, out / "dataset_noisy.jsonl"),
-        lambda: save_dataset(clean, out / "dataset_noiseless.jsonl"),
-    ], samples)
+    # the two files have the same shape, so they are written in the same parts
+    io_processes = save_dataset(noisy, out / "dataset_noisy.jsonl")
+    save_dataset(clean, out / "dataset_noiseless.jsonl")
     t2 = time.perf_counter()
     _write_manifest(
         out / "manifest.json", "generate", cfg,
         {"generate_s": t1 - t0, "write_s": t2 - t1},
         {"noiseless": "dataset_noiseless.jsonl", "noisy": "dataset_noisy.jsonl"},
-        io_processes=_processes(2, samples),
+        io_processes=io_processes,
     )
     print(f"generated {cfg.Nt} experiments of length {cfg.N} into {out}")
     return 0

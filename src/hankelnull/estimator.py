@@ -44,12 +44,11 @@ landscape in the caller, so the result does not depend on the CPU count.
 
 import functools
 import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lti_sim import _concurrently, _processes, _shared_empty
+from .lti_sim import _concurrently, _processes, _shared_empty, _write_parts
 from .stats import FinalizedStats
 
 __all__ = [
@@ -355,7 +354,7 @@ def grid_search(
             guard = np.flatnonzero(bound > GUARD_RTOL * sv[:, -1])
             sv[guard] = np.linalg.svd(_assemble(st, points[np.ix_(lo + guard, cols)], split), compute_uv=False)
 
-    _concurrently([functools.partial(part, k) for k in range(parts)], work, GRID_FORK_MIN_WORK)
+    _concurrently([functools.partial(part, k) for k in range(parts)])
 
     if eps_mode == "abs":
         threshold = float(eps_sigma)
@@ -417,54 +416,17 @@ def _landscape_rows(result: GridResult, lo: int, hi: int, fh) -> None:
         fh.write(row * (b - a) % tuple(block.ravel().tolist()))
 
 
-def _landscape_part(result: GridResult, lo: int, hi: int, fd: int) -> int:
-    """Format landscape rows [lo, hi) into the memory file fd; return its size in bytes."""
-    with open(fd, "w", encoding="utf-8", closefd=False) as fh:
-        _landscape_rows(result, lo, hi, fh)
-    return os.fstat(fd).st_size
-
-
 def write_landscape_csv(result: GridResult, path) -> int:
     """Write per-point sigma_min, numerical rank and admission to CSV.
 
-    The rows are formatted in parts of contiguous rows: one per CPU
+    The rows are written in parts (lti_sim._write_parts): one per CPU
     (lti_sim._cpus), but only as many as get LANDSCAPE_FORK_MIN_ROWS rows
-    each. The caller formats the first part straight into the file; each
-    forked child (lti_sim._concurrently) formats its part into an anonymous
-    memory file and sends back only its size, and the caller appends the
-    parts in order with os.sendfile, a copy made in the kernel. The bytes
-    are the same at any part count. Returns the part count.
+    each. The bytes are the same at any part count. Returns the part count.
     """
     n = result.points.shape[0]
     header = ",".join(AXIS_NAMES[len(result.axes)]) + ",sigma_min,numerical_rank,admitted\n"
     parts = _processes(n, n, LANDSCAPE_FORK_MIN_ROWS)  # a part holds at least a row
-    cuts = [n * k // parts for k in range(parts + 1)]
-    fds = []
-    try:
-        fds.extend(os.memfd_create(f"landscape part {k}") for k in range(1, parts))
-        # opened before the fork but written only after it, so a child never
-        # inherits a filled buffer of the output file
-        with open(path, "w", encoding="utf-8") as fh:
-
-            def first() -> None:
-                fh.write(header)
-                _landscape_rows(result, 0, cuts[1], fh)
-
-            calls = [first] + [
-                functools.partial(_landscape_part, result, cuts[k], cuts[k + 1], fds[k - 1]) for k in range(1, parts)
-            ]
-            sizes = _concurrently(calls, n, LANDSCAPE_FORK_MIN_ROWS)[1:]
-            fh.flush()
-            for fd, size in zip(fds, sizes):
-                sent = 0
-                while sent < size:
-                    copied = os.sendfile(fh.fileno(), fd, sent, size - sent)
-                    if copied == 0:
-                        raise OSError(f"{path}: a landscape part ended after {sent} of its {size} bytes")
-                    sent += copied
-    finally:
-        for fd in fds:
-            os.close(fd)
+    _write_parts(path, header, n, parts, functools.partial(_landscape_rows, result))
     return parts
 
 

@@ -11,9 +11,9 @@ Everything else runs as array code over the whole ensemble, or over blocks
 of BLOCK_SIZE records where a per-record temporary would otherwise grow
 with the ensemble. Dataset text I/O, which is bound by float formatting
 and parsing, runs in forked processes on a machine with more than one CPU
-when the files are big enough to repay the fork (see _concurrently): two
-files are written at once, and each loading process reads a whole file but
-parses only every parts-th record.
+when a file is big enough to repay the fork (see _processes): a file is
+written in parts of contiguous records (see _write_parts), and each loading
+process reads a whole file but parses only every parts-th record.
 """
 
 import functools
@@ -300,19 +300,26 @@ def _record_format(N: int, m: int, p: int) -> str:
     return '{"i":%d,"u":' + matrix(m) + ',"y":' + matrix(p) + "}\n"
 
 
-def save_dataset(ds: Dataset, path) -> None:
+def save_dataset(ds: Dataset, path) -> int:
     """Write a dataset as JSON Lines: a meta header, then one experiment per line.
 
     Each block of records is formatted by one %-operation over its rows.
+    The records are written in parts (see _write_parts), as many as get
+    FORK_MIN_SAMPLES samples each (see _processes). Returns the part count.
     """
     record = _record_format(ds.N, ds.m, ds.p)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"meta": {"Nt": ds.Nt, "N": ds.N, "m": ds.m, "p": ds.p}}) + "\n")
-        for a in range(0, ds.Nt, BLOCK_SIZE):
-            U, Y = ds.U[a : a + BLOCK_SIZE], ds.Y[a : a + BLOCK_SIZE]
-            B = U.shape[0]
-            rows = np.concatenate([np.arange(a, a + B, dtype=float)[:, None], U.reshape(B, -1), Y.reshape(B, -1)], axis=1)
-            fh.write(record * B % tuple(rows.ravel().tolist()))
+
+    def records(lo: int, hi: int, fh) -> None:
+        for a in range(lo, hi, BLOCK_SIZE):
+            b = min(a + BLOCK_SIZE, hi)
+            U, Y = ds.U[a:b], ds.Y[a:b]
+            rows = np.concatenate([np.arange(a, b, dtype=float)[:, None], U.reshape(b - a, -1), Y.reshape(b - a, -1)], axis=1)
+            fh.write(record * (b - a) % tuple(rows.ravel().tolist()))
+
+    parts = _processes(ds.Nt, ds.U.size + ds.Y.size, FORK_MIN_SAMPLES)
+    header = json.dumps({"meta": {"Nt": ds.Nt, "N": ds.N, "m": ds.m, "p": ds.p}}) + "\n"
+    _write_parts(path, header, ds.Nt, parts, records)
+    return parts
 
 
 # ints parse as floats so that a sample written as "-0" keeps its sign
@@ -350,7 +357,7 @@ def load_dataset(path) -> Dataset:
         if parts == 1:
             i = _parse_records(fh, path, 0, 1, U, Y)
     if parts > 1:
-        i = _concurrently([functools.partial(_parse_share, path, k, parts, U, Y) for k in range(parts)], samples)[0]
+        i = _concurrently([functools.partial(_parse_share, path, k, parts, U, Y) for k in range(parts)])[0]
     if i != Nt:
         raise ValueError(f"{path}: {i} experiment lines disagree with the meta header's Nt={Nt}")
     try:
@@ -396,7 +403,7 @@ def _load_parts(file, samples: int) -> int:
     opened again from its start, so one process reads it."""
     if not stat.S_ISREG(os.stat(file).st_mode):
         return 1
-    return _processes(_cpus(), samples)
+    return _processes(_cpus(), samples, FORK_MIN_SAMPLES)
 
 
 def _parse_share(path, k: int, parts: int, U: np.ndarray, Y: np.ndarray) -> int:
@@ -462,46 +469,39 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _processes(calls: int, work: int, min_work: int = FORK_MIN_SAMPLES) -> int:
+def _processes(calls: int, work: int, min_work: int) -> int:
     """How many processes share calls that do this much work in all: one per
-    call and CPU, but only as many as get min_work each. Work is counted in
-    the caller's unit: samples formatted or parsed for dataset I/O, with
-    min_work FORK_MIN_SAMPLES, bases for a grid search, with
-    estimator.GRID_FORK_MIN_WORK, or rows for a landscape CSV, with
-    estimator.LANDSCAPE_FORK_MIN_ROWS."""
+    call and CPU, but only as many as get min_work each; the caller hands
+    _concurrently that many calls. Work is in the caller's unit: samples of
+    one dataset file with FORK_MIN_SAMPLES, bases for a grid search with
+    estimator.GRID_FORK_MIN_WORK, or CSV rows with estimator.LANDSCAPE_FORK_MIN_ROWS."""
     return max(1, min(calls, _cpus(), work // min_work))
 
 
-def _concurrently(calls, work: int, min_work: int = FORK_MIN_SAMPLES) -> list:
-    """Run zero-argument calls that do this much work in all (see
-    _processes) at once; return their results in call order.
+def _concurrently(calls) -> list:
+    """Run zero-argument calls at once; return their results in call order.
 
-    The first call runs in this process. Where _processes gives more than
-    one, each other call runs in a child process started with fork, which
-    sends back its return value or its exception over a pipe. So a call
-    that fills an array makes it with _shared_empty, and one that formats
-    much text writes it to a file the caller opened (a memory file, say)
-    and returns its size, not the text. The first failure in call
-    order is raised here, and every child has ended when this returns.
-    Otherwise the calls run in order in this process.
+    The first call runs in this process, and each other call in a child
+    process started with fork, which sends back its return value or its
+    exception over a pipe; so one call forks nothing. A call that fills an
+    array makes it with _shared_empty, and one that formats much text writes
+    it to a memory file and returns its size (see _write_parts). The first
+    failure in call order is raised here, and every child has ended when
+    this returns.
 
     fork, not spawn or forkserver: the child starts with the caller's data
     and imports nothing, so a caller script needs no `if __name__ ==
-    "__main__":` guard. Python 3.12 and later warn when a multi-threaded
-    process forks, because a lock held by another thread stays locked in
-    the child. The calls made here take no Python-level lock: dataset I/O
-    formats or parses text, a grid search part runs LAPACK (eigvalsh, and
-    svd on guard rows) on d x d matrices, and a landscape part formats text
-    into a memory file and calls no BLAS. The threads a forked process
-    may meet are those of numpy's BLAS. OpenBLAS, which numpy wheels ship,
-    shuts its thread pool down before a fork and the child starts a pool
-    of its own when it needs one, so no call waits on a thread that did not
-    come along. A BLAS that does not, such as an OpenMP build whose worker
-    pool is not fork-safe (GNU libgomp), could hang a child on its first
-    threaded call; there, pin the process to one CPU.
+    "__main__":` guard. A lock another thread holds stays locked in a forked
+    child (Python 3.12 and later warn of it). The calls made here take no
+    Python-level lock: text parts format or parse text and call no BLAS, and
+    a grid search part runs LAPACK (eigvalsh, and svd on guard rows) on
+    d x d matrices. OpenBLAS, which numpy wheels ship, shuts its thread pool
+    down before a fork and the child starts its own when it needs one. A
+    BLAS that does not, such as an OpenMP build on GNU libgomp, could hang
+    a child on its first threaded call; there, pin the process to one CPU.
     """
-    if _processes(len(calls), work, min_work) == 1:
-        return [call() for call in calls]
+    if len(calls) == 1:
+        return [calls[0]()]
     import multiprocessing  # here, so that importing hankelnull does not load it
 
     ctx = multiprocessing.get_context("fork")
@@ -523,6 +523,48 @@ def _concurrently(calls, work: int, min_work: int = FORK_MIN_SAMPLES) -> list:
             child.join()
             child.close()  # its pipes, which a raised error's traceback would hold open
             recv.close()
+
+
+def _write_parts(path, header: str, n: int, parts: int, rows) -> None:
+    """Write header and rows [0, n) to the text file path in parts of
+    contiguous rows; rows(lo, hi, fh) writes rows [lo, hi) to fh.
+
+    The caller writes the first part straight into the file. Each forked
+    child (see _concurrently) formats its part into an anonymous memory file
+    and sends back only its size, and the caller appends the parts in order
+    with os.sendfile, a copy made in the kernel. The bytes are the same at
+    any part count.
+    """
+    cuts = [n * k // parts for k in range(parts + 1)]
+    fds = []
+
+    def part(k: int) -> int:
+        with open(fds[k - 1], "w", encoding="utf-8", closefd=False) as fh:
+            rows(cuts[k], cuts[k + 1], fh)
+        return os.fstat(fds[k - 1]).st_size
+
+    try:
+        fds.extend(os.memfd_create(f"part {k}") for k in range(1, parts))
+        # opened before the fork but written only after it, so a child never
+        # inherits a filled buffer of the output file
+        with open(path, "w", encoding="utf-8") as fh:
+
+            def first() -> None:
+                fh.write(header)
+                rows(0, cuts[1], fh)
+
+            sizes = _concurrently([first] + [functools.partial(part, k) for k in range(1, parts)])[1:]
+            fh.flush()
+            for fd, size in zip(fds, sizes):
+                sent = 0
+                while sent < size:
+                    copied = os.sendfile(fh.fileno(), fd, sent, size - sent)
+                    if copied == 0:
+                        raise OSError(f"{path}: a part ended after {sent} of its {size} bytes")
+                    sent += copied
+    finally:
+        for fd in fds:
+            os.close(fd)
 
 
 def _child(call, send) -> None:

@@ -1,13 +1,14 @@
 import dataclasses
 import json
 import multiprocessing
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from hankelnull import estimator, load_dataset, lti_sim
+from hankelnull import cli, estimator, load_dataset, lti_sim
 from hankelnull.cli import _SCALARS, config_from_dict, config_to_dict, main
 
 DEMO_SYSTEM = {
@@ -119,7 +120,7 @@ class TestGenerate:
         for name in ("dataset_noiseless.jsonl", "dataset_noisy.jsonl"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
-    # below lti_sim.FORK_MIN_SAMPLES samples a file, the two writes stay in one process
+    # below 2 * lti_sim.FORK_MIN_SAMPLES samples a file, each file is written in one part
     @pytest.mark.parametrize("cpus, Nt, io_processes", [(1, 1600, 1), (2, 8, 1), pytest.param(2, 1600, 2, marks=FORKS)])
     def test_manifest_records_io_processes(self, tmp_path, cfg_file, gen_dir, big_gen_dir, monkeypatch, capsys, cpus, Nt, io_processes):
         monkeypatch.setattr(lti_sim, "_cpus", lambda: cpus)
@@ -128,6 +129,23 @@ class TestGenerate:
         assert json.loads((out / "manifest.json").read_text())["io_processes"] == io_processes
         for name in ("dataset_noiseless.jsonl", "dataset_noisy.jsonl"):
             assert (out / name).read_bytes() == ((gen_dir if Nt == 8 else big_gen_dir) / name).read_bytes()
+
+    @FORKS
+    def test_both_files_are_saved_in_this_process(self, tmp_path, cfg_file, monkeypatch, capsys):
+        # each file is written in parts, but save_dataset is called here for
+        # both, so a caller that wraps it sees both calls
+        monkeypatch.setattr(lti_sim, "_cpus", lambda: 2)
+        pids, save = [], cli.save_dataset
+
+        def save_here(ds, path):
+            pids.append(os.getpid())
+            return save(ds, path)
+
+        monkeypatch.setattr(cli, "save_dataset", save_here)
+        out = tmp_path / "o"
+        assert main(["generate", "--config", cfg_file, "--Nt", "1600", "--out", str(out)]) == 0
+        assert pids == [os.getpid()] * 2
+        assert json.loads((out / "manifest.json").read_text())["io_processes"] == 2
 
     @FORKS
     def test_failing_child_writer_is_io_error(self, tmp_path, cfg_file, monkeypatch, capsys):

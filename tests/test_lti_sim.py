@@ -16,6 +16,7 @@ from hankelnull import (
     NoiseSpec,
     StateSpace,
     add_noise,
+    estimator,
     generate_dataset,
     generate_pe_input,
     hankel,
@@ -27,6 +28,9 @@ from hankelnull import (
     simulate,
 )
 from hankelnull.cli import PRESETS, config_from_dict
+
+# dataset I/O forks on Linux only; the tests that force a CPU count above 1 need that
+forks = pytest.mark.skipif(sys.platform != "linux", reason="dataset I/O forks on Linux only")
 
 
 # ---------------------------------------------------------------- types
@@ -423,6 +427,39 @@ def test_save_dataset_bytes_match_per_record_writer(tmp_path, demo_system):
     assert back.U.tobytes() == special.U.tobytes() and back.Y.tobytes() == special.Y.tobytes()
 
 
+# save_dataset writes a file in one part per CPU, as long as each part gets
+# FORK_MIN_SAMPLES samples (see _write_parts). The tests force the CPU count
+# and lower the cutoff, so the split does not depend on the machine.
+@pytest.mark.parametrize("parts", [1, pytest.param(2, marks=forks), pytest.param(3, marks=forks)])
+def test_save_dataset_in_parts_matches_per_record_writer(tmp_path, demo_system, monkeypatch, parts):
+    rng = np.random.default_rng(33)
+    ds = add_noise(generate_dataset(demo_system, 50, 20, 2, "random-bounded", rng), NoiseSpec("gaussian", 1.0, 5.0), NoiseSpec("gaussian", 1.0, 5.0), rng)
+    # neither 3 nor the block size divides Nt, so a part ends inside a block
+    monkeypatch.setattr(lti_sim, "BLOCK_SIZE", 7)
+    assert ds.Nt % 7 != 0 and ds.Nt % 3 != 0
+    monkeypatch.setattr(lti_sim, "_cpus", lambda: parts)
+    monkeypatch.setattr(lti_sim, "FORK_MIN_SAMPLES", 1)
+    assert save_dataset(ds, tmp_path / "ds.jsonl") == parts
+    _per_record_writer(ds, tmp_path / "ref.jsonl")
+    assert (tmp_path / "ds.jsonl").read_bytes() == (tmp_path / "ref.jsonl").read_bytes()
+    # a part holds at least a record
+    assert save_dataset(ds[:1], tmp_path / "one.jsonl") == 1
+    _per_record_writer(ds[:1], tmp_path / "one_ref.jsonl")
+    assert (tmp_path / "one.jsonl").read_bytes() == (tmp_path / "one_ref.jsonl").read_bytes()
+
+
+@forks
+def test_save_and_load_fork_from_the_same_file_size(tmp_path, demo_system, monkeypatch):
+    # 100 samples a record: 1,000 records give two parts of FORK_MIN_SAMPLES
+    monkeypatch.setattr(lti_sim, "_cpus", lambda: 2)
+    ds = generate_dataset(demo_system, 1000, 20, 2, "zero", np.random.default_rng(0))
+    assert ds.U.size + ds.Y.size == 2 * lti_sim.FORK_MIN_SAMPLES
+    for Nt, parts in ((999, 1), (1000, 2)):
+        path = tmp_path / f"{Nt}.jsonl"
+        assert save_dataset(ds[:Nt], path) == parts
+        assert lti_sim._load_parts(path, ds[:Nt].U.size + ds[:Nt].Y.size) == parts
+
+
 def test_load_dataset_names_non_finite_record(tmp_path, demo_system):
     ds = generate_dataset(demo_system, 4, 20, 2, "zero", np.random.default_rng(0))
     path = tmp_path / "ds.jsonl"
@@ -528,7 +565,6 @@ def test_load_dataset_rejects_meta_mismatch(tmp_path, demo_system):
 # 533 records.
 SPLIT_NT = 1600
 BAD = 1502  # a record the last of 3 processes parses
-forks = pytest.mark.skipif(sys.platform != "linux", reason="strides are parsed in forked processes on Linux only")
 
 
 @pytest.fixture(scope="module")
@@ -677,27 +713,58 @@ def _fail(exc):
 
 
 @forks
-def test_concurrently_raises_the_first_failure_in_call_order(monkeypatch):
-    monkeypatch.setattr(lti_sim, "_cpus", lambda: 2)
-    samples = 3 * lti_sim.FORK_MIN_SAMPLES
-    assert lti_sim._concurrently([lambda: 0, lambda: 1, lambda: "two"], samples) == [0, 1, "two"]
+def test_concurrently_raises_the_first_failure_in_call_order():
+    assert lti_sim._concurrently([lambda: 0, lambda: 1, lambda: "two"]) == [0, 1, "two"]
     calls = [lambda: 0, lambda: _fail(KeyError("first")), lambda: _fail(ValueError("second"))]
     with pytest.raises(KeyError, match="first"):
-        lti_sim._concurrently(calls, samples)
+        lti_sim._concurrently(calls)
     with pytest.raises(OSError, match="in this process"):
-        lti_sim._concurrently([lambda: _fail(OSError("in this process")), *calls[1:]], samples)
+        lti_sim._concurrently([lambda: _fail(OSError("in this process")), *calls[1:]])
     with pytest.raises(ChildProcessError, match="exited with code 3 before sending"):
-        lti_sim._concurrently([lambda: 0, lambda: os._exit(3)], samples)
+        lti_sim._concurrently([lambda: 0, lambda: os._exit(3)])
     assert multiprocessing.active_children() == []
 
 
-def test_concurrently_forks_only_past_the_size_cutoff(monkeypatch):
-    monkeypatch.setattr(lti_sim, "_cpus", lambda: 2)
-    pids = [os.getpid, os.getpid]
-    one, two = lti_sim._concurrently(pids, 2 * lti_sim.FORK_MIN_SAMPLES - 1)
-    assert one == two == os.getpid()
-    one, two = lti_sim._concurrently(pids, 2 * lti_sim.FORK_MIN_SAMPLES)
-    assert one == os.getpid() != two
+def test_one_call_runs_here_without_fork_machinery():
+    src = os.path.dirname(os.path.dirname(lti_sim.__file__))
+    code = (
+        f"import os, sys; sys.path.insert(0, {src!r}); from hankelnull import lti_sim; "
+        "assert lti_sim._concurrently([os.getpid]) == [os.getpid()]; print('multiprocessing' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"
+
+
+@pytest.mark.parametrize("min_work", [
+    pytest.param(lti_sim.FORK_MIN_SAMPLES, id="dataset-samples"),
+    pytest.param(estimator.GRID_FORK_MIN_WORK, id="grid-bases"),
+    pytest.param(estimator.LANDSCAPE_FORK_MIN_ROWS, id="landscape-rows"),
+])
+def test_processes_fork_from_min_work_each(monkeypatch, min_work):
+    monkeypatch.setattr(lti_sim, "_cpus", lambda: 3)
+    assert lti_sim._processes(10, 2 * min_work - 1, min_work) == 1
+    assert lti_sim._processes(10, 2 * min_work, min_work) == 2
+    assert lti_sim._processes(10, 3 * min_work - 1, min_work) == 2
+    assert lti_sim._processes(10, 3 * min_work, min_work) == 3
+    assert lti_sim._processes(10, 10 * min_work, min_work) == 3  # one per CPU
+    assert lti_sim._processes(2, 10 * min_work, min_work) == 2  # one per call
+    assert lti_sim._processes(10, 0, min_work) == 1
+
+
+@forks
+def test_failure_in_a_child_part_is_raised_here(tmp_path):
+    parent = os.getpid()
+
+    def fails_in_a_child(lo, hi, fh):
+        if os.getpid() != parent:
+            raise OSError("formatting failed in a child")
+        fh.write("row\n" * (hi - lo))
+
+    fds = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(OSError, match="formatting failed in a child"):
+        lti_sim._write_parts(tmp_path / "rows.txt", "header\n", 9, 3, fails_in_a_child)
+    assert multiprocessing.active_children() == []
+    assert len(os.listdir("/proc/self/fd")) == fds  # every memory file is closed
 
 
 def test_importing_the_package_loads_no_fork_machinery():
