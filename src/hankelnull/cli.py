@@ -421,7 +421,6 @@ def cmd_recover(cfg: ExperimentConfig, dataset_path, stats_path, out_dir) -> int
     )
     t1 = time.perf_counter()
     timings["grid_s"] = t1 - t0
-    extra["grid_processes"] = res.processes
     if stats_path is None:
         save_stats(st, out / "stats.json")
         outputs["stats"] = "stats.json"

@@ -21,34 +21,31 @@ moments enter only on the diagonal, so with tied moments they are a spectral
 shift, M(mu, nu) = M(mu, 0) - Nc*nu*I: the bases are the rows (mu, 0, mu, 0),
 one per first-moment value, and the shifts are Nc*nu. With split channels
 M(m1u, m2u, m1y, m2y) = M(m1u, m2u - m2y, m1y, 0) - Nc*m2y*I: the bases are
-(m1u, m2u - m2y, m1y, 0), one per exactly equal difference of the two
-second-moment axes, and the shifts are Nc*m2y. One symmetric eigenvalue
-decomposition per base gives the singular values |lambda - shift| of every
-point it covers.
+(m1u, delta, m1y, 0), one per run of differences m2u - m2y that agree to
+rounding, and the shifts are Nc*m2y. One symmetric eigenvalue decomposition
+per base gives the singular values |lambda - shift| of every point it covers.
 Where the subtraction cancels too many digits to be trusted (the shift sits
-on an eigenvalue) the row is recomputed by SVD of the assembled matrix. Only
-the best admitted point's null space is extracted: one eigh of its base,
-keeping the eigenvectors nearest its shift.
+on an eigenvalue), or a point's difference lies too far from delta, the row
+is recomputed by SVD of the assembled matrix. An admitted row is read again
+off the base at the point's own difference, and only the best admitted
+point's null space is extracted: one eigh of that base, keeping the
+eigenvectors nearest its shift.
 
 A base's off-diagonal entries depend on its first moments alone, so they
 are built once per first-moment pair (m1u, m1y) of the grid, the core, and
 each base copies its pair's core and adds its own diagonal correction. The
-entries are the ones a one-pass assembly gives, bit for bit. Bases and
-points are both enumerated with the first axis outermost, so a range of
-first-axis values owns one range of each: a big enough grid is cut along
-its first axis into one part per CPU, each computing its bases' spectra and
-its points' landscape rows in a forked process (lti_sim._concurrently).
-Threshold, admission and the best point are then read off the whole
-landscape in the caller, so the result does not depend on the CPU count.
+entries are the ones a one-pass assembly gives, bit for bit. The search runs
+in the calling process.
 """
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lti_sim import _concurrently, _processes, _shared_empty, _write_parts
+from .lti_sim import _processes, _write_parts
 from .stats import FinalizedStats
 
 __all__ = [
@@ -69,16 +66,11 @@ EPS_MODES = ("abs", "auto")
 AXIS_NAMES = {2: ("m1", "m2"), 4: ("m1u", "m2u", "m1y", "m2y")}
 
 CHUNK_SIZE = 8192  # rows of d values per batch: grid points, or CHUNK_SIZE // d bases
-# A landscape row |lambda - shift| is recomputed by SVD when its rounding
-# bound, GUARD_ULPS*eps*(max|lambda| + |shift|), exceeds GUARD_RTOL times its
-# smallest singular value.
+# A landscape row |lambda - shift| is recomputed by SVD when its error bound,
+# GUARD_ULPS*eps*(max|lambda| + |shift|) plus Nc*|m2u - m2y - delta| (see
+# grid_search), exceeds GUARD_RTOL times its smallest singular value.
 GUARD_ULPS = 16
 GUARD_RTOL = 1e-10
-# A search's work is counted in bases: one base's assembly and eigvalsh cost
-# about as much as POINTS_PER_BASE landscape rows. Each forked part must get
-# GRID_FORK_MIN_WORK of it to repay starting it (see grid_search).
-POINTS_PER_BASE = 32
-GRID_FORK_MIN_WORK = 12_500
 # Each forked part of a landscape CSV must format this many rows to repay
 # starting it (see write_landscape_csv).
 LANDSCAPE_FORK_MIN_ROWS = 80_000
@@ -152,8 +144,7 @@ class GridResult:
     """Full landscape of a grid search plus the best admitted point.
 
     Every point's spectrum, rank and admission are in the landscape; only
-    the best point's null space is extracted. processes is the number of
-    processes that computed the landscape.
+    the best point's null space is extracted.
     """
 
     axes: tuple
@@ -164,7 +155,6 @@ class GridResult:
     threshold: float
     nullity: int
     best: "Candidate | None"
-    processes: int = 1
 
     @property
     def sigma_min(self) -> np.ndarray:
@@ -260,26 +250,24 @@ def grid_search(
     so the admitted set stays tight at any ensemble size. The numerical rank
     of a point counts its singular values above eps_rank times the largest.
 
-    The grid is read as base matrices and scalar shifts. A tied point
-    (m1, m2) has base (m1, 0, m1, 0) and shift Nc*m2; a 4-axis point has base
-    (m1u, m2u - m2y, m1y, 0) and shift Nc*m2y, with one base per exactly
-    equal difference m2u - m2y. One eigvalsh per base gives the spectrum of
-    every point on it, |lambda - shift| sorted descending, over the
-    eigenvalues lambda of the base; rows where that subtraction may have
-    lost more than GUARD_RTOL of the smallest value are recomputed by SVD.
-    Among admitted points the best is the one with the smallest minimum
-    singular value, the first in grid order on ties. Only its null space is
-    extracted, by one eigh of its base: the `nullity` eigenvectors nearest
-    its shift, nearest last like the trailing rows of an SVD's Vt. Its
-    spectrum is its landscape row. Returns the full landscape either way;
-    best is None when nothing is admitted.
-
-    The landscape is computed in result.processes parts, cut along the
-    first axis: one per CPU (lti_sim._cpus), but only as many as get
-    GRID_FORK_MIN_WORK bases of work each, a point counting 1/POINTS_PER_BASE
-    of a base; the caller computes the first part and forked children the
-    others, into one shared array. The result is the same bit for bit at
-    any part count.
+    The grid is read as base matrices and scalar shifts, in this process. A
+    tied point (m1, m2) has base (m1, 0, m1, 0) and shift Nc*m2; a 4-axis
+    point has base (m1u, delta, m1y, 0) and shift Nc*m2y. The sorted
+    differences m2u - m2y are cut into runs wherever two neighbours lie more
+    than GUARD_ULPS*eps*max|m2| apart, and delta is the first of the point's
+    run. One eigvalsh per base gives the spectrum of every point on it,
+    |lambda - shift| sorted descending. Moving the input rows' diagonal from
+    the point's difference to delta moves each eigenvalue by at most
+    Nc*|m2u - m2y - delta|, which is added to the row's rounding bound; rows
+    where the two may exceed GUARD_RTOL of the smallest value are recomputed
+    by SVD. An admitted row is read again off the base at its own
+    difference, as a grid of that point alone reads it. Among admitted
+    points the best is the one with the smallest minimum singular value, the
+    first in grid order on ties. Only its null space is extracted, by one
+    eigh of that base: the `nullity` eigenvectors nearest its shift,
+    nearest last like the trailing rows of an SVD's Vt. Its spectrum is its
+    landscape row. Returns the full landscape either way; best is None when
+    nothing is admitted.
     """
     axes = tuple(np.asarray(a, dtype=float).reshape(-1) for a in grid)
     if len(axes) not in AXIS_NAMES:
@@ -299,77 +287,94 @@ def grid_search(
         raise ValueError(f"nullity must be in [1, {st.d - 1}], got {nullity}")
     if eps_mode not in EPS_MODES:
         raise ValueError(f"eps_mode must be one of {EPS_MODES}, got {eps_mode!r}")
+    for name, value in (("eps_sigma", eps_sigma), ("eps_factor", eps_factor), ("eps_rank", eps_rank)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
     d = st.d
+    eps = np.finfo(float).eps
     points = _mesh_points(axes)
     # point j is the base bases[base_of[j]] shifted by Nc times its last
-    # coordinate, m2 or m2y; base k's off-diagonal entries are those of its
-    # first-moment pair, pairs[pair_of[k]]
+    # coordinate, m2 or m2y, each eigenvalue off by at most slack_of[j]; base
+    # k's off-diagonal entries are those of its first-moment pair, pairs[pair_of[k]]
     if len(axes) == 2:
         m1, m2 = axes
         bases = _mesh_points((m1, np.zeros(1)))[:, cols]
         pairs, pair_of = bases[:, 0::2], np.arange(m1.size)
         base_of = np.repeat(np.arange(m1.size), m2.size)
+        slack_of = np.broadcast_to(0.0, points.shape[:1])  # each point on its own base
     else:
         m1u, m2u, m1y, m2y = axes
-        # bases (m1u, m2u - m2y, m1y, 0), one per exactly equal difference:
-        # a point's base depends on that point alone
-        diffs, diff_of = np.unique((m2u[:, None] - m2y).reshape(-1), return_inverse=True)
-        diff_of = diff_of.reshape(m2u.size, m2y.size)  # its shape varies across numpy versions
+        # bases (m1u, delta, m1y, 0), delta the first of each run of differences
+        diff = m2u[:, None] - m2y
+        order = np.argsort(diff, axis=None, kind="stable")
+        tol = GUARD_ULPS * eps * max(np.abs(m2u).max(), np.abs(m2y).max())
+        run = np.diff(diff.flat[order], prepend=-np.inf) > tol
+        diffs = diff.flat[order[run]]
+        diff_of = (np.cumsum(run) - 1)[np.argsort(order)].reshape(diff.shape)
         bases = _mesh_points((m1u, diffs, m1y, np.zeros(1)))
         pairs = _mesh_points((m1u, m1y))
         a, c = np.arange(m1u.size)[:, None, None, None], np.arange(m1y.size)[:, None]
         pair_of = np.broadcast_to(a[..., 0] * m1y.size + c[:, 0], (m1u.size, diffs.size, m1y.size)).reshape(-1)
         base_of = ((a * diffs.size + diff_of[:, None, :]) * m1y.size + c).reshape(-1)
+        slack = st.Nc * np.abs(diff - diffs[diff_of])[:, None, :]
+        slack_of = np.broadcast_to(slack, (m1u.size, m2u.size, m1y.size, m2y.size)).reshape(-1)
     shift_of = st.Nc * points[:, -1]
+    sv_all = np.empty((points.shape[0], d))
 
-    # first-axis index i owns bases [i*nb, (i+1)*nb) and points [i*npt, (i+1)*npt)
-    n0 = axes[0].size
-    nb, npt = bases.shape[0] // n0, points.shape[0] // n0
-    work = bases.shape[0] + points.shape[0] // POINTS_PER_BASE
-    parts = _processes(n0, work, GRID_FORK_MIN_WORK)
-    # forked parts write their rows straight into the caller's landscape
-    sv_all = (np.empty if parts == 1 else _shared_empty)((points.shape[0], d))
+    def fill(rows, lam, lam_max, slack) -> None:
+        # landscape rows `rows` from their bases' eigenvalues lam, lam_max the largest |lam|
+        shift = shift_of[rows]
+        dist = np.abs(lam - shift[:, None])
+        dist.sort(axis=-1)
+        sv = dist[:, ::-1]
+        bound = GUARD_ULPS * eps * (lam_max + np.abs(shift)) + slack
+        guard = np.flatnonzero(bound > GUARD_RTOL * sv[:, -1])
+        sv[guard] = np.linalg.svd(_assemble(st, points[rows][np.ix_(guard, cols)], split), compute_uv=False)
+        sv_all[rows] = sv
 
-    def part(k: int) -> None:
-        i0, i1 = n0 * k // parts, n0 * (k + 1) // parts
-        b0, b1 = i0 * nb, i1 * nb
-        lam = np.empty((b1 - b0, d))
-        per_chunk = max(1, CHUNK_SIZE // d)
-        for lo in range(b0, b1, per_chunk):
-            rows = slice(lo, min(lo + per_chunk, b1))
-            pair = pair_of[rows]
-            first = pair.min()
-            core = _core(st, pairs[first : pair.max() + 1], split)[pair - first]
-            lam[lo - b0 : rows.stop - b0] = np.linalg.eigvalsh(_assemble(st, bases[rows], split, core))
-        lam_max = np.abs(lam).max(axis=1)
-        for lo in range(i0 * npt, i1 * npt, CHUNK_SIZE):
-            rows = slice(lo, min(lo + CHUNK_SIZE, i1 * npt))
-            base, shift = base_of[rows] - b0, shift_of[rows]
-            dist = np.abs(lam[base] - shift[:, None])
-            dist.sort(axis=-1)
-            sv = sv_all[rows]
-            sv[:] = dist[:, ::-1]
-            bound = GUARD_ULPS * np.finfo(float).eps * (lam_max[base] + np.abs(shift))
-            guard = np.flatnonzero(bound > GUARD_RTOL * sv[:, -1])
-            sv[guard] = np.linalg.svd(_assemble(st, points[np.ix_(lo + guard, cols)], split), compute_uv=False)
+    def own_bases(rows) -> np.ndarray:
+        # the bases (m1u, m2u - m2y, m1y, 0) of points `rows`, each at its own difference
+        pt = points[np.ix_(rows, cols)]
+        return np.column_stack([pt[:, 0], pt[:, 1] - pt[:, 3], pt[:, 2], np.zeros(len(pt))])
 
-    _concurrently([functools.partial(part, k) for k in range(parts)])
+    lam = np.empty((bases.shape[0], d))
+    per_chunk = max(1, CHUNK_SIZE // d)
+    for lo in range(0, bases.shape[0], per_chunk):
+        rows = slice(lo, lo + per_chunk)
+        pair = pair_of[rows]
+        first = pair.min()
+        core = _core(st, pairs[first : pair.max() + 1], split)[pair - first]
+        lam[rows] = np.linalg.eigvalsh(_assemble(st, bases[rows], split, core))
+    lam_max = np.abs(lam).max(axis=1)
+    for lo in range(0, points.shape[0], CHUNK_SIZE):
+        base = base_of[lo : lo + CHUNK_SIZE]
+        fill(slice(lo, lo + CHUNK_SIZE), lam[base], lam_max[base], slack_of[lo : lo + CHUNK_SIZE])
 
-    if eps_mode == "abs":
-        threshold = float(eps_sigma)
-    else:
-        threshold = float(eps_factor * sv_all[:, d - nullity].min())
-    # rows are sorted descending, so exactly `nullity` values fall below the
-    # threshold when the nullity-th smallest does and the next one does not
-    admitted = (sv_all[:, d - nullity] < threshold) & (sv_all[:, d - nullity - 1] >= threshold)
+    # admitted rows are read again off their own differences' bases, which can
+    # move the auto threshold and so admission: repeat until none is left
+    own = slack_of == 0.0
+    while True:
+        if eps_mode == "abs":
+            threshold = float(eps_sigma)
+        else:
+            threshold = float(eps_factor * sv_all[:, d - nullity].min())
+        # rows are sorted descending, so exactly `nullity` values fall below the
+        # threshold when the nullity-th smallest does and the next one does not
+        admitted = (sv_all[:, d - nullity] < threshold) & (sv_all[:, d - nullity - 1] >= threshold)
+        redo = np.flatnonzero(admitted & ~own)
+        if redo.size == 0:
+            break
+        lam = np.linalg.eigvalsh(_assemble(st, own_bases(redo), split))
+        fill(redo, lam, np.abs(lam).max(axis=1), 0.0)
+        own[redo] = True
     ranks = np.count_nonzero(sv_all > eps_rank * sv_all[:, 0:1], axis=1)
 
     best = None
     picked = np.flatnonzero(admitted)
     if picked.size:
         j = int(picked[np.argmin(sv_all[picked, -1])])  # argmin keeps the first on ties
-        w, V = np.linalg.eigh(_assemble(st, bases[base_of[j] : base_of[j] + 1], split)[0])
+        w, V = np.linalg.eigh(_assemble(st, own_bases([j]), split)[0])
         # nearest eigenvalue last, like the trailing rows of an SVD's Vt
         near = np.argsort(np.abs(w - shift_of[j]))[nullity - 1 :: -1]
         best = Candidate(
@@ -389,7 +394,6 @@ def grid_search(
         threshold=threshold,
         nullity=nullity,
         best=best,
-        processes=parts,
     )
 
 

@@ -473,8 +473,8 @@ def _processes(calls: int, work: int, min_work: int) -> int:
     """How many processes share calls that do this much work in all: one per
     call and CPU, but only as many as get min_work each; the caller hands
     _concurrently that many calls. Work is in the caller's unit: samples of
-    one dataset file with FORK_MIN_SAMPLES, bases for a grid search with
-    estimator.GRID_FORK_MIN_WORK, or CSV rows with estimator.LANDSCAPE_FORK_MIN_ROWS."""
+    one dataset file with FORK_MIN_SAMPLES, or CSV rows with
+    estimator.LANDSCAPE_FORK_MIN_ROWS. A grid search never forks."""
     return max(1, min(calls, _cpus(), work // min_work))
 
 
@@ -493,12 +493,8 @@ def _concurrently(calls) -> list:
     and imports nothing, so a caller script needs no `if __name__ ==
     "__main__":` guard. A lock another thread holds stays locked in a forked
     child (Python 3.12 and later warn of it). The calls made here take no
-    Python-level lock: text parts format or parse text and call no BLAS, and
-    a grid search part runs LAPACK (eigvalsh, and svd on guard rows) on
-    d x d matrices. OpenBLAS, which numpy wheels ship, shuts its thread pool
-    down before a fork and the child starts its own when it needs one. A
-    BLAS that does not, such as an OpenMP build on GNU libgomp, could hang
-    a child on its first threaded call; there, pin the process to one CPU.
+    Python-level lock, and call no BLAS or LAPACK: each child formats or
+    parses text.
     """
     if len(calls) == 1:
         return [calls[0]()]

@@ -33,9 +33,9 @@ SMALL_CONFIG = {
 }
 
 
-# dataset I/O and grid parts run in forked processes on Linux only; the
-# tests that force a CPU count above 1 need that
-FORKS = pytest.mark.skipif(sys.platform != "linux", reason="dataset I/O and grid parts fork on Linux only")
+# dataset I/O and landscape parts run in forked processes on Linux only;
+# the tests that force a CPU count above 1 need that
+FORKS = pytest.mark.skipif(sys.platform != "linux", reason="dataset I/O and landscape parts fork on Linux only")
 
 
 @pytest.fixture(scope="module")
@@ -480,24 +480,40 @@ class TestMomentAxes:
         assert "best candidate m1u=0 m2u=0 m1y=0 m2y=0 sigma_min=" in capsys.readouterr().out
 
     @FORKS
-    def test_landscape_in_parts_gives_the_same_outputs(self, tmp_path, gen_dir, monkeypatch, capsys):
-        # with the work and row cutoffs lowered, the 3-point first axis is
-        # computed and the landscape rows are written in one process per CPU;
-        # the files are the same either way
+    def test_no_forked_child_calls_lapack(self, tmp_path, cfg_file, gen_dir, big_gen_dir, monkeypatch, capsys):
+        # with the landscape and dataset I/O cutoffs lowered, a split-grid
+        # recover --stats and a recover --dataset fork at 2 CPUs, and only
+        # this process may call eigvalsh, eigh or svd; the files are the
+        # same bytes as at 1 CPU
         cfg = self._config(tmp_path)
         agg = tmp_path / "agg"
         assert main(["aggregate", "--config", cfg, "--dataset", str(gen_dir / "dataset_noisy.jsonl"), "--out", str(agg)]) == 0
-        monkeypatch.setattr(estimator, "GRID_FORK_MIN_WORK", 1)
+        parent = os.getpid()
+        for name in ("eigvalsh", "eigh", "svd"):
+            def here_only(*args, _call=getattr(np.linalg, name), _name=name, **kw):
+                if os.getpid() != parent:
+                    raise AssertionError(f"{_name} called in a forked process")
+                return _call(*args, **kw)
+
+            monkeypatch.setattr(np.linalg, name, here_only)
         monkeypatch.setattr(estimator, "LANDSCAPE_FORK_MIN_ROWS", 1)
+        monkeypatch.setattr(lti_sim, "FORK_MIN_SAMPLES", 1)
+        runs = {
+            "split": ["--config", cfg, "--stats", str(agg / "stats.json")],
+            "dataset": ["--config", cfg_file, "--dataset", str(big_gen_dir / "dataset_noisy.jsonl")],
+        }
         for cpus in (1, 2):
             monkeypatch.setattr(lti_sim, "_cpus", lambda n=cpus: n)
-            out = tmp_path / f"rec{cpus}"
-            assert main(["recover", "--config", cfg, "--stats", str(agg / "stats.json"), "--out", str(out)]) == 0
-            manifest = json.loads((out / "manifest.json").read_text())
-            assert manifest["grid_processes"] == cpus and "grid_s" in manifest["timings"]
-            assert manifest["landscape_processes"] == cpus
-        for name in ("landscape.csv", "candidate.json"):
-            assert (tmp_path / "rec1" / name).read_bytes() == (tmp_path / "rec2" / name).read_bytes()
+            for run, args in runs.items():
+                out = tmp_path / f"{run}{cpus}"
+                assert main(["recover", *args, "--out", str(out)]) == 0
+                manifest = json.loads((out / "manifest.json").read_text())
+                assert manifest["landscape_processes"] == cpus and "grid_s" in manifest["timings"]
+                assert run == "split" or manifest["io_processes"] == cpus
+        for run in runs:
+            names = ["landscape.csv", "candidate.json"] + (["stats.json"] if run == "dataset" else [])
+            for name in names:
+                assert (tmp_path / f"{run}1" / name).read_bytes() == (tmp_path / f"{run}2" / name).read_bytes()
 
     def test_tied_axis_flag_on_four_axis_config_is_config_error(self, tmp_path, gen_dir, capsys):
         out = tmp_path / "rec"

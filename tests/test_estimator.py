@@ -31,6 +31,9 @@ from hankelnull import (
 
 INPUT_ROWS = 4  # m*L for the demo system at L=2
 
+# landscape.csv parts are formatted in forked processes on Linux only
+FORKS = pytest.mark.skipif(sys.platform != "linux", reason="landscape parts fork on Linux only")
+
 
 def _clean(demo_system, Nt, seed=1, N=30):
     rng = np.random.default_rng(seed)
@@ -365,7 +368,8 @@ class TestGridSearch:
     def test_uneven_split_grid_matches_per_point_svd_oracle(self, demo_system, monkeypatch):
         # second-moment axes of different length and spacing that share some
         # values (points with m2u == m2y) and some differences, and a
-        # one-point axis: one eigvalsh per (m1u, m2u - m2y, m1y) base
+        # one-point axis: one eigvalsh per (m1u, m2u - m2y, m1y) base, with
+        # differences that agree to rounding merged
         m1, m2 = np.linspace(0.0, 1.5, 12), np.linspace(2.5, 7.0, 12)
         m2y = np.concatenate([m2[::2], [4.0, 5.2]])
         grid = (m1, m2, np.array([1.0]), m2y)
@@ -379,11 +383,14 @@ class TestGridSearch:
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         res = _check_per_point_svd_oracle(demo_system, monkeypatch, grid)
         assert (res.points[:, 1] == res.points[:, 3]).any()
-        diffs = np.unique(m2[:, None] - m2y)
-        assert diffs.size < m2.size * m2y.size
-        # the full grid's chunks, then one matrix per one-point grid
+        merged = np.unique(np.round(m2[:, None] - m2y, 12)).size
+        assert merged < np.unique(m2[:, None] - m2y).size < m2.size * m2y.size
+        # the full grid's chunks, its admitted rows read again off their own
+        # differences, then one matrix per one-point grid
         n_one = int(res.admitted.sum())
-        assert sum(assembled[: len(assembled) - n_one]) == m1.size * diffs.size
+        chunks = -(-m1.size * merged // (estimator.CHUNK_SIZE // 10))
+        assert sum(assembled[:chunks]) == m1.size * merged
+        assert sum(assembled[chunks : len(assembled) - n_one]) <= n_one
         assert assembled[len(assembled) - n_one :] == [1] * n_one
 
     def test_admission_rejects_more_than_nullity_below(self, demo_system):
@@ -418,6 +425,14 @@ class TestGridSearch:
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="grid axis 1 has non-finite values"):
                 grid_search(fin, ([0.0], [0.0, bad]), eps_sigma=1e-3, nullity=3)
+        # each threshold argument is checked in either mode, though only one
+        # mode reads it
+        for name in ("eps_sigma", "eps_factor", "eps_rank"):
+            for bad in (np.nan, np.inf, 0.0, -1.0, -2.0):
+                for mode in estimator.EPS_MODES:
+                    kw = {"eps_sigma": 1e-3, "nullity": 3, "eps_mode": mode, name: bad}
+                    with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+                        grid_search(fin, ([0.0], [0.0]), **kw)
 
 
 def _svd_landscape(fin, points, input_rows=None):
@@ -560,104 +575,72 @@ class TestPairCore:
         assert np.array_equal(estimator._assemble(fin, points, input_rows, core), want)
 
 
-# landscape parts run in forked processes on Linux only
-forks = pytest.mark.skipif(sys.platform != "linux", reason="grid parts fork on Linux only")
-
-
-def _assert_same_search(a, b):
-    for name in ("points", "singular_values", "ranks", "admitted"):
-        assert np.array_equal(getattr(a, name), getattr(b, name)), name
-    assert a.threshold == b.threshold
-    if a.best is None:
-        assert b.best is None
-        return
-    assert a.best.point == b.best.point and a.best.sigma_min == b.best.sigma_min
-    assert np.array_equal(a.best.singular_values, b.best.singular_values)
-    assert np.array_equal(a.best.nullspace.basis, b.best.nullspace.basis)
-
-
-@forks
-class TestParts:
-    """The landscape computed in one part per CPU, cut along the first axis."""
+class TestMergedDifferences:
+    """Split-grid bases merged by second-moment difference up to rounding."""
 
     @staticmethod
-    def _search(fin, grid, monkeypatch, parts, **kw):
-        # parts CPUs and no work cutoff: one part per CPU, up to one per first-axis value
-        monkeypatch.setattr(lti_sim, "_cpus", lambda: parts)
-        monkeypatch.setattr(estimator, "GRID_FORK_MIN_WORK", 1)
-        kw = {"eps_sigma": 1e-3, "nullity": 3, "eps_mode": "auto", "eps_factor": 5.0, "input_rows": INPUT_ROWS, **kw}
-        return grid_search(fin, grid, **kw)
+    def _counted(monkeypatch) -> list:
+        # the batch size of every eigvalsh call, in call order
+        sizes, eigvalsh = [], np.linalg.eigvalsh
 
-    @pytest.mark.parametrize("parts", [2, 3])
-    @pytest.mark.parametrize("kind", ["tied", "split", "split-uneven"])
-    def test_parts_equal_one_process_bitwise(self, demo_system, monkeypatch, parts, kind):
-        # the uneven grid's 7 first-axis values split 3 + 4 and 2 + 2 + 3;
-        # a small chunk puts chunk boundaries inside every part
-        fin = aggregate(_noisy(demo_system, 200, seed=25), 2).finalize()
-        m1, m2 = np.linspace(0.0, 1.5, 12), np.linspace(2.5, 7.0, 12)
-        grid = {
-            "tied": (np.linspace(0.0, 1.5, 30), np.linspace(2.5, 7.0, 30)),
-            "split": (m1, m2, m1[::2], m2[::2]),
-            "split-uneven": (np.linspace(0.0, 1.5, 7), m2[::3], m1[::3], m2[1::2]),
-        }[kind]
-        assert kind != "split-uneven" or grid[0].size % parts != 0
-        monkeypatch.setattr(estimator, "CHUNK_SIZE", 64)
-        one = self._search(fin, grid, monkeypatch, 1)
-        split = self._search(fin, grid, monkeypatch, parts)
-        assert one.processes == 1 and split.processes == parts
-        assert one.best is not None
-        _assert_same_search(split, one)
-
-    def test_one_point_first_axis_is_one_part(self, demo_system, monkeypatch):
-        fin = aggregate(_noisy(demo_system, 200, seed=25), 2).finalize()
-        m2 = np.linspace(2.5, 7.0, 12)
-        grid = (np.array([1.0]), m2, np.linspace(0.0, 1.5, 12), m2)
-        one = self._search(fin, grid, monkeypatch, 1)
-        res = self._search(fin, grid, monkeypatch, 2)
-        assert res.processes == 1
-        _assert_same_search(res, one)
-
-    def test_guard_rows_in_a_forked_part(self, demo_system, monkeypatch):
-        # the set-up of test_exact_crossing_goes_through_the_guard, with a
-        # second m1 value first, so that the crossing falls in the child's part
-        fin = aggregate(_noisy(demo_system, 200, seed=26), 2).finalize()
-        m1 = 1.0
-        lam = np.linalg.eigvalsh(assemble_M(fin, MomentPoint.identical(m1, 0.0)))
-        grid = ([0.5, m1], [2.0, lam[4] / fin.Nc, 9.0])
-        kw = {"eps_sigma": 1e-6, "nullity": 1, "eps_mode": "abs"}
-        one = self._search(fin, grid, monkeypatch, 1, **kw)
-        res = self._search(fin, grid, monkeypatch, 2, **kw)
-        assert res.processes == 2
-        _assert_same_search(res, one)
-        sv = _svd_landscape(fin, res.points)
-        crossing = 4  # the point (m1, lam[4] / Nc), the child's second row
-        assert sv[crossing, -1] < 1e-9 * sv[crossing, 0]
-        assert np.array_equal(res.singular_values[crossing], sv[crossing])
-        assert res.best.point == MomentPoint.identical(m1, lam[4] / fin.Nc)
-
-    def test_failure_in_a_child_is_raised_here(self, demo_system, monkeypatch):
-        fin = aggregate(_noisy(demo_system, 50, seed=25), 2).finalize()
-        grid = (np.linspace(0.0, 1.5, 6), np.linspace(2.5, 7.0, 6))
-        parent, eigvalsh = os.getpid(), np.linalg.eigvalsh
-
-        def fails_in_a_child(a):
-            if os.getpid() != parent:
-                raise np.linalg.LinAlgError("eigvalsh failed in a child")
+        def counted(a):
+            sizes.append(a.shape[0])
             return eigvalsh(a)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", fails_in_a_child)
-        with pytest.raises(np.linalg.LinAlgError, match="eigvalsh failed in a child"):
-            self._search(fin, grid, monkeypatch, 2)
-        assert multiprocessing.active_children() == []
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        return sizes
 
-    def test_reference_sized_tied_grids_stay_in_process(self, demo_system, monkeypatch):
-        # the work cutoff keeps the tied 100x100 and 200x200 grids in one
-        # process at any CPU count: forking them would cost more than it saves
+    def test_true_point_on_a_merged_difference_goes_through_the_guard(self, demo_system, monkeypatch):
+        # 0.1 + 0.2 is one ulp above 0.3, so the differences 0.3 - (0.1 + 0.2)
+        # and 0.3 - 0.3 = 0 share one base, at the first of them: the true
+        # point (0, 0, 0, 0) is read off a base one ulp off its own
+        # difference. On noiseless data its three smallest values cancel to
+        # rounding level, so the guard must hand that row to the SVD, bitwise
+        fin = aggregate(_clean(demo_system, 40, seed=15), 2).finalize()
+        near = 0.1 + 0.2
+        assert near - 0.3 == np.spacing(0.3)
+        sizes = self._counted(monkeypatch)
+        # nullity 2: the zero point, with three values below, is not admitted,
+        # so its row is the merged pass's
+        res = grid_search(fin, ([0.0], [0.0, 0.3], [0.0], [0.0, near]), eps_sigma=1e-8, nullity=2, input_rows=INPUT_ROWS)
+        assert sizes == [3]  # differences -near, 0.3 - near and 0, and 0.3
+        sv = _svd_landscape(fin, res.points, INPUT_ROWS)
+        zero = np.flatnonzero((res.points == 0.0).all(axis=1))[0]
+        assert sv[zero, -3] < 1e-12 * sv[zero, 0]
+        assert not res.admitted[zero]
+        assert np.array_equal(res.singular_values[zero], sv[zero])
+        assert np.all(np.abs(res.singular_values - sv) <= 1e-10 * sv)
+
+    def test_long_run_of_differences_is_charged_to_the_guard(self, demo_system, monkeypatch):
+        # 2,000 values of m2u 16 ulps apart chain into one run 3.6e-11 wide:
+        # far along it, a row read off the run's first difference could be
+        # off by Nc times that, more than 1e-10 of its smallest value and
+        # far more than its rounding bound. The distance charged to the guard
+        # sends those rows to the SVD, so every entry agrees with it to 1e-10
+        fin = aggregate(_noisy(demo_system, 200, seed=25), 2).finalize()
+        m2u = 5.0 + 16 * np.spacing(5.0) * np.arange(2000)
+        sizes = self._counted(monkeypatch)
+        res = grid_search(fin, ([1.0], m2u, [1.0], [5.0]), eps_sigma=1e-3, nullity=3, input_rows=INPUT_ROWS)
+        assert sizes == [1]
+        sv = _svd_landscape(fin, res.points, INPUT_ROWS)
+        assert np.all(np.abs(res.singular_values - sv) <= 1e-10 * sv)
+
+    def test_reference_sized_split_grid_runs_on_15600_bases_in_process(self, demo_system, monkeypatch):
+        # a 20^4 grid over the reference ranges: the m2u - m2y differences of
+        # two 20-point axes take 121 exact values, 39 up to rounding, so the
+        # search assembles 20 x 39 x 20 bases, in this process at any CPU count
         monkeypatch.setattr(lti_sim, "_cpus", lambda: 64)
-        fin = aggregate(_clean(demo_system, 5, seed=23), 2).finalize()
-        for n in (100, 200):
-            res = grid_search(fin, (np.linspace(0.0, 1.5, n), np.linspace(2.5, 7.0, n)), eps_sigma=1e-3, nullity=3)
-            assert res.processes == 1
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("a process was forked"))
+        m1, m2 = np.linspace(0.0, 1.5, 20), np.linspace(2.5, 7.0, 20)
+        assert np.unique(m2[:, None] - m2).size == 121
+        fin = aggregate(_noisy(demo_system, 200, seed=25), 2).finalize()
+        sizes = self._counted(monkeypatch)
+        res = grid_search(fin, (m1, m2, m1, m2), eps_sigma=1e-3, nullity=3, eps_mode="auto", input_rows=INPUT_ROWS)
+        per_chunk = estimator.CHUNK_SIZE // fin.d
+        chunks = -(-15_600 // per_chunk)
+        assert sizes[:chunks] == [per_chunk] * (chunks - 1) + [15_600 - per_chunk * (chunks - 1)]
+        # then the admitted rows, read again off their own differences
+        assert res.admitted.any() and sum(sizes[chunks:]) <= res.admitted.sum()
 
 
 class TestWriters:
@@ -687,7 +670,7 @@ class TestWriters:
 
     @pytest.mark.parametrize("distinct, parts", [
         # the one-part cases keep their ids from before parts were added
-        pytest.param(distinct, parts, id=f"{distinct}" + (f"-{parts}" if parts > 1 else ""), marks=[forks] if parts > 1 else [])
+        pytest.param(distinct, parts, id=f"{distinct}" + (f"-{parts}" if parts > 1 else ""), marks=[FORKS] if parts > 1 else [])
         for parts in (1, 2, 3)
         for distinct in (False, True)
     ])
@@ -715,7 +698,7 @@ class TestWriters:
         assert write_landscape_csv(res, path) == 1
         assert path.read_bytes() == _per_row_landscape(res)
 
-    @forks
+    @FORKS
     def test_failure_in_a_child_part_is_raised_here(self, tmp_path, demo_system, monkeypatch):
         res = self._tiny_result(demo_system)
         parent, rows = os.getpid(), estimator._landscape_rows

@@ -737,7 +737,6 @@ def test_one_call_runs_here_without_fork_machinery():
 
 @pytest.mark.parametrize("min_work", [
     pytest.param(lti_sim.FORK_MIN_SAMPLES, id="dataset-samples"),
-    pytest.param(estimator.GRID_FORK_MIN_WORK, id="grid-bases"),
     pytest.param(estimator.LANDSCAPE_FORK_MIN_ROWS, id="landscape-rows"),
 ])
 def test_processes_fork_from_min_work_each(monkeypatch, min_work):
