@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import lti_sim
 from .estimator import (
     AXIS_NAMES,
     EPS_MODES,
@@ -31,7 +32,6 @@ from .lti_sim import (
     NoiseSpec,
     StateSpace,
     _load_json,
-    _load_parts,
     _number_array,
     add_noise,
     generate_dataset,
@@ -130,6 +130,8 @@ class ExperimentConfig:
             raise ValueError("Nt, N and L must all be positive")
         if self.N < self.L:
             raise ValueError(f"N={self.N} is shorter than the window depth L={self.L}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         for name, (kind, _, _) in _SCALARS.items():
             value = getattr(self, name)
             if isinstance(kind, tuple) and value not in kind:
@@ -168,9 +170,13 @@ def config_from_dict(obj: dict) -> ExperimentConfig:
     Missing fields take their _DEFAULTS values. The grid's axis names must
     be one of the AXIS_NAMES sets, and they choose the moment mode; the
     `moment_mode` key of older configs and manifests is accepted when it
-    agrees with them. Keys it does not know are ignored, such as the
-    `workers` key of versions that ran threads.
+    agrees with them. A key it does not know raises, naming every such
+    key, except the `workers` key of versions that ran threads, which is
+    ignored.
     """
+    unknown = [key for key in obj if key not in {"system", "workers", "moment_mode", *_DEFAULTS}]
+    if unknown:
+        raise ValueError(f"config has unknown keys {unknown}")
     obj = {**_DEFAULTS, **obj}
     sys_spec = obj.get("system")
     if sys_spec is None:
@@ -302,7 +308,9 @@ def resolve_config(args) -> ExperimentConfig:
 
 
 def _write_manifest(path, command: str, cfg: ExperimentConfig, timings: dict, outputs: dict, **extra) -> None:
-    obj = {"command": command, "config": config_to_dict(cfg), "timings": timings, "outputs": outputs, **extra}
+    """Write a run's manifest. cpus is the count of CPUs the run could use
+    (lti_sim._cpus), from which every forked part count follows."""
+    obj = {"command": command, "config": config_to_dict(cfg), "timings": timings, "outputs": outputs, "cpus": lti_sim._cpus(), **extra}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2)
         fh.write("\n")
@@ -316,15 +324,14 @@ def _outdir(path) -> Path:
 
 def _dataset_stats(cfg: ExperimentConfig, path) -> tuple:
     """Load a dataset that matches the config and aggregate it. Returns the
-    stats, the timings load_s and aggregate_s, and io_processes."""
+    stats and the timings load_s and aggregate_s."""
     t0 = time.perf_counter()
     ds = load_dataset(path)
     if ds.N != cfg.N or ds.m != cfg.system.m or ds.p != cfg.system.p:
         raise ValueError(f"dataset (N={ds.N}, m={ds.m}, p={ds.p}) does not match the config")
     t1 = time.perf_counter()
     st = aggregate(ds, cfg.L)
-    timings = {"load_s": t1 - t0, "aggregate_s": time.perf_counter() - t1}
-    return st, timings, _load_parts(path, ds.U.size + ds.Y.size)
+    return st, {"load_s": t1 - t0, "aggregate_s": time.perf_counter() - t1}
 
 
 def cmd_generate(cfg: ExperimentConfig, out_dir) -> int:
@@ -337,15 +344,13 @@ def cmd_generate(cfg: ExperimentConfig, out_dir) -> int:
     )
     noisy = add_noise(clean, cfg.noise_u, cfg.noise_y, rng)
     t1 = time.perf_counter()
-    # the two files have the same shape, so they are written in the same parts
-    io_processes = save_dataset(noisy, out / "dataset_noisy.jsonl")
+    save_dataset(noisy, out / "dataset_noisy.jsonl")
     save_dataset(clean, out / "dataset_noiseless.jsonl")
     t2 = time.perf_counter()
     _write_manifest(
         out / "manifest.json", "generate", cfg,
         {"generate_s": t1 - t0, "write_s": t2 - t1},
         {"noiseless": "dataset_noiseless.jsonl", "noisy": "dataset_noisy.jsonl"},
-        io_processes=io_processes,
     )
     print(f"generated {cfg.Nt} experiments of length {cfg.N} into {out}")
     return 0
@@ -353,9 +358,9 @@ def cmd_generate(cfg: ExperimentConfig, out_dir) -> int:
 
 def cmd_aggregate(cfg: ExperimentConfig, dataset_path, out_dir) -> int:
     out = _outdir(out_dir)
-    st, timings, io_processes = _dataset_stats(cfg, dataset_path)
+    st, timings = _dataset_stats(cfg, dataset_path)
     save_stats(st, out / "stats.json")
-    _write_manifest(out / "manifest.json", "aggregate", cfg, timings, {"stats": "stats.json"}, io_processes=io_processes)
+    _write_manifest(out / "manifest.json", "aggregate", cfg, timings, {"stats": "stats.json"})
     print(f"aggregated {st.count} experiments into {out / 'stats.json'}")
     return 0
 
@@ -403,7 +408,7 @@ def cmd_recover(cfg: ExperimentConfig, dataset_path, stats_path, out_dir) -> int
     if (dataset_path is None) == (stats_path is None):
         raise ValueError("give exactly one of --dataset or --stats")
     out = _outdir(out_dir)
-    outputs, extra = {"landscape": "landscape.csv"}, {}
+    outputs = {"landscape": "landscape.csv"}
     if stats_path is not None:
         t0 = time.perf_counter()
         st = load_stats(stats_path)
@@ -411,7 +416,7 @@ def cmd_recover(cfg: ExperimentConfig, dataset_path, stats_path, out_dir) -> int
             raise ValueError(f"stats (d={st.d}, Nc={st.Nc}) do not match the config")
         timings = {"load_s": time.perf_counter() - t0}
     else:
-        st, timings, extra["io_processes"] = _dataset_stats(cfg, dataset_path)
+        st, timings = _dataset_stats(cfg, dataset_path)
     fin = st.finalize()
     t0 = time.perf_counter()
     res = grid_search(
@@ -424,13 +429,13 @@ def cmd_recover(cfg: ExperimentConfig, dataset_path, stats_path, out_dir) -> int
     if stats_path is None:
         save_stats(st, out / "stats.json")
         outputs["stats"] = "stats.json"
-    extra["landscape_processes"] = write_landscape_csv(res, out / "landscape.csv")
+    write_landscape_csv(res, out / "landscape.csv")
     if res.best is not None:
         outputs["candidate"] = "candidate.json"
         write_candidate_json(res.best, out / "candidate.json")
     timings["write_s"] = time.perf_counter() - t1
     diag = _diagnostics(res)
-    _write_manifest(out / "manifest.json", "recover", cfg, timings, outputs, diagnostics=diag, **extra)
+    _write_manifest(out / "manifest.json", "recover", cfg, timings, outputs, diagnostics=diag)
     if res.best is None:
         print(f"no admitted candidate over {res.points.shape[0]} grid points; landscape written to {out}")
         print(
@@ -471,6 +476,8 @@ def cmd_validate(cfg: ExperimentConfig, candidate_path, out_dir) -> int:
 
 
 def cmd_sweep(cfg: ExperimentConfig, nt_list, seeds, out_dir) -> int:
+    if any(seed < 0 for seed in seeds):
+        raise ValueError(f"--seeds must be non-negative integers, got {list(seeds)}")
     out = _outdir(out_dir)
     t0 = time.perf_counter()
     res = convergence_study(

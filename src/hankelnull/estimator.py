@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lti_sim import _processes, _write_parts
+from . import lti_sim
 from .stats import FinalizedStats
 
 __all__ = [
@@ -420,18 +420,17 @@ def _landscape_rows(result: GridResult, lo: int, hi: int, fh) -> None:
         fh.write(row * (b - a) % tuple(block.ravel().tolist()))
 
 
-def write_landscape_csv(result: GridResult, path) -> int:
+def write_landscape_csv(result: GridResult, path) -> None:
     """Write per-point sigma_min, numerical rank and admission to CSV.
 
     The rows are written in parts (lti_sim._write_parts): one per CPU
     (lti_sim._cpus), but only as many as get LANDSCAPE_FORK_MIN_ROWS rows
-    each. The bytes are the same at any part count. Returns the part count.
+    each. The bytes are the same at any part count.
     """
     n = result.points.shape[0]
     header = ",".join(AXIS_NAMES[len(result.axes)]) + ",sigma_min,numerical_rank,admitted\n"
-    parts = _processes(n, n, LANDSCAPE_FORK_MIN_ROWS)  # a part holds at least a row
-    _write_parts(path, header, n, parts, functools.partial(_landscape_rows, result))
-    return parts
+    parts = lti_sim._processes(n, n, LANDSCAPE_FORK_MIN_ROWS)
+    lti_sim._write_parts(path, header, n, parts, functools.partial(_landscape_rows, result))
 
 
 def write_candidate_json(cand: Candidate, path) -> None:

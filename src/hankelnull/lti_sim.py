@@ -11,12 +11,11 @@ Everything else runs as array code over the whole ensemble, or over blocks
 of BLOCK_SIZE records where a per-record temporary would otherwise grow
 with the ensemble. Dataset text I/O, which is bound by float formatting
 and parsing, runs in forked processes on a machine with more than one CPU
-when a file is big enough to repay the fork (see _processes): a file is
-written in parts of contiguous records (see _write_parts), and each loading
-process reads a whole file but parses only every parts-th record.
+when a file is big enough to repay the fork (see _processes). Writing and
+loading cut a file the same way, into parts of contiguous records (see
+_in_parts).
 """
 
-import functools
 import json
 import math
 import os
@@ -300,12 +299,12 @@ def _record_format(N: int, m: int, p: int) -> str:
     return '{"i":%d,"u":' + matrix(m) + ',"y":' + matrix(p) + "}\n"
 
 
-def save_dataset(ds: Dataset, path) -> int:
+def save_dataset(ds: Dataset, path) -> None:
     """Write a dataset as JSON Lines: a meta header, then one experiment per line.
 
     Each block of records is formatted by one %-operation over its rows.
     The records are written in parts (see _write_parts), as many as get
-    FORK_MIN_SAMPLES samples each (see _processes). Returns the part count.
+    FORK_MIN_SAMPLES samples each (see _processes).
     """
     record = _record_format(ds.N, ds.m, ds.p)
 
@@ -316,10 +315,8 @@ def save_dataset(ds: Dataset, path) -> int:
             rows = np.concatenate([np.arange(a, b, dtype=float)[:, None], U.reshape(b - a, -1), Y.reshape(b - a, -1)], axis=1)
             fh.write(record * (b - a) % tuple(rows.ravel().tolist()))
 
-    parts = _processes(ds.Nt, ds.U.size + ds.Y.size, FORK_MIN_SAMPLES)
     header = json.dumps({"meta": {"Nt": ds.Nt, "N": ds.N, "m": ds.m, "p": ds.p}}) + "\n"
-    _write_parts(path, header, ds.Nt, parts, records)
-    return parts
+    _write_parts(path, header, ds.Nt, _processes(ds.Nt, ds.U.size + ds.Y.size, FORK_MIN_SAMPLES), records)
 
 
 # ints parse as floats so that a sample written as "-0" keeps its sign
@@ -329,11 +326,10 @@ _decode_record = json.JSONDecoder(parse_int=float).decode
 def load_dataset(path) -> Dataset:
     """Read a dataset written by save_dataset into arrays sized from its meta header.
 
-    A regular file is read by _load_parts processes at once (see
-    _concurrently): each reads and counts every record, and process k parses
-    those whose index i has i % parts == k. Any other file, a pipe say, is
-    read in one pass. Each record gets the same checks either way, and an
-    error names it by its index in the whole file.
+    A regular file is loaded in as many parts of contiguous records as
+    save_dataset writes it in (see _in_parts); each part reads and counts
+    the records before its own, so an error names a record by its index in
+    the whole file. Any other file, a pipe say, is read in one pass.
     """
     with open(path, "rb") as fh:
         try:
@@ -346,18 +342,23 @@ def load_dataset(path) -> Dataset:
         if not (isinstance(meta, dict) and all(k in meta for k in ("Nt", "N", "m", "p"))):
             raise ValueError(f"{path}: first line needs a meta header object with integer Nt, N, m and p")
         Nt, N, m, p = (_positive_int(path, f"meta header's {k}", meta[k]) for k in ("Nt", "N", "m", "p"))
-        samples = Nt * N * (m + p)
-        parts = _load_parts(fh.fileno(), samples)
+        # a file that is not regular cannot be opened again from its start, so one part reads it
+        parts = _processes(Nt, Nt * N * (m + p), FORK_MIN_SAMPLES) if stat.S_ISREG(os.fstat(fh.fileno()).st_mode) else 1
         # forked parsers write straight into the caller's arrays
         empty = np.empty if parts == 1 else _shared_empty
         try:
             U, Y = empty((Nt, N, m)), empty((Nt, N, p))
         except (MemoryError, OSError, OverflowError, ValueError):  # the last two past the address space
             raise ValueError(f"{path}: meta header's Nt={Nt}, N={N}, m={m} and p={p} do not fit in memory") from None
-        if parts == 1:
-            i = _parse_records(fh, path, 0, 1, U, Y)
-    if parts > 1:
-        i = _concurrently([functools.partial(_parse_share, path, k, parts, U, Y) for k in range(parts)])[0]
+
+        def part(k: int, lo: int, hi: int) -> int:
+            if k == 0:
+                return _parse_records(fh, path, lo, hi, U, Y)
+            with open(path, "rb") as own:
+                own.readline()
+                return _parse_records(own, path, lo, hi, U, Y)
+
+        i = _in_parts(Nt, parts, part)[-1]
     if i != Nt:
         raise ValueError(f"{path}: {i} experiment lines disagree with the meta header's Nt={Nt}")
     try:
@@ -397,28 +398,14 @@ def _number_array(path, field: str, value) -> np.ndarray:
     return arr.astype(float)
 
 
-def _load_parts(file, samples: int) -> int:
-    """How many processes load a file (a path or a descriptor) holding this
-    many samples: see _processes. A file that is not regular cannot be
-    opened again from its start, so one process reads it."""
-    if not stat.S_ISREG(os.stat(file).st_mode):
-        return 1
-    return _processes(_cpus(), samples, FORK_MIN_SAMPLES)
+def _parse_records(fh, path, lo: int, hi: int, U: np.ndarray, Y: np.ndarray) -> int:
+    """Read the dataset lines left in fh, skipping blank ones, and parse
+    records [lo, hi) into U and Y.
 
-
-def _parse_share(path, k: int, parts: int, U: np.ndarray, Y: np.ndarray) -> int:
-    """Open path, skip its meta header and parse share k of parts: see _parse_records."""
-    with open(path, "rb") as fh:
-        fh.readline()
-        return _parse_records(fh, path, k, parts, U, Y)
-
-
-def _parse_records(fh, path, k: int, parts: int, U: np.ndarray, Y: np.ndarray) -> int:
-    """Read the dataset lines left in fh, skipping blank ones, and parse each
-    record i with i % parts == k into U[i] and Y[i].
-
-    Every record is counted, so an error names a record by its index in the
-    whole file. Returns the number of records.
+    The records before lo are read and counted, so an error names a record
+    by its index in the whole file. A part that ends before the last record
+    stops at hi; the last part reads to the end of the file. Returns the
+    number of records read.
     """
     Nt, N, m = U.shape
     p = Y.shape[2]
@@ -432,7 +419,7 @@ def _parse_records(fh, path, k: int, parts: int, U: np.ndarray, Y: np.ndarray) -
             continue
         if i == Nt:
             raise ValueError(f"{path}: more experiment lines than the meta header's Nt={Nt}")
-        if i % parts == k:
+        if i >= lo:
             try:
                 obj = _decode_record(text)
                 u, y = np.asarray(obj["u"], dtype=float), np.asarray(obj["y"], dtype=float)
@@ -446,6 +433,8 @@ def _parse_records(fh, path, k: int, parts: int, U: np.ndarray, Y: np.ndarray) -
                 raise ValueError(f"{path}: record {i} has u {u.shape} and y {y.shape}, meta header says ({N}, {m}) and ({N}, {p})")
             U[i], Y[i] = u, y
         i += 1
+        if i == hi < Nt:
+            break
     return i
 
 
@@ -458,7 +447,7 @@ def _shared_empty(shape) -> np.ndarray:
 
 
 def _cpus() -> int:
-    """CPUs this process may run on, or 1 where _concurrently cannot fork.
+    """CPUs this process may run on, or 1 where _in_parts cannot fork.
 
     It cannot off Linux, nor inside a daemonic multiprocessing worker (a
     Pool's, say), which may not start children.
@@ -469,47 +458,50 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _processes(calls: int, work: int, min_work: int) -> int:
-    """How many processes share calls that do this much work in all: one per
-    call and CPU, but only as many as get min_work each; the caller hands
-    _concurrently that many calls. Work is in the caller's unit: samples of
-    one dataset file with FORK_MIN_SAMPLES, or CSV rows with
+def _processes(n: int, work: int, min_work: int) -> int:
+    """How many parts _in_parts cuts rows [0, n) into when they hold this
+    much work in all: one per CPU, but only as many as get min_work each,
+    and at most one per row. Work is in the caller's unit: samples of one
+    dataset file with FORK_MIN_SAMPLES, or CSV rows with
     estimator.LANDSCAPE_FORK_MIN_ROWS. A grid search never forks."""
-    return max(1, min(calls, _cpus(), work // min_work))
+    return max(1, min(n, _cpus(), work // min_work))
 
 
-def _concurrently(calls) -> list:
-    """Run zero-argument calls at once; return their results in call order.
+def _in_parts(n: int, parts: int, part) -> list:
+    """Cut rows [0, n) into parts contiguous ranges, range k being
+    [n*k//parts, n*(k+1)//parts), and run part(k, lo, hi) on every range at
+    once; return the results in part order.
 
-    The first call runs in this process, and each other call in a child
-    process started with fork, which sends back its return value or its
-    exception over a pipe; so one call forks nothing. A call that fills an
-    array makes it with _shared_empty, and one that formats much text writes
-    it to a memory file and returns its size (see _write_parts). The first
-    failure in call order is raised here, and every child has ended when
-    this returns.
+    Part 0 runs in this process, and each other part in a child process
+    started with fork, which sends back its return value or its exception
+    over a pipe; so one part forks nothing. A part that fills an array
+    writes into one made with _shared_empty, and one that formats much text
+    writes it to a memory file and returns its size (see _write_parts). The
+    first failure in part order is raised here, and every child has ended
+    when this returns.
 
     fork, not spawn or forkserver: the child starts with the caller's data
     and imports nothing, so a caller script needs no `if __name__ ==
     "__main__":` guard. A lock another thread holds stays locked in a forked
-    child (Python 3.12 and later warn of it). The calls made here take no
+    child (Python 3.12 and later warn of it). The parts run here take no
     Python-level lock, and call no BLAS or LAPACK: each child formats or
     parses text.
     """
-    if len(calls) == 1:
-        return [calls[0]()]
+    cuts = [n * k // parts for k in range(parts + 1)]
+    if parts == 1:
+        return [part(0, 0, n)]
     import multiprocessing  # here, so that importing hankelnull does not load it
 
     ctx = multiprocessing.get_context("fork")
     children = []
     try:
-        for call in calls[1:]:
+        for k in range(1, parts):
             recv, send = ctx.Pipe(duplex=False)
-            child = ctx.Process(target=_child, args=(call, send), daemon=True)
+            child = ctx.Process(target=_child, args=(send, part, k, cuts[k], cuts[k + 1]), daemon=True)
             child.start()
             send.close()
             children.append((child, recv))
-        return [calls[0](), *(_receive(child, recv) for child, recv in children)]
+        return [part(0, 0, cuts[1]), *(_receive(child, recv) for child, recv in children)]
     except BaseException:
         for child, _ in children:
             child.terminate()  # a later failure, or a result no longer wanted
@@ -523,20 +515,23 @@ def _concurrently(calls) -> list:
 
 def _write_parts(path, header: str, n: int, parts: int, rows) -> None:
     """Write header and rows [0, n) to the text file path in parts of
-    contiguous rows; rows(lo, hi, fh) writes rows [lo, hi) to fh.
+    contiguous rows (see _in_parts); rows(lo, hi, fh) writes rows [lo, hi)
+    to fh.
 
-    The caller writes the first part straight into the file. Each forked
-    child (see _concurrently) formats its part into an anonymous memory file
-    and sends back only its size, and the caller appends the parts in order
-    with os.sendfile, a copy made in the kernel. The bytes are the same at
-    any part count.
+    Part 0 writes the header and its rows straight into the file. Each
+    forked part formats its rows into an anonymous memory file and sends
+    back only its size, and the caller appends the parts in order with
+    os.sendfile, a copy made in the kernel. The bytes are the same at any
+    part count.
     """
-    cuts = [n * k // parts for k in range(parts + 1)]
     fds = []
 
-    def part(k: int) -> int:
-        with open(fds[k - 1], "w", encoding="utf-8", closefd=False) as fh:
-            rows(cuts[k], cuts[k + 1], fh)
+    def part(k: int, lo: int, hi: int):
+        if k == 0:
+            fh.write(header)
+            return rows(lo, hi, fh)
+        with open(fds[k - 1], "w", encoding="utf-8", closefd=False) as mem:
+            rows(lo, hi, mem)
         return os.fstat(fds[k - 1]).st_size
 
     try:
@@ -544,12 +539,7 @@ def _write_parts(path, header: str, n: int, parts: int, rows) -> None:
         # opened before the fork but written only after it, so a child never
         # inherits a filled buffer of the output file
         with open(path, "w", encoding="utf-8") as fh:
-
-            def first() -> None:
-                fh.write(header)
-                rows(0, cuts[1], fh)
-
-            sizes = _concurrently([first] + [functools.partial(part, k) for k in range(1, parts)])[1:]
+            sizes = _in_parts(n, parts, part)[1:]
             fh.flush()
             for fd, size in zip(fds, sizes):
                 sent = 0
@@ -563,10 +553,10 @@ def _write_parts(path, header: str, n: int, parts: int, rows) -> None:
             os.close(fd)
 
 
-def _child(call, send) -> None:
-    """The body of a child of _concurrently: run the call and send back what it gave."""
+def _child(send, part, *args) -> None:
+    """The body of a child of _in_parts: run part(*args) and send back what it gave."""
     try:
-        value = call()
+        value = part(*args)
     except BaseException as err:
         try:
             send.send((False, err))

@@ -74,17 +74,17 @@ def _tree_sum(arr: np.ndarray) -> np.ndarray:
     return arr[0]
 
 
-def aggregate(ds, L: int, block_size: int = BLOCK_SIZE) -> SufficientStats:
-    """Aggregate a dataset in canonical blocks of records.
+def aggregate(ds, L: int) -> SufficientStats:
+    """Aggregate a dataset in canonical blocks of BLOCK_SIZE records.
 
     Each block's stacked Hankel matrices come from one batched Hankel
     tensor, and both the per-block and the cross-block sums are pairwise
-    trees. The block plan depends only on the record order and block_size,
-    so the result is bitwise reproducible.
+    trees. The block plan depends only on the record count, so the result
+    is bitwise reproducible.
     """
     parts = []
-    for a in range(0, ds.Nt, block_size):
-        Hs = stacked_hankel(ds.U[a : a + block_size], ds.Y[a : a + block_size], L)  # (B, d, Nc)
+    for a in range(0, ds.Nt, BLOCK_SIZE):
+        Hs = stacked_hankel(ds.U[a : a + BLOCK_SIZE], ds.Y[a : a + BLOCK_SIZE], L)  # (B, d, Nc)
         parts.append((_tree_sum(Hs @ Hs.transpose(0, 2, 1)), _tree_sum(Hs.sum(axis=2))))
     d, Nc = Hs.shape[1:]
     out = SufficientStats(d, Nc)

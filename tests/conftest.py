@@ -52,3 +52,21 @@ def svd_rule(U, order: int, tol: float = 1e-10):
     rank = np.count_nonzero(sv > tol * sv[..., :1], axis=-1)
     full = rank == sig.shape[-1] * order
     return bool(full) if sig.ndim == 2 else full
+
+
+def spy(monkeypatch, module, name: str) -> list:
+    """Wrap module.name, which the package looks up at call time, so that
+    each call in this process appends (args, result) to the returned list."""
+    calls, fn = [], getattr(module, name)
+
+    def recorded(*args):
+        calls.append((args, fn(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
+def part_counts(calls: list) -> list:
+    """The part count of each lti_sim._in_parts call that spy recorded."""
+    return [args[1] for args, _ in calls]

@@ -8,8 +8,9 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import part_counts, spy
 from hankelnull import cli, estimator, load_dataset, lti_sim
-from hankelnull.cli import _SCALARS, config_from_dict, config_to_dict, main
+from hankelnull.cli import _SCALARS, PRESETS, config_from_dict, config_to_dict, main
 
 DEMO_SYSTEM = {
     "A": [[0.8, -0.1, 0.0], [0.1, 0.7, 0.1], [0.0, -0.2, 0.6]],
@@ -113,6 +114,15 @@ class TestGenerate:
         assert rc == 3
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, fields", [(["--seed", "-1"], {}), ([], {"seed": -1})])
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, flags, fields):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(SMALL_CONFIG, **fields)))
+        out = tmp_path / "o"
+        assert main(["generate", "--config", str(path), *flags, "--out", str(out)]) == 3
+        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_worker_count_does_not_change_output(self, tmp_path, cfg_file, capsys):
         a, b = tmp_path / "w1", tmp_path / "w3"
         assert main(["generate", "--config", cfg_file, "--workers", "1", "--out", str(a)]) == 0
@@ -121,12 +131,14 @@ class TestGenerate:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     # below 2 * lti_sim.FORK_MIN_SAMPLES samples a file, each file is written in one part
-    @pytest.mark.parametrize("cpus, Nt, io_processes", [(1, 1600, 1), (2, 8, 1), pytest.param(2, 1600, 2, marks=FORKS)])
-    def test_manifest_records_io_processes(self, tmp_path, cfg_file, gen_dir, big_gen_dir, monkeypatch, capsys, cpus, Nt, io_processes):
+    @pytest.mark.parametrize("cpus, Nt, parts", [(1, 1600, 1), (2, 8, 1), pytest.param(2, 1600, 2, marks=FORKS)])
+    def test_manifest_records_cpus(self, tmp_path, cfg_file, gen_dir, big_gen_dir, monkeypatch, capsys, cpus, Nt, parts):
         monkeypatch.setattr(lti_sim, "_cpus", lambda: cpus)
+        calls = spy(monkeypatch, lti_sim, "_in_parts")
         out = tmp_path / "o"
         assert main(["generate", "--config", cfg_file, "--Nt", str(Nt), "--out", str(out)]) == 0
-        assert json.loads((out / "manifest.json").read_text())["io_processes"] == io_processes
+        assert json.loads((out / "manifest.json").read_text())["cpus"] == cpus
+        assert part_counts(calls) == [parts, parts]  # the two files are written in the same parts
         for name in ("dataset_noiseless.jsonl", "dataset_noisy.jsonl"):
             assert (out / name).read_bytes() == ((gen_dir if Nt == 8 else big_gen_dir) / name).read_bytes()
 
@@ -142,10 +154,12 @@ class TestGenerate:
             return save(ds, path)
 
         monkeypatch.setattr(cli, "save_dataset", save_here)
+        calls = spy(monkeypatch, lti_sim, "_in_parts")
         out = tmp_path / "o"
         assert main(["generate", "--config", cfg_file, "--Nt", "1600", "--out", str(out)]) == 0
         assert pids == [os.getpid()] * 2
-        assert json.loads((out / "manifest.json").read_text())["io_processes"] == 2
+        assert part_counts(calls) == [2, 2]
+        assert json.loads((out / "manifest.json").read_text())["cpus"] == 2
 
     @FORKS
     def test_failing_child_writer_is_io_error(self, tmp_path, cfg_file, monkeypatch, capsys):
@@ -324,12 +338,27 @@ class TestAggregateAndRecover:
         for cpus in (1, 3):
             monkeypatch.setattr(lti_sim, "_cpus", lambda n=cpus: n)
             for command in ("aggregate", "recover"):
+                calls = spy(monkeypatch, lti_sim, "_in_parts")
                 out = tmp_path / f"{command}{cpus}"
                 assert main([command, "--config", cfg_file, "--dataset", dataset, "--out", str(out)]) == 0
-                assert json.loads((out / "manifest.json").read_text())["io_processes"] == cpus
+                assert json.loads((out / "manifest.json").read_text())["cpus"] == cpus
+                # the load, then for recover the 6-row landscape in one part
+                assert part_counts(calls) == [cpus] + ([1] if command == "recover" else [])
         for name in ("stats.json", "landscape.csv", "candidate.json"):
             assert (tmp_path / "recover1" / name).read_bytes() == (tmp_path / "recover3" / name).read_bytes()
         assert (tmp_path / "aggregate1" / "stats.json").read_bytes() == (tmp_path / "aggregate3" / "stats.json").read_bytes()
+
+    @FORKS
+    def test_recover_decides_the_load_part_count_once(self, tmp_path, cfg_file, big_gen_dir, monkeypatch, capsys):
+        monkeypatch.setattr(lti_sim, "_cpus", lambda: 2)
+        decided = spy(monkeypatch, lti_sim, "_processes")
+        dataset = str(big_gen_dir / "dataset_noisy.jsonl")
+        assert main(["recover", "--config", cfg_file, "--dataset", dataset, "--out", str(tmp_path / "o")]) == 0
+        # 1,600 records of 25 x 5 samples, then a 3 x 2 landscape
+        assert decided == [
+            ((1600, 200_000, lti_sim.FORK_MIN_SAMPLES), 2),
+            ((6, 6, estimator.LANDSCAPE_FORK_MIN_ROWS), 1),
+        ]
 
     @FORKS
     def test_malformed_line_in_last_range_is_io_error(self, tmp_path, cfg_file, big_gen_dir, monkeypatch, capsys):
@@ -505,11 +534,13 @@ class TestMomentAxes:
         for cpus in (1, 2):
             monkeypatch.setattr(lti_sim, "_cpus", lambda n=cpus: n)
             for run, args in runs.items():
+                calls = spy(monkeypatch, lti_sim, "_in_parts")
                 out = tmp_path / f"{run}{cpus}"
                 assert main(["recover", *args, "--out", str(out)]) == 0
                 manifest = json.loads((out / "manifest.json").read_text())
-                assert manifest["landscape_processes"] == cpus and "grid_s" in manifest["timings"]
-                assert run == "split" or manifest["io_processes"] == cpus
+                assert manifest["cpus"] == cpus and "grid_s" in manifest["timings"]
+                # the dataset load, if any, then the landscape
+                assert part_counts(calls) == [cpus] * (2 if run == "dataset" else 1)
         for run in runs:
             names = ["landscape.csv", "candidate.json"] + (["stats.json"] if run == "dataset" else [])
             for name in names:
@@ -596,6 +627,19 @@ class TestConfigFields:
         assert all(np.array_equal(getattr(back.system, k), getattr(cfg.system, k)) for k in "ABCD")
         assert dataclasses.replace(back, system=cfg.system) == cfg
         assert [type(getattr(back, name)) for name in _SCALARS] == [type(getattr(cfg, name)) for name in _SCALARS]
+
+    def test_misspelled_keys_are_config_error(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(SMALL_CONFIG, eps_mod="auto", gird=DISTINCT_GRID, **{"Nt ": 5})))
+        out = tmp_path / "o"
+        assert main(["generate", "--config", str(path), "--out", str(out)]) == 3
+        assert "config has unknown keys ['eps_mod', 'gird', 'Nt ']" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_legacy_keys_are_accepted(self):
+        # perfbench's split-grid config holds only moment_mode and grid
+        cfg = config_from_dict(dict(PRESETS["reference"], moment_mode="distinct", grid=DISTINCT_GRID, workers=4))
+        assert list(cfg.grid) == list(DISTINCT_GRID)
 
     def test_integral_json_numbers_are_integers(self):
         cfg = config_from_dict(dict(SMALL_CONFIG, Nt=1e4, grid={"m1": [-0.5, 0.5, 3.0], "m2": [0.0, 1.0, 2]}))
@@ -702,6 +746,12 @@ class TestSweep:
             "--out", str(tmp_path / "o"),
         ])
         assert rc == 3
+
+    def test_negative_seed_is_config_error(self, tmp_path, cfg_file, capsys):
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", cfg_file, "--Nt-list", "5", "--seeds=0,-3", "--out", str(out)]) == 3
+        assert "--seeds must be non-negative integers, got [0, -3]" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("nt_list, seeds, flag", [("", "0", "--Nt-list"), ("5", "", "--seeds"), ("5", ",", "--seeds")])
     def test_empty_list_is_config_error(self, tmp_path, cfg_file, capsys, nt_list, seeds, flag):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import hankelnull.estimator as estimator
-from conftest import noiseless_M
+from conftest import noiseless_M, part_counts, spy
 from hankelnull import lti_sim
 from hankelnull import (
     NOISE_FAMILIES,
@@ -686,16 +686,20 @@ class TestWriters:
         monkeypatch.setattr(estimator, "CHUNK_SIZE", 7)
         assert res.points.shape[0] % 7 != 0 and res.points.shape[0] % 3 != 0
         self._parts(monkeypatch, parts)
+        calls = spy(monkeypatch, lti_sim, "_in_parts")
         path = tmp_path / "landscape.csv"
-        assert write_landscape_csv(res, path) == parts
+        write_landscape_csv(res, path)
+        assert part_counts(calls) == [parts]
         assert path.read_bytes() == _per_row_landscape(res)
 
     def test_one_row_landscape_is_one_part(self, tmp_path, demo_system, monkeypatch):
         fin = aggregate(_noisy(demo_system, 50, seed=27), 2).finalize()
         res = grid_search(fin, ([1.0], [5.0]), eps_sigma=1e-3, nullity=3)
         self._parts(monkeypatch, 2)
+        calls = spy(monkeypatch, lti_sim, "_in_parts")
         path = tmp_path / "landscape.csv"
-        assert write_landscape_csv(res, path) == 1
+        write_landscape_csv(res, path)
+        assert part_counts(calls) == [1]
         assert path.read_bytes() == _per_row_landscape(res)
 
     @FORKS

@@ -10,7 +10,7 @@ import threading
 import numpy as np
 import pytest
 
-from conftest import svd_rule
+from conftest import part_counts, spy, svd_rule
 from hankelnull import (
     Dataset,
     NoiseSpec,
@@ -429,7 +429,8 @@ def test_save_dataset_bytes_match_per_record_writer(tmp_path, demo_system):
 
 # save_dataset writes a file in one part per CPU, as long as each part gets
 # FORK_MIN_SAMPLES samples (see _write_parts). The tests force the CPU count
-# and lower the cutoff, so the split does not depend on the machine.
+# and lower the cutoff, so the split does not depend on the machine; a spy on
+# _in_parts sees the part count.
 @pytest.mark.parametrize("parts", [1, pytest.param(2, marks=forks), pytest.param(3, marks=forks)])
 def test_save_dataset_in_parts_matches_per_record_writer(tmp_path, demo_system, monkeypatch, parts):
     rng = np.random.default_rng(33)
@@ -439,11 +440,13 @@ def test_save_dataset_in_parts_matches_per_record_writer(tmp_path, demo_system, 
     assert ds.Nt % 7 != 0 and ds.Nt % 3 != 0
     monkeypatch.setattr(lti_sim, "_cpus", lambda: parts)
     monkeypatch.setattr(lti_sim, "FORK_MIN_SAMPLES", 1)
-    assert save_dataset(ds, tmp_path / "ds.jsonl") == parts
+    calls = spy(monkeypatch, lti_sim, "_in_parts")
+    save_dataset(ds, tmp_path / "ds.jsonl")
     _per_record_writer(ds, tmp_path / "ref.jsonl")
     assert (tmp_path / "ds.jsonl").read_bytes() == (tmp_path / "ref.jsonl").read_bytes()
     # a part holds at least a record
-    assert save_dataset(ds[:1], tmp_path / "one.jsonl") == 1
+    save_dataset(ds[:1], tmp_path / "one.jsonl")
+    assert part_counts(calls) == [parts, 1]
     _per_record_writer(ds[:1], tmp_path / "one_ref.jsonl")
     assert (tmp_path / "one.jsonl").read_bytes() == (tmp_path / "one_ref.jsonl").read_bytes()
 
@@ -456,8 +459,11 @@ def test_save_and_load_fork_from_the_same_file_size(tmp_path, demo_system, monke
     assert ds.U.size + ds.Y.size == 2 * lti_sim.FORK_MIN_SAMPLES
     for Nt, parts in ((999, 1), (1000, 2)):
         path = tmp_path / f"{Nt}.jsonl"
-        assert save_dataset(ds[:Nt], path) == parts
-        assert lti_sim._load_parts(path, ds[:Nt].U.size + ds[:Nt].Y.size) == parts
+        calls = spy(monkeypatch, lti_sim, "_in_parts")
+        save_dataset(ds[:Nt], path)
+        back = load_dataset(path)
+        assert part_counts(calls) == [parts, parts]
+        assert back.U.tobytes() == ds.U[:Nt].tobytes() and back.Y.tobytes() == ds.Y[:Nt].tobytes()
 
 
 def test_load_dataset_names_non_finite_record(tmp_path, demo_system):
@@ -538,11 +544,12 @@ def test_load_dataset_header_too_big_for_memory(tmp_path, demo_system, monkeypat
     lines[0] = json.dumps({"meta": {"Nt": Nt, "N": 20, "m": 2, "p": 3}})
     path.write_text("\n".join(lines))
     monkeypatch.setattr(lti_sim, "_cpus", lambda: cpus)
-    monkeypatch.setattr(lti_sim, "_concurrently", lambda *a: pytest.fail("a child was started"))
-    assert lti_sim._load_parts(path, Nt * 100) == cpus
+    monkeypatch.setattr(lti_sim, "_in_parts", lambda *a: pytest.fail("a part was started"))
+    decided = spy(monkeypatch, lti_sim, "_processes")
     cause = f"{path}: meta header's Nt={Nt}, N=20, m=2 and p=3 do not fit in memory"
     with pytest.raises(ValueError, match=re.escape(cause)):
         load_dataset(path)
+    assert decided == [((Nt, Nt * 100, lti_sim.FORK_MIN_SAMPLES), cpus)]  # the load would run in cpus parts
 
 
 def test_load_dataset_rejects_meta_mismatch(tmp_path, demo_system):
@@ -558,11 +565,12 @@ def test_load_dataset_rejects_meta_mismatch(tmp_path, demo_system):
 # ---------------------------------------------------------------- split loading
 
 # load_dataset reads a regular file in one process per CPU, as long as each
-# process gets FORK_MIN_SAMPLES samples. Each process reads every line, and
-# process k of parts parses the records i with i % parts == k. The tests force
-# the CPU count, so the split does not depend on the machine; at 3 CPUs a
-# 1,600-record file of 160,000 samples is parsed in three strides of about
-# 533 records.
+# process gets FORK_MIN_SAMPLES samples. The records are cut into contiguous
+# ranges as save_dataset cuts them (see _in_parts); each process reads and
+# counts the records before its range, parses its range, and only the last
+# reads on to the end of the file. The tests force the CPU count, so the split
+# does not depend on the machine; at 3 CPUs a 1,600-record file of 160,000
+# samples is parsed in the ranges [0, 533), [533, 1066) and [1066, 1600).
 SPLIT_NT = 1600
 BAD = 1502  # a record the last of 3 processes parses
 
@@ -600,20 +608,18 @@ def _set_nan(rec):
 @forks
 def test_split_load_matches_one_process(monkeypatch, split_file):
     ds, path = split_file
-    monkeypatch.setattr(lti_sim, "_cpus", lambda: 3)
-    assert lti_sim._load_parts(path, ds.U.size + ds.Y.size) == 3
+    calls = spy(monkeypatch, lti_sim, "_in_parts")
     assert _outcome(monkeypatch, 3, path) == _outcome(monkeypatch, 1, path) == (ds.U.tobytes(), ds.Y.tobytes())
+    assert part_counts(calls) == [3, 1]
 
 
 def test_small_file_is_one_range(monkeypatch, split_file, tmp_path):
     ds, path = split_file
-    monkeypatch.setattr(lti_sim, "_cpus", lambda: 3)
-    assert lti_sim._load_parts(path, 2 * lti_sim.FORK_MIN_SAMPLES - 1) == 1
-    assert lti_sim._load_parts(path, 2 * lti_sim.FORK_MIN_SAMPLES) == 2
     small = tmp_path / "small.jsonl"
     save_dataset(ds[:100], small)  # 10,000 samples
-    assert lti_sim._load_parts(small, 10_000) == 1
+    calls = spy(monkeypatch, lti_sim, "_in_parts")
     assert _outcome(monkeypatch, 3, small) == (ds.U[:100].tobytes(), ds.Y[:100].tobytes())
+    assert part_counts(calls) == [1]
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
@@ -622,7 +628,7 @@ def test_pipe_is_read_in_one_pass(monkeypatch, split_file, tmp_path):
     ds, path = split_file
     fifo = tmp_path / "ds.fifo"
     os.mkfifo(fifo)
-    assert lti_sim._load_parts(fifo, ds.U.size + ds.Y.size) == 1
+    calls = spy(monkeypatch, lti_sim, "_in_parts")
 
     def feed():
         with open(fifo, "wb") as fh:
@@ -635,6 +641,7 @@ def test_pipe_is_read_in_one_pass(monkeypatch, split_file, tmp_path):
     finally:
         writer.join()
     assert outcome == (ds.U.tobytes(), ds.Y.tobytes())
+    assert part_counts(calls) == [1]
 
 
 @forks
@@ -657,17 +664,18 @@ def test_split_load_names_bad_record_by_its_index_in_the_file(monkeypatch, split
 
 @forks
 def test_split_load_names_a_bad_record_of_the_first_process_to_fail(monkeypatch, split_file, tmp_path):
-    """Bad records in two strides: one process names the first in the file, a
-    split load the first bad record of its earliest failing process in call
-    order, which need not be the lower index."""
+    """Bad records in more than one range: the first failure in part order is
+    the first bad record in the file, so every part count names the record
+    one process names."""
     lines = split_file[1].read_text().split("\n")
-    for i in (BAD, BAD + 1):
+    # 701 is in the second of 3 ranges and the first of 2; BAD and BAD + 1
+    # are in the last range of both
+    for i in (701, BAD, BAD + 1):
         lines[i + 1] = _edit(lines[i + 1], lambda rec: rec.pop("y"))
-    bad = tmp_path / "two.jsonl"
+    bad = tmp_path / "three.jsonl"
     bad.write_text("\n".join(lines))
-    assert _outcome(monkeypatch, 1, bad) == (ValueError, f"{bad}: record {BAD} needs u and y sample arrays")
-    kind, message = _outcome(monkeypatch, 3, bad)
-    assert kind is ValueError and message in (f"{bad}: record {i} needs u and y sample arrays" for i in (BAD, BAD + 1))
+    for cpus in (1, 2, 3):
+        assert _outcome(monkeypatch, cpus, bad) == (ValueError, f"{bad}: record 701 needs u and y sample arrays")
 
 
 @forks
@@ -714,14 +722,20 @@ def _fail(exc):
 
 @forks
 def test_concurrently_raises_the_first_failure_in_call_order():
-    assert lti_sim._concurrently([lambda: 0, lambda: 1, lambda: "two"]) == [0, 1, "two"]
-    calls = [lambda: 0, lambda: _fail(KeyError("first")), lambda: _fail(ValueError("second"))]
+    """_in_parts runs its parts at once, each on its contiguous range, and
+    raises the first failure in part order."""
+    parent = os.getpid()
+    assert lti_sim._in_parts(7, 3, lambda k, lo, hi: (k, lo, hi, os.getpid() == parent)) == [
+        (0, 0, 2, True), (1, 2, 4, False), (2, 4, 7, False),
+    ]
+    failures = {1: KeyError("first"), 2: ValueError("second")}
     with pytest.raises(KeyError, match="first"):
-        lti_sim._concurrently(calls)
+        lti_sim._in_parts(3, 3, lambda k, lo, hi: _fail(failures[k]) if k else 0)
+    failures[0] = OSError("in this process")
     with pytest.raises(OSError, match="in this process"):
-        lti_sim._concurrently([lambda: _fail(OSError("in this process")), *calls[1:]])
+        lti_sim._in_parts(3, 3, lambda k, lo, hi: _fail(failures[k]))
     with pytest.raises(ChildProcessError, match="exited with code 3 before sending"):
-        lti_sim._concurrently([lambda: 0, lambda: os._exit(3)])
+        lti_sim._in_parts(2, 2, lambda k, lo, hi: os._exit(3) if k else 0)
     assert multiprocessing.active_children() == []
 
 
@@ -729,7 +743,8 @@ def test_one_call_runs_here_without_fork_machinery():
     src = os.path.dirname(os.path.dirname(lti_sim.__file__))
     code = (
         f"import os, sys; sys.path.insert(0, {src!r}); from hankelnull import lti_sim; "
-        "assert lti_sim._concurrently([os.getpid]) == [os.getpid()]; print('multiprocessing' in sys.modules)"
+        "assert lti_sim._in_parts(5, 1, lambda *r: (os.getpid(), *r)) == [(os.getpid(), 0, 0, 5)]; "
+        "print('multiprocessing' in sys.modules)"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout == "False\n"

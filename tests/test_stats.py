@@ -15,6 +15,7 @@ from hankelnull import (
     load_stats,
     save_stats,
     stacked_hankel,
+    stats,
 )
 
 
@@ -118,17 +119,19 @@ def test_aggregate_matches_accumulate_loop(demo_system):
     assert np.abs(st.rowsum - rowsum).max() <= 1e-13 * np.abs(rowsum).max()
 
 
-def test_aggregate_is_bitwise_repeatable(demo_system):
+def test_aggregate_is_bitwise_repeatable(demo_system, monkeypatch):
     ds = _noisy_demo(demo_system, 120, seed=6)
-    a = aggregate(ds, 2, block_size=32)
-    b = aggregate(ds[:], 2, block_size=32)
+    monkeypatch.setattr(stats, "BLOCK_SIZE", 32)
+    a = aggregate(ds, 2)
+    b = aggregate(ds[:], 2)
     assert a.G.tobytes() == b.G.tobytes()
     assert a.rowsum.tobytes() == b.rowsum.tobytes()
 
 
-def test_aggregate_matches_running_accumulation(demo_system):
+def test_aggregate_matches_running_accumulation(demo_system, monkeypatch):
     ds = _noisy_demo(demo_system, 150, seed=7)
-    tree = aggregate(ds, 2, block_size=64)
+    monkeypatch.setattr(stats, "BLOCK_SIZE", 64)
+    tree = aggregate(ds, 2)
     running = SufficientStats(10, 29)
     for i in range(ds.Nt):
         running = running.merge(aggregate(ds[i : i + 1], 2))
