@@ -476,6 +476,11 @@ def cmd_validate(cfg: ExperimentConfig, candidate_path, out_dir) -> int:
 
 
 def cmd_sweep(cfg: ExperimentConfig, nt_list, seeds, out_dir) -> int:
+    # the checks convergence_study and generate_dataset make, made before --out exists
+    if list(nt_list) != sorted(nt_list):
+        raise ValueError("Nt_list must be ascending")
+    if min(nt_list) < 1:
+        raise ValueError("Nt must be >= 1")
     if any(seed < 0 for seed in seeds):
         raise ValueError(f"--seeds must be non-negative integers, got {list(seeds)}")
     out = _outdir(out_dir)

@@ -19,6 +19,7 @@ _in_parts).
 import json
 import math
 import os
+import signal
 import stat
 import sys
 from dataclasses import dataclass
@@ -351,16 +352,14 @@ def load_dataset(path) -> Dataset:
         except (MemoryError, OSError, OverflowError, ValueError):  # the last two past the address space
             raise ValueError(f"{path}: meta header's Nt={Nt}, N={N}, m={m} and p={p} do not fit in memory") from None
 
-        def part(k: int, lo: int, hi: int) -> int:
+        def part(k: int, lo: int, hi: int) -> None:
             if k == 0:
                 return _parse_records(fh, path, lo, hi, U, Y)
             with open(path, "rb") as own:
                 own.readline()
-                return _parse_records(own, path, lo, hi, U, Y)
+                _parse_records(own, path, lo, hi, U, Y)
 
-        i = _in_parts(Nt, parts, part)[-1]
-    if i != Nt:
-        raise ValueError(f"{path}: {i} experiment lines disagree with the meta header's Nt={Nt}")
+        _in_parts(Nt, parts, part)
     try:
         return Dataset(U, Y)
     except ValueError as err:
@@ -398,14 +397,14 @@ def _number_array(path, field: str, value) -> np.ndarray:
     return arr.astype(float)
 
 
-def _parse_records(fh, path, lo: int, hi: int, U: np.ndarray, Y: np.ndarray) -> int:
+def _parse_records(fh, path, lo: int, hi: int, U: np.ndarray, Y: np.ndarray) -> None:
     """Read the dataset lines left in fh, skipping blank ones, and parse
     records [lo, hi) into U and Y.
 
     The records before lo are read and counted, so an error names a record
     by its index in the whole file. A part that ends before the last record
-    stops at hi; the last part reads to the end of the file. Returns the
-    number of records read.
+    stops at hi; the last part reads to the end of the file. A file that
+    ends before hi raises, naming how many records it holds.
     """
     Nt, N, m = U.shape
     p = Y.shape[2]
@@ -435,7 +434,8 @@ def _parse_records(fh, path, lo: int, hi: int, U: np.ndarray, Y: np.ndarray) -> 
         i += 1
         if i == hi < Nt:
             break
-    return i
+    if i < hi:
+        raise ValueError(f"{path}: {i} experiment lines disagree with the meta header's Nt={Nt}")
 
 
 def _shared_empty(shape) -> np.ndarray:
@@ -447,15 +447,8 @@ def _shared_empty(shape) -> np.ndarray:
 
 
 def _cpus() -> int:
-    """CPUs this process may run on, or 1 where _in_parts cannot fork.
-
-    It cannot off Linux, nor inside a daemonic multiprocessing worker (a
-    Pool's, say), which may not start children.
-    """
-    mp = sys.modules.get("multiprocessing")
-    if sys.platform != "linux" or (mp is not None and mp.current_process().daemon):
-        return 1
-    return len(os.sched_getaffinity(0))
+    """CPUs this process may run on, or 1 off Linux, where _in_parts does not fork."""
+    return len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
 
 
 def _processes(n: int, work: int, min_work: int) -> int:
@@ -467,50 +460,55 @@ def _processes(n: int, work: int, min_work: int) -> int:
     return max(1, min(n, _cpus(), work // min_work))
 
 
-def _in_parts(n: int, parts: int, part) -> list:
+def _in_parts(n: int, parts: int, part) -> None:
     """Cut rows [0, n) into parts contiguous ranges, range k being
     [n*k//parts, n*(k+1)//parts), and run part(k, lo, hi) on every range at
-    once; return the results in part order.
+    once.
 
-    Part 0 runs in this process, and each other part in a child process
-    started with fork, which sends back its return value or its exception
-    over a pipe; so one part forks nothing. A part that fills an array
-    writes into one made with _shared_empty, and one that formats much text
-    writes it to a memory file and returns its size (see _write_parts). The
-    first failure in part order is raised here, and every child has ended
+    Part 0 runs in this process, and each other part in a child started
+    with os.fork, so one part forks nothing. A child reports only its exit
+    status, so a part hands its output over in memory the child shares
+    with this process: an array made with _shared_empty, or a memory file
+    (see _write_parts). A part whose child failed is run again here, so
+    that its error is raised with its own type and message; if it runs
+    without error here, ChildProcessError names the part and how its child
+    ended. Failures are raised in part order, and every child has ended
     when this returns.
 
-    fork, not spawn or forkserver: the child starts with the caller's data
+    fork, not a fresh interpreter: the child starts with the caller's data
     and imports nothing, so a caller script needs no `if __name__ ==
-    "__main__":` guard. A lock another thread holds stays locked in a forked
-    child (Python 3.12 and later warn of it). The parts run here take no
-    Python-level lock, and call no BLAS or LAPACK: each child formats or
-    parses text.
+    "__main__":` guard. A child leaves through os._exit, so it never
+    returns into the caller's frames or flushes the caller's buffers. A
+    lock another thread holds stays locked in a forked child (Python 3.12
+    and later warn of it). The parts run here take no Python-level lock,
+    and call no BLAS or LAPACK: each child formats or parses text.
     """
     cuts = [n * k // parts for k in range(parts + 1)]
-    if parts == 1:
-        return [part(0, 0, n)]
-    import multiprocessing  # here, so that importing hankelnull does not load it
-
-    ctx = multiprocessing.get_context("fork")
-    children = []
+    children = {}
     try:
         for k in range(1, parts):
-            recv, send = ctx.Pipe(duplex=False)
-            child = ctx.Process(target=_child, args=(send, part, k, cuts[k], cuts[k + 1]), daemon=True)
-            child.start()
-            send.close()
-            children.append((child, recv))
-        return [part(0, 0, cuts[1]), *(_receive(child, recv) for child, recv in children)]
-    except BaseException:
-        for child, _ in children:
-            child.terminate()  # a later failure, or a result no longer wanted
-        raise
+            pid = os.fork()
+            if pid == 0:
+                ok = False
+                try:
+                    part(k, cuts[k], cuts[k + 1])
+                    ok = True
+                finally:
+                    os._exit(0 if ok else 1)
+            children[k] = pid
+        part(0, 0, cuts[1])
+        for k in range(1, parts):
+            status = os.waitpid(children[k], 0)[1]
+            del children[k]
+            if status:
+                part(k, cuts[k], cuts[k + 1])
+                code = os.waitstatus_to_exitcode(status)
+                how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
+                raise ChildProcessError(f"part {k} of {parts}: its forked process {how}, but the part runs here without error")
     finally:
-        for child, recv in children:
-            child.join()
-            child.close()  # its pipes, which a raised error's traceback would hold open
-            recv.close()
+        for pid in children.values():
+            os.kill(pid, signal.SIGKILL)  # a failure came first, so its result is no longer wanted
+            os.waitpid(pid, 0)
 
 
 def _write_parts(path, header: str, n: int, parts: int, rows) -> None:
@@ -519,30 +517,27 @@ def _write_parts(path, header: str, n: int, parts: int, rows) -> None:
     to fh.
 
     Part 0 writes the header and its rows straight into the file. Each
-    forked part formats its rows into an anonymous memory file and sends
-    back only its size, and the caller appends the parts in order with
-    os.sendfile, a copy made in the kernel. The bytes are the same at any
-    part count.
+    forked part formats its rows into an anonymous memory file, and the
+    caller appends the parts in order, each as long as its memory file,
+    with os.sendfile, a copy made in the kernel. The bytes are the same at
+    any part count.
     """
     fds = []
 
-    def part(k: int, lo: int, hi: int):
+    def part(k: int, lo: int, hi: int) -> None:
         if k == 0:
             fh.write(header)
             return rows(lo, hi, fh)
         with open(fds[k - 1], "w", encoding="utf-8", closefd=False) as mem:
             rows(lo, hi, mem)
-        return os.fstat(fds[k - 1]).st_size
 
     try:
         fds.extend(os.memfd_create(f"part {k}") for k in range(1, parts))
-        # opened before the fork but written only after it, so a child never
-        # inherits a filled buffer of the output file
         with open(path, "w", encoding="utf-8") as fh:
-            sizes = _in_parts(n, parts, part)[1:]
+            _in_parts(n, parts, part)
             fh.flush()
-            for fd, size in zip(fds, sizes):
-                sent = 0
+            for fd in fds:
+                size, sent = os.fstat(fd).st_size, 0
                 while sent < size:
                     copied = os.sendfile(fh.fileno(), fd, sent, size - sent)
                     if copied == 0:
@@ -551,28 +546,3 @@ def _write_parts(path, header: str, n: int, parts: int, rows) -> None:
     finally:
         for fd in fds:
             os.close(fd)
-
-
-def _child(send, part, *args) -> None:
-    """The body of a child of _in_parts: run part(*args) and send back what it gave."""
-    try:
-        value = part(*args)
-    except BaseException as err:
-        try:
-            send.send((False, err))
-        except Exception:  # the exception does not pickle
-            send.send((False, ChildProcessError(f"{type(err).__name__}: {err}")))
-        return
-    send.send((True, value))
-
-
-def _receive(child, recv):
-    """A child's return value, or its exception raised."""
-    try:
-        ok, value = recv.recv()
-    except EOFError:
-        child.join()
-        raise ChildProcessError(f"a forked process exited with code {child.exitcode} before sending its result") from None
-    if not ok:
-        raise value
-    return value

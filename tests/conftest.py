@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -70,3 +72,9 @@ def spy(monkeypatch, module, name: str) -> list:
 def part_counts(calls: list) -> list:
     """The part count of each lti_sim._in_parts call that spy recorded."""
     return [args[1] for args, _ in calls]
+
+
+def assert_no_child_left() -> None:
+    """This process has no child process left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

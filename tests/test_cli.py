@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -8,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import part_counts, spy
+from conftest import assert_no_child_left, part_counts, spy
 from hankelnull import cli, estimator, load_dataset, lti_sim
 from hankelnull.cli import _SCALARS, PRESETS, config_from_dict, config_to_dict, main
 
@@ -169,7 +168,7 @@ class TestGenerate:
         assert main(["generate", "--config", cfg_file, "--Nt", "1600", "--out", str(out)]) == 4
         err = capsys.readouterr().err
         assert "Is a directory" in err and "dataset_noiseless.jsonl" in err
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
 
 class TestAggregateAndRecover:
@@ -751,6 +750,16 @@ class TestSweep:
         out = tmp_path / "o"
         assert main(["sweep", "--config", cfg_file, "--Nt-list", "5", "--seeds=0,-3", "--out", str(out)]) == 3
         assert "--seeds must be non-negative integers, got [0, -3]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, cause", [
+        (["--Nt-list", "10,5"], "Nt_list must be ascending"),
+        (["--Nt-list=0,5"], "Nt must be >= 1"),
+    ])
+    def test_bad_nt_values_are_config_error_before_out_exists(self, tmp_path, cfg_file, capsys, flag, cause):
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", cfg_file, *flag, "--seeds", "0", "--out", str(out)]) == 3
+        assert cause in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("nt_list, seeds, flag", [("", "0", "--Nt-list"), ("5", "", "--seeds"), ("5", ",", "--seeds")])

@@ -1,5 +1,4 @@
 import json
-import multiprocessing
 import os
 import sys
 
@@ -9,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import hankelnull.estimator as estimator
-from conftest import noiseless_M, part_counts, spy
+from conftest import assert_no_child_left, noiseless_M, part_counts, spy
 from hankelnull import lti_sim
 from hankelnull import (
     NOISE_FAMILIES,
@@ -704,6 +703,8 @@ class TestWriters:
 
     @FORKS
     def test_failure_in_a_child_part_is_raised_here(self, tmp_path, demo_system, monkeypatch):
+        # a part whose child fails runs again here: a failure it repeats is
+        # raised as itself, one it does not names the part
         res = self._tiny_result(demo_system)
         parent, rows = os.getpid(), estimator._landscape_rows
 
@@ -712,12 +713,20 @@ class TestWriters:
                 raise OSError("formatting failed in a child")
             return rows(*args)
 
+        def fails_past_the_first_part(result, lo, hi, fh):
+            if lo:
+                raise OSError(f"formatting failed from row {lo}")
+            return rows(result, lo, hi, fh)
+
         self._parts(monkeypatch, 2)
-        monkeypatch.setattr(estimator, "_landscape_rows", fails_in_a_child)
         fds = len(os.listdir("/proc/self/fd"))
-        with pytest.raises(OSError, match="formatting failed in a child"):
+        monkeypatch.setattr(estimator, "_landscape_rows", fails_in_a_child)
+        with pytest.raises(ChildProcessError, match="part 1 of 2: its forked process exited with code 1"):
             write_landscape_csv(res, tmp_path / "landscape.csv")
-        assert multiprocessing.active_children() == []
+        monkeypatch.setattr(estimator, "_landscape_rows", fails_past_the_first_part)
+        with pytest.raises(OSError, match="formatting failed from row 2"):
+            write_landscape_csv(res, tmp_path / "landscape.csv")
+        assert_no_child_left()
         assert len(os.listdir("/proc/self/fd")) == fds  # every memory file is closed
 
     def test_landscape_csv_is_byte_deterministic(self, tmp_path, demo_system):

@@ -3,6 +3,7 @@ import math
 import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
@@ -10,7 +11,7 @@ import threading
 import numpy as np
 import pytest
 
-from conftest import part_counts, spy, svd_rule
+from conftest import assert_no_child_left, part_counts, spy, svd_rule
 from hankelnull import (
     Dataset,
     NoiseSpec,
@@ -613,6 +614,41 @@ def test_split_load_matches_one_process(monkeypatch, split_file):
     assert part_counts(calls) == [3, 1]
 
 
+def _save_and_load_counting_parts(ds, path):
+    """save_dataset then load_dataset, with the part count of each
+    _in_parts call; a task for a pool worker."""
+    counts, in_parts = [], lti_sim._in_parts
+
+    def counted(n, parts, part):
+        counts.append(parts)
+        in_parts(n, parts, part)
+
+    lti_sim._in_parts = counted
+    try:
+        save_dataset(ds, path)
+        back = load_dataset(path)
+    finally:
+        lti_sim._in_parts = in_parts
+    return counts, back.U, back.Y
+
+
+@forks
+def test_pool_worker_saves_and_loads_in_parts(tmp_path, demo_system, monkeypatch):
+    # a daemonic pool worker may fork, so its dataset I/O runs in parts too
+    ds = generate_dataset(demo_system, 50, 20, 2, "random-bounded", np.random.default_rng(35))
+    monkeypatch.setattr(lti_sim, "FORK_MIN_SAMPLES", 1)
+    monkeypatch.setattr(lti_sim, "_cpus", lambda: 2)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        counts, U, Y = pool.apply_async(_save_and_load_counting_parts, (ds, tmp_path / "pool.jsonl")).get(timeout=60)
+    assert counts == [2, 2]
+    monkeypatch.setattr(lti_sim, "_cpus", lambda: 1)
+    save_dataset(ds, tmp_path / "here.jsonl")
+    back = load_dataset(tmp_path / "here.jsonl")
+    assert (tmp_path / "pool.jsonl").read_bytes() == (tmp_path / "here.jsonl").read_bytes()
+    assert U.tobytes() == back.U.tobytes() == ds.U.tobytes() and Y.tobytes() == back.Y.tobytes() == ds.Y.tobytes()
+    assert_no_child_left()
+
+
 def test_small_file_is_one_range(monkeypatch, split_file, tmp_path):
     ds, path = split_file
     small = tmp_path / "small.jsonl"
@@ -725,25 +761,31 @@ def test_concurrently_raises_the_first_failure_in_call_order():
     """_in_parts runs its parts at once, each on its contiguous range, and
     raises the first failure in part order."""
     parent = os.getpid()
-    assert lti_sim._in_parts(7, 3, lambda k, lo, hi: (k, lo, hi, os.getpid() == parent)) == [
-        (0, 0, 2, True), (1, 2, 4, False), (2, 4, 7, False),
-    ]
+    out = lti_sim._shared_empty((3, 4))
+
+    def record(k, lo, hi):
+        out[k] = k, lo, hi, os.getpid() == parent
+
+    lti_sim._in_parts(7, 3, record)
+    assert out.tolist() == [[0, 0, 2, 1], [1, 2, 4, 0], [2, 4, 7, 0]]
     failures = {1: KeyError("first"), 2: ValueError("second")}
     with pytest.raises(KeyError, match="first"):
-        lti_sim._in_parts(3, 3, lambda k, lo, hi: _fail(failures[k]) if k else 0)
+        lti_sim._in_parts(3, 3, lambda k, lo, hi: _fail(failures[k]) if k else None)
     failures[0] = OSError("in this process")
     with pytest.raises(OSError, match="in this process"):
         lti_sim._in_parts(3, 3, lambda k, lo, hi: _fail(failures[k]))
-    with pytest.raises(ChildProcessError, match="exited with code 3 before sending"):
-        lti_sim._in_parts(2, 2, lambda k, lo, hi: os._exit(3) if k else 0)
-    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError, match="part 1 of 2: its forked process exited with code 3"):
+        lti_sim._in_parts(2, 2, lambda k, lo, hi: os._exit(3) if os.getpid() != parent else None)
+    assert_no_child_left()
 
 
 def test_one_call_runs_here_without_fork_machinery():
     src = os.path.dirname(os.path.dirname(lti_sim.__file__))
     code = (
         f"import os, sys; sys.path.insert(0, {src!r}); from hankelnull import lti_sim; "
-        "assert lti_sim._in_parts(5, 1, lambda *r: (os.getpid(), *r)) == [(os.getpid(), 0, 0, 5)]; "
+        "os.fork = None; runs = []; "
+        "lti_sim._in_parts(5, 1, lambda *r: runs.append((os.getpid(), *r))); "
+        "assert runs == [(os.getpid(), 0, 0, 5)]; "
         "print('multiprocessing' in sys.modules)"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
@@ -767,6 +809,8 @@ def test_processes_fork_from_min_work_each(monkeypatch, min_work):
 
 @forks
 def test_failure_in_a_child_part_is_raised_here(tmp_path):
+    # a part whose child fails runs again here: a failure it repeats is
+    # raised as itself, one it does not names the part
     parent = os.getpid()
 
     def fails_in_a_child(lo, hi, fh):
@@ -774,10 +818,33 @@ def test_failure_in_a_child_part_is_raised_here(tmp_path):
             raise OSError("formatting failed in a child")
         fh.write("row\n" * (hi - lo))
 
+    def fails_past_the_first_part(lo, hi, fh):
+        if lo:
+            raise OSError(f"formatting failed from row {lo}")
+        fh.write("row\n" * (hi - lo))
+
     fds = len(os.listdir("/proc/self/fd"))
-    with pytest.raises(OSError, match="formatting failed in a child"):
+    with pytest.raises(ChildProcessError, match="part 1 of 3: its forked process exited with code 1"):
         lti_sim._write_parts(tmp_path / "rows.txt", "header\n", 9, 3, fails_in_a_child)
-    assert multiprocessing.active_children() == []
+    with pytest.raises(OSError, match="formatting failed from row 3"):
+        lti_sim._write_parts(tmp_path / "rows.txt", "header\n", 9, 3, fails_past_the_first_part)
+    assert_no_child_left()
+    assert len(os.listdir("/proc/self/fd")) == fds  # every memory file is closed
+
+
+@forks
+def test_part_killed_in_its_child_names_the_signal(tmp_path):
+    parent = os.getpid()
+
+    def killed_in_a_child(lo, hi, fh):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        fh.write("row\n" * (hi - lo))
+
+    fds = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(ChildProcessError, match="part 1 of 3: its forked process was killed by signal 9"):
+        lti_sim._write_parts(tmp_path / "rows.txt", "header\n", 9, 3, killed_in_a_child)
+    assert_no_child_left()
     assert len(os.listdir("/proc/self/fd")) == fds  # every memory file is closed
 
 
