@@ -161,7 +161,16 @@ class ExperimentConfig:
         return self.system.m * self.L
 
     def axes(self) -> tuple:
-        return tuple(np.linspace(lo, hi, int(points)) for lo, hi, points in self.grid.values())
+        """The grid's axes. A grid whose landscape, d singular values a
+        point, cannot be mapped into memory raises, naming its point count."""
+        points = math.prod(int(n) for _, _, n in self.grid.values())
+        try:
+            # an anonymous mapping, dropped unwritten: it takes no memory and
+            # leaves numpy's allocator as it was
+            lti_sim._shared_empty((points, self.d))
+            return tuple(np.linspace(lo, hi, int(n)) for lo, hi, n in self.grid.values())
+        except (MemoryError, OSError, OverflowError, ValueError):  # the last two past the address space
+            raise ValueError(f"a grid of {points} points does not fit in memory") from None
 
 
 def config_from_dict(obj: dict) -> ExperimentConfig:
@@ -170,19 +179,18 @@ def config_from_dict(obj: dict) -> ExperimentConfig:
     Missing fields take their _DEFAULTS values. The grid's axis names must
     be one of the AXIS_NAMES sets, and they choose the moment mode; the
     `moment_mode` key of older configs and manifests is accepted when it
-    agrees with them. A key it does not know raises, naming every such
-    key, except the `workers` key of versions that ran threads, which is
-    ignored.
+    agrees with them. A key it does not know, at the top level or inside
+    system or noise, raises, naming every such key, except the top-level
+    `workers` key of versions that ran threads, which is ignored.
     """
-    unknown = [key for key in obj if key not in {"system", "workers", "moment_mode", *_DEFAULTS}]
-    if unknown:
-        raise ValueError(f"config has unknown keys {unknown}")
+    _known_keys(obj, "config", {"system", "workers", "moment_mode", *_DEFAULTS})
     obj = {**_DEFAULTS, **obj}
     sys_spec = obj.get("system")
     if sys_spec is None:
         raise ValueError("config has no system; give matrices inline or use a preset")
     if not isinstance(sys_spec, dict):
         raise ValueError(f"system must be an object with matrices A, B, C, D, got {sys_spec!r}")
+    _known_keys(sys_spec, "system", ("A", "B", "C", "D"))
     try:
         system = StateSpace(sys_spec["A"], sys_spec["B"], sys_spec["C"], sys_spec["D"])
     except KeyError as e:
@@ -194,6 +202,7 @@ def config_from_dict(obj: dict) -> ExperimentConfig:
     if "u" in noise or "y" in noise:
         if "u" not in noise or "y" not in noise:
             raise ValueError("per-channel noise needs both 'u' and 'y' specs")
+        _known_keys(noise, "noise", ("u", "y"))
         noise_u, noise_y = _noise_spec(noise["u"], "noise.u"), _noise_spec(noise["y"], "noise.y")
     else:
         noise_u = noise_y = _noise_spec(noise, "noise")
@@ -230,7 +239,16 @@ def config_from_dict(obj: dict) -> ExperimentConfig:
     )
 
 
+def _known_keys(obj: dict, field: str, keys) -> None:
+    """Raise naming every key of the object at field that is not in keys."""
+    unknown = [key for key in obj if key not in keys]
+    if unknown:
+        raise ValueError(f"{field} has unknown keys {unknown}")
+
+
 def _noise_spec(spec, field: str) -> NoiseSpec:
+    if isinstance(spec, dict):
+        _known_keys(spec, field, ("family", "m1", "m2"))
     try:
         family, m1, m2 = spec["family"], _parse(field, float, spec["m1"]), _parse(field, float, spec["m2"])
     except (TypeError, KeyError, ValueError, OverflowError):
@@ -407,6 +425,7 @@ def _label(coords: dict) -> str:
 def cmd_recover(cfg: ExperimentConfig, dataset_path, stats_path, out_dir) -> int:
     if (dataset_path is None) == (stats_path is None):
         raise ValueError("give exactly one of --dataset or --stats")
+    axes = cfg.axes()
     out = _outdir(out_dir)
     outputs = {"landscape": "landscape.csv"}
     if stats_path is not None:
@@ -420,7 +439,7 @@ def cmd_recover(cfg: ExperimentConfig, dataset_path, stats_path, out_dir) -> int
     fin = st.finalize()
     t0 = time.perf_counter()
     res = grid_search(
-        fin, cfg.axes(), cfg.eps_sigma, cfg.nullity,
+        fin, axes, cfg.eps_sigma, cfg.nullity,
         eps_mode=cfg.eps_mode, eps_factor=cfg.eps_factor, eps_rank=cfg.eps_rank,
         input_rows=cfg.input_rows,
     )
@@ -483,10 +502,11 @@ def cmd_sweep(cfg: ExperimentConfig, nt_list, seeds, out_dir) -> int:
         raise ValueError("Nt must be >= 1")
     if any(seed < 0 for seed in seeds):
         raise ValueError(f"--seeds must be non-negative integers, got {list(seeds)}")
+    axes = cfg.axes()
     out = _outdir(out_dir)
     t0 = time.perf_counter()
     res = convergence_study(
-        cfg.system, cfg.noise_u, cfg.noise_y, cfg.L, nt_list, seeds, cfg.axes(),
+        cfg.system, cfg.noise_u, cfg.noise_y, cfg.L, nt_list, seeds, axes,
         N=cfg.N, x0_policy=cfg.x0_policy, x0_halfwidth=cfg.x0_halfwidth,
         eps_sigma=cfg.eps_sigma, eps_mode=cfg.eps_mode, eps_factor=cfg.eps_factor,
         eps_rank=cfg.eps_rank,

@@ -71,9 +71,6 @@ CHUNK_SIZE = 8192  # rows of d values per batch: grid points, or CHUNK_SIZE // d
 # grid_search), exceeds GUARD_RTOL times its smallest singular value.
 GUARD_ULPS = 16
 GUARD_RTOL = 1e-10
-# Each forked part of a landscape CSV must format this many rows to repay
-# starting it (see write_landscape_csv).
-LANDSCAPE_FORK_MIN_ROWS = 80_000
 
 
 @dataclass(frozen=True)
@@ -423,14 +420,13 @@ def _landscape_rows(result: GridResult, lo: int, hi: int, fh) -> None:
 def write_landscape_csv(result: GridResult, path) -> None:
     """Write per-point sigma_min, numerical rank and admission to CSV.
 
-    The rows are written in parts (lti_sim._write_parts): one per CPU
-    (lti_sim._cpus), but only as many as get LANDSCAPE_FORK_MIN_ROWS rows
-    each. The bytes are the same at any part count.
+    The rows are written in parts (lti_sim._write_parts), one value a row:
+    its sigma_min is the one float formatted per row. The bytes are the same
+    at any part count.
     """
     n = result.points.shape[0]
     header = ",".join(AXIS_NAMES[len(result.axes)]) + ",sigma_min,numerical_rank,admitted\n"
-    parts = lti_sim._processes(n, n, LANDSCAPE_FORK_MIN_ROWS)
-    lti_sim._write_parts(path, header, n, parts, functools.partial(_landscape_rows, result))
+    lti_sim._write_parts(path, header, n, n, functools.partial(_landscape_rows, result))
 
 
 def write_candidate_json(cand: Candidate, path) -> None:

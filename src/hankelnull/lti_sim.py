@@ -48,7 +48,7 @@ X0_POLICIES = ("zero", "random-bounded")
 
 BLOCK_SIZE = 512  # records per block in the excitation check, the writer and aggregation
 MAX_TRIES = 10  # input draws per record before the excitation check gives up
-FORK_MIN_SAMPLES = 50_000  # samples a forked I/O process must format or parse to repay starting it
+FORK_MIN_VALUES = 22_500  # floats a forked text I/O part must format or parse to repay starting it
 
 
 @dataclass(frozen=True)
@@ -304,8 +304,7 @@ def save_dataset(ds: Dataset, path) -> None:
     """Write a dataset as JSON Lines: a meta header, then one experiment per line.
 
     Each block of records is formatted by one %-operation over its rows.
-    The records are written in parts (see _write_parts), as many as get
-    FORK_MIN_SAMPLES samples each (see _processes).
+    The records are written in parts (see _write_parts), one value a sample.
     """
     record = _record_format(ds.N, ds.m, ds.p)
 
@@ -317,7 +316,7 @@ def save_dataset(ds: Dataset, path) -> None:
             fh.write(record * (b - a) % tuple(rows.ravel().tolist()))
 
     header = json.dumps({"meta": {"Nt": ds.Nt, "N": ds.N, "m": ds.m, "p": ds.p}}) + "\n"
-    _write_parts(path, header, ds.Nt, _processes(ds.Nt, ds.U.size + ds.Y.size, FORK_MIN_SAMPLES), records)
+    _write_parts(path, header, ds.Nt, ds.U.size + ds.Y.size, records)
 
 
 # ints parse as floats so that a sample written as "-0" keeps its sign
@@ -344,7 +343,7 @@ def load_dataset(path) -> Dataset:
             raise ValueError(f"{path}: first line needs a meta header object with integer Nt, N, m and p")
         Nt, N, m, p = (_positive_int(path, f"meta header's {k}", meta[k]) for k in ("Nt", "N", "m", "p"))
         # a file that is not regular cannot be opened again from its start, so one part reads it
-        parts = _processes(Nt, Nt * N * (m + p), FORK_MIN_SAMPLES) if stat.S_ISREG(os.fstat(fh.fileno()).st_mode) else 1
+        parts = _processes(Nt, Nt * N * (m + p)) if stat.S_ISREG(os.fstat(fh.fileno()).st_mode) else 1
         # forked parsers write straight into the caller's arrays
         empty = np.empty if parts == 1 else _shared_empty
         try:
@@ -451,13 +450,13 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
 
 
-def _processes(n: int, work: int, min_work: int) -> int:
+def _processes(n: int, values: int) -> int:
     """How many parts _in_parts cuts rows [0, n) into when they hold this
-    much work in all: one per CPU, but only as many as get min_work each,
-    and at most one per row. Work is in the caller's unit: samples of one
-    dataset file with FORK_MIN_SAMPLES, or CSV rows with
-    estimator.LANDSCAPE_FORK_MIN_ROWS. A grid search never forks."""
-    return max(1, min(n, _cpus(), work // min_work))
+    many values in all: one per CPU, but only as many as get FORK_MIN_VALUES
+    each, and at most one per row. A value is a float formatted or parsed:
+    a sample of a dataset file, or the sigma_min of a landscape row, whose
+    other fields are formatted in advance. A grid search never forks."""
+    return max(1, min(n, _cpus(), values // FORK_MIN_VALUES))
 
 
 def _in_parts(n: int, parts: int, part) -> None:
@@ -511,10 +510,10 @@ def _in_parts(n: int, parts: int, part) -> None:
             os.waitpid(pid, 0)
 
 
-def _write_parts(path, header: str, n: int, parts: int, rows) -> None:
-    """Write header and rows [0, n) to the text file path in parts of
-    contiguous rows (see _in_parts); rows(lo, hi, fh) writes rows [lo, hi)
-    to fh.
+def _write_parts(path, header: str, n: int, values: int, rows) -> None:
+    """Write header and rows [0, n), which hold this many values in all (see
+    _processes), to the text file path in parts of contiguous rows (see
+    _in_parts); rows(lo, hi, fh) writes rows [lo, hi) to fh.
 
     Part 0 writes the header and its rows straight into the file. Each
     forked part formats its rows into an anonymous memory file, and the
@@ -522,7 +521,7 @@ def _write_parts(path, header: str, n: int, parts: int, rows) -> None:
     with os.sendfile, a copy made in the kernel. The bytes are the same at
     any part count.
     """
-    fds = []
+    parts, fds = _processes(n, values), []
 
     def part(k: int, lo: int, hi: int) -> None:
         if k == 0:

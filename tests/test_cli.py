@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_no_child_left, part_counts, spy
-from hankelnull import cli, estimator, load_dataset, lti_sim
+from hankelnull import cli, load_dataset, lti_sim
 from hankelnull.cli import _SCALARS, PRESETS, config_from_dict, config_to_dict, main
 
 DEMO_SYSTEM = {
@@ -129,7 +129,7 @@ class TestGenerate:
         for name in ("dataset_noiseless.jsonl", "dataset_noisy.jsonl"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
-    # below 2 * lti_sim.FORK_MIN_SAMPLES samples a file, each file is written in one part
+    # below 2 * lti_sim.FORK_MIN_VALUES samples a file, each file is written in one part
     @pytest.mark.parametrize("cpus, Nt, parts", [(1, 1600, 1), (2, 8, 1), pytest.param(2, 1600, 2, marks=FORKS)])
     def test_manifest_records_cpus(self, tmp_path, cfg_file, gen_dir, big_gen_dir, monkeypatch, capsys, cpus, Nt, parts):
         monkeypatch.setattr(lti_sim, "_cpus", lambda: cpus)
@@ -353,11 +353,8 @@ class TestAggregateAndRecover:
         decided = spy(monkeypatch, lti_sim, "_processes")
         dataset = str(big_gen_dir / "dataset_noisy.jsonl")
         assert main(["recover", "--config", cfg_file, "--dataset", dataset, "--out", str(tmp_path / "o")]) == 0
-        # 1,600 records of 25 x 5 samples, then a 3 x 2 landscape
-        assert decided == [
-            ((1600, 200_000, lti_sim.FORK_MIN_SAMPLES), 2),
-            ((6, 6, estimator.LANDSCAPE_FORK_MIN_ROWS), 1),
-        ]
+        # 1,600 records of 25 x 5 samples, then a 3 x 2 landscape, one value a row
+        assert decided == [((1600, 200_000), 2), ((6, 6), 1)]
 
     @FORKS
     def test_malformed_line_in_last_range_is_io_error(self, tmp_path, cfg_file, big_gen_dir, monkeypatch, capsys):
@@ -464,6 +461,21 @@ class TestAggregateAndRecover:
         assert "grid axis 'm1' needs finite bounds" in capsys.readouterr().err
         assert not (out / "landscape.csv").exists()
 
+    # only sizes refused at once: 2 x 10^13 points of 10 singular values
+    # need 1,455 TiB, past the address space, and 10^20 points overflow the
+    # mapping's size
+    @pytest.mark.parametrize("flags, points", [
+        (["--grid-m1", "0", "1.5", "1e13"], 2 * 10**13),
+        (["--grid-m1", "0", "1.5", "1e10", "--grid-m2", "0", "1", "1e10"], 10**20),
+    ])
+    @pytest.mark.parametrize("command", ["recover", "sweep"])
+    def test_grid_too_big_for_memory_is_config_error_before_out_exists(self, tmp_path, cfg_file, gen_dir, capsys, flags, points, command):
+        out = tmp_path / "o"
+        args = ["--dataset", str(gen_dir / "dataset_noisy.jsonl")] if command == "recover" else ["--Nt-list", "5", "--seeds", "0"]
+        assert main([command, "--config", cfg_file, *flags, *args, "--out", str(out)]) == 3
+        assert f"error: a grid of {points} points does not fit in memory" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_workers_key_of_old_manifests_is_ignored(self, tmp_path, cfg_file, gen_dir, capsys):
         old = dict(SMALL_CONFIG, workers=4)
         path = tmp_path / "old.json"
@@ -524,8 +536,7 @@ class TestMomentAxes:
                 return _call(*args, **kw)
 
             monkeypatch.setattr(np.linalg, name, here_only)
-        monkeypatch.setattr(estimator, "LANDSCAPE_FORK_MIN_ROWS", 1)
-        monkeypatch.setattr(lti_sim, "FORK_MIN_SAMPLES", 1)
+        monkeypatch.setattr(lti_sim, "FORK_MIN_VALUES", 1)
         runs = {
             "split": ["--config", cfg, "--stats", str(agg / "stats.json")],
             "dataset": ["--config", cfg_file, "--dataset", str(big_gen_dir / "dataset_noisy.jsonl")],
@@ -633,6 +644,21 @@ class TestConfigFields:
         out = tmp_path / "o"
         assert main(["generate", "--config", str(path), "--out", str(out)]) == 3
         assert "config has unknown keys ['eps_mod', 'gird', 'Nt ']" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value, cause", [
+        ("noise", {"family": "gaussian", "m1": 1, "m2": 5, "sd": 3}, "noise has unknown keys ['sd']"),
+        ("noise", dict(SPLIT_NOISE, w=1, family="gaussian"), "noise has unknown keys ['w', 'family']"),
+        ("noise", dict(SPLIT_NOISE, u=dict(SPLIT_NOISE["u"], M2=5)), "noise.u has unknown keys ['M2']"),
+        ("noise", dict(SPLIT_NOISE, y=dict(SPLIT_NOISE["y"], sd=1, mean=0)), "noise.y has unknown keys ['sd', 'mean']"),
+        ("system", dict(DEMO_SYSTEM, E=[[0.0]], AB=[[0.0]]), "system has unknown keys ['E', 'AB']"),
+    ])
+    def test_misspelled_nested_keys_are_config_error(self, tmp_path, capsys, field, value, cause):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(SMALL_CONFIG, **{field: value})))
+        out = tmp_path / "o"
+        assert main(["generate", "--config", str(path), "--out", str(out)]) == 3
+        assert cause in capsys.readouterr().err
         assert not out.exists()
 
     def test_legacy_keys_are_accepted(self):

@@ -663,9 +663,9 @@ class TestWriters:
 
     @staticmethod
     def _parts(monkeypatch, parts):
-        # parts CPUs and no row cutoff: one part per CPU, up to one per row
+        # parts CPUs and no value cutoff: one part per CPU, up to one per row
         monkeypatch.setattr(lti_sim, "_cpus", lambda: parts)
-        monkeypatch.setattr(estimator, "LANDSCAPE_FORK_MIN_ROWS", 1)
+        monkeypatch.setattr(lti_sim, "FORK_MIN_VALUES", 1)
 
     @pytest.mark.parametrize("distinct, parts", [
         # the one-part cases keep their ids from before parts were added

@@ -17,9 +17,11 @@ from hankelnull import (
     NoiseSpec,
     StateSpace,
     add_noise,
+    aggregate,
     estimator,
     generate_dataset,
     generate_pe_input,
+    grid_search,
     hankel,
     load_dataset,
     lti_sim,
@@ -429,7 +431,7 @@ def test_save_dataset_bytes_match_per_record_writer(tmp_path, demo_system):
 
 
 # save_dataset writes a file in one part per CPU, as long as each part gets
-# FORK_MIN_SAMPLES samples (see _write_parts). The tests force the CPU count
+# FORK_MIN_VALUES samples (see _processes). The tests force the CPU count
 # and lower the cutoff, so the split does not depend on the machine; a spy on
 # _in_parts sees the part count.
 @pytest.mark.parametrize("parts", [1, pytest.param(2, marks=forks), pytest.param(3, marks=forks)])
@@ -440,7 +442,7 @@ def test_save_dataset_in_parts_matches_per_record_writer(tmp_path, demo_system, 
     monkeypatch.setattr(lti_sim, "BLOCK_SIZE", 7)
     assert ds.Nt % 7 != 0 and ds.Nt % 3 != 0
     monkeypatch.setattr(lti_sim, "_cpus", lambda: parts)
-    monkeypatch.setattr(lti_sim, "FORK_MIN_SAMPLES", 1)
+    monkeypatch.setattr(lti_sim, "FORK_MIN_VALUES", 1)
     calls = spy(monkeypatch, lti_sim, "_in_parts")
     save_dataset(ds, tmp_path / "ds.jsonl")
     _per_record_writer(ds, tmp_path / "ref.jsonl")
@@ -454,11 +456,12 @@ def test_save_dataset_in_parts_matches_per_record_writer(tmp_path, demo_system, 
 
 @forks
 def test_save_and_load_fork_from_the_same_file_size(tmp_path, demo_system, monkeypatch):
-    # 100 samples a record: 1,000 records give two parts of FORK_MIN_SAMPLES
+    # 100 samples a record: Nt records give two parts of FORK_MIN_VALUES
     monkeypatch.setattr(lti_sim, "_cpus", lambda: 2)
-    ds = generate_dataset(demo_system, 1000, 20, 2, "zero", np.random.default_rng(0))
-    assert ds.U.size + ds.Y.size == 2 * lti_sim.FORK_MIN_SAMPLES
-    for Nt, parts in ((999, 1), (1000, 2)):
+    Nt = 2 * lti_sim.FORK_MIN_VALUES // 100
+    ds = generate_dataset(demo_system, Nt, 20, 2, "zero", np.random.default_rng(0))
+    assert ds.U.size + ds.Y.size == 2 * lti_sim.FORK_MIN_VALUES
+    for Nt, parts in ((Nt - 1, 1), (Nt, 2)):
         path = tmp_path / f"{Nt}.jsonl"
         calls = spy(monkeypatch, lti_sim, "_in_parts")
         save_dataset(ds[:Nt], path)
@@ -550,7 +553,7 @@ def test_load_dataset_header_too_big_for_memory(tmp_path, demo_system, monkeypat
     cause = f"{path}: meta header's Nt={Nt}, N=20, m=2 and p=3 do not fit in memory"
     with pytest.raises(ValueError, match=re.escape(cause)):
         load_dataset(path)
-    assert decided == [((Nt, Nt * 100, lti_sim.FORK_MIN_SAMPLES), cpus)]  # the load would run in cpus parts
+    assert decided == [((Nt, Nt * 100), cpus)]  # the load would run in cpus parts
 
 
 def test_load_dataset_rejects_meta_mismatch(tmp_path, demo_system):
@@ -566,7 +569,7 @@ def test_load_dataset_rejects_meta_mismatch(tmp_path, demo_system):
 # ---------------------------------------------------------------- split loading
 
 # load_dataset reads a regular file in one process per CPU, as long as each
-# process gets FORK_MIN_SAMPLES samples. The records are cut into contiguous
+# process gets FORK_MIN_VALUES samples. The records are cut into contiguous
 # ranges as save_dataset cuts them (see _in_parts); each process reads and
 # counts the records before its range, parses its range, and only the last
 # reads on to the end of the file. The tests force the CPU count, so the split
@@ -636,7 +639,7 @@ def _save_and_load_counting_parts(ds, path):
 def test_pool_worker_saves_and_loads_in_parts(tmp_path, demo_system, monkeypatch):
     # a daemonic pool worker may fork, so its dataset I/O runs in parts too
     ds = generate_dataset(demo_system, 50, 20, 2, "random-bounded", np.random.default_rng(35))
-    monkeypatch.setattr(lti_sim, "FORK_MIN_SAMPLES", 1)
+    monkeypatch.setattr(lti_sim, "FORK_MIN_VALUES", 1)
     monkeypatch.setattr(lti_sim, "_cpus", lambda: 2)
     with multiprocessing.get_context("fork").Pool(1) as pool:
         counts, U, Y = pool.apply_async(_save_and_load_counting_parts, (ds, tmp_path / "pool.jsonl")).get(timeout=60)
@@ -792,25 +795,43 @@ def test_one_call_runs_here_without_fork_machinery():
     assert proc.stdout == "False\n"
 
 
-@pytest.mark.parametrize("min_work", [
-    pytest.param(lti_sim.FORK_MIN_SAMPLES, id="dataset-samples"),
-    pytest.param(estimator.LANDSCAPE_FORK_MIN_ROWS, id="landscape-rows"),
-])
-def test_processes_fork_from_min_work_each(monkeypatch, min_work):
-    monkeypatch.setattr(lti_sim, "_cpus", lambda: 3)
-    assert lti_sim._processes(10, 2 * min_work - 1, min_work) == 1
-    assert lti_sim._processes(10, 2 * min_work, min_work) == 2
-    assert lti_sim._processes(10, 3 * min_work - 1, min_work) == 2
-    assert lti_sim._processes(10, 3 * min_work, min_work) == 3
-    assert lti_sim._processes(10, 10 * min_work, min_work) == 3  # one per CPU
-    assert lti_sim._processes(2, 10 * min_work, min_work) == 2  # one per call
-    assert lti_sim._processes(10, 0, min_work) == 1
+@forks
+def test_every_text_job_forks_from_the_same_value_count(tmp_path, demo_system, monkeypatch):
+    # a dataset sample and a landscape row are one value each, so at 2 CPUs
+    # a job of 2 * FORK_MIN_VALUES - 1 values runs in one part and one of
+    # 2 * FORK_MIN_VALUES in two; a record of 2 x (2 + 3) samples is 10 values
+    monkeypatch.setattr(lti_sim, "_cpus", lambda: 2)
+    values = 2 * lti_sim.FORK_MIN_VALUES
+    ds = Dataset(np.zeros((values // 10, 2, 2)), np.zeros((values // 10, 2, 3)))
+    fin = aggregate(generate_dataset(demo_system, 10, 20, 2, "zero", np.random.default_rng(0)), 2).finalize()
+    for n in (values - 10, values):
+        calls = spy(monkeypatch, lti_sim, "_in_parts")
+        save_dataset(ds[: n // 10], tmp_path / "ds.jsonl")
+        load_dataset(tmp_path / "ds.jsonl")
+        assert part_counts(calls) == [1 if n < values else 2] * 2
+    for n in (values - 1, values):
+        res = grid_search(fin, (np.linspace(0.0, 1.0, n), [1.0]), eps_sigma=1e-3, nullity=3)
+        calls = spy(monkeypatch, lti_sim, "_in_parts")
+        estimator.write_landscape_csv(res, tmp_path / "landscape.csv")
+        assert part_counts(calls) == [1 if n < values else 2]
+
+
+def test_benchmark_part_counts_at_two_cpus(monkeypatch):
+    # the reference preset's dataset files (10,000 records of 150 samples),
+    # its 200 x 200 landscape and a 20^4 landscape
+    monkeypatch.setattr(lti_sim, "_cpus", lambda: 2)
+    assert lti_sim._processes(10_000, 1_500_000) == 2
+    assert lti_sim._processes(40_000, 40_000) == 1
+    assert lti_sim._processes(160_000, 160_000) == 2
+    assert lti_sim._processes(1, 1_500_000) == 1  # at most one part a row
 
 
 @forks
-def test_failure_in_a_child_part_is_raised_here(tmp_path):
+def test_failure_in_a_child_part_is_raised_here(tmp_path, monkeypatch):
     # a part whose child fails runs again here: a failure it repeats is
     # raised as itself, one it does not names the part
+    monkeypatch.setattr(lti_sim, "_cpus", lambda: 3)
+    values = 3 * lti_sim.FORK_MIN_VALUES  # three parts
     parent = os.getpid()
 
     def fails_in_a_child(lo, hi, fh):
@@ -825,15 +846,16 @@ def test_failure_in_a_child_part_is_raised_here(tmp_path):
 
     fds = len(os.listdir("/proc/self/fd"))
     with pytest.raises(ChildProcessError, match="part 1 of 3: its forked process exited with code 1"):
-        lti_sim._write_parts(tmp_path / "rows.txt", "header\n", 9, 3, fails_in_a_child)
+        lti_sim._write_parts(tmp_path / "rows.txt", "header\n", 9, values, fails_in_a_child)
     with pytest.raises(OSError, match="formatting failed from row 3"):
-        lti_sim._write_parts(tmp_path / "rows.txt", "header\n", 9, 3, fails_past_the_first_part)
+        lti_sim._write_parts(tmp_path / "rows.txt", "header\n", 9, values, fails_past_the_first_part)
     assert_no_child_left()
     assert len(os.listdir("/proc/self/fd")) == fds  # every memory file is closed
 
 
 @forks
-def test_part_killed_in_its_child_names_the_signal(tmp_path):
+def test_part_killed_in_its_child_names_the_signal(tmp_path, monkeypatch):
+    monkeypatch.setattr(lti_sim, "_cpus", lambda: 3)
     parent = os.getpid()
 
     def killed_in_a_child(lo, hi, fh):
@@ -843,13 +865,14 @@ def test_part_killed_in_its_child_names_the_signal(tmp_path):
 
     fds = len(os.listdir("/proc/self/fd"))
     with pytest.raises(ChildProcessError, match="part 1 of 3: its forked process was killed by signal 9"):
-        lti_sim._write_parts(tmp_path / "rows.txt", "header\n", 9, 3, killed_in_a_child)
+        lti_sim._write_parts(tmp_path / "rows.txt", "header\n", 9, 3 * lti_sim.FORK_MIN_VALUES, killed_in_a_child)
     assert_no_child_left()
     assert len(os.listdir("/proc/self/fd")) == fds  # every memory file is closed
 
 
 def test_importing_the_package_loads_no_fork_machinery():
-    """multiprocessing and mmap load only when dataset I/O forks or shares memory."""
+    """The package never imports multiprocessing, and mmap loads only when a
+    run maps memory: shared load arrays, or the CLI's check that a grid fits."""
     src = os.path.dirname(os.path.dirname(lti_sim.__file__))
     code = f"import sys; sys.path.insert(0, {src!r}); import hankelnull; print(sorted({{'multiprocessing', 'mmap'}} & set(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
