@@ -375,8 +375,8 @@ def cmd_generate(cfg: ExperimentConfig, out_dir) -> int:
 
 
 def cmd_aggregate(cfg: ExperimentConfig, dataset_path, out_dir) -> int:
-    out = _outdir(out_dir)
     st, timings = _dataset_stats(cfg, dataset_path)
+    out = _outdir(out_dir)
     save_stats(st, out / "stats.json")
     _write_manifest(out / "manifest.json", "aggregate", cfg, timings, {"stats": "stats.json"})
     print(f"aggregated {st.count} experiments into {out / 'stats.json'}")
@@ -426,8 +426,6 @@ def cmd_recover(cfg: ExperimentConfig, dataset_path, stats_path, out_dir) -> int
     if (dataset_path is None) == (stats_path is None):
         raise ValueError("give exactly one of --dataset or --stats")
     axes = cfg.axes()
-    out = _outdir(out_dir)
-    outputs = {"landscape": "landscape.csv"}
     if stats_path is not None:
         t0 = time.perf_counter()
         st = load_stats(stats_path)
@@ -436,6 +434,8 @@ def cmd_recover(cfg: ExperimentConfig, dataset_path, stats_path, out_dir) -> int
         timings = {"load_s": time.perf_counter() - t0}
     else:
         st, timings = _dataset_stats(cfg, dataset_path)
+    out = _outdir(out_dir)
+    outputs = {"landscape": "landscape.csv"}
     fin = st.finalize()
     t0 = time.perf_counter()
     res = grid_search(
@@ -469,7 +469,6 @@ def cmd_recover(cfg: ExperimentConfig, dataset_path, stats_path, out_dir) -> int
 
 
 def cmd_validate(cfg: ExperimentConfig, candidate_path, out_dir) -> int:
-    out = _outdir(out_dir)
     obj = _load_json(candidate_path)
     if not isinstance(obj, dict) or "nullspace" not in obj:
         raise ValueError(f"{candidate_path}: a candidate must be a JSON object with a nullspace key")
@@ -481,6 +480,7 @@ def cmd_validate(cfg: ExperimentConfig, candidate_path, out_dir) -> int:
         raise ValueError(f"candidate null space has shape {basis.shape}, expected {V_true.basis.shape}")
     err = subspace_angle(V_true, SubspaceBasis(basis))
     timings = {"true_nullspace_s": t1 - t0, "angle_s": time.perf_counter() - t1}
+    out = _outdir(out_dir)
     report = {
         "theta_max": err.theta_max,
         "singular_values": [float(v) for v in err.singular_values],

@@ -21,15 +21,15 @@ moments enter only on the diagonal, so with tied moments they are a spectral
 shift, M(mu, nu) = M(mu, 0) - Nc*nu*I: the bases are the rows (mu, 0, mu, 0),
 one per first-moment value, and the shifts are Nc*nu. With split channels
 M(m1u, m2u, m1y, m2y) = M(m1u, m2u - m2y, m1y, 0) - Nc*m2y*I: the bases are
-(m1u, delta, m1y, 0), one per run of differences m2u - m2y that agree to
-rounding, and the shifts are Nc*m2y. One symmetric eigenvalue decomposition
-per base gives the singular values |lambda - shift| of every point it covers.
+(m1u, delta, m1y, 0), delta the difference m2u - m2y snapped to a quantum
+set by the stats, and the shifts are Nc*m2y. A point's base thus depends on
+the point and the stats alone. One symmetric eigenvalue decomposition per
+base gives the singular values |lambda - shift| of every point it covers.
 Where the subtraction cancels too many digits to be trusted (the shift sits
-on an eigenvalue), or a point's difference lies too far from delta, the row
-is recomputed by SVD of the assembled matrix. An admitted row is read again
-off the base at the point's own difference, and only the best admitted
-point's null space is extracted: one eigh of that base, keeping the
-eigenvectors nearest its shift.
+on an eigenvalue), or a point's distance from delta may matter, the row is
+recomputed by SVD of the assembled matrix. Only the best admitted point's
+null space is extracted: one eigh of its base, keeping the eigenvectors
+nearest its shift.
 
 A base's off-diagonal entries depend on its first moments alone, so they
 are built once per first-moment pair (m1u, m1y) of the grid, the core, and
@@ -214,6 +214,17 @@ def assemble_M(st: FinalizedStats, pt: MomentPoint, input_rows=None) -> np.ndarr
     return _assemble(st, np.array([[pt.m1u, pt.m2u, pt.m1y, pt.m2y]]), split)[0]
 
 
+def _snap(st: FinalizedStats, diff: np.ndarray) -> np.ndarray:
+    """Second-moment differences cut toward zero to a multiple of the quantum,
+    the power of two above GUARD_ULPS*eps*max|Gbar|/Nc (2**-1074 when that is
+    zero). The cut is exact, and a difference of 2**52 quanta or more, which
+    is a multiple already, is kept as it is, so nothing overflows."""
+    scale = GUARD_ULPS * np.finfo(float).eps * float(np.abs(st.Gbar).max()) / st.Nc
+    q = math.ldexp(1.0, math.frexp(scale)[1] if scale > 0.0 else -1074)
+    small = np.abs(diff) < 2.0**52 * q
+    return np.where(small, np.trunc(np.where(small, diff, 0.0) / q) * q, diff)
+
+
 def _mesh_points(axes) -> np.ndarray:
     """All points of a grid, (n, len(axes)), in row-major axis order."""
     return np.stack([g.reshape(-1) for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
@@ -249,22 +260,20 @@ def grid_search(
 
     The grid is read as base matrices and scalar shifts, in this process. A
     tied point (m1, m2) has base (m1, 0, m1, 0) and shift Nc*m2; a 4-axis
-    point has base (m1u, delta, m1y, 0) and shift Nc*m2y. The sorted
-    differences m2u - m2y are cut into runs wherever two neighbours lie more
-    than GUARD_ULPS*eps*max|m2| apart, and delta is the first of the point's
-    run. One eigvalsh per base gives the spectrum of every point on it,
+    point has base (m1u, delta, m1y, 0) and shift Nc*m2y, delta its
+    difference m2u - m2y cut toward zero to a multiple of the quantum
+    (_snap), so a point's row has the same bits in any grid that holds it.
+    One eigvalsh per base gives the spectrum of every point on it,
     |lambda - shift| sorted descending. Moving the input rows' diagonal from
     the point's difference to delta moves each eigenvalue by at most
     Nc*|m2u - m2y - delta|, which is added to the row's rounding bound; rows
     where the two may exceed GUARD_RTOL of the smallest value are recomputed
-    by SVD. An admitted row is read again off the base at its own
-    difference, as a grid of that point alone reads it. Among admitted
-    points the best is the one with the smallest minimum singular value, the
-    first in grid order on ties. Only its null space is extracted, by one
-    eigh of that base: the `nullity` eigenvectors nearest its shift,
-    nearest last like the trailing rows of an SVD's Vt. Its spectrum is its
-    landscape row. Returns the full landscape either way; best is None when
-    nothing is admitted.
+    by SVD. Among admitted points the best is the one with the smallest
+    minimum singular value, the first in grid order on ties. Only its null
+    space is extracted, by one eigh of its base: the `nullity` eigenvectors
+    nearest its shift, nearest last like the trailing rows of an SVD's Vt.
+    Its spectrum is its landscape row. Returns the full landscape either
+    way; best is None when nothing is admitted.
     """
     axes = tuple(np.asarray(a, dtype=float).reshape(-1) for a in grid)
     if len(axes) not in AXIS_NAMES:
@@ -302,13 +311,10 @@ def grid_search(
         slack_of = np.broadcast_to(0.0, points.shape[:1])  # each point on its own base
     else:
         m1u, m2u, m1y, m2y = axes
-        # bases (m1u, delta, m1y, 0), delta the first of each run of differences
+        # bases (m1u, delta, m1y, 0), delta the difference m2u - m2y snapped
         diff = m2u[:, None] - m2y
-        order = np.argsort(diff, axis=None, kind="stable")
-        tol = GUARD_ULPS * eps * max(np.abs(m2u).max(), np.abs(m2y).max())
-        run = np.diff(diff.flat[order], prepend=-np.inf) > tol
-        diffs = diff.flat[order[run]]
-        diff_of = (np.cumsum(run) - 1)[np.argsort(order)].reshape(diff.shape)
+        diffs, diff_of = np.unique(_snap(st, diff), return_inverse=True)
+        diff_of = diff_of.reshape(diff.shape)
         bases = _mesh_points((m1u, diffs, m1y, np.zeros(1)))
         pairs = _mesh_points((m1u, m1y))
         a, c = np.arange(m1u.size)[:, None, None, None], np.arange(m1y.size)[:, None]
@@ -318,22 +324,6 @@ def grid_search(
         slack_of = np.broadcast_to(slack, (m1u.size, m2u.size, m1y.size, m2y.size)).reshape(-1)
     shift_of = st.Nc * points[:, -1]
     sv_all = np.empty((points.shape[0], d))
-
-    def fill(rows, lam, lam_max, slack) -> None:
-        # landscape rows `rows` from their bases' eigenvalues lam, lam_max the largest |lam|
-        shift = shift_of[rows]
-        dist = np.abs(lam - shift[:, None])
-        dist.sort(axis=-1)
-        sv = dist[:, ::-1]
-        bound = GUARD_ULPS * eps * (lam_max + np.abs(shift)) + slack
-        guard = np.flatnonzero(bound > GUARD_RTOL * sv[:, -1])
-        sv[guard] = np.linalg.svd(_assemble(st, points[rows][np.ix_(guard, cols)], split), compute_uv=False)
-        sv_all[rows] = sv
-
-    def own_bases(rows) -> np.ndarray:
-        # the bases (m1u, m2u - m2y, m1y, 0) of points `rows`, each at its own difference
-        pt = points[np.ix_(rows, cols)]
-        return np.column_stack([pt[:, 0], pt[:, 1] - pt[:, 3], pt[:, 2], np.zeros(len(pt))])
 
     lam = np.empty((bases.shape[0], d))
     per_chunk = max(1, CHUNK_SIZE // d)
@@ -345,33 +335,30 @@ def grid_search(
         lam[rows] = np.linalg.eigvalsh(_assemble(st, bases[rows], split, core))
     lam_max = np.abs(lam).max(axis=1)
     for lo in range(0, points.shape[0], CHUNK_SIZE):
-        base = base_of[lo : lo + CHUNK_SIZE]
-        fill(slice(lo, lo + CHUNK_SIZE), lam[base], lam_max[base], slack_of[lo : lo + CHUNK_SIZE])
+        rows = slice(lo, lo + CHUNK_SIZE)
+        base, shift = base_of[rows], shift_of[rows]
+        dist = np.abs(lam[base] - shift[:, None])
+        dist.sort(axis=-1)
+        sv = dist[:, ::-1]
+        bound = GUARD_ULPS * eps * (lam_max[base] + np.abs(shift)) + slack_of[rows]
+        guard = np.flatnonzero(bound > GUARD_RTOL * sv[:, -1])
+        sv[guard] = np.linalg.svd(_assemble(st, points[rows][np.ix_(guard, cols)], split), compute_uv=False)
+        sv_all[rows] = sv
 
-    # admitted rows are read again off their own differences' bases, which can
-    # move the auto threshold and so admission: repeat until none is left
-    own = slack_of == 0.0
-    while True:
-        if eps_mode == "abs":
-            threshold = float(eps_sigma)
-        else:
-            threshold = float(eps_factor * sv_all[:, d - nullity].min())
-        # rows are sorted descending, so exactly `nullity` values fall below the
-        # threshold when the nullity-th smallest does and the next one does not
-        admitted = (sv_all[:, d - nullity] < threshold) & (sv_all[:, d - nullity - 1] >= threshold)
-        redo = np.flatnonzero(admitted & ~own)
-        if redo.size == 0:
-            break
-        lam = np.linalg.eigvalsh(_assemble(st, own_bases(redo), split))
-        fill(redo, lam, np.abs(lam).max(axis=1), 0.0)
-        own[redo] = True
+    if eps_mode == "abs":
+        threshold = float(eps_sigma)
+    else:
+        threshold = float(eps_factor * sv_all[:, d - nullity].min())
+    # rows are sorted descending, so exactly `nullity` values fall below the
+    # threshold when the nullity-th smallest does and the next one does not
+    admitted = (sv_all[:, d - nullity] < threshold) & (sv_all[:, d - nullity - 1] >= threshold)
     ranks = np.count_nonzero(sv_all > eps_rank * sv_all[:, 0:1], axis=1)
 
     best = None
     picked = np.flatnonzero(admitted)
     if picked.size:
         j = int(picked[np.argmin(sv_all[picked, -1])])  # argmin keeps the first on ties
-        w, V = np.linalg.eigh(_assemble(st, own_bases([j]), split)[0])
+        w, V = np.linalg.eigh(_assemble(st, bases[base_of[[j]]], split)[0])
         # nearest eigenvalue last, like the trailing rows of an SVD's Vt
         near = np.argsort(np.abs(w - shift_of[j]))[nullity - 1 :: -1]
         best = Candidate(

@@ -33,20 +33,18 @@ class SubspaceError:
     singular_values: np.ndarray
 
 
-def true_nullspace(ss: StateSpace, L: int, rng=None, length=None) -> SubspaceBasis:
+def true_nullspace(ss: StateSpace, L: int) -> SubspaceBasis:
     """Orthonormal basis of the left null space of the noiseless ensemble.
 
-    Builds one long noiseless experiment with input exciting of order L + n
-    and takes the left singular vectors of its stacked Hankel matrix whose
-    singular values fall below 1e-10 of the largest. For a minimal system
-    the dimension must come out to p*L - n; anything else raises, since it
-    signals a non-minimal realization or insufficient excitation.
+    Builds one long noiseless experiment of (m + 1)*(L + n) + L samples, its
+    input drawn from a seed-0 generator so that it is exciting of order
+    L + n, and takes the left singular vectors of its stacked Hankel matrix
+    whose singular values fall below 1e-10 of the largest. For a minimal
+    system the dimension must come out to p*L - n; anything else raises,
+    since it signals a non-minimal realization or insufficient excitation.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    if length is None:
-        length = (ss.m + 1) * (L + ss.n) + L
-    ds = generate_dataset(ss, 1, length, L, "zero", rng)
+    length = (ss.m + 1) * (L + ss.n) + L
+    ds = generate_dataset(ss, 1, length, L, "zero", np.random.default_rng(0))
     H = stacked_hankel(ds.U[0], ds.Y[0], L)
     U, s, _ = np.linalg.svd(H, full_matrices=True)
     sfull = np.zeros(H.shape[0])

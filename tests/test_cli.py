@@ -385,6 +385,32 @@ class TestAggregateAndRecover:
         assert rc == 3
 
 
+    def test_aggregate_input_error_is_found_before_out_exists(self, tmp_path, cfg_file, gen_dir, capsys):
+        # a dataset header that does not parse, and one of the wrong length
+        lines = (gen_dir / "dataset_noisy.jsonl").read_text().split("\n")
+        bad = tmp_path / "bad-header.jsonl"
+        bad.write_text("\n".join(['{"meta": {"Nt": 2.5, "N": 25, "m": 2, "p": 3}}', *lines[1:]]))
+        for flags in (["--dataset", str(bad)], ["--N", "24", "--dataset", str(gen_dir / "dataset_noisy.jsonl")]):
+            out = tmp_path / "o"
+            assert main(["aggregate", "--config", cfg_file, *flags, "--out", str(out)]) == 3
+            assert not out.exists()
+
+    def test_recover_input_error_is_found_before_out_exists(self, tmp_path, cfg_file, gen_dir, capsys):
+        # a stats file of the wrong JSON shape, stats that do not match the
+        # config, and a dataset that does not match it
+        agg = tmp_path / "agg"
+        assert main(["aggregate", "--config", cfg_file, "--dataset", str(gen_dir / "dataset_noisy.jsonl"), "--out", str(agg)]) == 0
+        bad = tmp_path / "bad-stats.json"
+        bad.write_text("5")
+        for flags in (
+            ["--stats", str(bad)],
+            ["--N", "24", "--stats", str(agg / "stats.json")],
+            ["--N", "24", "--dataset", str(gen_dir / "dataset_noisy.jsonl")],
+        ):
+            out = tmp_path / "o"
+            assert main(["recover", "--config", cfg_file, *flags, "--out", str(out)]) == 3
+            assert not out.exists()
+
     def test_manifest_records_stage_timings(self, tmp_path, cfg_file, gen_dir, capsys):
         via_ds, via_st = tmp_path / "via_ds", tmp_path / "via_st"
         assert main(["recover", "--config", cfg_file, "--dataset", str(gen_dir / "dataset_noisy.jsonl"), "--out", str(via_ds)]) == 0
@@ -692,6 +718,15 @@ class TestValidate:
         cand.write_text(json.dumps({"m1": 0.0, "m2": 0.0, "sigma_min": 0.0, "nullspace": np.eye(10)[:2].tolist()}))
         rc = main(["validate", "--config", cfg_file, "--candidate", str(cand), "--out", str(tmp_path / "o")])
         assert rc == 3
+
+    @pytest.mark.parametrize("nullspace", [np.eye(10)[:2].tolist(), [[1, "x"]], [[1.0] + [0.0] * 9] * 3])
+    def test_candidate_error_is_found_before_out_exists(self, tmp_path, cfg_file, capsys, nullspace):
+        # a basis of the wrong shape for the config, not numbers, or not orthonormal
+        cand = tmp_path / "cand.json"
+        cand.write_text(json.dumps({"m1": 0.0, "m2": 0.0, "sigma_min": 0.0, "nullspace": nullspace}))
+        out = tmp_path / "o"
+        assert main(["validate", "--config", cfg_file, "--candidate", str(cand), "--out", str(out)]) == 3
+        assert not out.exists()
 
     def test_non_finite_basis_is_config_error(self, tmp_path, cfg_file, capsys):
         basis = np.eye(10)[:3]

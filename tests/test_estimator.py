@@ -83,13 +83,21 @@ def _assert_same_admission(res, sv, eps_factor, nullity=3, eps_rank=1e-2, thresh
         assert res.best is None
 
 
+def _non_admitted_sample(res, n=16) -> np.ndarray:
+    # up to n non-admitted rows, spread evenly over the grid
+    rows = np.flatnonzero(~res.admitted)
+    return rows[:: max(1, -(-rows.size // n))]
+
+
 def _check_per_point_svd_oracle(demo_system, monkeypatch, grid):
     # a small chunk makes the landscape cross chunk boundaries. Every grid
     # reads its landscape off eigenvalues and a shift, so each entry must
     # agree with a per-point assembly and SVD to 1e-10 relative, with the
-    # same ranks, admission and best point. Each admitted point, searched as
-    # a one-point grid at the same threshold, is admitted with its landscape
-    # row and a basis within 1e-12 rad of the SVD's
+    # same ranks, admission and best point. A point's base depends on the
+    # point and the stats alone, so each admitted point and a sample of the
+    # others, searched as a one-point grid at the same threshold, have the
+    # same landscape row, bit for bit, and the same admission; an admitted
+    # one comes with a basis within 1e-12 rad of the SVD's
     monkeypatch.setattr(estimator, "CHUNK_SIZE", 64)
     fin = aggregate(_noisy(demo_system, 200, seed=25), 2).finalize()
     res = grid_search(fin, grid, eps_sigma=1e-3, nullity=3, eps_mode="auto", eps_factor=5.0, input_rows=INPUT_ROWS)
@@ -101,12 +109,19 @@ def _check_per_point_svd_oracle(demo_system, monkeypatch, grid):
     sv = np.array([np.linalg.svd(M, compute_uv=False) for M in Ms])
     assert np.all(np.abs(res.singular_values - sv) <= 1e-10 * sv)
     _assert_same_admission(res, sv, 5.0)
-    for j in np.flatnonzero(res.admitted):
+
+    def one_point(j):
         one = grid_search(
             fin, tuple([v] for v in res.points[j]), eps_sigma=res.threshold, nullity=3, input_rows=INPUT_ROWS
         )
-        assert one.admitted[0]
-        cand = one.best
+        assert np.array_equal(one.singular_values[0], res.singular_values[j])
+        assert one.ranks[0] == res.ranks[j] and one.admitted[0] == res.admitted[j]
+        return one.best
+
+    for j in _non_admitted_sample(res):
+        assert one_point(j) is None
+    for j in np.flatnonzero(res.admitted):
+        cand = one_point(j)
         if cand.point == res.best.point:
             assert np.array_equal(cand.nullspace.basis, res.best.nullspace.basis)
         Vt = np.linalg.svd(Ms[j])[2]
@@ -367,30 +382,25 @@ class TestGridSearch:
     def test_uneven_split_grid_matches_per_point_svd_oracle(self, demo_system, monkeypatch):
         # second-moment axes of different length and spacing that share some
         # values (points with m2u == m2y) and some differences, and a
-        # one-point axis: one eigvalsh per (m1u, m2u - m2y, m1y) base, with
-        # differences that agree to rounding merged
+        # one-point axis: one eigvalsh per (m1u, delta, m1y) base, delta the
+        # difference m2u - m2y snapped to the quantum, so that differences
+        # which agree to rounding share a base
         m1, m2 = np.linspace(0.0, 1.5, 12), np.linspace(2.5, 7.0, 12)
         m2y = np.concatenate([m2[::2], [4.0, 5.2]])
         grid = (m1, m2, np.array([1.0]), m2y)
-        eigvalsh = np.linalg.eigvalsh
-        assembled = []
-
-        def counted(a):
-            assembled.append(a.shape[0])
-            return eigvalsh(a)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        sizes = TestSnappedDifferences._counted(monkeypatch)
         res = _check_per_point_svd_oracle(demo_system, monkeypatch, grid)
         assert (res.points[:, 1] == res.points[:, 3]).any()
-        merged = np.unique(np.round(m2[:, None] - m2y, 12)).size
-        assert merged < np.unique(m2[:, None] - m2y).size < m2.size * m2y.size
-        # the full grid's chunks, its admitted rows read again off their own
-        # differences, then one matrix per one-point grid
-        n_one = int(res.admitted.sum())
-        chunks = -(-m1.size * merged // (estimator.CHUNK_SIZE // 10))
-        assert sum(assembled[:chunks]) == m1.size * merged
-        assert sum(assembled[chunks : len(assembled) - n_one]) <= n_one
-        assert assembled[len(assembled) - n_one :] == [1] * n_one
+        fin = aggregate(_noisy(demo_system, 200, seed=25), 2).finalize()
+        snapped = np.unique(np.trunc((m2[:, None] - m2y) / _quantum(fin))).size
+        assert snapped < np.unique(m2[:, None] - m2y).size < m2.size * m2y.size
+        # the full grid's chunks and nothing else, then one matrix per
+        # one-point grid
+        n_one = int(res.admitted.sum()) + _non_admitted_sample(res).size
+        chunks = -(-m1.size * snapped // (estimator.CHUNK_SIZE // 10))
+        assert len(sizes) == chunks + n_one
+        assert sum(sizes[:chunks]) == m1.size * snapped
+        assert sizes[chunks:] == [1] * n_one
 
     def test_admission_rejects_more_than_nullity_below(self, demo_system):
         # the noiseless zero point has three singular values near zero: a
@@ -574,8 +584,18 @@ class TestPairCore:
         assert np.array_equal(estimator._assemble(fin, points, input_rows, core), want)
 
 
-class TestMergedDifferences:
-    """Split-grid bases merged by second-moment difference up to rounding."""
+def _quantum(fin) -> float:
+    # the power of two above GUARD_ULPS*eps*max|Gbar|/Nc, or the smallest
+    # subnormal when that is zero, by its definition
+    scale = estimator.GUARD_ULPS * np.finfo(float).eps * np.abs(fin.Gbar).max() / fin.Nc
+    if scale == 0.0:
+        return 2.0**-1074
+    q = 2.0 ** np.ceil(np.log2(scale))
+    return 2.0 * q if q == scale else q
+
+
+class TestSnappedDifferences:
+    """Split-grid bases at second-moment differences snapped to a quantum."""
 
     @staticmethod
     def _counted(monkeypatch) -> list:
@@ -589,57 +609,115 @@ class TestMergedDifferences:
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         return sizes
 
-    def test_true_point_on_a_merged_difference_goes_through_the_guard(self, demo_system, monkeypatch):
-        # 0.1 + 0.2 is one ulp above 0.3, so the differences 0.3 - (0.1 + 0.2)
-        # and 0.3 - 0.3 = 0 share one base, at the first of them: the true
-        # point (0, 0, 0, 0) is read off a base one ulp off its own
-        # difference. On noiseless data its three smallest values cancel to
-        # rounding level, so the guard must hand that row to the SVD, bitwise
+    @pytest.mark.parametrize("scale", [0.0, 2.0**-1074, 1e-300, 1e-20, 1.0, 220.0, 1e20, 1e300, 1.7e308])
+    def test_snap_is_exact_and_never_overflows(self, scale):
+        # differences from subnormal to the largest finite, against quanta
+        # from the smallest subnormal to near the largest finite: each is cut
+        # toward zero to a multiple of the quantum, by less than one quantum,
+        # with no overflow or invalid operation on the way
+        fin = FinalizedStats(Gbar=np.full((2, 2), scale), rbar=np.zeros(2), d=2, Nc=29, count=1)
+        mag = np.array([0.0, 5e-324, 1e-310, 1e-200, 1e-15, 0.3, 1.0, 5.0, 1e15, 1e200, 1.7e308, np.finfo(float).max])
+        diff = np.concatenate([mag, -mag, [0.1 + 0.2 - 0.3]])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            snapped = estimator._snap(fin, diff)
+        q = _quantum(fin)
+        assert np.all(np.isfinite(snapped))
+        assert np.all(np.abs(snapped) <= np.abs(diff)) and np.all(np.sign(snapped) * np.sign(diff) >= 0)
+        assert np.all(np.abs(diff - snapped) < q)
+        assert np.all(np.fmod(snapped, q) == 0.0)
+
+    def test_point_off_its_snapped_difference_goes_through_the_guard(self, demo_system, monkeypatch):
+        # on noiseless data the zero point's three smallest values cancel to
+        # rounding level. The point (0, x, 0, 0), x below one quantum, shares
+        # the zero point's base (delta 0) and its shift 0, but its own three
+        # smallest values differ from that base's by more than 1e-10 of
+        # themselves: the guard must hand its row to the SVD, bitwise
         fin = aggregate(_clean(demo_system, 40, seed=15), 2).finalize()
-        near = 0.1 + 0.2
-        assert near - 0.3 == np.spacing(0.3)
+        x = _quantum(fin) / 3
+        assert estimator._snap(fin, np.array([x]))[0] == 0.0
         sizes = self._counted(monkeypatch)
-        # nullity 2: the zero point, with three values below, is not admitted,
-        # so its row is the merged pass's
-        res = grid_search(fin, ([0.0], [0.0, 0.3], [0.0], [0.0, near]), eps_sigma=1e-8, nullity=2, input_rows=INPUT_ROWS)
-        assert sizes == [3]  # differences -near, 0.3 - near and 0, and 0.3
+        res = grid_search(fin, ([0.0], [0.0, x], [0.0], [0.0]), eps_sigma=1e-8, nullity=3, input_rows=INPUT_ROWS)
+        assert sizes == [1]
         sv = _svd_landscape(fin, res.points, INPUT_ROWS)
-        zero = np.flatnonzero((res.points == 0.0).all(axis=1))[0]
-        assert sv[zero, -3] < 1e-12 * sv[zero, 0]
-        assert not res.admitted[zero]
-        assert np.array_equal(res.singular_values[zero], sv[zero])
+        base = np.sort(np.abs(np.linalg.eigvalsh(assemble_M(fin, MomentPoint(0.0, 0.0, 0.0, 0.0), INPUT_ROWS))))[::-1]
+        assert np.any(np.abs(base - sv[1]) > 1e-10 * sv[1])
+        assert np.array_equal(res.singular_values, sv)
+
+    def test_distance_to_the_base_is_charged_to_the_guard(self, demo_system, monkeypatch):
+        # with differences snapped to 2**-20, far coarser than the quantum, a
+        # row read off its base is off by up to Nc*2**-20, far more than 1e-10
+        # of its smallest value and than its rounding bound. The distance
+        # Nc*|m2u - m2y - delta| charged to the guard sends those rows to the
+        # SVD, so every entry still agrees with it to 1e-10
+        fin = aggregate(_noisy(demo_system, 200, seed=25), 2).finalize()
+        step = 2.0**-20
+        monkeypatch.setattr(estimator, "_snap", lambda st, diff: np.trunc(diff / step) * step)
+        m1, m2 = np.linspace(0.0, 1.5, 4), np.linspace(2.5, 7.0, 6)
+        res = grid_search(fin, (m1, m2, m1, m2), eps_sigma=1e-3, nullity=3, input_rows=INPUT_ROWS)
+        sv = _svd_landscape(fin, res.points, INPUT_ROWS)
         assert np.all(np.abs(res.singular_values - sv) <= 1e-10 * sv)
+        # read off the bases alone, the rows would not agree
+        pt = res.points
+        bases = np.column_stack([pt[:, 0], np.trunc((pt[:, 1] - pt[:, 3]) / step) * step, pt[:, 2], np.zeros(len(pt))])
+        lam = np.linalg.eigvalsh(estimator._assemble(fin, bases, INPUT_ROWS))
+        read = np.sort(np.abs(lam - fin.Nc * pt[:, 3:]), axis=1)[:, ::-1]
+        assert np.any(np.abs(read - sv) > 1e-6 * sv)
 
     def test_long_run_of_differences_is_charged_to_the_guard(self, demo_system, monkeypatch):
-        # 2,000 values of m2u 16 ulps apart chain into one run 3.6e-11 wide:
-        # far along it, a row read off the run's first difference could be
-        # off by Nc times that, more than 1e-10 of its smallest value and
-        # far more than its rounding bound. The distance charged to the guard
-        # sends those rows to the SVD, so every entry agrees with it to 1e-10
+        # 2,000 values of m2u 16 ulps apart, a run 2.8e-11 wide, are cut at
+        # the multiples of the quantum: two values a base, 1,000 bases in
+        # chunks and no other eigvalsh. A row read off its base is off by
+        # less than Nc times one quantum, charged to the guard, so every
+        # entry agrees with the SVD to 1e-10
         fin = aggregate(_noisy(demo_system, 200, seed=25), 2).finalize()
         m2u = 5.0 + 16 * np.spacing(5.0) * np.arange(2000)
+        q = _quantum(fin)
+        assert 16 * np.spacing(5.0) == q / 2
         sizes = self._counted(monkeypatch)
         res = grid_search(fin, ([1.0], m2u, [1.0], [5.0]), eps_sigma=1e-3, nullity=3, input_rows=INPUT_ROWS)
-        assert sizes == [1]
+        per_chunk = estimator.CHUNK_SIZE // fin.d
+        assert np.unique(np.trunc((m2u - 5.0) / q)).size == 1000
+        assert sizes == [per_chunk, 1000 - per_chunk]
         sv = _svd_landscape(fin, res.points, INPUT_ROWS)
         assert np.all(np.abs(res.singular_values - sv) <= 1e-10 * sv)
 
     def test_reference_sized_split_grid_runs_on_15600_bases_in_process(self, demo_system, monkeypatch):
         # a 20^4 grid over the reference ranges: the m2u - m2y differences of
-        # two 20-point axes take 121 exact values, 39 up to rounding, so the
-        # search assembles 20 x 39 x 20 bases, in this process at any CPU count
+        # two 20-point axes take 121 exact values, 39 once snapped, so the
+        # search assembles 20 x 39 x 20 bases, in this process at any CPU
+        # count, and no eigvalsh follows their batches
         monkeypatch.setattr(lti_sim, "_cpus", lambda: 64)
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("a process was forked"))
         m1, m2 = np.linspace(0.0, 1.5, 20), np.linspace(2.5, 7.0, 20)
         assert np.unique(m2[:, None] - m2).size == 121
         fin = aggregate(_noisy(demo_system, 200, seed=25), 2).finalize()
+        assert np.unique(np.trunc((m2[:, None] - m2) / _quantum(fin))).size == 39
         sizes = self._counted(monkeypatch)
         res = grid_search(fin, (m1, m2, m1, m2), eps_sigma=1e-3, nullity=3, eps_mode="auto", input_rows=INPUT_ROWS)
         per_chunk = estimator.CHUNK_SIZE // fin.d
         chunks = -(-15_600 // per_chunk)
-        assert sizes[:chunks] == [per_chunk] * (chunks - 1) + [15_600 - per_chunk * (chunks - 1)]
-        # then the admitted rows, read again off their own differences
-        assert res.admitted.any() and sum(sizes[chunks:]) <= res.admitted.sum()
+        assert sizes == [per_chunk] * (chunks - 1) + [15_600 - per_chunk * (chunks - 1)]
+        assert res.admitted.any()
+
+    @pytest.mark.parametrize("kind", ["zero", "up", "down"])
+    def test_degenerate_and_extreme_stats_agree_with_per_point_svd(self, demo_system, kind):
+        # stats whose Gbar is all zeros, and the same stats in units 2**300
+        # larger or smaller (Gbar scaled by 2**600 or 2**-600, the grid's
+        # moments with it): a 4-axis grid still reads every landscape entry
+        # to 1e-10 of the per-point SVD
+        fin = aggregate(_noisy(demo_system, 200, seed=25), 2).finalize()
+        m1, m2 = np.linspace(0.0, 1.5, 4), np.linspace(2.5, 7.0, 5)
+        grid = [m1, m2, m1[::2], np.append(m2[::2], 0.0)]
+        if kind == "zero":
+            fin = FinalizedStats(Gbar=np.zeros_like(fin.Gbar), rbar=fin.rbar, d=fin.d, Nc=fin.Nc, count=fin.count)
+        else:
+            u = 2.0 ** (300 if kind == "up" else -300)
+            fin = FinalizedStats(Gbar=fin.Gbar * u * u, rbar=fin.rbar * u, d=fin.d, Nc=fin.Nc, count=fin.count)
+            grid = [a * (u if k % 2 == 0 else u * u) for k, a in enumerate(grid)]
+        res = grid_search(fin, grid, eps_sigma=1e-3, nullity=3, eps_mode="auto", input_rows=INPUT_ROWS)
+        sv = _svd_landscape(fin, res.points, INPUT_ROWS)
+        assert np.all(np.abs(res.singular_values - sv) <= 1e-10 * sv)
+        _assert_same_admission(res, sv, 2.0, threshold_rtol=1e-10)
 
 
 class TestWriters:
