@@ -22,6 +22,7 @@ from .estimator import (
     AXIS_NAMES,
     EPS_MODES,
     SubspaceBasis,
+    _check_axis_scale,
     grid_search,
     write_candidate_json,
     write_landscape_csv,
@@ -162,15 +163,19 @@ class ExperimentConfig:
 
     def axes(self) -> tuple:
         """The grid's axes. A grid whose landscape, d singular values a
-        point, cannot be mapped into memory raises, naming its point count."""
+        point, cannot be mapped into memory raises, naming its point count,
+        and so does one whose moments overflow the estimator's matrices at
+        Nc = N - L + 1 columns, naming the axis."""
         points = math.prod(int(n) for _, _, n in self.grid.values())
         try:
             # an anonymous mapping, dropped unwritten: it takes no memory and
             # leaves numpy's allocator as it was
             lti_sim._shared_empty((points, self.d))
-            return tuple(np.linspace(lo, hi, int(n)) for lo, hi, n in self.grid.values())
+            axes = tuple(np.linspace(lo, hi, int(n)) for lo, hi, n in self.grid.values())
         except (MemoryError, OSError, OverflowError, ValueError):  # the last two past the address space
             raise ValueError(f"a grid of {points} points does not fit in memory") from None
+        _check_axis_scale(axes, self.N - self.L + 1, self.d)
+        return axes
 
 
 def config_from_dict(obj: dict) -> ExperimentConfig:
@@ -360,14 +365,15 @@ def cmd_generate(cfg: ExperimentConfig, out_dir) -> int:
         cfg.system, cfg.Nt, cfg.N, cfg.L, cfg.x0_policy, rng,
         x0_halfwidth=cfg.x0_halfwidth,
     )
-    noisy = add_noise(clean, cfg.noise_u, cfg.noise_y, rng)
     t1 = time.perf_counter()
+    noisy = add_noise(clean, cfg.noise_u, cfg.noise_y, rng)
+    t2 = time.perf_counter()
     save_dataset(noisy, out / "dataset_noisy.jsonl")
     save_dataset(clean, out / "dataset_noiseless.jsonl")
-    t2 = time.perf_counter()
+    t3 = time.perf_counter()
     _write_manifest(
         out / "manifest.json", "generate", cfg,
-        {"generate_s": t1 - t0, "write_s": t2 - t1},
+        {"generate_s": t1 - t0, "noise_s": t2 - t1, "write_s": t3 - t2},
         {"noiseless": "dataset_noiseless.jsonl", "noisy": "dataset_noisy.jsonl"},
     )
     print(f"generated {cfg.Nt} experiments of length {cfg.N} into {out}")

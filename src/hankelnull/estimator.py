@@ -225,6 +225,25 @@ def _snap(st: FinalizedStats, diff: np.ndarray) -> np.ndarray:
     return np.where(small, np.trunc(np.where(small, diff, 0.0) / q) * q, diff)
 
 
+def _check_axis_scale(axes, Nc: float, d: int) -> None:
+    """Raise ValueError naming the first axis, in AXIS_NAMES order, whose
+    moments overflow the estimator's matrices at Nc columns and d rows.
+
+    An entry's correction is Nc*(2*mu**2 - nu) plus 2*mu*rbar, which is no
+    larger than Nc*mu**2 + Gbar[r, r] (Cauchy-Schwarz, then AM-GM), and d
+    times the largest entry bounds every eigenvalue and shift. So each axis
+    may take Nc*m2, or 2*Nc*m1**2 for a first moment, up to an eighth of the
+    largest double over d, and all four axes' parts stay finite together.
+    """
+    limit = np.finfo(float).max / (8 * d)
+    for name, a in zip(AXIS_NAMES[len(axes)], axes):
+        top = float(np.abs(a).max())
+        first = name.startswith("m1")
+        if not (2.0 * Nc * top * top if first else Nc * top) <= limit:
+            term = f"Nc*{name}**2" if first else f"Nc*{name}"
+            raise ValueError(f"grid axis {name!r} reaches {top:g}, where {term} (Nc={Nc:g}) overflows the estimator's matrices")
+
+
 def _mesh_points(axes) -> np.ndarray:
     """All points of a grid, (n, len(axes)), in row-major axis order."""
     return np.stack([g.reshape(-1) for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
@@ -283,6 +302,7 @@ def grid_search(
     for i, a in enumerate(axes):
         if not np.isfinite(a).all():
             raise ValueError(f"grid axis {i} has non-finite values")
+    _check_axis_scale(axes, st.Nc, st.d)
     if len(axes) == 4:
         if input_rows is None:
             raise ValueError("input_rows is required for a 4-axis grid")

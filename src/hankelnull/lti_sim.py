@@ -1,17 +1,22 @@
 """Discrete-time LTI simulation and noisy multi-experiment dataset generation.
 
 All randomness flows from a single root generator. Anything that touches
-several experiments derives one child stream per experiment index up front.
-generate_dataset spawns its Nt streams first, so a noiseless record i
-depends only on the root seed and i. add_noise spawns its streams from the
-same root afterwards, so the noise on record i also depends on how many
-streams were spawned before it, that is on the ensemble size: the first k
-records of a noisy ensemble are not the noisy k-record ensemble.
-Everything else runs as array code over the whole ensemble, or over blocks
-of BLOCK_SIZE records where a per-record temporary would otherwise grow
-with the ensemble. Dataset text I/O, which is bound by float formatting
-and parsing, runs in forked processes on a machine with more than one CPU
-when a file is big enough to repay the fork (see _processes). Writing and
+several experiments takes one child stream per experiment index, stream i
+drawing bitwise what the root's spawn would give as child i (see
+_RecordStreams). generate_dataset takes its Nt streams first, so a
+noiseless record i depends only on the root seed and i. add_noise takes its
+streams from the same root afterwards, so the noise on record i also
+depends on how many streams were taken before it, that is on the ensemble
+size: the first k records of a noisy ensemble are not the noisy k-record
+ensemble. A root on numpy's default PCG64 and SeedSequence has its child
+streams derived in one vectorized pass and reseeds one reused generator
+for each record, checking its first and last derived streams against the
+ones numpy builds; any other root spawns its children. Everything else
+runs as array code over the whole ensemble, or over blocks of BLOCK_SIZE
+records where a per-record temporary would otherwise grow with the
+ensemble. Dataset text I/O, which is bound by float formatting and
+parsing, runs in forked processes on a machine with more than one CPU when
+a file is big enough to repay the fork (see _processes). Writing and
 loading cut a file the same way, into parts of contiguous records (see
 _in_parts).
 """
@@ -25,6 +30,7 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import _coerce_to_uint32_array  # private; _RecordStreams checks its use
 
 from .hankel import pe_order_check
 
@@ -224,12 +230,13 @@ def generate_pe_input(N: int, m: int, order: int, rng: np.random.Generator, max_
 def add_noise(ds: Dataset, spec_u: NoiseSpec, spec_y: NoiseSpec, rng: np.random.Generator) -> Dataset:
     """Perturb every input and output sample by an independent draw.
 
-    Each experiment gets its own child stream, and within a stream the input
-    block is drawn before the output block, so corruption is reproducible and
-    independent across time, channels, experiments and the two signals.
+    Each experiment gets its own child stream (see _RecordStreams), and
+    within a stream the input block is drawn before the output block, so
+    corruption is reproducible and independent across time, channels,
+    experiments and the two signals.
     """
     U, Y = ds.U.copy(), ds.Y.copy()
-    for i, g in enumerate(rng.spawn(ds.Nt)):
+    for i, g in _RecordStreams(rng, ds.Nt):
         U[i] += spec_u.draw(g, U.shape[1:])
         Y[i] += spec_y.draw(g, Y.shape[1:])
     return Dataset(U, Y)
@@ -249,8 +256,9 @@ def generate_dataset(
     Every input is verified persistently exciting of order L + n. Initial
     states are zero or drawn uniformly from a hypercube of the given
     half-width, per policy. Record i draws its initial state, then its
-    input, from child stream i; an input that fails the excitation check is
-    redrawn from the same stream, up to MAX_TRIES draws in all.
+    input, from child stream i (see _RecordStreams); an input that fails the
+    excitation check is redrawn from the same stream, up to MAX_TRIES draws
+    in all.
     """
     if Nt < 1:
         raise ValueError("Nt must be >= 1")
@@ -259,17 +267,21 @@ def generate_dataset(
     order = L + ss.n
     if N < (ss.m + 1) * order - 1:
         raise ValueError(f"N={N} too short for excitation order L+n={order} with m={ss.m}; need N >= {(ss.m + 1) * order - 1}")
-    streams = rng.spawn(Nt)
     X0 = np.zeros((Nt, ss.n))
     U = np.empty((Nt, N, ss.m))
-    for i, g in enumerate(streams):
+
+    def first_draws(i: int, g) -> None:
         if x0_policy == "random-bounded":
             X0[i] = g.uniform(-x0_halfwidth, x0_halfwidth, ss.n)
         U[i] = g.standard_normal((N, ss.m))
+
+    streams = _RecordStreams(rng, Nt)
+    for i, g in streams:
+        first_draws(i, g)
     for a in range(0, Nt, BLOCK_SIZE):
         for i in a + np.flatnonzero(~pe_order_check(U[a : a + BLOCK_SIZE], order)):
             try:
-                U[i] = generate_pe_input(N, ss.m, order, streams[i], MAX_TRIES - 1)
+                U[i] = generate_pe_input(N, ss.m, order, streams.resume(i, first_draws), MAX_TRIES - 1)
             except RuntimeError:
                 raise RuntimeError(f"record {i}: no exciting input of order {order} found in {MAX_TRIES} draws") from None
     if Nt == 1:
@@ -278,6 +290,150 @@ def generate_dataset(
         # simulating the record twice keeps it the same at every ensemble size
         return Dataset(U, _simulate_batch(ss, np.repeat(X0, 2, axis=0), np.repeat(U, 2, axis=0))[:1])
     return Dataset(U, _simulate_batch(ss, X0, U))
+
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
+# PCG64's 128-bit LCG multiplier; _RecordStreams checks what it derives from
+# them against numpy on every call
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # hashmix, mixing entropy into the pool
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # hashmix, in generate_state
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715  # mix
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _hashmix(value, const: int, mult: int):
+    """SeedSequence's hashmix of a 32-bit word, a Python int or a uint32
+    array, under the running hash constant; returns the hash and the next
+    constant, const*mult."""
+    nxt = const * mult & _M32
+    value = (value ^ const) * nxt & _M32
+    return value ^ (value >> 16), nxt
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two 32-bit words, Python ints or uint32 arrays."""
+    r = ((_MIX_L * x & _M32) - (_MIX_R * y & _M32)) & _M32
+    return r ^ (r >> 16)
+
+
+def _pcg64_child(seq, k: int) -> np.random.PCG64:
+    """Child k of the SeedSequence seq on PCG64, built by numpy as spawn builds it."""
+    return np.random.PCG64(np.random.SeedSequence(seq.entropy, spawn_key=seq.spawn_key + (k,), pool_size=seq.pool_size))
+
+
+def _pcg64_states(seq, first: int, n: int) -> list:
+    """PCG64 states (state, inc), as Python ints, of children first to
+    first + n - 1 of the SeedSequence seq: what PCG64(child) sets up.
+
+    Child k's entropy is seq's, then its spawn key, then k, and only that
+    last word differs between children. So the pool is mixed once up to it
+    in Python ints, and k is mixed in, and the seed words generated, for all
+    n children at once as uint32 arrays.
+    """
+    P = seq.pool_size
+    run = _coerce_to_uint32_array(seq.entropy).tolist()
+    # a child's key is not empty, so its run entropy is padded to the pool size
+    words = run + [0] * (P - len(run)) + _coerce_to_uint32_array(seq.spawn_key).tolist()
+    const, pool = _INIT_A, []
+    for w in words[:P]:
+        h, const = _hashmix(w, const, _MULT_A)
+        pool.append(h)
+    for s in range(P):
+        for d in range(P):
+            if s != d:
+                h, const = _hashmix(pool[s], const, _MULT_A)
+                pool[d] = _mix(pool[d], h)
+    # the child index, last, as one array of every child's
+    for w in words[P:] + [(first + np.arange(n)).astype(np.uint32)]:
+        for d in range(P):
+            h, const = _hashmix(w, const, _MULT_A)
+            pool[d] = _mix(pool[d], h)
+    # generate_state(4, np.uint64): eight words cycling over the pool, then
+    # paired low word first into seed (hi, lo) and increment (hi, lo)
+    const, state = _INIT_B, []
+    for j in range(8):
+        h, const = _hashmix(pool[j % P], const, _MULT_B)
+        state.append(h.astype(np.uint64))
+    s_hi, s_lo, i_hi, i_lo = ((state[2 * j] | state[2 * j + 1] << np.uint64(32)).tolist() for j in range(4))
+    # pcg64_set_seed: inc = 2*seq + 1, state = (inc + seed)*MULT + inc
+    states = []
+    for a, b, c, e in zip(s_hi, s_lo, i_hi, i_lo):
+        inc = ((c << 64 | e) << 1 | 1) & _M128
+        states.append(((inc + (a << 64 | b)) * _PCG64_MULT + inc & _M128, inc))
+    return states
+
+
+class _RecordStreams:
+    """Child streams 0..n-1 of the root generator rng: stream i draws
+    bitwise what rng.spawn(n)[i] draws, and rng counts n more children
+    spawned, as spawn counts them, so the next call gets the next n.
+
+    Iterating yields (i, g) in record order. When rng is a numpy Generator
+    on PCG64 seeded by a numpy SeedSequence, the children's states are
+    derived in one pass (see _pcg64_states) and g is one Generator, reseeded
+    for each record and valid until the next pair, so no per-record
+    SeedSequence, PCG64 or Generator is built. The first and last states
+    are checked against streams numpy builds itself, and a mismatch, from a
+    numpy that seeds another way, raises RuntimeError before rng counts
+    anything, rather than changing any dataset.
+    Any other root (another bit generator, a seed sequence of another
+    kind, a duck-typed generator with only a spawn method) is served by
+    rng.spawn(n), and g is child i's own object.
+
+    numpy 2 pickles a bit generator's seed sequence with its state, so the
+    count is set by giving rng's bit generator a SeedSequence that has
+    counted the n children; another reference to the old one does not see
+    them. numpy 1.x pickles no seed sequence, and there the old one spawns
+    n children that are dropped.
+    """
+
+    def __init__(self, rng, n: int):
+        bg = getattr(rng, "bit_generator", None)
+        seq = getattr(bg, "seed_seq", None)
+        first = getattr(seq, "n_children_spawned", 0)
+        # a child index past 32 bits would take two words of the key
+        if type(bg) is not np.random.PCG64 or type(seq) is not np.random.SeedSequence or first + n > 1 << 32:
+            self.seq, self.own = None, rng.spawn(n)
+            return
+        self.states = _pcg64_states(seq, first, n)
+        self.seq, self.first = seq, first
+        self.bit_generator = _pcg64_child(seq, first)
+        for i in {0, n - 1}:
+            want = (self.bit_generator if i == 0 else _pcg64_child(seq, first + i)).state["state"]
+            if (want["state"], want["inc"]) != self.states[i]:
+                raise RuntimeError(
+                    f"numpy {np.__version__} seeds child stream {first + i} other than hankelnull derives it; "
+                    "the derived records would differ from rng.spawn's"
+                )
+        pickled = bg.__getstate__()
+        if isinstance(pickled, tuple):  # numpy 2 pickles the seed sequence with the state
+            counted = np.random.SeedSequence(seq.entropy, spawn_key=seq.spawn_key, pool_size=seq.pool_size, n_children_spawned=first + n)
+            bg.__setstate__((pickled[0], counted))
+        else:
+            seq.spawn(n)
+
+    def __iter__(self):
+        if self.seq is None:
+            yield from enumerate(self.own)
+            return
+        bg = self.bit_generator
+        g = np.random.Generator(bg)
+        for i, (state, inc) in enumerate(self.states):
+            bg.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+            yield i, g
+
+    def resume(self, i: int, replay):
+        """Stream i where iterating left it, after replay(i, g) made its draws.
+
+        A derived stream is built afresh by numpy and replay draws again from
+        it; a spawned one is child i's own object, already there.
+        """
+        if self.seq is None:
+            return self.own[i]
+        g = np.random.Generator(_pcg64_child(self.seq, self.first + i))
+        replay(i, g)
+        return g
 
 
 def random_system(n: int, m: int, p: int, rng: np.random.Generator, spectral_radius: float = 0.9) -> StateSpace:

@@ -95,7 +95,8 @@ class TestGenerate:
         assert manifest["command"] == "generate"
         assert manifest["config"]["Nt"] == 8
         assert manifest["config"]["noise"]["u"]["m2"] == 0.0
-        assert "generate_s" in manifest["timings"]
+        # the noiseless simulation and the noise are timed apart
+        assert {"generate_s", "noise_s", "write_s"} <= manifest["timings"].keys()
 
     def test_preset_with_overrides(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -500,6 +501,19 @@ class TestAggregateAndRecover:
         args = ["--dataset", str(gen_dir / "dataset_noisy.jsonl")] if command == "recover" else ["--Nt-list", "5", "--seeds", "0"]
         assert main([command, "--config", cfg_file, *flags, *args, "--out", str(out)]) == 3
         assert f"error: a grid of {points} points does not fit in memory" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--grid-m2", "0", "1e307", "3"], "grid axis 'm2' reaches 1e+307, where Nc*m2 (Nc=24) overflows"),
+        (["--grid-m1", "0", "1e160", "2"], "grid axis 'm1' reaches 1e+160, where Nc*m1**2 (Nc=24) overflows"),
+    ], ids=["m2", "m1"])
+    @pytest.mark.parametrize("command", ["recover", "sweep"])
+    def test_grid_that_overflows_is_config_error_before_out_exists(self, tmp_path, cfg_file, gen_dir, capsys, flags, message, command):
+        out = tmp_path / "o"
+        args = ["--dataset", str(gen_dir / "dataset_noisy.jsonl")] if command == "recover" else ["--Nt-list", "5", "--seeds", "0"]
+        assert main([command, "--config", cfg_file, *flags, *args, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_workers_key_of_old_manifests_is_ignored(self, tmp_path, cfg_file, gen_dir, capsys):

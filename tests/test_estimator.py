@@ -443,6 +443,30 @@ class TestGridSearch:
                     with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
                         grid_search(fin, ([0.0], [0.0]), **kw)
 
+    def test_moments_that_overflow_are_refused_naming_the_axis(self, demo_system):
+        # Nc = 29 and d = 10: an axis may take Nc*m2, or 2*Nc*m1**2, up to
+        # the largest double over 8*d
+        fin = aggregate(_clean(demo_system, 5, seed=23), 2).finalize()
+        limit = np.finfo(float).max / 80
+        m1, m2 = np.sqrt(limit / (2 * fin.Nc)), limit / fin.Nc
+        cases = [
+            (([0.0], [0.0, 1e307]), "m2"),  # Nc*m2 = 2.9e308
+            (([0.0, 1e160], [0.0]), "m1"),
+            (([0.0], [0.0], [0.0], [-1e308]), "m2y"),
+            (([0.0], [1e308], [0.0], [-1e308]), "m2u"),  # the first in axis order
+            (([0.0], [0.0, np.nextafter(m2, np.inf)]), "m2"),
+            (([0.0, np.nextafter(m1, np.inf)], [0.0]), "m1"),
+        ]
+        for grid, name in cases:
+            with pytest.raises(ValueError, match=f"grid axis '{name}' reaches .* overflows"):
+                grid_search(fin, grid, eps_sigma=1e-3, nullity=3, input_rows=INPUT_ROWS)
+        # the largest moments let through give a finite landscape, with no
+        # overflow on the way
+        with np.errstate(all="raise"):
+            for grid in [([-m1, m1], [-m2, m2]), ([-m1, m1], [-m2, m2], [m1, -m1], [m2, -m2])]:
+                res = grid_search(fin, grid, eps_sigma=1e-3, nullity=3, input_rows=INPUT_ROWS)
+                assert np.isfinite(res.singular_values).all()
+
 
 def _svd_landscape(fin, points, input_rows=None):
     # per-point assembly and SVD: the oracle for the eigenvalue landscape

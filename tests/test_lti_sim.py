@@ -324,6 +324,111 @@ def test_noise_matches_per_stream_draws(demo_system):
         assert np.array_equal(noisy.Y[i], ds.Y[i] + spec_y.draw(g, (20, 3)))
 
 
+# ---------------------------------------------------------------- record streams
+
+def _seq_root(entropy, spawn_key=(), pool_size=4, spawned=0):
+    seq = np.random.SeedSequence(entropy, spawn_key=spawn_key, pool_size=pool_size, n_children_spawned=spawned)
+    return np.random.Generator(np.random.PCG64(seq))
+
+
+@pytest.mark.parametrize("n", [1, 700])
+@pytest.mark.parametrize("root", [
+    {"entropy": 0},
+    {"entropy": 14},
+    {"entropy": 2**130 + 7},
+    {"entropy": [14, 3]},
+    {"entropy": [1, 2, 3, 4, 5, 6]},  # longer than the pool
+    {"entropy": None},
+    {"entropy": 14, "spawn_key": (3, 1)},  # a spawned child as root
+    {"entropy": 14, "pool_size": 8},
+    {"entropy": 14, "spawned": 5},  # a root that has spawned before
+], ids=["0", "14", "2**130+7", "[14,3]", "6-words", "None", "child", "pool-8", "spawned-5"])
+def test_derived_record_streams_equal_spawn_bitwise(root, n):
+    if root["entropy"] is None:  # fresh entropy from the OS, the same for both roots
+        root = {**root, "entropy": np.random.SeedSequence().entropy}
+    derived, spawned = _seq_root(**root), _seq_root(**root)
+    streams = lti_sim._RecordStreams(derived, n)
+    assert streams.seq is not None  # derived, not spawned
+    for (i, g), child in zip(streams, spawned.spawn(n), strict=True):
+        assert g.bit_generator.state == child.bit_generator.state
+        assert np.array_equal(g.standard_normal(7), child.standard_normal(7))
+    # the root counts the n children as spawn does, and its own state is untouched
+    assert derived.bit_generator.state == spawned.bit_generator.state
+    assert derived.bit_generator.seed_seq.n_children_spawned == spawned.bit_generator.seed_seq.n_children_spawned
+    assert derived.spawn(1)[0].bit_generator.state == spawned.spawn(1)[0].bit_generator.state
+
+
+def test_generation_and_noise_count_two_ensembles_of_children(demo_system):
+    rng = np.random.default_rng(14)
+    ds = generate_dataset(demo_system, 300, 20, 2, "random-bounded", rng)
+    spec = NoiseSpec("gaussian", 1.0, 5.0)
+    add_noise(ds, spec, spec, rng)
+    ref = np.random.default_rng(14)
+    ref.spawn(600)
+    assert rng.spawn(1)[0].bit_generator.state == ref.spawn(1)[0].bit_generator.state
+
+
+def test_other_bit_generators_keep_spawned_streams(demo_system):
+    def root():
+        return np.random.Generator(np.random.MT19937(5))
+
+    assert lti_sim._RecordStreams(root(), 3).seq is None  # served by spawn
+    rng = root()
+    ds = generate_dataset(demo_system, 40, 20, 2, "random-bounded", rng)
+    for i, (U, Y) in enumerate(_per_record_oracle(demo_system, 40, 20, 2, root())):
+        assert np.array_equal(ds.U[i], U)
+        assert np.abs(ds.Y[i] - Y).max() <= 1e-14 * np.abs(Y).max()
+    spec = NoiseSpec("uniform", 1.0, 5.0)
+    noisy = add_noise(ds, spec, spec, rng)
+    for i, g in enumerate(root().spawn(80)[40:]):
+        assert np.array_equal(noisy.U[i], ds.U[i] + spec.draw(g, (20, 2)))
+        assert np.array_equal(noisy.Y[i], ds.Y[i] + spec.draw(g, (20, 3)))
+
+
+def test_record_streams_refuse_a_seeding_they_do_not_reproduce(monkeypatch):
+    monkeypatch.setattr(lti_sim, "_PCG64_MULT", lti_sim._PCG64_MULT + 2)
+    rng = np.random.default_rng(14)
+    with pytest.raises(RuntimeError, match=f"numpy {re.escape(np.__version__)} seeds child stream 0 "):
+        lti_sim._RecordStreams(rng, 10)
+    assert rng.bit_generator.seed_seq.n_children_spawned == 0  # nothing counted
+
+
+def test_excitation_failure_redraws_from_derived_stream(demo_system, monkeypatch):
+    # the first screen of each block rejects records 3 and 600, one in each
+    real, screened = lti_sim.pe_order_check, []
+
+    def screen(U, order):
+        ok = real(U, order)
+        if U.ndim == 3:
+            a = lti_sim.BLOCK_SIZE * len(screened)
+            screened.append(a)
+            for i in (3, 600):
+                if a <= i < a + ok.size:
+                    ok[i - a] = False
+        return ok
+
+    monkeypatch.setattr(lti_sim, "pe_order_check", screen)
+    rng = np.random.default_rng(8)
+    ds = generate_dataset(demo_system, 700, 20, 2, "random-bounded", rng)
+    monkeypatch.undo()
+    assert screened == [0, 512]
+    ref = generate_dataset(demo_system, 700, 20, 2, "random-bounded", np.random.default_rng(8))
+    children = np.random.default_rng(8).spawn(700)
+    redrawn = np.isin(np.arange(700), [3, 600])
+    assert np.array_equal(ds.U[~redrawn], ref.U[~redrawn]) and np.array_equal(ds.Y[~redrawn], ref.Y[~redrawn])
+    for i in (3, 600):
+        g = children[i]
+        x0 = g.uniform(-1.0, 1.0, demo_system.n)
+        first = g.standard_normal((20, 2))
+        assert np.array_equal(ref.U[i], first)
+        # the retry is the stream's second input draw
+        assert np.array_equal(ds.U[i], g.standard_normal((20, 2)))
+        Y = simulate(demo_system, x0, ds.U[i])
+        assert np.abs(ds.Y[i] - Y).max() <= 1e-14 * np.abs(Y).max()
+    # the redraw counts no children on the root
+    assert rng.bit_generator.seed_seq.n_children_spawned == 700
+
+
 def test_dataset_indexing(demo_system):
     ds = generate_dataset(demo_system, 5, 20, 2, "zero", np.random.default_rng(13))
     assert ds[1:3].Nt == 2
