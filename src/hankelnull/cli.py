@@ -258,7 +258,10 @@ def _noise_spec(spec, field: str) -> NoiseSpec:
         family, m1, m2 = spec["family"], _parse(field, float, spec["m1"]), _parse(field, float, spec["m2"])
     except (TypeError, KeyError, ValueError, OverflowError):
         raise ValueError(f"{field} must be an object with a family and numbers m1, m2, got {spec!r}") from None
-    return NoiseSpec(family, m1, m2)
+    try:
+        return NoiseSpec(family, m1, m2)
+    except ValueError as err:
+        raise ValueError(f"{field}: {err}") from None
 
 
 def _parse(name: str, kind, value):

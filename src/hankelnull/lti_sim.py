@@ -11,14 +11,21 @@ size: the first k records of a noisy ensemble are not the noisy k-record
 ensemble. A root on numpy's default PCG64 and SeedSequence has its child
 streams derived in one vectorized pass and reseeds one reused generator
 for each record, checking its first and last derived streams against the
-ones numpy builds; any other root spawns its children. Everything else
-runs as array code over the whole ensemble, or over blocks of BLOCK_SIZE
-records where a per-record temporary would otherwise grow with the
-ensemble. Dataset text I/O, which is bound by float formatting and
-parsing, runs in forked processes on a machine with more than one CPU when
-a file is big enough to repay the fork (see _processes). Writing and
-loading cut a file the same way, into parts of contiguous records (see
-_in_parts).
+ones numpy builds; any other root spawns its children. A record makes one
+call per role on its stream, each writing standard draws into the
+record's preallocated row: uniforms for its initial state, normals for its
+input, then its noise (see add_noise). The scale and shift that numpy's
+uniform, normal and exponential would apply to each draw run afterwards
+once over the whole ensemble, so every value is bitwise numpy's own. A
+stream is therefore a numpy Generator, or an object whose random,
+standard_normal and standard_exponential methods take a Generator's size
+and out arguments. Everything else runs as array code over the whole
+ensemble, or over blocks of BLOCK_SIZE records where a per-record
+temporary would otherwise grow with the ensemble. Dataset text I/O, which
+is bound by float formatting and parsing, runs in forked processes on a
+machine with more than one CPU when a file is big enough to repay the fork
+(see _processes). Writing and loading cut a file the same way, into parts
+of contiguous records (see _in_parts).
 """
 
 import json
@@ -142,13 +149,34 @@ class Dataset:
         return self.Y.shape[2]
 
 
+def _uniform_span(m1: float, var: float) -> tuple:
+    """Low end and width of the uniform law with mean m1 and variance var:
+    the half-width w solves (2w)^2 / 12 = var, and numpy's uniform(low,
+    high) is low + (high - low)*u."""
+    w = math.sqrt(3.0 * var)
+    return m1 - w, (m1 + w) - (m1 - w)
+
+
+# family -> (standard draw, (loc, scale) from m1 and the variance): a draw is
+# loc + scale*z for z the Generator method's standard draws, bitwise numpy's
+# own normal, uniform and exponential (shifted by m1 - s; a shifted
+# exponential with scale s has mean shift + s and variance s^2)
+_NOISE_DRAWS = {
+    "gaussian": ("standard_normal", lambda m1, var: (m1, math.sqrt(var))),
+    "uniform": ("random", _uniform_span),
+    "shifted-exponential": ("standard_exponential", lambda m1, var: (m1 - math.sqrt(var), math.sqrt(var))),
+}
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """I.i.d. scalar noise family pinned down by its first two raw moments.
 
     m1 and m2 are raw moments, so the variance is m2 - m1**2. A zero-variance
     spec is allowed and means a deterministic offset of m1. All families have
-    finite moments of every order.
+    finite moments of every order. Moments that are not finite, and a
+    uniform spec whose endpoints lie too far apart for their difference to
+    be a double, raise ValueError naming the moment.
     """
 
     family: str
@@ -158,26 +186,38 @@ class NoiseSpec:
     def __post_init__(self):
         if self.family not in NOISE_FAMILIES:
             raise ValueError(f"unknown noise family {self.family!r}, expected one of {NOISE_FAMILIES}")
-        if self.m2 < self.m1 ** 2:
+        for name in ("m1", "m2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"noise moment {name}={getattr(self, name)} is not finite")
+        try:
+            negative = self.m2 < self.m1 ** 2
+        except OverflowError:  # m1**2 is past every finite m2
+            negative = True
+        if negative:
             raise ValueError(f"m2={self.m2} implies negative variance for m1={self.m1}")
+        if not math.isfinite(self.standard_form[2]):
+            raise ValueError(f"m2={self.m2} puts the {self.family} endpoints too far apart: their difference overflows")
 
     @property
     def variance(self) -> float:
         return self.m2 - self.m1 ** 2
 
-    def draw(self, rng: np.random.Generator, shape) -> np.ndarray:
+    @property
+    def standard_form(self) -> tuple:
+        """(standard draw, loc, scale): a draw is loc + scale*z for z the
+        standard draws of the Generator method so named. A zero-variance
+        spec draws nothing: (None, m1, 0.0)."""
         var = self.variance
         if var == 0.0:
-            return np.full(shape, self.m1)
-        if self.family == "gaussian":
-            return rng.normal(self.m1, math.sqrt(var), shape)
-        if self.family == "uniform":
-            # half-width w solves (2w)^2 / 12 = var
-            w = math.sqrt(3.0 * var)
-            return rng.uniform(self.m1 - w, self.m1 + w, shape)
-        # shifted exponential with scale s has mean shift+s and variance s^2
-        s = math.sqrt(var)
-        return (self.m1 - s) + rng.exponential(s, shape)
+            return None, self.m1, 0.0
+        method, affine = _NOISE_DRAWS[self.family]
+        return (method, *affine(self.m1, var))
+
+    def draw(self, rng: np.random.Generator, shape) -> np.ndarray:
+        method, loc, scale = self.standard_form
+        if method is None:
+            return np.full(shape, loc)
+        return loc + scale * getattr(rng, method)(shape)
 
 
 def _simulate_batch(ss: StateSpace, X0: np.ndarray, U: np.ndarray) -> np.ndarray:
@@ -234,12 +274,38 @@ def add_noise(ds: Dataset, spec_u: NoiseSpec, spec_y: NoiseSpec, rng: np.random.
     within a stream the input block is drawn before the output block, so
     corruption is reproducible and independent across time, channels,
     experiments and the two signals.
+
+    A record's standard draws (see NoiseSpec.standard_form) go straight into
+    its row of the output: one call over both channels when their families
+    share a standard draw, else one per channel, and none for a
+    zero-variance channel. Then each channel is scaled, shifted and added
+    to the clean samples over the whole ensemble, one IEEE operation a step,
+    so every sample is bitwise clean + (loc + scale*z). U and Y are views of
+    one (Nt, N*(m + p)) array.
     """
-    U, Y = ds.U.copy(), ds.Y.copy()
-    for i, g in _RecordStreams(rng, ds.Nt):
-        U[i] += spec_u.draw(g, U.shape[1:])
-        Y[i] += spec_y.draw(g, Y.shape[1:])
-    return Dataset(U, Y)
+    Nt, N = ds.Nt, ds.N
+    Z = np.empty((Nt, N * (ds.m + ds.p)))
+    forms = spec_u.standard_form, spec_y.standard_form
+    channels = list(zip((Z[:, : N * ds.m], Z[:, N * ds.m :]), forms, (ds.U, ds.Y)))
+    if forms[0][0] == forms[1][0]:
+        calls = [(forms[0][0], Z)]
+    else:
+        calls = [(draw, rows) for rows, (draw, _, _), _ in channels]
+    calls = [(draw, rows) for draw, rows in calls if draw is not None]
+    for i, g in _RecordStreams(rng, Nt):
+        for draw, rows in calls:
+            getattr(g, draw)(out=rows[i])
+    noisy = []
+    for rows, (draw, loc, scale), clean in channels:
+        out = rows.reshape(clean.shape)  # a view: each record's channel is contiguous
+        if draw is None:
+            out[...] = loc
+        else:
+            out *= scale
+            out += loc
+        out += clean
+        noisy.append(out)
+    return Dataset(*noisy)
 
 
 def generate_dataset(
@@ -267,13 +333,18 @@ def generate_dataset(
     order = L + ss.n
     if N < (ss.m + 1) * order - 1:
         raise ValueError(f"N={N} too short for excitation order L+n={order} with m={ss.m}; need N >= {(ss.m + 1) * order - 1}")
+    bounded = x0_policy == "random-bounded"
+    if bounded:
+        lo, hi = -float(x0_halfwidth), float(x0_halfwidth)
+        if not 0.0 <= hi - lo < math.inf:
+            raise ValueError(f"x0_halfwidth={x0_halfwidth} must be non-negative with 2*x0_halfwidth a finite double")
     X0 = np.zeros((Nt, ss.n))
     U = np.empty((Nt, N, ss.m))
 
     def first_draws(i: int, g) -> None:
-        if x0_policy == "random-bounded":
-            X0[i] = g.uniform(-x0_halfwidth, x0_halfwidth, ss.n)
-        U[i] = g.standard_normal((N, ss.m))
+        if bounded:
+            g.random(out=X0[i])
+        g.standard_normal(out=U[i])
 
     streams = _RecordStreams(rng, Nt)
     for i, g in streams:
@@ -284,6 +355,11 @@ def generate_dataset(
                 U[i] = generate_pe_input(N, ss.m, order, streams.resume(i, first_draws), MAX_TRIES - 1)
             except RuntimeError:
                 raise RuntimeError(f"record {i}: no exciting input of order {order} found in {MAX_TRIES} draws") from None
+    if bounded:
+        # after any replay, which draws the standard uniforms again: numpy's
+        # uniform(lo, hi) is lo + (hi - lo)*u
+        X0 *= hi - lo
+        X0 += lo
     if Nt == 1:
         # a one-row batch takes numpy's matrix-vector product, which rounds
         # differently from the matrix-matrix product of larger batches;

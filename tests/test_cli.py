@@ -701,6 +701,27 @@ class TestConfigFields:
         assert cause in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("noise, cause", [
+        ({"family": "gaussian", "m1": float("nan"), "m2": 1.0}, "noise: noise moment m1=nan is not finite"),
+        ({"family": "gaussian", "m1": 1.0, "m2": float("inf")}, "noise: noise moment m2=inf is not finite"),
+        ({"family": "uniform", "m1": 0.0, "m2": 1e308}, "noise: m2=1e+308 puts the uniform endpoints too far apart"),
+        (dict(SPLIT_NOISE, y={"family": "gaussian", "m1": float("nan"), "m2": 1.0}), "noise.y: noise moment m1=nan is not finite"),
+    ])
+    def test_bad_noise_moment_is_config_error_before_out_exists(self, tmp_path, capsys, noise, cause):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(SMALL_CONFIG, noise=noise)))  # NaN and Infinity, as Python's json writes them
+        out = tmp_path / "o"
+        assert main(["generate", "--config", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert cause in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_bad_noise_flag_is_config_error_before_out_exists(self, tmp_path, cfg_file, capsys):
+        out = tmp_path / "o"
+        assert main(["generate", "--config", cfg_file, "--noise-m2", "nan", "--out", str(out)]) == 3
+        assert "noise: noise moment m2=nan is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_legacy_keys_are_accepted(self):
         # perfbench's split-grid config holds only moment_mode and grid
         cfg = config_from_dict(dict(PRESETS["reference"], moment_mode="distinct", grid=DISTINCT_GRID, workers=4))

@@ -31,6 +31,7 @@ from hankelnull import (
     simulate,
 )
 from hankelnull.cli import PRESETS, config_from_dict
+from hankelnull.lti_sim import NOISE_FAMILIES
 
 # dataset I/O forks on Linux only; the tests that force a CPU count above 1 need that
 forks = pytest.mark.skipif(sys.platform != "linux", reason="dataset I/O forks on Linux only")
@@ -149,6 +150,38 @@ def test_noise_spec_validation():
         NoiseSpec("poisson", 0.0, 1.0)
 
 
+@pytest.mark.parametrize("family, m1, m2, cause", [
+    ("gaussian", math.nan, 1.0, "noise moment m1=nan is not finite"),
+    ("gaussian", 1.0, math.inf, "noise moment m2=inf is not finite"),
+    ("shifted-exponential", -math.inf, 1.0, "noise moment m1=-inf is not finite"),
+    ("uniform", 0.0, math.nan, "noise moment m2=nan is not finite"),
+    ("uniform", 0.0, 1e308, "m2=1e+308 puts the uniform endpoints too far apart"),
+    ("gaussian", 1e200, 1e300, "implies negative variance"),  # m1**2 overflows
+])
+def test_noise_spec_refuses_bad_moments(family, m1, m2, cause):
+    with pytest.raises(ValueError, match=re.escape(cause)):
+        NoiseSpec(family, m1, m2)
+
+
+def test_largest_accepted_moments_draw_finite_noise():
+    for spec in (NoiseSpec("uniform", 0.0, 5e307), NoiseSpec("gaussian", 0.0, 1e308), NoiseSpec("shifted-exponential", 0.0, 1e308)):
+        assert np.isfinite(spec.draw(np.random.default_rng(0), 1000)).all()
+
+
+@pytest.mark.parametrize("m1, m2", [(1.0, 5.0), (-0.5, 2.0), (0.3, 0.0900001)])
+def test_draw_is_numpys_own_formula_bitwise(m1, m2):
+    var = m2 - m1 ** 2
+    sd, w, s = math.sqrt(var), math.sqrt(3.0 * var), math.sqrt(var)
+    literal = {
+        "gaussian": lambda rng: rng.normal(m1, sd, (300, 7)),
+        "uniform": lambda rng: rng.uniform(m1 - w, m1 + w, (300, 7)),
+        "shifted-exponential": lambda rng: (m1 - s) + rng.exponential(s, (300, 7)),
+    }
+    for family, want in literal.items():
+        got = NoiseSpec(family, m1, m2).draw(np.random.default_rng(3), (300, 7))
+        assert got.tobytes() == want(np.random.default_rng(3)).tobytes(), family
+
+
 def test_zero_noise_is_identity(demo_system):
     rng = np.random.default_rng(3)
     ds = generate_dataset(demo_system, 3, 20, 2, "zero", rng)
@@ -253,19 +286,23 @@ def test_prefix_of_big_ensemble_is_the_small_ensemble(demo_system):
 
 
 class _FirstDrawsZero:
-    """Child stream whose first `zeros` standard-normal draws are all zero."""
+    """Child stream whose first `zeros` standard-normal draws are all zero
+    and consume nothing; its methods take a Generator's size and out."""
 
     def __init__(self, g, zeros):
         self.g, self.zeros = g, zeros
 
-    def uniform(self, lo, hi, size):
-        return self.g.uniform(lo, hi, size)
+    def random(self, size=None, out=None):
+        return self.g.random(size, out=out)
 
-    def standard_normal(self, shape):
+    def standard_normal(self, size=None, out=None):
         if self.zeros > 0:
             self.zeros -= 1
-            return np.zeros(shape)
-        return self.g.standard_normal(shape)
+            if out is None:
+                return np.zeros(size)
+            out[...] = 0.0
+            return out
+        return self.g.standard_normal(size, out=out)
 
 
 class _RootWithBadStreams:
@@ -322,6 +359,67 @@ def test_noise_matches_per_stream_draws(demo_system):
     for i, g in enumerate(np.random.default_rng(12).spawn(600)):
         assert np.array_equal(noisy.U[i], ds.U[i] + spec_u.draw(g, (20, 2)))
         assert np.array_equal(noisy.Y[i], ds.Y[i] + spec_y.draw(g, (20, 3)))
+
+
+def _numpy_noise(g, spec, shape):
+    """spec's noise drawn from g with numpy's own normal, uniform and exponential."""
+    var = spec.m2 - spec.m1 ** 2
+    if var == 0.0:
+        return np.full(shape, spec.m1)
+    if spec.family == "gaussian":
+        return g.normal(spec.m1, math.sqrt(var), shape)
+    if spec.family == "uniform":
+        w = math.sqrt(3.0 * var)
+        return g.uniform(spec.m1 - w, spec.m1 + w, shape)
+    s = math.sqrt(var)
+    return (spec.m1 - s) + g.exponential(s, shape)
+
+
+_MOMENTS = {"gaussian": (1.0, 5.0), "uniform": (-0.5, 2.0), "shifted-exponential": (0.3, 1.0)}
+
+
+def _noise_pair(u, y):
+    """Specs for the two channels; "zero" is a zero-variance spec of the
+    other channel's family, so that no draw is made on that side even when
+    the families match."""
+    def spec(kind, other):
+        if kind == "zero":
+            return NoiseSpec(other if other != "zero" else "gaussian", 0.5, 0.25)
+        return NoiseSpec(kind, *_MOMENTS[kind])
+
+    return spec(u, y), spec(y, u)
+
+
+@pytest.mark.parametrize("Nt", [1, 7, 600])  # 600 crosses BLOCK_SIZE
+@pytest.mark.parametrize("y", [*NOISE_FAMILIES, "zero"])
+@pytest.mark.parametrize("u", [*NOISE_FAMILIES, "zero"])
+def test_add_noise_matches_numpys_own_draws_per_record(demo_system, u, y, Nt):
+    spec_u, spec_y = _noise_pair(u, y)
+    ds = generate_dataset(demo_system, Nt, 20, 2, "random-bounded", np.random.default_rng(11))
+    noisy = add_noise(ds, spec_u, spec_y, np.random.default_rng(12))
+    for i, g in enumerate(np.random.default_rng(12).spawn(Nt)):
+        assert noisy.U[i].tobytes() == (ds.U[i] + _numpy_noise(g, spec_u, (20, 2))).tobytes()
+        assert noisy.Y[i].tobytes() == (ds.Y[i] + _numpy_noise(g, spec_y, (20, 3))).tobytes()
+
+
+@pytest.mark.parametrize("halfwidth", [0.7, 3.0])
+def test_generate_dataset_initial_states_match_per_record_oracle(demo_system, halfwidth):
+    # full state output with D = 0: each record's first output is its x0, exactly
+    ds = generate_dataset(demo_system, 600, 20, 2, "random-bounded", np.random.default_rng(21), x0_halfwidth=halfwidth)
+    for i, (U, Y) in enumerate(_per_record_oracle(demo_system, 600, 20, 2, 21, halfwidth=halfwidth)):
+        assert np.array_equal(ds.U[i], U)
+        assert ds.Y[i, 0].tobytes() == Y[0].tobytes()
+        assert np.abs(ds.Y[i] - Y).max() <= 1e-14 * np.abs(Y).max()
+
+
+@pytest.mark.parametrize("halfwidth", [-1.0, 1e308, math.nan, math.inf])
+def test_generate_dataset_refuses_a_bad_halfwidth_before_drawing(demo_system, halfwidth):
+    rng = np.random.default_rng(21)
+    with pytest.raises(ValueError, match="x0_halfwidth"):
+        generate_dataset(demo_system, 5, 20, 2, "random-bounded", rng, x0_halfwidth=halfwidth)
+    assert rng.bit_generator.seed_seq.n_children_spawned == 0
+    # the zero policy reads no half-width
+    generate_dataset(demo_system, 5, 20, 2, "zero", rng, x0_halfwidth=halfwidth)
 
 
 # ---------------------------------------------------------------- record streams
