@@ -139,6 +139,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be one of {kind}, got {value!r}")
             if kind is float and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+        if not 0.0 <= 2.0 * self.x0_halfwidth < math.inf:
+            raise ValueError(f"x0_halfwidth={self.x0_halfwidth} must be non-negative with 2*x0_halfwidth a finite double")
         for name, (lo, hi, points) in self.grid.items():
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise ValueError(f"grid axis {name!r} needs finite bounds, got [{lo}, {hi}]")

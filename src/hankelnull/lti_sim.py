@@ -14,7 +14,7 @@ for each record, checking its first and last derived streams against the
 ones numpy builds; any other root spawns its children. A record makes one
 call per role on its stream, each writing standard draws into the
 record's preallocated row: uniforms for its initial state, normals for its
-input, then its noise (see add_noise). The scale and shift that numpy's
+input, then the noise of each channel (see add_noise). The scale and shift that numpy's
 uniform, normal and exponential would apply to each draw run afterwards
 once over the whole ensemble, so every value is bitwise numpy's own. A
 stream is therefore a numpy Generator, or an object whose random,
@@ -276,22 +276,16 @@ def add_noise(ds: Dataset, spec_u: NoiseSpec, spec_y: NoiseSpec, rng: np.random.
     experiments and the two signals.
 
     A record's standard draws (see NoiseSpec.standard_form) go straight into
-    its row of the output: one call over both channels when their families
-    share a standard draw, else one per channel, and none for a
-    zero-variance channel. Then each channel is scaled, shifted and added
-    to the clean samples over the whole ensemble, one IEEE operation a step,
-    so every sample is bitwise clean + (loc + scale*z). U and Y are views of
-    one (Nt, N*(m + p)) array.
+    its row of the output: one call per channel, none for a zero-variance
+    channel. Then each channel is scaled, shifted and added to the clean
+    samples over the whole ensemble, one IEEE operation a step, so every
+    sample is bitwise clean + (loc + scale*z). U and Y are views of one
+    (Nt, N*(m + p)) array.
     """
     Nt, N = ds.Nt, ds.N
     Z = np.empty((Nt, N * (ds.m + ds.p)))
-    forms = spec_u.standard_form, spec_y.standard_form
-    channels = list(zip((Z[:, : N * ds.m], Z[:, N * ds.m :]), forms, (ds.U, ds.Y)))
-    if forms[0][0] == forms[1][0]:
-        calls = [(forms[0][0], Z)]
-    else:
-        calls = [(draw, rows) for rows, (draw, _, _), _ in channels]
-    calls = [(draw, rows) for draw, rows in calls if draw is not None]
+    channels = list(zip((Z[:, : N * ds.m], Z[:, N * ds.m :]), (spec_u.standard_form, spec_y.standard_form), (ds.U, ds.Y)))
+    calls = [(draw, rows) for rows, (draw, _, _), _ in channels if draw is not None]
     for i, g in _RecordStreams(rng, Nt):
         for draw, rows in calls:
             getattr(g, draw)(out=rows[i])

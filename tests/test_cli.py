@@ -722,6 +722,14 @@ class TestConfigFields:
         assert "noise: noise moment m2=nan is not finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("halfwidth", ["-1", "1e308"])
+    def test_bad_halfwidth_is_config_error_before_out_exists(self, tmp_path, cfg_file, capsys, halfwidth):
+        out = tmp_path / "o"
+        assert main(["generate", "--config", cfg_file, "--x0-halfwidth", halfwidth, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "must be non-negative with 2*x0_halfwidth a finite double" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_legacy_keys_are_accepted(self):
         # perfbench's split-grid config holds only moment_mode and grid
         cfg = config_from_dict(dict(PRESETS["reference"], moment_mode="distinct", grid=DISTINCT_GRID, workers=4))

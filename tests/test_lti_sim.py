@@ -352,15 +352,6 @@ def test_reference_data_match_the_svd_rule_bitwise(monkeypatch, Nt):
         assert got.Y.tobytes() == want.Y.tobytes()
 
 
-def test_noise_matches_per_stream_draws(demo_system):
-    ds = generate_dataset(demo_system, 600, 20, 2, "zero", np.random.default_rng(11))
-    spec_u, spec_y = NoiseSpec("shifted-exponential", 1.0, 5.0), NoiseSpec("gaussian", -0.5, 2.0)
-    noisy = add_noise(ds, spec_u, spec_y, np.random.default_rng(12))
-    for i, g in enumerate(np.random.default_rng(12).spawn(600)):
-        assert np.array_equal(noisy.U[i], ds.U[i] + spec_u.draw(g, (20, 2)))
-        assert np.array_equal(noisy.Y[i], ds.Y[i] + spec_y.draw(g, (20, 3)))
-
-
 def _numpy_noise(g, spec, shape):
     """spec's noise drawn from g with numpy's own normal, uniform and exponential."""
     var = spec.m2 - spec.m1 ** 2
@@ -393,7 +384,7 @@ def _noise_pair(u, y):
 @pytest.mark.parametrize("Nt", [1, 7, 600])  # 600 crosses BLOCK_SIZE
 @pytest.mark.parametrize("y", [*NOISE_FAMILIES, "zero"])
 @pytest.mark.parametrize("u", [*NOISE_FAMILIES, "zero"])
-def test_add_noise_matches_numpys_own_draws_per_record(demo_system, u, y, Nt):
+def test_noise_matches_per_stream_draws(demo_system, u, y, Nt):
     spec_u, spec_y = _noise_pair(u, y)
     ds = generate_dataset(demo_system, Nt, 20, 2, "random-bounded", np.random.default_rng(11))
     noisy = add_noise(ds, spec_u, spec_y, np.random.default_rng(12))
