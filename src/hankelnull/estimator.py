@@ -39,7 +39,6 @@ in the calling process.
 """
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 
@@ -439,6 +438,4 @@ def write_landscape_csv(result: GridResult, path) -> None:
 def write_candidate_json(cand: Candidate, path) -> None:
     """Write a candidate as JSON: its coordinates by axis name, sigma_min and null space rows."""
     obj = {**cand.coords, "sigma_min": cand.sigma_min, "nullspace": cand.nullspace.basis.tolist()}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh)
-        fh.write("\n")
+    lti_sim._dump_json(obj, path)

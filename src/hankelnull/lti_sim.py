@@ -601,6 +601,13 @@ def _load_json(path):
         raise json.JSONDecodeError(f"{path}: {err.msg}", err.doc, err.pos) from None
 
 
+def _dump_json(obj, path, indent=None) -> None:
+    """Write a JSON value to a file, ending in a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=indent)
+        fh.write("\n")
+
+
 def _positive_int(path, field: str, value) -> int:
     """A JSON count as an int; 4.0 reads as 4. A bool, a string, a number
     that is not integral or one below 1 raises, naming the file and field."""

@@ -7,13 +7,12 @@ plus the experiment count, which is what makes the grid search cost
 independent of the ensemble size.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .hankel import stacked_hankel
-from .lti_sim import BLOCK_SIZE, _load_json, _number_array, _positive_int
+from .lti_sim import BLOCK_SIZE, _dump_json, _load_json, _number_array, _positive_int
 
 __all__ = [
     "SufficientStats",
@@ -101,9 +100,7 @@ def save_stats(st: SufficientStats, path) -> None:
     json writes each float by repr, which reads back bitwise, -0.0 included.
     """
     obj = {"d": st.d, "Nc": st.Nc, "count": st.count, "G": st.G.reshape(-1).tolist(), "rowsum": st.rowsum.tolist()}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh)
-        fh.write("\n")
+    _dump_json(obj, path)
 
 
 def load_stats(path) -> SufficientStats:

@@ -516,6 +516,21 @@ class TestAggregateAndRecover:
         assert f"error: {message}" in err and "Traceback" not in err
         assert not out.exists()
 
+    # checks that only the library makes: the excitation bound N >= 14 at
+    # n = 3, m = 2, L = 2, and the nullity p*L - n, 0 at L = 1
+    @pytest.mark.parametrize("command, flags, cause", [
+        ("generate", ["--N", "8"], "N=8 too short for excitation order L+n=5 with m=2; need N >= 14"),
+        ("sweep", ["--N", "8", "--Nt-list", "5", "--seeds", "0"], "N=8 too short for excitation order L+n=5 with m=2; need N >= 14"),
+        ("recover", ["--L", "1", "--dataset", None], "nullity must be in [1, 4], got 0"),
+    ], ids=["generate", "sweep", "recover"])
+    def test_library_input_error_is_found_before_out_exists(self, tmp_path, cfg_file, gen_dir, capsys, command, flags, cause):
+        flags = [str(gen_dir / "dataset_noisy.jsonl") if f is None else f for f in flags]
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg_file, *flags, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"error: {cause}" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_workers_key_of_old_manifests_is_ignored(self, tmp_path, cfg_file, gen_dir, capsys):
         old = dict(SMALL_CONFIG, workers=4)
         path = tmp_path / "old.json"
