@@ -262,14 +262,15 @@ def _noise_spec(spec, field: str) -> NoiseSpec:
 
 
 def _parse(name: str, kind, value):
-    """A scalar value as its kind. A number is not a bool, and an int is integral.
+    """A scalar value as its kind. A number is not a bool or a string, and
+    an int is integral.
 
     A string kind is left to ExperimentConfig to check against its choices.
     """
     if isinstance(kind, tuple):
         return str(value)
     bad = f"{name} must be {'an integer' if kind is int else 'a number'}, got {value!r}"
-    if isinstance(value, bool):
+    if isinstance(value, (bool, str)):
         raise ValueError(bad)
     try:
         number = kind(value)

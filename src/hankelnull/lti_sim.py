@@ -9,23 +9,22 @@ streams from the same root afterwards, so the noise on record i also
 depends on how many streams were taken before it, that is on the ensemble
 size: the first k records of a noisy ensemble are not the noisy k-record
 ensemble. A root on numpy's default PCG64 and SeedSequence has its child
-streams derived in one vectorized pass and reseeds one reused generator
-for each record, checking its first and last derived streams against the
-ones numpy builds; any other root spawns its children. A record makes one
-call per role on its stream, each writing standard draws into the
-record's preallocated row: uniforms for its initial state, normals for its
-input, then the noise of each channel (see add_noise). The scale and shift that numpy's
-uniform, normal and exponential would apply to each draw run afterwards
-once over the whole ensemble, so every value is bitwise numpy's own. A
-stream is therefore a numpy Generator, or an object whose random,
-standard_normal and standard_exponential methods take a Generator's size
-and out arguments. Everything else runs as array code over the whole
-ensemble, or over blocks of BLOCK_SIZE records where a per-record
-temporary would otherwise grow with the ensemble. Dataset text I/O, which
-is bound by float formatting and parsing, runs in forked processes on a
-machine with more than one CPU when a file is big enough to repay the fork
-(see _processes). Writing and loading cut a file the same way, into parts
-of contiguous records (see _in_parts).
+streams derived from its own pool in one vectorized pass, and one reused
+generator, reseeded for each record, makes the caller's list of draws:
+one call per role, each writing standard draws into the record's
+preallocated row (uniforms for its initial state, normals for its input,
+then each channel's noise). Any other root spawns its children. The scale
+and shift that numpy's uniform, normal and exponential would apply to
+each draw run afterwards once over the whole ensemble, so every value is
+bitwise numpy's own. A stream is therefore a numpy Generator, or an
+object whose random, standard_normal and standard_exponential methods
+take a Generator's size and out arguments. Everything else runs as array
+code over the whole ensemble, or over blocks of BLOCK_SIZE records where
+a per-record temporary would otherwise grow with the ensemble. Dataset
+text I/O, which is bound by float formatting and parsing, runs in forked
+processes on a machine with more than one CPU when a file is big enough
+to repay the fork (see _processes). Writing and loading cut a file the
+same way, into parts of contiguous records (see _in_parts).
 """
 
 import json
@@ -285,10 +284,7 @@ def add_noise(ds: Dataset, spec_u: NoiseSpec, spec_y: NoiseSpec, rng: np.random.
     Nt, N = ds.Nt, ds.N
     Z = np.empty((Nt, N * (ds.m + ds.p)))
     channels = list(zip((Z[:, : N * ds.m], Z[:, N * ds.m :]), (spec_u.standard_form, spec_y.standard_form), (ds.U, ds.Y)))
-    calls = [(draw, rows) for rows, (draw, _, _), _ in channels if draw is not None]
-    for i, g in _RecordStreams(rng, Nt):
-        for draw, rows in calls:
-            getattr(g, draw)(out=rows[i])
+    _RecordStreams(rng, Nt, [(draw, rows) for rows, (draw, _, _), _ in channels if draw is not None])
     noisy = []
     for rows, (draw, loc, scale), clean in channels:
         out = rows.reshape(clean.shape)  # a view: each record's channel is contiguous
@@ -334,19 +330,11 @@ def generate_dataset(
             raise ValueError(f"x0_halfwidth={x0_halfwidth} must be non-negative with 2*x0_halfwidth a finite double")
     X0 = np.zeros((Nt, ss.n))
     U = np.empty((Nt, N, ss.m))
-
-    def first_draws(i: int, g) -> None:
-        if bounded:
-            g.random(out=X0[i])
-        g.standard_normal(out=U[i])
-
-    streams = _RecordStreams(rng, Nt)
-    for i, g in streams:
-        first_draws(i, g)
+    streams = _RecordStreams(rng, Nt, ([("random", X0)] if bounded else []) + [("standard_normal", U)])
     for a in range(0, Nt, BLOCK_SIZE):
         for i in a + np.flatnonzero(~pe_order_check(U[a : a + BLOCK_SIZE], order)):
             try:
-                U[i] = generate_pe_input(N, ss.m, order, streams.resume(i, first_draws), MAX_TRIES - 1)
+                U[i] = generate_pe_input(N, ss.m, order, streams.resume(i), MAX_TRIES - 1)
             except RuntimeError:
                 raise RuntimeError(f"record {i}: no exciting input of order {order} found in {MAX_TRIES} draws") from None
     if bounded:
@@ -396,29 +384,18 @@ def _pcg64_states(seq, first: int, n: int) -> list:
     """PCG64 states (state, inc), as Python ints, of children first to
     first + n - 1 of the SeedSequence seq: what PCG64(child) sets up.
 
-    Child k's entropy is seq's, then its spawn key, then k, and only that
-    last word differs between children. So the pool is mixed once up to it
-    in Python ints, and k is mixed in, and the seed words generated, for all
-    n children at once as uint32 arrays.
+    Child k's entropy is seq's, padded to the pool size, then its spawn key,
+    then k; mixed up to k, that is seq's own pool. So k is mixed in, and the
+    seed words generated, for all n children at once as uint32 arrays, with
+    the hash constant past seq's P*P hashmixes and P more per word past P.
     """
     P = seq.pool_size
-    run = _coerce_to_uint32_array(seq.entropy).tolist()
-    # a child's key is not empty, so its run entropy is padded to the pool size
-    words = run + [0] * (P - len(run)) + _coerce_to_uint32_array(seq.spawn_key).tolist()
-    const, pool = _INIT_A, []
-    for w in words[:P]:
-        h, const = _hashmix(w, const, _MULT_A)
-        pool.append(h)
-    for s in range(P):
-        for d in range(P):
-            if s != d:
-                h, const = _hashmix(pool[s], const, _MULT_A)
-                pool[d] = _mix(pool[d], h)
-    # the child index, last, as one array of every child's
-    for w in words[P:] + [(first + np.arange(n)).astype(np.uint32)]:
-        for d in range(P):
-            h, const = _hashmix(w, const, _MULT_A)
-            pool[d] = _mix(pool[d], h)
+    run, key = (len(_coerce_to_uint32_array(x)) for x in (seq.entropy, seq.spawn_key))
+    const = _INIT_A * pow(_MULT_A, P * P + P * (max(run, P) + key - P), 1 << 32) & _M32
+    pool, index = seq.pool.tolist(), (first + np.arange(n)).astype(np.uint32)
+    for d in range(P):
+        h, const = _hashmix(index, const, _MULT_A)
+        pool[d] = _mix(pool[d], h)
     # generate_state(4, np.uint64): eight words cycling over the pool, then
     # paired low word first into seed (hi, lo) and increment (hi, lo)
     const, state = _INIT_B, []
@@ -435,21 +412,22 @@ def _pcg64_states(seq, first: int, n: int) -> list:
 
 
 class _RecordStreams:
-    """Child streams 0..n-1 of the root generator rng: stream i draws
-    bitwise what rng.spawn(n)[i] draws, and rng counts n more children
+    """Draws from child streams 0..n-1 of the root generator rng: stream i
+    draws bitwise what rng.spawn(n)[i] draws, and rng counts n more children
     spawned, as spawn counts them, so the next call gets the next n.
 
-    Iterating yields (i, g) in record order. When rng is a numpy Generator
-    on PCG64 seeded by a numpy SeedSequence, the children's states are
-    derived in one pass (see _pcg64_states) and g is one Generator, reseeded
-    for each record and valid until the next pair, so no per-record
-    SeedSequence, PCG64 or Generator is built. The first and last states
-    are checked against streams numpy builds itself, and a mismatch, from a
-    numpy that seeds another way, raises RuntimeError before rng counts
-    anything, rather than changing any dataset.
-    Any other root (another bit generator, a seed sequence of another
-    kind, a duck-typed generator with only a spawn method) is served by
-    rng.spawn(n), and g is child i's own object.
+    calls is one list of draws, (Generator method name, rows), that every
+    record makes in order on its own stream: stream i runs
+    getattr(g, name)(out=rows[i]) for each. When rng is a numpy Generator on
+    PCG64 seeded by a numpy SeedSequence, the children's states are derived
+    in one pass (see _pcg64_states), and one Generator, reseeded for each
+    record, makes every record's draws, so no per-record SeedSequence, PCG64
+    or Generator is built. The first and last states are checked against
+    streams numpy builds itself, and a mismatch, from a numpy that seeds
+    another way, raises RuntimeError before rng counts anything or any draw
+    is made, rather than changing any dataset. Any other root (another bit
+    generator, a seed sequence of another kind, a duck-typed generator with
+    only a spawn method) is served by rng.spawn(n).
 
     numpy 2 pickles a bit generator's seed sequence with its state, so the
     count is set by giving rng's bit generator a SeedSequence that has
@@ -458,19 +436,23 @@ class _RecordStreams:
     n children that are dropped.
     """
 
-    def __init__(self, rng, n: int):
+    def __init__(self, rng, n: int, calls: list):
+        self.calls = calls
         bg = getattr(rng, "bit_generator", None)
         seq = getattr(bg, "seed_seq", None)
         first = getattr(seq, "n_children_spawned", 0)
         # a child index past 32 bits would take two words of the key
         if type(bg) is not np.random.PCG64 or type(seq) is not np.random.SeedSequence or first + n > 1 << 32:
             self.seq, self.own = None, rng.spawn(n)
+            for i, g in enumerate(self.own):
+                for name, rows in calls:
+                    getattr(g, name)(out=rows[i])
             return
         self.states = _pcg64_states(seq, first, n)
         self.seq, self.first = seq, first
-        self.bit_generator = _pcg64_child(seq, first)
+        self.bit_generator = child = _pcg64_child(seq, first)
         for i in {0, n - 1}:
-            want = (self.bit_generator if i == 0 else _pcg64_child(seq, first + i)).state["state"]
+            want = (child if i == 0 else _pcg64_child(seq, first + i)).state["state"]
             if (want["state"], want["inc"]) != self.states[i]:
                 raise RuntimeError(
                     f"numpy {np.__version__} seeds child stream {first + i} other than hankelnull derives it; "
@@ -482,27 +464,22 @@ class _RecordStreams:
             bg.__setstate__((pickled[0], counted))
         else:
             seq.spawn(n)
-
-    def __iter__(self):
-        if self.seq is None:
-            yield from enumerate(self.own)
-            return
-        bg = self.bit_generator
-        g = np.random.Generator(bg)
+        g = np.random.Generator(child)
+        draws = [(getattr(g, name), rows) for name, rows in calls]
         for i, (state, inc) in enumerate(self.states):
-            bg.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
-            yield i, g
+            child.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+            for draw, rows in draws:
+                draw(out=rows[i])
 
-    def resume(self, i: int, replay):
-        """Stream i where iterating left it, after replay(i, g) made its draws.
-
-        A derived stream is built afresh by numpy and replay draws again from
-        it; a spawned one is child i's own object, already there.
-        """
+    def resume(self, i: int):
+        """Stream i where its draws left it. A derived stream is built afresh
+        by numpy and makes record i's draws again; a spawned one is child
+        i's own object, already there."""
         if self.seq is None:
             return self.own[i]
         g = np.random.Generator(_pcg64_child(self.seq, self.first + i))
-        replay(i, g)
+        for name, rows in self.calls:
+            getattr(g, name)(out=rows[i])
         return g
 
 
@@ -653,13 +630,16 @@ def _parse_records(fh, path, lo: int, hi: int, U: np.ndarray, Y: np.ndarray) -> 
         if i >= lo:
             try:
                 obj = _decode_record(text)
-                u, y = np.asarray(obj["u"], dtype=float), np.asarray(obj["y"], dtype=float)
+                u, y = np.asarray(obj["u"]), np.asarray(obj["y"])
             except json.JSONDecodeError as err:
                 raise json.JSONDecodeError(f"{path}: record {i}: {err.msg}", err.doc, err.pos) from None
             except (KeyError, TypeError):
                 raise ValueError(f"{path}: record {i} needs u and y sample arrays") from None
             except ValueError as err:
                 raise ValueError(f"{path}: record {i}: {err}") from None
+            # every JSON number parses as a float, so any other dtype holds a string, a bool or null
+            if u.dtype != float or y.dtype != float:
+                raise ValueError(f"{path}: record {i} has {'u' if u.dtype != float else 'y'} samples that are not numbers")
             if u.shape != (N, m) or y.shape != (N, p):
                 raise ValueError(f"{path}: record {i} has u {u.shape} and y {y.shape}, meta header says ({N}, {m}) and ({N}, {p})")
             U[i], Y[i] = u, y

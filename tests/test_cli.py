@@ -313,6 +313,9 @@ class TestAggregateAndRecover:
         ({"noise": {"u": {"family": "gaussian", "m1": 0.0, "m2": False}, "y": SMALL_CONFIG["noise"]}}, [], "noise.u must be an object with a family and numbers m1, m2"),
         ({"grid": {"m1": [False, True, 3], "m2": [2.5, 7, 3]}}, [], "grid axis 'm1' must be [lo, hi, points] with an integer count of points, got [False, True, 3]"),
         ({"grid": {"m1": [-0.5, 0.5, 3], "m2": [0, True, 3]}}, [], "grid axis 'm2' must be [lo, hi, points] with an integer count of points, got [0, True, 3]"),
+        ({"Nt": "100"}, [], "Nt must be an integer, got '100'"),
+        ({"eps_factor": "2.5"}, [], "eps_factor must be a number, got '2.5'"),
+        ({"noise": {"family": "gaussian", "m1": "1", "m2": 5.0}}, [], "noise must be an object with a family and numbers m1, m2, got {'family': 'gaussian', 'm1': '1'"),
     ])
     def test_config_value_of_wrong_type_is_config_error(self, tmp_path, capsys, fields, flags, cause):
         path = tmp_path / "config.json"

@@ -427,20 +427,25 @@ def _seq_root(entropy, spawn_key=(), pool_size=4, spawned=0):
     {"entropy": 2**130 + 7},
     {"entropy": [14, 3]},
     {"entropy": [1, 2, 3, 4, 5, 6]},  # longer than the pool
+    {"entropy": [1, 2, 3, 4, 5, 6], "spawn_key": (2**40, 3)},  # words past the pool from both
     {"entropy": None},
     {"entropy": 14, "spawn_key": (3, 1)},  # a spawned child as root
     {"entropy": 14, "pool_size": 8},
     {"entropy": 14, "spawned": 5},  # a root that has spawned before
-], ids=["0", "14", "2**130+7", "[14,3]", "6-words", "None", "child", "pool-8", "spawned-5"])
+], ids=["0", "14", "2**130+7", "[14,3]", "6-words", "6-words-child", "None", "child", "pool-8", "spawned-5"])
 def test_derived_record_streams_equal_spawn_bitwise(root, n):
     if root["entropy"] is None:  # fresh entropy from the OS, the same for both roots
         root = {**root, "entropy": np.random.SeedSequence().entropy}
     derived, spawned = _seq_root(**root), _seq_root(**root)
-    streams = lti_sim._RecordStreams(derived, n)
+    Z = np.empty((n, 7))
+    streams = lti_sim._RecordStreams(derived, n, [("standard_normal", Z)])
     assert streams.seq is not None  # derived, not spawned
-    for (i, g), child in zip(streams, spawned.spawn(n), strict=True):
-        assert g.bit_generator.state == child.bit_generator.state
-        assert np.array_equal(g.standard_normal(7), child.standard_normal(7))
+    for i, child in enumerate(spawned.spawn(n)):
+        state = child.bit_generator.state["state"]
+        assert streams.states[i] == (state["state"], state["inc"])
+        assert np.array_equal(Z[i], child.standard_normal(7))
+    # the stream that drew last is where the last child's own draws leave it
+    assert streams.bit_generator.state == child.bit_generator.state
     # the root counts the n children as spawn does, and its own state is untouched
     assert derived.bit_generator.state == spawned.bit_generator.state
     assert derived.bit_generator.seed_seq.n_children_spawned == spawned.bit_generator.seed_seq.n_children_spawned
@@ -461,7 +466,7 @@ def test_other_bit_generators_keep_spawned_streams(demo_system):
     def root():
         return np.random.Generator(np.random.MT19937(5))
 
-    assert lti_sim._RecordStreams(root(), 3).seq is None  # served by spawn
+    assert lti_sim._RecordStreams(root(), 3, []).seq is None  # served by spawn
     rng = root()
     ds = generate_dataset(demo_system, 40, 20, 2, "random-bounded", rng)
     for i, (U, Y) in enumerate(_per_record_oracle(demo_system, 40, 20, 2, root())):
@@ -478,7 +483,7 @@ def test_record_streams_refuse_a_seeding_they_do_not_reproduce(monkeypatch):
     monkeypatch.setattr(lti_sim, "_PCG64_MULT", lti_sim._PCG64_MULT + 2)
     rng = np.random.default_rng(14)
     with pytest.raises(RuntimeError, match=f"numpy {re.escape(np.__version__)} seeds child stream 0 "):
-        lti_sim._RecordStreams(rng, 10)
+        lti_sim._RecordStreams(rng, 10, [("standard_normal", np.empty((10, 3)))])
     assert rng.bit_generator.seed_seq.n_children_spawned == 0  # nothing counted
 
 
@@ -664,16 +669,22 @@ def test_save_and_load_fork_from_the_same_file_size(tmp_path, demo_system, monke
         assert back.U.tobytes() == ds.U[:Nt].tobytes() and back.Y.tobytes() == ds.Y[:Nt].tobytes()
 
 
-def test_load_dataset_names_non_finite_record(tmp_path, demo_system):
+@pytest.mark.parametrize("sample, cause", [
+    (float("nan"), "record 2 has non-finite"),
+    ("1.5", "record 2 has y samples that are not numbers"),
+    (True, "record 2 has y samples that are not numbers"),
+    (None, "record 2 has y samples that are not numbers"),
+], ids=["nan", "string", "bool", "null"])
+def test_load_dataset_names_non_finite_record(tmp_path, demo_system, sample, cause):
     ds = generate_dataset(demo_system, 4, 20, 2, "zero", np.random.default_rng(0))
     path = tmp_path / "ds.jsonl"
     save_dataset(ds, path)
     lines = path.read_text().split("\n")
     rec = json.loads(lines[3])  # record 2
-    rec["y"][5][1] = float("nan")
+    rec["y"] = [[sample] * len(row) for row in rec["y"]]
     lines[3] = json.dumps(rec)
     path.write_text("\n".join(lines))
-    with pytest.raises(ValueError, match="record 2 has non-finite"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {cause}"):
         load_dataset(path)
 
 
