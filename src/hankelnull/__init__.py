@@ -8,79 +8,16 @@ point where the matrix drops rank, read the shared left null space off one
 symmetric eigendecomposition: the eigenvectors nearest that point's shift.
 """
 
-from .estimator import (
-    Candidate,
-    GridResult,
-    MomentPoint,
-    SubspaceBasis,
-    assemble_M,
-    grid_search,
-    write_candidate_json,
-    write_landscape_csv,
-)
-from .hankel import hankel, pe_order_check, row_index, stacked_hankel
-from .lti_sim import (
-    NOISE_FAMILIES,
-    X0_POLICIES,
-    Dataset,
-    NoiseSpec,
-    StateSpace,
-    add_noise,
-    generate_dataset,
-    generate_pe_input,
-    load_dataset,
-    random_system,
-    save_dataset,
-    simulate,
-)
-from .stats import FinalizedStats, SufficientStats, aggregate, load_stats, save_stats
-from .validate import (
-    StudyResult,
-    SubspaceError,
-    convergence_study,
-    subspace_angle,
-    true_nullspace,
-    write_convergence_csv,
-    write_summary_csv,
-)
+from . import estimator, hankel, lti_sim, stats, validate
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Candidate",
-    "Dataset",
-    "FinalizedStats",
-    "GridResult",
-    "MomentPoint",
-    "NOISE_FAMILIES",
-    "NoiseSpec",
-    "StateSpace",
-    "StudyResult",
-    "SubspaceBasis",
-    "SubspaceError",
-    "SufficientStats",
-    "X0_POLICIES",
-    "add_noise",
-    "aggregate",
-    "assemble_M",
-    "convergence_study",
-    "generate_dataset",
-    "generate_pe_input",
-    "grid_search",
-    "hankel",
-    "load_dataset",
-    "load_stats",
-    "pe_order_check",
-    "random_system",
-    "row_index",
-    "save_dataset",
-    "save_stats",
-    "simulate",
-    "stacked_hankel",
-    "subspace_angle",
-    "true_nullspace",
-    "write_candidate_json",
-    "write_convergence_csv",
-    "write_landscape_csv",
-    "write_summary_csv",
-]
+# each module's __all__ is its public API; reading them before the star
+# imports below, which rebind the name hankel to its function
+__all__ = [*estimator.__all__, *hankel.__all__, *lti_sim.__all__, *stats.__all__, *validate.__all__]
+
+from .estimator import *
+from .hankel import *
+from .lti_sim import *
+from .stats import *
+from .validate import *

@@ -194,9 +194,14 @@ def config_from_dict(obj: dict) -> ExperimentConfig:
         raise ValueError(f"system must be an object with matrices A, B, C, D, got {sys_spec!r}")
     _known_keys(sys_spec, "system", ("A", "B", "C", "D"))
     try:
-        system = StateSpace(sys_spec["A"], sys_spec["B"], sys_spec["C"], sys_spec["D"])
+        matrices = [_number_array("config", f"system.{k}", sys_spec[k]) for k in "ABCD"]
     except KeyError as e:
         raise ValueError(f"system spec is missing matrix {e.args[0]!r}") from None
+    try:
+        system = StateSpace(*matrices)
+    except ValueError as err:
+        # a StateSpace message starts with the matrix it names
+        raise ValueError(f"system.{err}") from None
 
     noise = obj["noise"]
     if not isinstance(noise, dict):

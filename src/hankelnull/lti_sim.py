@@ -74,7 +74,10 @@ class StateSpace:
 
     def __post_init__(self):
         for name in "ABCD":
-            object.__setattr__(self, name, np.atleast_2d(np.asarray(getattr(self, name), dtype=float)))
+            M = np.atleast_2d(np.asarray(getattr(self, name), dtype=float))
+            if not np.isfinite(M).all():
+                raise ValueError(f"{name} has entries that are not finite")
+            object.__setattr__(self, name, M)
         n, m, p = self.A.shape[0], self.B.shape[1], self.C.shape[0]
         if self.A.shape != (n, n):
             raise ValueError(f"A must be square, got {self.A.shape}")
@@ -548,9 +551,8 @@ def load_dataset(path) -> Dataset:
         # a file that is not regular cannot be opened again from its start, so one part reads it
         parts = _processes(Nt, Nt * N * (m + p)) if stat.S_ISREG(os.fstat(fh.fileno()).st_mode) else 1
         # forked parsers write straight into the caller's arrays
-        empty = np.empty if parts == 1 else _shared_empty
         try:
-            U, Y = empty((Nt, N, m)), empty((Nt, N, p))
+            U, Y = _shared_empty((Nt, N, m)), _shared_empty((Nt, N, p))
         except (MemoryError, OSError, OverflowError, ValueError):  # the last two past the address space
             raise ValueError(f"{path}: meta header's Nt={Nt}, N={N}, m={m} and p={p} do not fit in memory") from None
 
@@ -594,14 +596,23 @@ def _positive_int(path, field: str, value) -> int:
     return int(value)
 
 
+def _holds_bool(value) -> bool:
+    """Whether a decoded JSON value is, or its nested lists hold, true or
+    false, which numpy reads as 1.0 and 0.0 among numbers."""
+    if isinstance(value, list):
+        return any(_holds_bool(v) for v in value)
+    return isinstance(value, bool)
+
+
 def _number_array(path, field: str, value) -> np.ndarray:
     """A JSON array of numbers as floats. A ragged array or an entry that is
-    not a number (a string or null, say) raises, naming the file and field."""
+    not a number (a string, a bool or null, say) raises, naming the file
+    and field."""
     try:
         arr = np.asarray(value)
     except ValueError:
         arr = None  # ragged
-    if arr is None or arr.dtype.kind not in "iuf":
+    if arr is None or arr.dtype.kind not in "iuf" or _holds_bool(value):
         raise ValueError(f"{path}: {field} is not a rectangular array of numbers")
     return arr.astype(float)
 
@@ -637,9 +648,12 @@ def _parse_records(fh, path, lo: int, hi: int, U: np.ndarray, Y: np.ndarray) -> 
                 raise ValueError(f"{path}: record {i} needs u and y sample arrays") from None
             except ValueError as err:
                 raise ValueError(f"{path}: record {i}: {err}") from None
-            # every JSON number parses as a float, so any other dtype holds a string, a bool or null
-            if u.dtype != float or y.dtype != float:
-                raise ValueError(f"{path}: record {i} has {'u' if u.dtype != float else 'y'} samples that are not numbers")
+            # every JSON number parses as a float, so any other dtype holds a string, a bool or null;
+            # a bool among numbers parses as a float too, but a line of numbers as save_dataset
+            # writes them holds no "t" and no "f", so only a line that does is walked for one
+            if u.dtype != float or y.dtype != float or (("t" in text or "f" in text) and (_holds_bool(obj["u"]) or _holds_bool(obj["y"]))):
+                name = "u" if u.dtype != float or _holds_bool(obj["u"]) else "y"
+                raise ValueError(f"{path}: record {i} has {name} samples that are not numbers")
             if u.shape != (N, m) or y.shape != (N, p):
                 raise ValueError(f"{path}: record {i} has u {u.shape} and y {y.shape}, meta header says ({N}, {m}) and ({N}, {p})")
             U[i], Y[i] = u, y

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_no_child_left, part_counts, spy
+import hankelnull
 from hankelnull import cli, load_dataset, lti_sim
 from hankelnull.cli import _SCALARS, PRESETS, config_from_dict, config_to_dict, main
 
@@ -36,6 +38,23 @@ SMALL_CONFIG = {
 # dataset I/O and landscape parts run in forked processes on Linux only;
 # the tests that force a CPU count above 1 need that
 FORKS = pytest.mark.skipif(sys.platform != "linux", reason="dataset I/O and landscape parts fork on Linux only")
+
+
+def test_package_reexports_each_module_all():
+    # hankelnull.hankel is the function, so each module comes from importlib
+    modules = [importlib.import_module(f"hankelnull.{name}") for name in ("estimator", "hankel", "lti_sim", "stats", "validate")]
+    owners = {}
+    for module in modules:
+        for name in module.__all__:
+            assert name not in owners, f"{name} is exported by both {owners[name].__name__} and {module.__name__}"
+            owners[name] = module
+    assert len(set(hankelnull.__all__)) == len(hankelnull.__all__)
+    assert set(hankelnull.__all__) == set(owners)
+    for name, module in owners.items():
+        assert getattr(hankelnull, name) is getattr(module, name), name
+    star = {}
+    exec("from hankelnull import *", star)
+    assert set(star) - {"__builtins__"} == set(owners)
 
 
 @pytest.fixture(scope="module")
@@ -316,6 +335,10 @@ class TestAggregateAndRecover:
         ({"Nt": "100"}, [], "Nt must be an integer, got '100'"),
         ({"eps_factor": "2.5"}, [], "eps_factor must be a number, got '2.5'"),
         ({"noise": {"family": "gaussian", "m1": "1", "m2": 5.0}}, [], "noise must be an object with a family and numbers m1, m2, got {'family': 'gaussian', 'm1': '1'"),
+        ({"system": dict(DEMO_SYSTEM, A=[["0.8", -0.1, 0.0], [0.1, 0.7, 0.1], [0.0, -0.2, 0.6]])}, [], "system.A is not a rectangular array of numbers"),
+        ({"system": dict(DEMO_SYSTEM, B=[[True, 0.0], [0.0, 1.0], [0.5, 0.5]])}, [], "system.B is not a rectangular array of numbers"),
+        ({"system": dict(DEMO_SYSTEM, C=[[None, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])}, [], "system.C is not a rectangular array of numbers"),
+        ({"system": dict(DEMO_SYSTEM, D=[[float("nan"), 0.0], [0.0, 0.0], [0.0, 0.0]])}, [], "system.D has entries that are not finite"),
     ])
     def test_config_value_of_wrong_type_is_config_error(self, tmp_path, capsys, fields, flags, cause):
         path = tmp_path / "config.json"
@@ -819,7 +842,7 @@ class TestValidate:
         assert str(cand) in err and "nullspace" in err
 
 
-    @pytest.mark.parametrize("nullspace", [[[1, "x"]], [[1.0, 0.0], [0.0]], [[None] * 10] * 3])
+    @pytest.mark.parametrize("nullspace", [[[1, "x"]], [[1.0, 0.0], [0.0]], [[None] * 10] * 3, [[True, 0.5, 1]] + [[0.0] * 3] * 9])
     def test_candidate_nullspace_not_numbers_is_config_error(self, tmp_path, cfg_file, capsys, nullspace):
         cand = tmp_path / "cand.json"
         cand.write_text(json.dumps({"m1": 0.0, "m2": 0.0, "sigma_min": 0.0, "nullspace": nullspace}))

@@ -674,14 +674,18 @@ def test_save_and_load_fork_from_the_same_file_size(tmp_path, demo_system, monke
     ("1.5", "record 2 has y samples that are not numbers"),
     (True, "record 2 has y samples that are not numbers"),
     (None, "record 2 has y samples that are not numbers"),
-], ids=["nan", "string", "bool", "null"])
+    ([True], "record 2 has y samples that are not numbers"),
+], ids=["nan", "string", "bool", "null", "bool-among-numbers"])
 def test_load_dataset_names_non_finite_record(tmp_path, demo_system, sample, cause):
     ds = generate_dataset(demo_system, 4, 20, 2, "zero", np.random.default_rng(0))
     path = tmp_path / "ds.jsonl"
     save_dataset(ds, path)
     lines = path.read_text().split("\n")
     rec = json.loads(lines[3])  # record 2
-    rec["y"] = [[sample] * len(row) for row in rec["y"]]
+    if isinstance(sample, list):  # its one item goes into the first y sample alone, among numbers
+        rec["y"][0][0] = sample[0]
+    else:
+        rec["y"] = [[sample] * len(row) for row in rec["y"]]
     lines[3] = json.dumps(rec)
     path.write_text("\n".join(lines))
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {cause}"):

@@ -185,6 +185,7 @@ def test_load_stats_rejects_bad_payload(tmp_path):
         ('{"d": 2, "Nc": 3, "count": 1, "G": [1, 0, 0, 1], "rowsum": [[0, 0], [0]]}', "rowsum is not a rectangular array of numbers"),
         ('{"d": 2, "Nc": 3, "count": 1, "G": [1, 0, 0, 1], "rowsum": [0, null]}', "rowsum is not a rectangular array of numbers"),
         ('{"d": 2, "Nc": 3, "count": 1, "G": [1, 0, 0, 1], "rowsum": ["0", "0"]}', "rowsum is not a rectangular array of numbers"),
+        ('{"d": 2, "Nc": 3, "count": 1, "G": [true, 0.5, 0.5, 1], "rowsum": [0, 0]}', "G is not a rectangular array of numbers"),
     ]:
         path.write_text(payload)
         with pytest.raises(ValueError, match=re.escape(f"{path}: {cause}")):
