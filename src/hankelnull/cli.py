@@ -36,10 +36,8 @@ from .lti_sim import (
     _number_array,
     add_noise,
     generate_dataset,
-    load_dataset,
-    save_dataset,
 )
-from .stats import aggregate, load_stats, save_stats
+from .stats import _total, aggregate, load_stats, save_stats
 from .validate import (
     convergence_study,
     subspace_angle,
@@ -350,34 +348,70 @@ def _outdir(path) -> Path:
 
 
 def _dataset_stats(cfg: ExperimentConfig, path) -> tuple:
-    """Load a dataset that matches the config and aggregate it. Returns the
-    stats and the timings load_s and aggregate_s."""
+    """Aggregate a dataset file that matches the config, one block at a time.
+
+    The meta header is checked against the config before any record is
+    read. Each part of the read (see lti_sim._DatasetReader) aggregates
+    its blocks one by one into shared arrays, and the blocks are summed
+    here in block order, bitwise as aggregate sums a whole dataset. Returns
+    the stats and the timings aggregate_s, this process's seconds in
+    aggregate, and load_s, the rest of the read.
+    """
     t0 = time.perf_counter()
-    ds = load_dataset(path)
-    if ds.N != cfg.N or ds.m != cfg.system.m or ds.p != cfg.system.p:
-        raise ValueError(f"dataset (N={ds.N}, m={ds.m}, p={ds.p}) does not match the config")
+    aggregate_s = 0.0
+    with lti_sim._DatasetReader(path) as rd:
+        if (rd.N, rd.m, rd.p) != (cfg.N, cfg.system.m, cfg.system.p):
+            raise ValueError(f"dataset (N={rd.N}, m={rd.m}, p={rd.p}) does not match the config")
+        G, rowsum = rd.shared((rd.blocks, cfg.d, cfg.d)), rd.shared((rd.blocks, cfg.d))
+
+        def part(blocks) -> None:
+            nonlocal aggregate_s
+            for a, ds in blocks:
+                t = time.perf_counter()
+                st = aggregate(ds, cfg.L)
+                G[a // lti_sim.BLOCK_SIZE], rowsum[a // lti_sim.BLOCK_SIZE] = st.G, st.rowsum
+                aggregate_s += time.perf_counter() - t
+
+        rd.read(part)
     t1 = time.perf_counter()
-    st = aggregate(ds, cfg.L)
-    return st, {"load_s": t1 - t0, "aggregate_s": time.perf_counter() - t1}
+    st = _total(G, rowsum, cfg.N - cfg.L + 1, rd.Nt)
+    t2 = time.perf_counter()
+    return st, {"load_s": t1 - t0 - aggregate_s, "aggregate_s": aggregate_s + t2 - t1}
 
 
 def cmd_generate(cfg: ExperimentConfig, out_dir) -> int:
-    rng = np.random.default_rng(cfg.seed)
-    t0 = time.perf_counter()
-    clean = generate_dataset(
-        cfg.system, cfg.Nt, cfg.N, cfg.L, cfg.x0_policy, rng,
-        x0_halfwidth=cfg.x0_halfwidth,
-    )
-    t1 = time.perf_counter()
-    noisy = add_noise(clean, cfg.noise_u, cfg.noise_y, rng)
-    t2 = time.perf_counter()
+    """Write the noisy and noiseless datasets one block of records at a time.
+
+    Records [a, b) come from generate_dataset and add_noise on roots whose
+    next child streams are the ones a whole-ensemble run gives them (see
+    lti_sim), so the bytes are those of the whole ensemble generated, then
+    perturbed, from one root of the seed. Timings: generate_s and noise_s
+    are this process's seconds in generate_dataset and add_noise, and
+    write_s is the rest of the write.
+    """
+    # the library's checks of generate_dataset's arguments, before --out is made
+    lti_sim._generation_plan(cfg.system, cfg.Nt, cfg.N, cfg.L, cfg.x0_policy, cfg.x0_halfwidth)
+    timings = {"generate_s": 0.0, "noise_s": 0.0}
+
+    def root(spawned: int) -> np.random.Generator:
+        return np.random.default_rng(np.random.SeedSequence(cfg.seed, n_children_spawned=spawned))
+
+    def block(a: int, b: int) -> tuple:
+        t0 = time.perf_counter()
+        clean = generate_dataset(cfg.system, b - a, cfg.N, cfg.L, cfg.x0_policy, root(a), x0_halfwidth=cfg.x0_halfwidth)
+        t1 = time.perf_counter()
+        noisy = add_noise(clean, cfg.noise_u, cfg.noise_y, root(cfg.Nt + a))
+        timings["generate_s"] += t1 - t0
+        timings["noise_s"] += time.perf_counter() - t1
+        return noisy, clean
+
     out = _outdir(out_dir)
-    save_dataset(noisy, out / "dataset_noisy.jsonl")
-    save_dataset(clean, out / "dataset_noiseless.jsonl")
-    t3 = time.perf_counter()
+    t0 = time.perf_counter()
+    paths = (out / "dataset_noisy.jsonl", out / "dataset_noiseless.jsonl")
+    lti_sim._write_datasets(paths, cfg.Nt, cfg.N, cfg.system.m, cfg.system.p, block)
+    timings["write_s"] = time.perf_counter() - t0 - timings["generate_s"] - timings["noise_s"]
     _write_manifest(
-        out / "manifest.json", "generate", cfg,
-        {"generate_s": t1 - t0, "noise_s": t2 - t1, "write_s": t3 - t2},
+        out / "manifest.json", "generate", cfg, timings,
         {"noiseless": "dataset_noiseless.jsonl", "noisy": "dataset_noisy.jsonl"},
     )
     print(f"generated {cfg.Nt} experiments of length {cfg.N} into {out}")

@@ -432,7 +432,7 @@ def write_landscape_csv(result: GridResult, path) -> None:
     """
     n = result.points.shape[0]
     header = ",".join(AXIS_NAMES[len(result.axes)]) + ",sigma_min,numerical_rank,admitted\n"
-    lti_sim._write_parts(path, header, n, n, functools.partial(_landscape_rows, result))
+    lti_sim._write_parts((path,), header, n, n, functools.partial(_landscape_rows, result))
 
 
 def write_candidate_json(cand: Candidate, path) -> None:

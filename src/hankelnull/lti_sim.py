@@ -15,18 +15,29 @@ one call per role, each writing standard draws into the record's
 preallocated row (uniforms for its initial state, normals for its input,
 then each channel's noise). Any other root spawns its children. The scale
 and shift that numpy's uniform, normal and exponential would apply to
-each draw run afterwards once over the whole ensemble, so every value is
-bitwise numpy's own. A stream is therefore a numpy Generator, or an
-object whose random, standard_normal and standard_exponential methods
-take a Generator's size and out arguments. Everything else runs as array
-code over the whole ensemble, or over blocks of BLOCK_SIZE records where
-a per-record temporary would otherwise grow with the ensemble. Dataset
-text I/O, which is bound by float formatting and parsing, runs in forked
-processes on a machine with more than one CPU when a file is big enough
-to repay the fork (see _processes). Writing and loading cut a file the
-same way, into parts of contiguous records (see _in_parts).
+each draw run afterwards once over the records of the call, so every
+value is bitwise numpy's own. A stream is therefore a numpy Generator, or
+an object whose random, standard_normal and standard_exponential methods
+take a Generator's size and out arguments.
+
+Since record i draws only from child i, records [a, b) of a seed's
+Nt-record ensemble can be made on their own: generate_dataset of b - a
+records, on a root whose SeedSequence(seed) has counted a children, gives
+the clean records bitwise, and add_noise on one that has counted Nt + a
+gives their noise. Simulation is bitwise the same at every ensemble size
+too, so the CLI's generate makes its files one block of BLOCK_SIZE
+records at a time and never holds the ensemble.
+
+Dataset files are written and read one block at a time, by one writer
+(_write_datasets, one %-template a record, see _record_format) and one
+reader (_DatasetReader, one record parser, see _parse_records). Text I/O,
+which is bound by float formatting and parsing, runs in forked processes
+on a machine with more than one CPU when a file is big enough to repay the
+fork (see _processes). Writing and reading cut a file the same way, into
+parts of whole blocks (see _in_parts).
 """
 
+import contextlib
 import json
 import math
 import os
@@ -58,7 +69,7 @@ __all__ = [
 NOISE_FAMILIES = ("gaussian", "uniform", "shifted-exponential")
 X0_POLICIES = ("zero", "random-bounded")
 
-BLOCK_SIZE = 512  # records per block in the excitation check, the writer and aggregation
+BLOCK_SIZE = 512  # records per block in the excitation check, dataset I/O and aggregation
 MAX_TRIES = 10  # input draws per record before the excitation check gives up
 FORK_MIN_VALUES = 22_500  # floats a forked text I/O part must format or parse to repay starting it
 
@@ -123,7 +134,7 @@ class Dataset:
             raise ValueError(f"U and Y must be (Nt, N, m) and (Nt, N, p), got shapes {U.shape} and {Y.shape}")
         if U.shape[0] < 1:
             raise ValueError("dataset needs at least one experiment")
-        bad = ~(np.isfinite(U).all(axis=(1, 2)) & np.isfinite(Y).all(axis=(1, 2)))
+        bad = _nonfinite(U, Y)
         if bad.any():
             raise ValueError(f"record {int(np.argmax(bad))} has non-finite samples")
         object.__setattr__(self, "U", U)
@@ -149,6 +160,11 @@ class Dataset:
     @property
     def p(self) -> int:
         return self.Y.shape[2]
+
+
+def _nonfinite(U: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Which records of U (Nt, N, m) and Y (Nt, N, p) hold a sample that is not finite."""
+    return ~(np.isfinite(U).all(axis=(1, 2)) & np.isfinite(Y).all(axis=(1, 2)))
 
 
 def _uniform_span(m1: float, var: float) -> tuple:
@@ -319,30 +335,20 @@ def generate_dataset(
     excitation check is redrawn from the same stream, up to MAX_TRIES draws
     in all.
     """
-    if Nt < 1:
-        raise ValueError("Nt must be >= 1")
-    if x0_policy not in X0_POLICIES:
-        raise ValueError(f"unknown x0 policy {x0_policy!r}")
-    order = L + ss.n
-    if N < (ss.m + 1) * order - 1:
-        raise ValueError(f"N={N} too short for excitation order L+n={order} with m={ss.m}; need N >= {(ss.m + 1) * order - 1}")
-    bounded = x0_policy == "random-bounded"
-    if bounded:
-        lo, hi = -float(x0_halfwidth), float(x0_halfwidth)
-        if not 0.0 <= hi - lo < math.inf:
-            raise ValueError(f"x0_halfwidth={x0_halfwidth} must be non-negative with 2*x0_halfwidth a finite double")
+    order, bounds = _generation_plan(ss, Nt, N, L, x0_policy, x0_halfwidth)
     X0 = np.zeros((Nt, ss.n))
     U = np.empty((Nt, N, ss.m))
-    streams = _RecordStreams(rng, Nt, ([("random", X0)] if bounded else []) + [("standard_normal", U)])
+    streams = _RecordStreams(rng, Nt, ([("random", X0)] if bounds is not None else []) + [("standard_normal", U)])
     for a in range(0, Nt, BLOCK_SIZE):
         for i in a + np.flatnonzero(~pe_order_check(U[a : a + BLOCK_SIZE], order)):
             try:
                 U[i] = generate_pe_input(N, ss.m, order, streams.resume(i), MAX_TRIES - 1)
             except RuntimeError:
                 raise RuntimeError(f"record {i}: no exciting input of order {order} found in {MAX_TRIES} draws") from None
-    if bounded:
+    if bounds is not None:
         # after any replay, which draws the standard uniforms again: numpy's
         # uniform(lo, hi) is lo + (hi - lo)*u
+        lo, hi = bounds
         X0 *= hi - lo
         X0 += lo
     if Nt == 1:
@@ -351,6 +357,25 @@ def generate_dataset(
         # simulating the record twice keeps it the same at every ensemble size
         return Dataset(U, _simulate_batch(ss, np.repeat(X0, 2, axis=0), np.repeat(U, 2, axis=0))[:1])
     return Dataset(U, _simulate_batch(ss, X0, U))
+
+
+def _generation_plan(ss: StateSpace, Nt: int, N: int, L: int, x0_policy: str, x0_halfwidth: float) -> tuple:
+    """generate_dataset's checks of its arguments, which draw nothing: the
+    excitation order L + n and the initial-state bounds (lo, hi), None for
+    zero states. An argument it cannot take raises ValueError naming it."""
+    if Nt < 1:
+        raise ValueError("Nt must be >= 1")
+    if x0_policy not in X0_POLICIES:
+        raise ValueError(f"unknown x0 policy {x0_policy!r}")
+    order = L + ss.n
+    if N < (ss.m + 1) * order - 1:
+        raise ValueError(f"N={N} too short for excitation order L+n={order} with m={ss.m}; need N >= {(ss.m + 1) * order - 1}")
+    if x0_policy == "zero":
+        return order, None
+    lo, hi = -float(x0_halfwidth), float(x0_halfwidth)
+    if not 0.0 <= hi - lo < math.inf:
+        raise ValueError(f"x0_halfwidth={x0_halfwidth} must be non-negative with 2*x0_halfwidth a finite double")
+    return order, (lo, hi)
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
@@ -509,20 +534,34 @@ def _record_format(N: int, m: int, p: int) -> str:
 def save_dataset(ds: Dataset, path) -> None:
     """Write a dataset as JSON Lines: a meta header, then one experiment per line.
 
-    Each block of records is formatted by one %-operation over its rows.
-    The records are written in parts (see _write_parts), one value a sample.
+    The records are written one block at a time, in parts (see
+    _write_datasets), one value a sample.
     """
-    record = _record_format(ds.N, ds.m, ds.p)
+    _write_datasets((path,), ds.Nt, ds.N, ds.m, ds.p, lambda a, b: (ds[a:b],))
 
-    def records(lo: int, hi: int, fh) -> None:
-        for a in range(lo, hi, BLOCK_SIZE):
-            b = min(a + BLOCK_SIZE, hi)
-            U, Y = ds.U[a:b], ds.Y[a:b]
-            rows = np.concatenate([np.arange(a, b, dtype=float)[:, None], U.reshape(b - a, -1), Y.reshape(b - a, -1)], axis=1)
-            fh.write(record * (b - a) % tuple(rows.ravel().tolist()))
 
-    header = json.dumps({"meta": {"Nt": ds.Nt, "N": ds.N, "m": ds.m, "p": ds.p}}) + "\n"
-    _write_parts(path, header, ds.Nt, ds.U.size + ds.Y.size, records)
+def _write_datasets(paths, Nt: int, N: int, m: int, p: int, block) -> None:
+    """Write one dataset of Nt records sharing N, m and p to each JSONL
+    file of paths, as save_dataset writes one.
+
+    block(a, b) gives records [a, b) of every file, a Dataset a path in
+    path order. It is called once a block of BLOCK_SIZE records, in parts
+    of whole blocks (see _write_parts), so no more than a block of each
+    file is made at once in any part. Each block is formatted by one
+    %-operation over its rows.
+    """
+    record = _record_format(N, m, p)
+    header = json.dumps({"meta": {"Nt": Nt, "N": N, "m": m, "p": p}}) + "\n"
+
+    def blocks(lo: int, hi: int, *fhs) -> None:
+        for a in range(lo * BLOCK_SIZE, min(hi * BLOCK_SIZE, Nt), BLOCK_SIZE):
+            b = min(a + BLOCK_SIZE, Nt)
+            index = np.arange(a, b, dtype=float)[:, None]
+            for fh, ds in zip(fhs, block(a, b)):
+                rows = np.concatenate([index, ds.U.reshape(b - a, -1), ds.Y.reshape(b - a, -1)], axis=1)
+                fh.write(record * (b - a) % tuple(rows.ravel().tolist()))
+
+    _write_parts(paths, header, -(-Nt // BLOCK_SIZE), len(paths) * Nt * N * (m + p), blocks)
 
 
 # ints parse as floats so that a sample written as "-0" keeps its sign
@@ -532,42 +571,98 @@ _decode_record = json.JSONDecoder(parse_int=float).decode
 def load_dataset(path) -> Dataset:
     """Read a dataset written by save_dataset into arrays sized from its meta header.
 
-    A regular file is loaded in as many parts of contiguous records as
-    save_dataset writes it in (see _in_parts); each part reads and counts
-    the records before its own, so an error names a record by its index in
-    the whole file. Any other file, a pipe say, is read in one pass.
+    The records are read one block at a time, in parts (see _DatasetReader),
+    and copied into the arrays.
     """
-    with open(path, "rb") as fh:
+    with _DatasetReader(path) as rd:
+        # forked parts write straight into the caller's arrays
+        U, Y = rd.shared((rd.Nt, rd.N, rd.m)), rd.shared((rd.Nt, rd.N, rd.p))
+
+        def part(blocks) -> None:
+            for a, ds in blocks:
+                U[a : a + ds.Nt], Y[a : a + ds.Nt] = ds.U, ds.Y
+
+        rd.read(part)
+    return Dataset(U, Y)
+
+
+class _DatasetReader:
+    """A dataset file written by save_dataset, open to be read one block of
+    BLOCK_SIZE records at a time.
+
+    Opening it reads the meta header into Nt, N, m and p, so that a caller
+    can check them, and size its arrays (see shared), before any record is
+    read. read(part) then reads the records in parts of whole blocks (see
+    _in_parts): a regular file in as many parts as save_dataset writes it
+    in, any other file, a pipe say, in one pass. Each part runs
+    part(blocks), where blocks yields (a, ds) for each of the part's
+    blocks: records [a, a + ds.Nt) as a Dataset over buffers that the next
+    block reuses. Each part reads and counts the records before its own,
+    so an error names a record by its index in the whole file.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        self.fh = open(path, "rb")
         try:
-            header = json.loads(fh.readline().decode("utf-8"))
-        except UnicodeDecodeError as err:
-            raise ValueError(f"{path}: first line is not UTF-8: {err}") from None
-        except json.JSONDecodeError as err:
-            raise json.JSONDecodeError(f"{path}: first line: {err.msg}", err.doc, err.pos) from None
-        meta = header.get("meta") if isinstance(header, dict) else None
-        if not (isinstance(meta, dict) and all(k in meta for k in ("Nt", "N", "m", "p"))):
-            raise ValueError(f"{path}: first line needs a meta header object with integer Nt, N, m and p")
-        Nt, N, m, p = (_positive_int(path, f"meta header's {k}", meta[k]) for k in ("Nt", "N", "m", "p"))
+            self.Nt, self.N, self.m, self.p = _read_header(self.fh, path)
+        except BaseException:
+            self.fh.close()
+            raise
+        self.blocks = -(-self.Nt // BLOCK_SIZE)
         # a file that is not regular cannot be opened again from its start, so one part reads it
-        parts = _processes(Nt, Nt * N * (m + p)) if stat.S_ISREG(os.fstat(fh.fileno()).st_mode) else 1
-        # forked parsers write straight into the caller's arrays
+        regular = stat.S_ISREG(os.fstat(self.fh.fileno()).st_mode)
+        self.parts = _processes(self.blocks, self.Nt * self.N * (self.m + self.p)) if regular else 1
+
+    def __enter__(self) -> "_DatasetReader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.fh.close()
+
+    def shared(self, shape) -> np.ndarray:
+        """An array of the given shape, sized from the meta header, that forked
+        parts can write into (see _shared_empty); one that cannot be mapped
+        raises, naming the header's counts."""
         try:
-            U, Y = _shared_empty((Nt, N, m)), _shared_empty((Nt, N, p))
+            return _shared_empty(shape)
         except (MemoryError, OSError, OverflowError, ValueError):  # the last two past the address space
-            raise ValueError(f"{path}: meta header's Nt={Nt}, N={N}, m={m} and p={p} do not fit in memory") from None
+            raise ValueError(f"{self.path}: meta header's Nt={self.Nt}, N={self.N}, m={self.m} and p={self.p} do not fit in memory") from None
 
-        def part(k: int, lo: int, hi: int) -> None:
+    def read(self, part) -> None:
+        def run(k: int, lo: int, hi: int) -> None:
             if k == 0:
-                return _parse_records(fh, path, lo, hi, U, Y)
-            with open(path, "rb") as own:
+                return part(self._blocks(self.fh, lo, hi))
+            with open(self.path, "rb") as own:
                 own.readline()
-                _parse_records(own, path, lo, hi, U, Y)
+                part(self._blocks(own, lo, hi))
 
-        _in_parts(Nt, parts, part)
+        _in_parts(self.blocks, self.parts, run)
+
+    def _blocks(self, fh, lo: int, hi: int):
+        """(a, ds) for each of blocks [lo, hi), parsed from fh's lines."""
+        n = min(BLOCK_SIZE, self.Nt)
+        U, Y = np.empty((n, self.N, self.m)), np.empty((n, self.N, self.p))
+        for a, b in _parse_records(fh, self.path, self.Nt, lo * BLOCK_SIZE, min(hi * BLOCK_SIZE, self.Nt), U, Y):
+            try:
+                ds = Dataset(U[: b - a], Y[: b - a])
+            except ValueError:  # a non-finite sample, named by its record's index in the file
+                raise ValueError(f"{self.path}: record {a + int(np.argmax(_nonfinite(U[: b - a], Y[: b - a])))} has non-finite samples") from None
+            yield a, ds
+
+
+def _read_header(fh, path) -> tuple:
+    """(Nt, N, m, p) from the meta header, the first line of the binary file fh."""
     try:
-        return Dataset(U, Y)
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from None
+        header = json.loads(fh.readline().decode("utf-8"))
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: first line is not UTF-8: {err}") from None
+    except json.JSONDecodeError as err:
+        raise json.JSONDecodeError(f"{path}: first line: {err.msg}", err.doc, err.pos) from None
+    meta = header.get("meta") if isinstance(header, dict) else None
+    if not (isinstance(meta, dict) and all(k in meta for k in ("Nt", "N", "m", "p"))):
+        raise ValueError(f"{path}: first line needs a meta header object with integer Nt, N, m and p")
+    return tuple(_positive_int(path, f"meta header's {k}", meta[k]) for k in ("Nt", "N", "m", "p"))
 
 
 def _load_json(path):
@@ -617,16 +712,19 @@ def _number_array(path, field: str, value) -> np.ndarray:
     return arr.astype(float)
 
 
-def _parse_records(fh, path, lo: int, hi: int, U: np.ndarray, Y: np.ndarray) -> None:
+def _parse_records(fh, path, Nt: int, lo: int, hi: int, U: np.ndarray, Y: np.ndarray):
     """Read the dataset lines left in fh, skipping blank ones, and parse
-    records [lo, hi) into U and Y.
+    records [lo, hi) of the file's Nt one block at a time, lo being a
+    multiple of BLOCK_SIZE: record i goes into row i % BLOCK_SIZE of the
+    block buffers U and Y, and once records [a, b) of a block are in, this
+    yields (a, b); the next block overwrites them.
 
     The records before lo are read and counted, so an error names a record
     by its index in the whole file. A part that ends before the last record
     stops at hi; the last part reads to the end of the file. A file that
     ends before hi raises, naming how many records it holds.
     """
-    Nt, N, m = U.shape
+    N, m = U.shape[1:]
     p = Y.shape[2]
     i = 0
     for line in fh:
@@ -656,7 +754,9 @@ def _parse_records(fh, path, lo: int, hi: int, U: np.ndarray, Y: np.ndarray) -> 
                 raise ValueError(f"{path}: record {i} has {name} samples that are not numbers")
             if u.shape != (N, m) or y.shape != (N, p):
                 raise ValueError(f"{path}: record {i} has u {u.shape} and y {y.shape}, meta header says ({N}, {m}) and ({N}, {p})")
-            U[i], Y[i] = u, y
+            U[i % BLOCK_SIZE], Y[i % BLOCK_SIZE] = u, y
+            if (i + 1) % BLOCK_SIZE == 0 or i + 1 == hi:
+                yield i - i % BLOCK_SIZE, i + 1
         i += 1
         if i == hi < Nt:
             break
@@ -680,9 +780,11 @@ def _cpus() -> int:
 def _processes(n: int, values: int) -> int:
     """How many parts _in_parts cuts rows [0, n) into when they hold this
     many values in all: one per CPU, but only as many as get FORK_MIN_VALUES
-    each, and at most one per row. A value is a float formatted or parsed:
-    a sample of a dataset file, or the sigma_min of a landscape row, whose
-    other fields are formatted in advance. A grid search never forks."""
+    each, and at most one per row. A row of a dataset job is a block of
+    BLOCK_SIZE records; one of a landscape is a grid point. A value is a
+    float formatted or parsed: a sample of a dataset file, or the sigma_min
+    of a landscape row, whose other fields are formatted in advance. A grid
+    search never forks."""
     return max(1, min(n, _cpus(), values // FORK_MIN_VALUES))
 
 
@@ -706,8 +808,13 @@ def _in_parts(n: int, parts: int, part) -> None:
     "__main__":` guard. A child leaves through os._exit, so it never
     returns into the caller's frames or flushes the caller's buffers. A
     lock another thread holds stays locked in a forked child (Python 3.12
-    and later warn of it). The parts run here take no Python-level lock,
-    and call no BLAS or LAPACK: each child formats or parses text.
+    and later warn of it). The parts run here take no Python-level lock.
+    Dataset parts simulate, check excitation and aggregate, so a child
+    calls BLAS and LAPACK, possibly after this process has started
+    OpenBLAS's thread pool. That is safe because OpenBLAS, numpy's BLAS,
+    registers a pthread_atfork handler that stops its pool before every
+    fork, so a child starts with no BLAS thread and no lock one holds, and
+    the first BLAS call on either side of the fork starts the pool afresh.
     """
     cuts = [n * k // parts for k in range(parts + 1)]
     children = {}
@@ -737,38 +844,52 @@ def _in_parts(n: int, parts: int, part) -> None:
             os.waitpid(pid, 0)
 
 
-def _write_parts(path, header: str, n: int, values: int, rows) -> None:
+def _write_parts(paths, header: str, n: int, values: int, rows) -> None:
     """Write header and rows [0, n), which hold this many values in all (see
-    _processes), to the text file path in parts of contiguous rows (see
-    _in_parts); rows(lo, hi, fh) writes rows [lo, hi) to fh.
+    _processes), to each text file of paths in parts of contiguous rows (see
+    _in_parts); rows(lo, hi, *fhs) writes rows [lo, hi) of file j to fhs[j].
 
-    Part 0 writes the header and its rows straight into the file. Each
-    forked part formats its rows into an anonymous memory file, and the
-    caller appends the parts in order, each as long as its memory file,
-    with os.sendfile, a copy made in the kernel. The bytes are the same at
-    any part count.
+    Part 0 writes the headers and its rows straight into the files. Each
+    forked part formats its rows into anonymous memory files, one a path,
+    and the caller appends the parts in order, each as long as its memory
+    file, with os.sendfile, a copy made in the kernel. The bytes are the
+    same at any part count. A failure removes every regular file the call
+    opened, so no half-written file is left.
     """
-    parts, fds = _processes(n, values), []
+    parts, fds, fhs = _processes(n, values), [], []
 
     def part(k: int, lo: int, hi: int) -> None:
         if k == 0:
-            fh.write(header)
-            return rows(lo, hi, fh)
-        with open(fds[k - 1], "w", encoding="utf-8", closefd=False) as mem:
-            rows(lo, hi, mem)
+            for fh in fhs:
+                fh.write(header)
+            return rows(lo, hi, *fhs)
+        with contextlib.ExitStack() as stack:
+            rows(lo, hi, *(stack.enter_context(open(fd, "w", encoding="utf-8", closefd=False)) for fd in fds[k - 1]))
 
     try:
-        fds.extend(os.memfd_create(f"part {k}") for k in range(1, parts))
-        with open(path, "w", encoding="utf-8") as fh:
-            _in_parts(n, parts, part)
+        for k in range(1, parts):
+            fds.append([])
+            fds[-1].extend(os.memfd_create(f"part {k}") for _ in paths)
+        for path in paths:
+            fhs.append(open(path, "w", encoding="utf-8"))
+        _in_parts(n, parts, part)
+        for j, fh in enumerate(fhs):
             fh.flush()
-            for fd in fds:
-                size, sent = os.fstat(fd).st_size, 0
+            for own in fds:
+                size, sent = os.fstat(own[j]).st_size, 0
                 while sent < size:
-                    copied = os.sendfile(fh.fileno(), fd, sent, size - sent)
+                    copied = os.sendfile(fh.fileno(), own[j], sent, size - sent)
                     if copied == 0:
-                        raise OSError(f"{path}: a part ended after {sent} of its {size} bytes")
+                        raise OSError(f"{paths[j]}: a part ended after {sent} of its {size} bytes")
                     sent += copied
+    except BaseException:
+        for fh in fhs:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                os.unlink(fh.name)
+        raise
     finally:
-        for fd in fds:
-            os.close(fd)
+        for fh in fhs:
+            fh.close()
+        for own in fds:
+            for fd in own:
+                os.close(fd)

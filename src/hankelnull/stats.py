@@ -78,19 +78,26 @@ def aggregate(ds, L: int) -> SufficientStats:
 
     Each block's stacked Hankel matrices come from one batched Hankel
     tensor, and both the per-block and the cross-block sums are pairwise
-    trees. The block plan depends only on the record count, so the result
-    is bitwise reproducible.
+    trees (see _total). The block plan depends only on the record count, so
+    the result is bitwise reproducible, and the aggregate of one block is
+    its own term of the cross-block sums: summing the blocks of a dataset
+    aggregated one by one gives bitwise its aggregate.
     """
-    parts = []
+    G, rowsum = [], []
     for a in range(0, ds.Nt, BLOCK_SIZE):
         Hs = stacked_hankel(ds.U[a : a + BLOCK_SIZE], ds.Y[a : a + BLOCK_SIZE], L)  # (B, d, Nc)
-        parts.append((_tree_sum(Hs @ Hs.transpose(0, 2, 1)), _tree_sum(Hs.sum(axis=2))))
-    d, Nc = Hs.shape[1:]
-    out = SufficientStats(d, Nc)
-    G = _tree_sum(np.stack([g for g, _ in parts]))
-    out.G = (G + G.T) / 2.0  # batched gemm output need not be exactly symmetric; G must be
-    out.rowsum = _tree_sum(np.stack([r for _, r in parts]))
-    out.count = ds.Nt
+        g = _tree_sum(Hs @ Hs.transpose(0, 2, 1))
+        # batched gemm output need not be exactly symmetric; G must be, and a sum of symmetric matrices is
+        G.append((g + g.T) / 2.0)
+        rowsum.append(_tree_sum(Hs.sum(axis=2)))
+    return _total(np.stack(G), np.stack(rowsum), Hs.shape[2], ds.Nt)
+
+
+def _total(G: np.ndarray, rowsum: np.ndarray, Nc: int, count: int) -> SufficientStats:
+    """The aggregate of count records from its blocks' G and rowsum, stacked
+    in block order along axis 0: a pairwise tree over the blocks of each."""
+    out = SufficientStats(G.shape[1], Nc)
+    out.G, out.rowsum, out.count = _tree_sum(G), _tree_sum(rowsum), count
     return out
 
 

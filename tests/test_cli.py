@@ -10,7 +10,7 @@ import pytest
 
 from conftest import assert_no_child_left, part_counts, spy
 import hankelnull
-from hankelnull import cli, load_dataset, lti_sim
+from hankelnull import add_noise, aggregate, cli, generate_dataset, load_dataset, lti_sim, save_dataset, save_stats
 from hankelnull.cli import _SCALARS, PRESETS, config_from_dict, config_to_dict, main
 
 DEMO_SYSTEM = {
@@ -157,37 +157,68 @@ class TestGenerate:
         out = tmp_path / "o"
         assert main(["generate", "--config", cfg_file, "--Nt", str(Nt), "--out", str(out)]) == 0
         assert json.loads((out / "manifest.json").read_text())["cpus"] == cpus
-        assert part_counts(calls) == [parts, parts]  # the two files are written in the same parts
+        assert part_counts(calls) == [parts]  # the two files are written by one job, in the same parts
         for name in ("dataset_noiseless.jsonl", "dataset_noisy.jsonl"):
             assert (out / name).read_bytes() == ((gen_dir if Nt == 8 else big_gen_dir) / name).read_bytes()
 
-    @FORKS
-    def test_both_files_are_saved_in_this_process(self, tmp_path, cfg_file, monkeypatch, capsys):
-        # each file is written in parts, but save_dataset is called here for
-        # both, so a caller that wraps it sees both calls
-        monkeypatch.setattr(lti_sim, "_cpus", lambda: 2)
-        pids, save = [], cli.save_dataset
+    @pytest.mark.parametrize("cpus", [1, pytest.param(2, marks=FORKS)])
+    def test_generate_streams_blocks(self, tmp_path, cfg_file, big_gen_dir, monkeypatch, capsys, cpus):
+        # no generate_dataset or add_noise call, in this process or a forked
+        # one, sees more than a block; this process makes its own part's
+        # blocks, and the files are the fixture's bytes
+        monkeypatch.setattr(lti_sim, "_cpus", lambda: cpus)
+        seen = []
 
-        def save_here(ds, path):
-            pids.append(os.getpid())
-            return save(ds, path)
+        def at_most_a_block(fn):
+            def call(*args, **kwargs):
+                ds = fn(*args, **kwargs)
+                if ds.Nt > lti_sim.BLOCK_SIZE:
+                    raise AssertionError(f"{fn.__name__} made {ds.Nt} records")
+                seen.append((fn.__name__, ds.Nt))
+                return ds
 
-        monkeypatch.setattr(cli, "save_dataset", save_here)
+            return call
+
+        for name in ("generate_dataset", "add_noise"):
+            monkeypatch.setattr(cli, name, at_most_a_block(getattr(cli, name)))
         calls = spy(monkeypatch, lti_sim, "_in_parts")
         out = tmp_path / "o"
         assert main(["generate", "--config", cfg_file, "--Nt", "1600", "--out", str(out)]) == 0
-        assert pids == [os.getpid()] * 2
-        assert part_counts(calls) == [2, 2]
-        assert json.loads((out / "manifest.json").read_text())["cpus"] == 2
+        assert part_counts(calls) == [cpus]
+        # four blocks, 512, 512, 512 and 64 records; at 2 CPUs this process makes the first two
+        sizes = [512, 512, 512, 64][: 4 // cpus]
+        assert seen == [(name, n) for n in sizes for name in ("generate_dataset", "add_noise")]
+        for name in ("dataset_noiseless.jsonl", "dataset_noisy.jsonl"):
+            assert (out / name).read_bytes() == (big_gen_dir / name).read_bytes()
+
+    @pytest.mark.parametrize("cpus", [1, pytest.param(2, marks=FORKS)])
+    def test_failure_in_a_later_block_leaves_no_dataset(self, tmp_path, cfg_file, monkeypatch, capsys, cpus):
+        # the third block's simulation fails: in this process at 1 CPU, in
+        # the forked part at 2 (and again here when that part is rerun)
+        monkeypatch.setattr(lti_sim, "_cpus", lambda: cpus)
+        generate = cli.generate_dataset
+
+        def fails_on_the_third_block(ss, Nt, N, L, x0_policy, rng, **kw):
+            if rng.bit_generator.seed_seq.n_children_spawned == 2 * lti_sim.BLOCK_SIZE:
+                raise RuntimeError("simulation failed on the third block")
+            return generate(ss, Nt, N, L, x0_policy, rng, **kw)
+
+        monkeypatch.setattr(cli, "generate_dataset", fails_on_the_third_block)
+        out = tmp_path / "o"
+        assert main(["generate", "--config", cfg_file, "--Nt", "1600", "--out", str(out)]) == 3
+        assert "simulation failed on the third block" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+        assert_no_child_left()
 
     @FORKS
     def test_failing_child_writer_is_io_error(self, tmp_path, cfg_file, monkeypatch, capsys):
         monkeypatch.setattr(lti_sim, "_cpus", lambda: 2)
         out = tmp_path / "o"
-        (out / "dataset_noiseless.jsonl").mkdir(parents=True)  # the child cannot open it
+        (out / "dataset_noiseless.jsonl").mkdir(parents=True)  # it cannot be opened as a file
         assert main(["generate", "--config", cfg_file, "--Nt", "1600", "--out", str(out)]) == 4
         err = capsys.readouterr().err
         assert "Is a directory" in err and "dataset_noiseless.jsonl" in err
+        assert not (out / "dataset_noisy.jsonl").exists()  # the file opened before it is removed
         assert_no_child_left()
 
 
@@ -380,8 +411,8 @@ class TestAggregateAndRecover:
         decided = spy(monkeypatch, lti_sim, "_processes")
         dataset = str(big_gen_dir / "dataset_noisy.jsonl")
         assert main(["recover", "--config", cfg_file, "--dataset", dataset, "--out", str(tmp_path / "o")]) == 0
-        # 1,600 records of 25 x 5 samples, then a 3 x 2 landscape, one value a row
-        assert decided == [((1600, 200_000), 2), ((6, 6), 1)]
+        # 1,600 records of 25 x 5 samples in four blocks, then a 3 x 2 landscape, one value a row
+        assert decided == [((4, 200_000), 2), ((6, 6), 1)]
 
     @FORKS
     def test_malformed_line_in_last_range_is_io_error(self, tmp_path, cfg_file, big_gen_dir, monkeypatch, capsys):
@@ -410,6 +441,29 @@ class TestAggregateAndRecover:
             "--dataset", str(gen_dir / "dataset_noisy.jsonl"), "--out", str(tmp_path / "o"),
         ])
         assert rc == 3
+
+    @pytest.mark.parametrize("command", ["aggregate", "recover"])
+    def test_header_is_checked_against_the_config_before_any_record(self, tmp_path, cfg_file, gen_dir, capsys, command):
+        # the header says N=24 and the first record does not parse: the
+        # mismatch is found first
+        lines = (gen_dir / "dataset_noisy.jsonl").read_text().split("\n")
+        lines[0] = json.dumps({"meta": {"Nt": 8, "N": 24, "m": 2, "p": 3}})
+        lines[1] = lines[1][:-9]
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines))
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg_file, "--dataset", str(bad), "--out", str(out)]) == 3
+        assert "error: dataset (N=24, m=2, p=3) does not match the config" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["aggregate", "recover"])
+    def test_dataset_commands_never_load_the_ensemble(self, tmp_path, cfg_file, gen_dir, monkeypatch, capsys, command):
+        def refused(path):
+            raise AssertionError(f"load_dataset({path}) called")
+
+        monkeypatch.setattr(lti_sim, "load_dataset", refused)
+        monkeypatch.setattr(hankelnull, "load_dataset", refused)
+        assert main([command, "--config", cfg_file, "--dataset", str(gen_dir / "dataset_noisy.jsonl"), "--out", str(tmp_path / "o")]) == 0
 
 
     def test_aggregate_input_error_is_found_before_out_exists(self, tmp_path, cfg_file, gen_dir, capsys):
@@ -914,3 +968,101 @@ class TestSweep:
         assert rc == 3
         assert flag in capsys.readouterr().err
         assert not out.exists()
+
+
+# ------------------------------------------------------------ streamed datasets
+
+# generate and recover --dataset work one block of BLOCK_SIZE records at a
+# time; their files must be the bytes of the whole ensemble generated,
+# perturbed, saved and aggregated in memory. Nt: one record, one block short
+# of full, one full block, two blocks and a record, and a short last block.
+# The noise families and initial-state policies rotate over the sizes.
+STREAM_CASES = [
+    (1, {"family": "gaussian", "m1": 1.0, "m2": 5.0}, "random-bounded"),
+    (511, {"family": "uniform", "m1": 1.0, "m2": 5.0}, "zero"),
+    (512, {"family": "shifted-exponential", "m1": 1.0, "m2": 5.0}, "random-bounded"),
+    (1025, {"family": "gaussian", "m1": 0.5, "m2": 2.0}, "zero"),
+    (2000, {"u": {"family": "uniform", "m1": 1.0, "m2": 5.0}, "y": {"family": "shifted-exponential", "m1": 0.5, "m2": 2.0}}, "random-bounded"),
+]
+STREAMED_FILES = ("gen/dataset_noisy.jsonl", "gen/dataset_noiseless.jsonl", "rec/stats.json")
+
+
+def _stream_config(tmp_path, Nt, noise, policy) -> str:
+    path = tmp_path / "stream.json"
+    path.write_text(json.dumps(dict(SMALL_CONFIG, Nt=Nt, noise=noise, x0_policy=policy)))
+    return str(path)
+
+
+def _whole_ensemble(config: str, out) -> None:
+    """generate's two files and recover's stats.json as the whole ensemble
+    gives them: one root from the seed, every record simulated, then
+    perturbed, in memory."""
+    with open(config, encoding="utf-8") as fh:
+        cfg = config_from_dict(json.load(fh))
+    rng = np.random.default_rng(cfg.seed)
+    clean = generate_dataset(cfg.system, cfg.Nt, cfg.N, cfg.L, cfg.x0_policy, rng, x0_halfwidth=cfg.x0_halfwidth)
+    noisy = add_noise(clean, cfg.noise_u, cfg.noise_y, rng)
+    for sub in ("gen", "rec"):
+        (out / sub).mkdir(parents=True)
+    save_dataset(noisy, out / "gen" / "dataset_noisy.jsonl")
+    save_dataset(clean, out / "gen" / "dataset_noiseless.jsonl")
+    save_stats(aggregate(noisy, cfg.L), out / "rec" / "stats.json")
+
+
+@pytest.mark.parametrize("cpus", [1, pytest.param(2, marks=FORKS)])
+@pytest.mark.parametrize("Nt, noise, policy", STREAM_CASES, ids=[str(c[0]) for c in STREAM_CASES])
+def test_streamed_commands_match_the_whole_ensemble(tmp_path, monkeypatch, capsys, Nt, noise, policy, cpus):
+    config = _stream_config(tmp_path, Nt, noise, policy)
+    _whole_ensemble(config, tmp_path / "whole")
+    monkeypatch.setattr(lti_sim, "_cpus", lambda: cpus)
+    monkeypatch.setattr(lti_sim, "FORK_MIN_VALUES", 1)
+    calls = spy(monkeypatch, lti_sim, "_in_parts")
+    out = tmp_path / "streamed"
+    assert main(["generate", "--config", config, "--out", str(out / "gen")]) == 0
+    rc = main(["recover", "--config", config, "--dataset", str(out / "gen" / "dataset_noisy.jsonl"), "--out", str(out / "rec")])
+    assert rc in (0, 2)  # the small grid need not admit the injected moments
+    blocks = -(-Nt // lti_sim.BLOCK_SIZE)
+    assert part_counts(calls)[:2] == [min(blocks, cpus)] * 2  # generate, then the read of recover
+    for name in STREAMED_FILES:
+        assert (out / name).read_bytes() == (tmp_path / "whole" / name).read_bytes(), name
+
+
+def test_piped_dataset_is_streamed_in_one_pass(tmp_path, monkeypatch, capsys):
+    # /dev/stdin fed by a pipe cannot be opened again, so it is read in one
+    # part even where a regular file is read in two
+    config = _stream_config(tmp_path, *STREAM_CASES[-1])
+    _whole_ensemble(config, tmp_path / "whole")
+    src = os.path.dirname(os.path.dirname(lti_sim.__file__))
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); from hankelnull import cli, lti_sim; "
+        "lti_sim._cpus = lambda: 2; lti_sim.FORK_MIN_VALUES = 1; "
+        f"sys.exit(cli.main(['aggregate', '--config', {config!r}, '--dataset', '/dev/stdin', '--out', {str(tmp_path / 'piped')!r}]))"
+    )
+    dataset = (tmp_path / "whole" / "gen" / "dataset_noisy.jsonl").read_bytes()
+    subprocess.run([sys.executable, "-c", code], input=dataset, check=True, capture_output=True, timeout=120)
+    assert json.loads((tmp_path / "piped" / "manifest.json").read_text())["cpus"] == 2
+    assert (tmp_path / "piped" / "stats.json").read_bytes() == (tmp_path / "whole" / "rec" / "stats.json").read_bytes()
+
+
+@FORKS
+def test_parts_fork_after_blas_has_started_its_threads(tmp_path, capsys):
+    # the parts simulate and aggregate, so they call BLAS and LAPACK in the
+    # child; with two BLAS threads started by a large product before the
+    # fork, generate and recover --dataset in two parts finish and give the
+    # whole ensemble's bytes
+    config = _stream_config(tmp_path, *STREAM_CASES[-1])
+    _whole_ensemble(config, tmp_path / "whole")
+    src = os.path.dirname(os.path.dirname(lti_sim.__file__))
+    out = tmp_path / "threads"
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import numpy as np; from hankelnull import cli, lti_sim; "
+        "a = np.ones((600, 600)); a @ a; "
+        "lti_sim._cpus = lambda: 2; lti_sim.FORK_MIN_VALUES = 1; "
+        f"assert cli.main(['generate', '--config', {config!r}, '--out', {str(out / 'gen')!r}]) == 0; "
+        f"sys.exit(cli.main(['recover', '--config', {config!r}, '--dataset', {str(out / 'gen' / 'dataset_noisy.jsonl')!r}, "
+        f"'--out', {str(out / 'rec')!r}]) not in (0, 2))"
+    )
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, timeout=120)
+    for name in STREAMED_FILES:
+        assert (out / name).read_bytes() == (tmp_path / "whole" / name).read_bytes(), name

@@ -637,7 +637,8 @@ def test_save_dataset_bytes_match_per_record_writer(tmp_path, demo_system):
 def test_save_dataset_in_parts_matches_per_record_writer(tmp_path, demo_system, monkeypatch, parts):
     rng = np.random.default_rng(33)
     ds = add_noise(generate_dataset(demo_system, 50, 20, 2, "random-bounded", rng), NoiseSpec("gaussian", 1.0, 5.0), NoiseSpec("gaussian", 1.0, 5.0), rng)
-    # neither 3 nor the block size divides Nt, so a part ends inside a block
+    # the block size does not divide Nt, so the last block is short, and 3
+    # does not divide the 8 blocks, so the parts differ in size
     monkeypatch.setattr(lti_sim, "BLOCK_SIZE", 7)
     assert ds.Nt % 7 != 0 and ds.Nt % 3 != 0
     monkeypatch.setattr(lti_sim, "_cpus", lambda: parts)
@@ -655,8 +656,10 @@ def test_save_dataset_in_parts_matches_per_record_writer(tmp_path, demo_system, 
 
 @forks
 def test_save_and_load_fork_from_the_same_file_size(tmp_path, demo_system, monkeypatch):
-    # 100 samples a record: Nt records give two parts of FORK_MIN_VALUES
+    # 100 samples a record: Nt records give two parts of FORK_MIN_VALUES,
+    # cut on blocks smaller than Nt
     monkeypatch.setattr(lti_sim, "_cpus", lambda: 2)
+    monkeypatch.setattr(lti_sim, "BLOCK_SIZE", 50)
     Nt = 2 * lti_sim.FORK_MIN_VALUES // 100
     ds = generate_dataset(demo_system, Nt, 20, 2, "zero", np.random.default_rng(0))
     assert ds.U.size + ds.Y.size == 2 * lti_sim.FORK_MIN_VALUES
@@ -762,7 +765,8 @@ def test_load_dataset_header_too_big_for_memory(tmp_path, demo_system, monkeypat
     cause = f"{path}: meta header's Nt={Nt}, N=20, m=2 and p=3 do not fit in memory"
     with pytest.raises(ValueError, match=re.escape(cause)):
         load_dataset(path)
-    assert decided == [((Nt, Nt * 100), cpus)]  # the load would run in cpus parts
+    blocks = -(-Nt // lti_sim.BLOCK_SIZE)
+    assert decided == [((blocks, Nt * 100), cpus)]  # the load would run in cpus parts of whole blocks
 
 
 def test_load_dataset_rejects_meta_mismatch(tmp_path, demo_system):
@@ -778,12 +782,13 @@ def test_load_dataset_rejects_meta_mismatch(tmp_path, demo_system):
 # ---------------------------------------------------------------- split loading
 
 # load_dataset reads a regular file in one process per CPU, as long as each
-# process gets FORK_MIN_VALUES samples. The records are cut into contiguous
-# ranges as save_dataset cuts them (see _in_parts); each process reads and
-# counts the records before its range, parses its range, and only the last
-# reads on to the end of the file. The tests force the CPU count, so the split
-# does not depend on the machine; at 3 CPUs a 1,600-record file of 160,000
-# samples is parsed in the ranges [0, 533), [533, 1066) and [1066, 1600).
+# process gets FORK_MIN_VALUES samples. The records are cut into ranges of
+# whole blocks as save_dataset cuts them (see _in_parts); each process reads
+# and counts the records before its range, parses its range, and only the
+# last reads on to the end of the file. The tests force the CPU count, so the
+# split does not depend on the machine; at 3 CPUs a 1,600-record file of
+# 160,000 samples, four blocks of 512 records or fewer, is parsed in the
+# ranges [0, 512), [512, 1024) and [1024, 1600).
 SPLIT_NT = 1600
 BAD = 1502  # a record the last of 3 processes parses
 
@@ -848,6 +853,7 @@ def _save_and_load_counting_parts(ds, path):
 def test_pool_worker_saves_and_loads_in_parts(tmp_path, demo_system, monkeypatch):
     # a daemonic pool worker may fork, so its dataset I/O runs in parts too
     ds = generate_dataset(demo_system, 50, 20, 2, "random-bounded", np.random.default_rng(35))
+    monkeypatch.setattr(lti_sim, "BLOCK_SIZE", 7)
     monkeypatch.setattr(lti_sim, "FORK_MIN_VALUES", 1)
     monkeypatch.setattr(lti_sim, "_cpus", lambda: 2)
     with multiprocessing.get_context("fork").Pool(1) as pool:
@@ -1055,9 +1061,10 @@ def test_failure_in_a_child_part_is_raised_here(tmp_path, monkeypatch):
 
     fds = len(os.listdir("/proc/self/fd"))
     with pytest.raises(ChildProcessError, match="part 1 of 3: its forked process exited with code 1"):
-        lti_sim._write_parts(tmp_path / "rows.txt", "header\n", 9, values, fails_in_a_child)
+        lti_sim._write_parts((tmp_path / "rows.txt",), "header\n", 9, values, fails_in_a_child)
     with pytest.raises(OSError, match="formatting failed from row 3"):
-        lti_sim._write_parts(tmp_path / "rows.txt", "header\n", 9, values, fails_past_the_first_part)
+        lti_sim._write_parts((tmp_path / "rows.txt",), "header\n", 9, values, fails_past_the_first_part)
+    assert not (tmp_path / "rows.txt").exists()  # no half-written file is left
     assert_no_child_left()
     assert len(os.listdir("/proc/self/fd")) == fds  # every memory file is closed
 
@@ -1074,7 +1081,8 @@ def test_part_killed_in_its_child_names_the_signal(tmp_path, monkeypatch):
 
     fds = len(os.listdir("/proc/self/fd"))
     with pytest.raises(ChildProcessError, match="part 1 of 3: its forked process was killed by signal 9"):
-        lti_sim._write_parts(tmp_path / "rows.txt", "header\n", 9, 3 * lti_sim.FORK_MIN_VALUES, killed_in_a_child)
+        lti_sim._write_parts((tmp_path / "rows.txt",), "header\n", 9, 3 * lti_sim.FORK_MIN_VALUES, killed_in_a_child)
+    assert not (tmp_path / "rows.txt").exists()
     assert_no_child_left()
     assert len(os.listdir("/proc/self/fd")) == fds  # every memory file is closed
 

@@ -139,6 +139,27 @@ def test_aggregate_matches_running_accumulation(demo_system, monkeypatch):
     assert np.abs(tree.G - running.G).max() <= 1e-9 * np.abs(running.G).max()
 
 
+def test_blocks_aggregated_one_by_one_sum_to_the_aggregate(demo_system):
+    # three blocks, the last one partial. aggregate symmetrizes each block's
+    # G before the blocks are summed; numpy's A @ A.T is exactly symmetric,
+    # so that is bitwise the raw sum symmetrized once (the reference below),
+    # and blocks aggregated one by one sum to it
+    ds = _noisy_demo(demo_system, 1100, seed=6)
+    st = aggregate(ds, 2)
+    raw, rowsum = [], []
+    for a in range(0, ds.Nt, stats.BLOCK_SIZE):
+        Hs = stacked_hankel(ds.U[a : a + stats.BLOCK_SIZE], ds.Y[a : a + stats.BLOCK_SIZE], 2)
+        raw.append(stats._tree_sum(Hs @ Hs.transpose(0, 2, 1)))
+        rowsum.append(stats._tree_sum(Hs.sum(axis=2)))
+    G = stats._tree_sum(np.stack(raw))
+    assert st.G.tobytes() == ((G + G.T) / 2.0).tobytes()
+    assert st.rowsum.tobytes() == stats._tree_sum(np.stack(rowsum)).tobytes()
+    blocks = [aggregate(ds[a : a + stats.BLOCK_SIZE], 2) for a in range(0, ds.Nt, stats.BLOCK_SIZE)]
+    total = stats._total(np.stack([b.G for b in blocks]), np.stack([b.rowsum for b in blocks]), st.Nc, ds.Nt)
+    assert (total.d, total.Nc, total.count) == (st.d, st.Nc, st.count)
+    assert total.G.tobytes() == st.G.tobytes() and total.rowsum.tobytes() == st.rowsum.tobytes()
+
+
 def test_aggregate_G_is_exactly_symmetric(demo_system):
     ds = _noisy_demo(demo_system, 50, seed=8)
     st = aggregate(ds, 2)
