@@ -163,14 +163,10 @@ class ExperimentConfig:
         """The grid's axes. A grid whose landscape, d singular values a
         point, cannot be mapped into memory raises, naming its point count."""
         points = math.prod(int(n) for _, _, n in self.grid.values())
-        try:
-            # an anonymous mapping, dropped unwritten: it takes no memory and
-            # leaves numpy's allocator as it was
-            lti_sim._shared_empty((points, self.d))
-            axes = tuple(np.linspace(lo, hi, int(n)) for lo, hi, n in self.grid.values())
-        except (MemoryError, OSError, OverflowError, ValueError):  # the last two past the address space
-            raise ValueError(f"a grid of {points} points does not fit in memory") from None
-        return axes
+        # an anonymous mapping, dropped unwritten: it takes no memory and
+        # leaves numpy's allocator as it was
+        lti_sim._shared_empty((points, self.d), f"a grid of {points} points does not fit in memory")
+        return tuple(np.linspace(lo, hi, int(n)) for lo, hi, n in self.grid.values())
 
 
 def config_from_dict(obj: dict) -> ExperimentConfig:
@@ -351,11 +347,11 @@ def _dataset_stats(cfg: ExperimentConfig, path) -> tuple:
     """Aggregate a dataset file that matches the config, one block at a time.
 
     The meta header is checked against the config before any record is
-    read. Each part of the read (see lti_sim._DatasetReader) aggregates
-    its blocks one by one into shared arrays, and the blocks are summed
-    here in block order, bitwise as aggregate sums a whole dataset. Returns
-    the stats and the timings aggregate_s, this process's seconds in
-    aggregate, and load_s, the rest of the read.
+    read. The reader (see lti_sim._DatasetReader) hands over each block k
+    as it is parsed; its aggregate goes into row k of shared arrays, and
+    the rows are summed here in block order, bitwise as aggregate sums a
+    whole dataset. Returns the stats and the timings aggregate_s, this
+    process's seconds in aggregate, and load_s, the rest of the read.
     """
     t0 = time.perf_counter()
     aggregate_s = 0.0
@@ -364,15 +360,14 @@ def _dataset_stats(cfg: ExperimentConfig, path) -> tuple:
             raise ValueError(f"dataset (N={rd.N}, m={rd.m}, p={rd.p}) does not match the config")
         G, rowsum = rd.shared((rd.blocks, cfg.d, cfg.d)), rd.shared((rd.blocks, cfg.d))
 
-        def part(blocks) -> None:
+        def block(k: int, ds) -> None:
             nonlocal aggregate_s
-            for a, ds in blocks:
-                t = time.perf_counter()
-                st = aggregate(ds, cfg.L)
-                G[a // lti_sim.BLOCK_SIZE], rowsum[a // lti_sim.BLOCK_SIZE] = st.G, st.rowsum
-                aggregate_s += time.perf_counter() - t
+            t = time.perf_counter()
+            st = aggregate(ds, cfg.L)
+            G[k], rowsum[k] = st.G, st.rowsum
+            aggregate_s += time.perf_counter() - t
 
-        rd.read(part)
+        rd.read(block)
     t1 = time.perf_counter()
     st = _total(G, rowsum, cfg.N - cfg.L + 1, rd.Nt)
     t2 = time.perf_counter()

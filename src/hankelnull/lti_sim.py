@@ -29,8 +29,10 @@ too, so the CLI's generate makes its files one block of BLOCK_SIZE
 records at a time and never holds the ensemble.
 
 Dataset files are written and read one block at a time, by one writer
-(_write_datasets, one %-template a record, see _record_format) and one
-reader (_DatasetReader, one record parser, see _parse_records). Text I/O,
+(_write_datasets, one %-template a record, see _record_format), which
+asks its caller's block(a, b) for records [a, b), and one reader
+(_DatasetReader, one record parser, see _parse_records), which hands its
+caller block k as block(k, ds) as soon as it is parsed. Text I/O,
 which is bound by float formatting and parsing, runs in forked processes
 on a machine with more than one CPU when a file is big enough to repay the
 fork (see _processes). Writing and reading cut a file the same way, into
@@ -578,11 +580,11 @@ def load_dataset(path) -> Dataset:
         # forked parts write straight into the caller's arrays
         U, Y = rd.shared((rd.Nt, rd.N, rd.m)), rd.shared((rd.Nt, rd.N, rd.p))
 
-        def part(blocks) -> None:
-            for a, ds in blocks:
-                U[a : a + ds.Nt], Y[a : a + ds.Nt] = ds.U, ds.Y
+        def block(k: int, ds: Dataset) -> None:
+            a = k * BLOCK_SIZE
+            U[a : a + ds.Nt], Y[a : a + ds.Nt] = ds.U, ds.Y
 
-        rd.read(part)
+        rd.read(block)
     return Dataset(U, Y)
 
 
@@ -592,20 +594,29 @@ class _DatasetReader:
 
     Opening it reads the meta header into Nt, N, m and p, so that a caller
     can check them, and size its arrays (see shared), before any record is
-    read. read(part) then reads the records in parts of whole blocks (see
-    _in_parts): a regular file in as many parts as save_dataset writes it
-    in, any other file, a pipe say, in one pass. Each part runs
-    part(blocks), where blocks yields (a, ds) for each of the part's
-    blocks: records [a, a + ds.Nt) as a Dataset over buffers that the next
-    block reuses. Each part reads and counts the records before its own,
-    so an error names a record by its index in the whole file.
+    read. read(block) then runs block(k, ds) once for each block k in
+    range(blocks), as soon as the block is parsed: ds is a Dataset of its
+    records, over buffers that the next block reuses. The blocks are read
+    in parts of whole blocks (see _in_parts): a regular file in as many
+    parts as save_dataset writes it in, any other file, a pipe say, in one
+    pass. Each part reads and counts the records before its own, so an
+    error names a record by its index in the whole file.
     """
 
     def __init__(self, path):
         self.path = path
         self.fh = open(path, "rb")
         try:
-            self.Nt, self.N, self.m, self.p = _read_header(self.fh, path)
+            try:
+                header = json.loads(self.fh.readline().decode("utf-8"))
+            except UnicodeDecodeError as err:
+                raise ValueError(f"{path}: first line is not UTF-8: {err}") from None
+            except json.JSONDecodeError as err:
+                raise json.JSONDecodeError(f"{path}: first line: {err.msg}", err.doc, err.pos) from None
+            meta = header.get("meta") if isinstance(header, dict) else None
+            if not (isinstance(meta, dict) and all(k in meta for k in ("Nt", "N", "m", "p"))):
+                raise ValueError(f"{path}: first line needs a meta header object with integer Nt, N, m and p")
+            self.Nt, self.N, self.m, self.p = (_positive_int(path, f"meta header's {k}", meta[k]) for k in ("Nt", "N", "m", "p"))
         except BaseException:
             self.fh.close()
             raise
@@ -624,45 +635,17 @@ class _DatasetReader:
         """An array of the given shape, sized from the meta header, that forked
         parts can write into (see _shared_empty); one that cannot be mapped
         raises, naming the header's counts."""
-        try:
-            return _shared_empty(shape)
-        except (MemoryError, OSError, OverflowError, ValueError):  # the last two past the address space
-            raise ValueError(f"{self.path}: meta header's Nt={self.Nt}, N={self.N}, m={self.m} and p={self.p} do not fit in memory") from None
+        return _shared_empty(shape, f"{self.path}: meta header's Nt={self.Nt}, N={self.N}, m={self.m} and p={self.p} do not fit in memory")
 
-    def read(self, part) -> None:
+    def read(self, block) -> None:
         def run(k: int, lo: int, hi: int) -> None:
             if k == 0:
-                return part(self._blocks(self.fh, lo, hi))
+                return _parse_records(self, self.fh, lo, hi, block)
             with open(self.path, "rb") as own:
                 own.readline()
-                part(self._blocks(own, lo, hi))
+                _parse_records(self, own, lo, hi, block)
 
         _in_parts(self.blocks, self.parts, run)
-
-    def _blocks(self, fh, lo: int, hi: int):
-        """(a, ds) for each of blocks [lo, hi), parsed from fh's lines."""
-        n = min(BLOCK_SIZE, self.Nt)
-        U, Y = np.empty((n, self.N, self.m)), np.empty((n, self.N, self.p))
-        for a, b in _parse_records(fh, self.path, self.Nt, lo * BLOCK_SIZE, min(hi * BLOCK_SIZE, self.Nt), U, Y):
-            try:
-                ds = Dataset(U[: b - a], Y[: b - a])
-            except ValueError:  # a non-finite sample, named by its record's index in the file
-                raise ValueError(f"{self.path}: record {a + int(np.argmax(_nonfinite(U[: b - a], Y[: b - a])))} has non-finite samples") from None
-            yield a, ds
-
-
-def _read_header(fh, path) -> tuple:
-    """(Nt, N, m, p) from the meta header, the first line of the binary file fh."""
-    try:
-        header = json.loads(fh.readline().decode("utf-8"))
-    except UnicodeDecodeError as err:
-        raise ValueError(f"{path}: first line is not UTF-8: {err}") from None
-    except json.JSONDecodeError as err:
-        raise json.JSONDecodeError(f"{path}: first line: {err.msg}", err.doc, err.pos) from None
-    meta = header.get("meta") if isinstance(header, dict) else None
-    if not (isinstance(meta, dict) and all(k in meta for k in ("Nt", "N", "m", "p"))):
-        raise ValueError(f"{path}: first line needs a meta header object with integer Nt, N, m and p")
-    return tuple(_positive_int(path, f"meta header's {k}", meta[k]) for k in ("Nt", "N", "m", "p"))
 
 
 def _load_json(path):
@@ -712,20 +695,22 @@ def _number_array(path, field: str, value) -> np.ndarray:
     return arr.astype(float)
 
 
-def _parse_records(fh, path, Nt: int, lo: int, hi: int, U: np.ndarray, Y: np.ndarray):
+def _parse_records(rd: _DatasetReader, fh, lo: int, hi: int, block) -> None:
     """Read the dataset lines left in fh, skipping blank ones, and parse
-    records [lo, hi) of the file's Nt one block at a time, lo being a
-    multiple of BLOCK_SIZE: record i goes into row i % BLOCK_SIZE of the
-    block buffers U and Y, and once records [a, b) of a block are in, this
-    yields (a, b); the next block overwrites them.
+    blocks [lo, hi) of rd's file: record i goes into row i % BLOCK_SIZE of
+    one block's buffers, and once block k's records are in, this runs
+    block(k, ds), ds a Dataset over those rows; the next block overwrites
+    them.
 
-    The records before lo are read and counted, so an error names a record
-    by its index in the whole file. A part that ends before the last record
-    stops at hi; the last part reads to the end of the file. A file that
-    ends before hi raises, naming how many records it holds.
+    The records before the part are read and counted, so an error names a
+    record by its index in the whole file. A part that ends before the last
+    record stops at its last block; the last part reads to the end of the
+    file. A file that ends before the part's last record raises, naming how
+    many records it holds.
     """
-    N, m = U.shape[1:]
-    p = Y.shape[2]
+    path, Nt, N, m, p = rd.path, rd.Nt, rd.N, rd.m, rd.p
+    U, Y = np.empty((min(BLOCK_SIZE, Nt), N, m)), np.empty((min(BLOCK_SIZE, Nt), N, p))
+    lo, hi = lo * BLOCK_SIZE, min(hi * BLOCK_SIZE, Nt)
     i = 0
     for line in fh:
         try:
@@ -737,15 +722,17 @@ def _parse_records(fh, path, Nt: int, lo: int, hi: int, U: np.ndarray, Y: np.nda
         if i == Nt:
             raise ValueError(f"{path}: more experiment lines than the meta header's Nt={Nt}")
         if i >= lo:
+            u = y = None
             try:
                 obj = _decode_record(text)
-                u, y = np.asarray(obj["u"]), np.asarray(obj["y"])
+                u = np.asarray(obj["u"])
+                y = np.asarray(obj["y"])
             except json.JSONDecodeError as err:
                 raise json.JSONDecodeError(f"{path}: record {i}: {err.msg}", err.doc, err.pos) from None
             except (KeyError, TypeError):
                 raise ValueError(f"{path}: record {i} needs u and y sample arrays") from None
-            except ValueError as err:
-                raise ValueError(f"{path}: record {i}: {err}") from None
+            except ValueError:  # numpy's words for a ragged array; the first not converted is at fault
+                raise ValueError(f"{path}: record {i} has {'u' if u is None else 'y'} samples that are not a rectangular array") from None
             # every JSON number parses as a float, so any other dtype holds a string, a bool or null;
             # a bool among numbers parses as a float too, but a line of numbers as save_dataset
             # writes them holds no "t" and no "f", so only a line that does is walked for one
@@ -756,7 +743,12 @@ def _parse_records(fh, path, Nt: int, lo: int, hi: int, U: np.ndarray, Y: np.nda
                 raise ValueError(f"{path}: record {i} has u {u.shape} and y {y.shape}, meta header says ({N}, {m}) and ({N}, {p})")
             U[i % BLOCK_SIZE], Y[i % BLOCK_SIZE] = u, y
             if (i + 1) % BLOCK_SIZE == 0 or i + 1 == hi:
-                yield i - i % BLOCK_SIZE, i + 1
+                n = i % BLOCK_SIZE + 1
+                try:
+                    ds = Dataset(U[:n], Y[:n])
+                except ValueError:  # a non-finite sample, named by its record's index in the file
+                    raise ValueError(f"{path}: record {i + 1 - n + int(np.argmax(_nonfinite(U[:n], Y[:n])))} has non-finite samples") from None
+                block(i // BLOCK_SIZE, ds)
         i += 1
         if i == hi < Nt:
             break
@@ -764,12 +756,16 @@ def _parse_records(fh, path, Nt: int, lo: int, hi: int, U: np.ndarray, Y: np.nda
         raise ValueError(f"{path}: {i} experiment lines disagree with the meta header's Nt={Nt}")
 
 
-def _shared_empty(shape) -> np.ndarray:
+def _shared_empty(shape, too_big: str) -> np.ndarray:
     """An uninitialised float array in an anonymous shared mapping, so that
-    what a forked child writes into it, this process sees."""
+    what a forked child writes into it, this process sees. One that cannot
+    be mapped raises ValueError(too_big)."""
     import mmap  # here, so that importing hankelnull does not load it
 
-    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
+    try:
+        return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
+    except (MemoryError, OSError, OverflowError, ValueError):  # the last two past the address space
+        raise ValueError(too_big) from None
 
 
 def _cpus() -> int:
@@ -796,8 +792,9 @@ def _in_parts(n: int, parts: int, part) -> None:
     Part 0 runs in this process, and each other part in a child started
     with os.fork, so one part forks nothing. A child reports only its exit
     status, so a part hands its output over in memory the child shares
-    with this process: an array made with _shared_empty, or a memory file
-    (see _write_parts). A part whose child failed is run again here, so
+    with this process: an array made with _shared_empty, such as the rows
+    that a dataset read's block(k, ds) fills by block index k, or a memory
+    file (see _write_parts). A part whose child failed is run again here, so
     that its error is raised with its own type and message; if it runs
     without error here, ChildProcessError names the part and how its child
     ended. Failures are raised in part order, and every child has ended

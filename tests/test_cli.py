@@ -370,24 +370,37 @@ class TestAggregateAndRecover:
         ({"system": dict(DEMO_SYSTEM, B=[[True, 0.0], [0.0, 1.0], [0.5, 0.5]])}, [], "system.B is not a rectangular array of numbers"),
         ({"system": dict(DEMO_SYSTEM, C=[[None, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])}, [], "system.C is not a rectangular array of numbers"),
         ({"system": dict(DEMO_SYSTEM, D=[[float("nan"), 0.0], [0.0, 0.0], [0.0, 0.0]])}, [], "system.D has entries that are not finite"),
+        ({"system": {k: DEMO_SYSTEM[k] for k in "ABC"}}, [], "system spec is missing matrix 'D'"),
+        ({"Nt": 0}, [], "Nt, N and L must all be positive"),
+        ({"eps_mode": "rel"}, [], "eps_mode must be one of ('abs', 'auto'), got 'rel'"),  # argparse guards only the flag
+        ({"eps_factor": 0}, [], "eps_sigma, eps_factor and eps_rank must be positive"),
     ])
     def test_config_value_of_wrong_type_is_config_error(self, tmp_path, capsys, fields, flags, cause):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(dict(SMALL_CONFIG, **fields)))
-        rc = main(["recover", "--config", str(path), *flags, "--stats", "s.json", "--out", str(tmp_path / "o")])
+        out = tmp_path / "o"
+        rc = main(["recover", "--config", str(path), *flags, "--stats", "s.json", "--out", str(out)])
         assert rc == 3
         assert cause in capsys.readouterr().err
+        assert not out.exists()
 
-    @pytest.mark.parametrize("line, text, cause", [(0, '{"meta": []}', "meta header"), (1, "[1, 2]", "record 0")])
+    @pytest.mark.parametrize("line, text, cause", [
+        (0, '{"meta": []}', "meta header"),
+        (1, "[1, 2]", "record 0"),
+        (2, '{"i": 1, "u": [[1.0, 2.0], [3.0]], "y": []}', "record 1 has u samples that are not a rectangular array"),
+        (2, '{"i": 1, "u": [], "y": [[1.0], [2.0, 3.0]]}', "record 1 has y samples that are not a rectangular array"),
+    ], ids=["header", "list", "ragged-u", "ragged-y"])
     def test_dataset_line_of_wrong_json_shape_is_config_error(self, tmp_path, cfg_file, gen_dir, capsys, line, text, cause):
         lines = (gen_dir / "dataset_noisy.jsonl").read_text().split("\n")
         lines[line] = text
         bad = tmp_path / "bad.jsonl"
         bad.write_text("\n".join(lines))
-        rc = main(["aggregate", "--config", cfg_file, "--dataset", str(bad), "--out", str(tmp_path / "o")])
+        out = tmp_path / "o"
+        rc = main(["aggregate", "--config", cfg_file, "--dataset", str(bad), "--out", str(out)])
         assert rc == 3
         err = capsys.readouterr().err
-        assert str(bad) in err and cause in err
+        assert str(bad) in err and cause in err and "Traceback" not in err
+        assert not out.exists()
 
     @FORKS
     def test_split_dataset_load_gives_the_same_outputs(self, tmp_path, cfg_file, big_gen_dir, monkeypatch, capsys):
@@ -520,13 +533,16 @@ class TestAggregateAndRecover:
     @pytest.mark.parametrize("text, cause", [
         ("5", "a stats snapshot must be a JSON object, got int"),
         ('{"d": 10, "Nc": 29, "count": 1, "G": [[1, 2], [3]], "rowsum": []}', "G is not a rectangular array of numbers"),
+        (json.dumps({"d": 10, "Nc": 24, "count": 1, "G": [0.0] * 100, "rowsum": [0.0] * 9}), "rowsum has shape (9,), expected (10,)"),
     ])
     def test_stats_of_wrong_json_shape_is_config_error(self, tmp_path, cfg_file, capsys, text, cause):
         bad = tmp_path / "stats.json"
         bad.write_text(text)
-        rc = main(["recover", "--config", cfg_file, "--stats", str(bad), "--out", str(tmp_path / "rec")])
+        out = tmp_path / "rec"
+        rc = main(["recover", "--config", cfg_file, "--stats", str(bad), "--out", str(out)])
         assert rc == 3
         assert f"{bad}: {cause}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_impossible_stats_fail_at_load(self, tmp_path, cfg_file, gen_dir, capsys):
         agg = tmp_path / "agg"

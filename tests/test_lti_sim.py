@@ -831,6 +831,28 @@ def test_split_load_matches_one_process(monkeypatch, split_file):
     assert part_counts(calls) == [3, 1]
 
 
+@pytest.mark.parametrize("parts", [1, pytest.param(2, marks=forks)])
+def test_read_hands_over_each_block_once_by_index(monkeypatch, split_file, parts):
+    """read(block) runs block(k, ds) once for each block k, ds holding the
+    block's records: 512 each, then the last block's 64. The calls are
+    counted in a shared array, since a list filled in a forked part never
+    reaches this process."""
+    ds, path = split_file
+    monkeypatch.setattr(lti_sim, "_cpus", lambda: parts)
+    with lti_sim._DatasetReader(path) as rd:
+        assert (rd.blocks, rd.parts) == (4, parts)
+        calls = rd.shared((rd.blocks, 3))  # calls, records and whether they are the file's
+        calls[:] = 0
+
+        def block(k, got):
+            a = k * lti_sim.BLOCK_SIZE
+            same = got.U.tobytes() == ds.U[a : a + got.Nt].tobytes() and got.Y.tobytes() == ds.Y[a : a + got.Nt].tobytes()
+            calls[k] += 1, got.Nt, same
+
+        rd.read(block)
+    assert calls.tolist() == [[1, 512, 1], [1, 512, 1], [1, 512, 1], [1, 64, 1]]
+
+
 def _save_and_load_counting_parts(ds, path):
     """save_dataset then load_dataset, with the part count of each
     _in_parts call; a task for a pool worker."""
@@ -903,6 +925,8 @@ def test_pipe_is_read_in_one_pass(monkeypatch, split_file, tmp_path):
     (lambda line: _edit(line, _set_nan), ValueError, f"record {BAD} has non-finite samples"),
     (lambda line: _edit(line, lambda rec: rec.update(u=rec["u"][:-1])), ValueError, f"record {BAD} has u (19, 2) and y (20, 3), meta header says (20, 2) and (20, 3)"),
     (lambda line: _edit(line, lambda rec: rec.pop("y")), ValueError, f"record {BAD} needs u and y sample arrays"),
+    (lambda line: _edit(line, lambda rec: rec["u"][3].pop()), ValueError, f"record {BAD} has u samples that are not a rectangular array"),
+    (lambda line: _edit(line, lambda rec: rec["y"][7].append(0.5)), ValueError, f"record {BAD} has y samples that are not a rectangular array"),
     (lambda line: line[:-9], json.JSONDecodeError, f"record {BAD}: Expecting"),
     (lambda line: line[:20] + "\udcff" + line[21:], ValueError, f"record {BAD} is not UTF-8"),  # a 0xff byte
 ])
@@ -979,7 +1003,7 @@ def test_concurrently_raises_the_first_failure_in_call_order():
     """_in_parts runs its parts at once, each on its contiguous range, and
     raises the first failure in part order."""
     parent = os.getpid()
-    out = lti_sim._shared_empty((3, 4))
+    out = lti_sim._shared_empty((3, 4), "3 x 4 floats do not fit in memory")
 
     def record(k, lo, hi):
         out[k] = k, lo, hi, os.getpid() == parent
