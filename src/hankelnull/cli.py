@@ -357,7 +357,7 @@ def _dataset_stats(cfg: ExperimentConfig, path) -> tuple:
     aggregate_s = 0.0
     with lti_sim._DatasetReader(path) as rd:
         if (rd.N, rd.m, rd.p) != (cfg.N, cfg.system.m, cfg.system.p):
-            raise ValueError(f"dataset (N={rd.N}, m={rd.m}, p={rd.p}) does not match the config")
+            raise ValueError(f"{path}: dataset (N={rd.N}, m={rd.m}, p={rd.p}) does not match the config")
         G, rowsum = rd.shared((rd.blocks, cfg.d, cfg.d)), rd.shared((rd.blocks, cfg.d))
 
         def block(k: int, ds) -> None:
@@ -469,7 +469,7 @@ def cmd_recover(cfg: ExperimentConfig, dataset_path, stats_path, out_dir) -> int
         t0 = time.perf_counter()
         st = load_stats(stats_path)
         if st.d != cfg.d or st.Nc != cfg.N - cfg.L + 1:
-            raise ValueError(f"stats (d={st.d}, Nc={st.Nc}) do not match the config")
+            raise ValueError(f"{stats_path}: stats (d={st.d}, Nc={st.Nc}) do not match the config")
         timings = {"load_s": time.perf_counter() - t0}
     else:
         st, timings = _dataset_stats(cfg, dataset_path)
@@ -516,8 +516,12 @@ def cmd_validate(cfg: ExperimentConfig, candidate_path, out_dir) -> int:
     V_true = true_nullspace(cfg.system, cfg.L)
     t1 = time.perf_counter()
     if basis.ndim != 2 or basis.shape != V_true.basis.shape:
-        raise ValueError(f"candidate null space has shape {basis.shape}, expected {V_true.basis.shape}")
-    err = subspace_angle(V_true, SubspaceBasis(basis))
+        raise ValueError(f"{candidate_path}: candidate null space has shape {basis.shape}, expected {V_true.basis.shape}")
+    try:
+        candidate = SubspaceBasis(basis)
+    except ValueError as exc:  # rows that are not orthonormal
+        raise ValueError(f"{candidate_path}: {exc}") from None
+    err = subspace_angle(V_true, candidate)
     timings = {"true_nullspace_s": t1 - t0, "angle_s": time.perf_counter() - t1}
     out = _outdir(out_dir)
     report = {

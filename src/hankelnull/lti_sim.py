@@ -301,6 +301,11 @@ def add_noise(ds: Dataset, spec_u: NoiseSpec, spec_y: NoiseSpec, rng: np.random.
     samples over the whole ensemble, one IEEE operation a step, so every
     sample is bitwise clean + (loc + scale*z). U and Y are views of one
     (Nt, N*(m + p)) array.
+
+    On numpy 2 the root counts the streams it hands out on its own bit
+    generator, so a SeedSequence the caller kept (seq in default_rng(seq))
+    still reads n_children_spawned == 0: new streams must come from rng,
+    not from that seq.
     """
     Nt, N = ds.Nt, ds.N
     Z = np.empty((Nt, N * (ds.m + ds.p)))
@@ -336,6 +341,11 @@ def generate_dataset(
     input, from child stream i (see _RecordStreams); an input that fails the
     excitation check is redrawn from the same stream, up to MAX_TRIES draws
     in all.
+
+    On numpy 2 the root counts the streams it hands out on its own bit
+    generator, so a SeedSequence the caller kept (seq in default_rng(seq))
+    still reads n_children_spawned == 0: new streams must come from rng,
+    not from that seq.
     """
     order, bounds = _generation_plan(ss, Nt, N, L, x0_policy, x0_halfwidth)
     X0 = np.zeros((Nt, ss.n))
@@ -607,12 +617,7 @@ class _DatasetReader:
         self.path = path
         self.fh = open(path, "rb")
         try:
-            try:
-                header = json.loads(self.fh.readline().decode("utf-8"))
-            except UnicodeDecodeError as err:
-                raise ValueError(f"{path}: first line is not UTF-8: {err}") from None
-            except json.JSONDecodeError as err:
-                raise json.JSONDecodeError(f"{path}: first line: {err.msg}", err.doc, err.pos) from None
+            header = _json(self.fh.readline(), f"{path}: first line")
             meta = header.get("meta") if isinstance(header, dict) else None
             if not (isinstance(meta, dict) and all(k in meta for k in ("Nt", "N", "m", "p"))):
                 raise ValueError(f"{path}: first line needs a meta header object with integer Nt, N, m and p")
@@ -648,14 +653,21 @@ class _DatasetReader:
         _in_parts(self.blocks, self.parts, run)
 
 
-def _load_json(path):
-    """The JSON value in a whole file; a malformed one raises naming the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+def _json(data: bytes, where: str, decode=json.loads):
+    """The JSON value that decode parses from UTF-8 bytes; bytes that are not
+    UTF-8, or text that is not JSON, raise naming where they came from."""
     try:
-        return json.loads(text)
+        return decode(data.decode("utf-8"))
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{where} is not UTF-8: {err}") from None
     except json.JSONDecodeError as err:
-        raise json.JSONDecodeError(f"{path}: {err.msg}", err.doc, err.pos) from None
+        raise json.JSONDecodeError(f"{where}: {err.msg}", err.doc, err.pos) from None
+
+
+def _load_json(path):
+    """The JSON value in a whole file; one that is not UTF-8 or not JSON raises naming the file."""
+    with open(path, "rb") as fh:
+        return _json(fh.read(), str(path))
 
 
 def _dump_json(obj, path, indent=None) -> None:
@@ -696,39 +708,33 @@ def _number_array(path, field: str, value) -> np.ndarray:
 
 
 def _parse_records(rd: _DatasetReader, fh, lo: int, hi: int, block) -> None:
-    """Read the dataset lines left in fh, skipping blank ones, and parse
-    blocks [lo, hi) of rd's file: record i goes into row i % BLOCK_SIZE of
-    one block's buffers, and once block k's records are in, this runs
-    block(k, ds), ds a Dataset over those rows; the next block overwrites
-    them.
+    """Read the dataset lines left in fh, skipping blank ones (ASCII
+    whitespace only), and parse blocks [lo, hi) of rd's file: record i goes
+    into row i % BLOCK_SIZE of one block's buffers, and once block k's
+    records are in, this runs block(k, ds), ds a Dataset over those rows;
+    the next block overwrites them.
 
-    The records before the part are read and counted, so an error names a
-    record by its index in the whole file. A part that ends before the last
-    record stops at its last block; the last part reads to the end of the
-    file. A file that ends before the part's last record raises, naming how
-    many records it holds.
+    The records before the part are read and counted but not decoded, so
+    an error names a record by its index in the whole file. A part that
+    ends before the last record stops at its last block; the last part
+    reads to the end of the file. A file that ends before the part's last
+    record raises, naming how many records it holds.
     """
     path, Nt, N, m, p = rd.path, rd.Nt, rd.N, rd.m, rd.p
     U, Y = np.empty((min(BLOCK_SIZE, Nt), N, m)), np.empty((min(BLOCK_SIZE, Nt), N, p))
     lo, hi = lo * BLOCK_SIZE, min(hi * BLOCK_SIZE, Nt)
     i = 0
     for line in fh:
-        try:
-            text = line.decode("utf-8")
-        except UnicodeDecodeError as err:
-            raise ValueError(f"{path}: record {i} is not UTF-8: {err}") from None
-        if not text.strip():
+        if line.isspace():
             continue
         if i == Nt:
             raise ValueError(f"{path}: more experiment lines than the meta header's Nt={Nt}")
         if i >= lo:
+            obj = _json(line, f"{path}: record {i}", _decode_record)
             u = y = None
             try:
-                obj = _decode_record(text)
                 u = np.asarray(obj["u"])
                 y = np.asarray(obj["y"])
-            except json.JSONDecodeError as err:
-                raise json.JSONDecodeError(f"{path}: record {i}: {err.msg}", err.doc, err.pos) from None
             except (KeyError, TypeError):
                 raise ValueError(f"{path}: record {i} needs u and y sample arrays") from None
             except ValueError:  # numpy's words for a ragged array; the first not converted is at fault
@@ -736,7 +742,7 @@ def _parse_records(rd: _DatasetReader, fh, lo: int, hi: int, block) -> None:
             # every JSON number parses as a float, so any other dtype holds a string, a bool or null;
             # a bool among numbers parses as a float too, but a line of numbers as save_dataset
             # writes them holds no "t" and no "f", so only a line that does is walked for one
-            if u.dtype != float or y.dtype != float or (("t" in text or "f" in text) and (_holds_bool(obj["u"]) or _holds_bool(obj["y"]))):
+            if u.dtype != float or y.dtype != float or ((b"t" in line or b"f" in line) and (_holds_bool(obj["u"]) or _holds_bool(obj["y"]))):
                 name = "u" if u.dtype != float or _holds_bool(obj["u"]) else "y"
                 raise ValueError(f"{path}: record {i} has {name} samples that are not numbers")
             if u.shape != (N, m) or y.shape != (N, p):

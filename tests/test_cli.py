@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,6 +56,19 @@ def test_package_reexports_each_module_all():
     star = {}
     exec("from hankelnull import *", star)
     assert set(star) - {"__builtins__"} == set(owners)
+
+
+def test_readme_library_example_runs(capsys):
+    """README's Library example, run as written, so the documented API
+    cannot drift from the code; it recovers the moments (1, 5) it draws."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    code = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("\n```", 1)[0]
+    ns = {}
+    exec(compile(code, "README.md", "exec"), ns)
+    point = ns["best"].point
+    assert abs(point.m1u - 1.0) < 0.05 and abs(point.m2u - 5.0) < 0.25
+    assert ns["err"].theta_max < 0.1
+    assert capsys.readouterr().out.count("\n") == 1
 
 
 @pytest.fixture(scope="module")
@@ -448,6 +462,28 @@ class TestAggregateAndRecover:
         assert rc == 3
         assert f"{bad}: {cause}: 'utf-8' codec can't decode byte 0xff in position 20" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flag", [("generate", "--config"), ("recover", "--stats"), ("validate", "--candidate")])
+    def test_input_file_that_is_not_utf8_is_config_error(self, tmp_path, cfg_file, capsys, command, flag):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"d": "\xff"}')
+        config = [] if flag == "--config" else ["--config", cfg_file]
+        out = tmp_path / "o"
+        assert main([command, *config, flag, str(bad), "--out", str(out)]) == 3
+        assert f"{bad} is not UTF-8: 'utf-8' codec can't decode byte 0xff in position 7" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag", [("aggregate", "--dataset"), ("recover", "--dataset"), ("recover", "--stats")])
+    def test_input_that_does_not_match_the_config_is_named_by_its_file(self, tmp_path, cfg_file, gen_dir, capsys, command, flag):
+        path, cause = gen_dir / "dataset_noisy.jsonl", "dataset (N=25, m=2, p=3) does not match the config"
+        if flag == "--stats":
+            path, cause = tmp_path / "agg" / "stats.json", "stats (d=10, Nc=24) do not match the config"
+            assert main(["aggregate", "--config", cfg_file, "--dataset", str(gen_dir / "dataset_noisy.jsonl"), "--out", str(path.parent)]) == 0
+            capsys.readouterr()
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg_file, "--N", "24", flag, str(path), "--out", str(out)]) == 3
+        assert f"error: {path}: {cause}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mismatched_dataset_rejected(self, tmp_path, cfg_file, gen_dir, capsys):
         rc = main([
             "aggregate", "--config", cfg_file, "--N", "24",
@@ -466,7 +502,7 @@ class TestAggregateAndRecover:
         bad.write_text("\n".join(lines))
         out = tmp_path / "o"
         assert main([command, "--config", cfg_file, "--dataset", str(bad), "--out", str(out)]) == 3
-        assert "error: dataset (N=24, m=2, p=3) does not match the config" in capsys.readouterr().err
+        assert f"error: {bad}: dataset (N=24, m=2, p=3) does not match the config" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["aggregate", "recover"])
@@ -880,6 +916,19 @@ class TestValidate:
         cand.write_text(json.dumps({"m1": 0.0, "m2": 0.0, "sigma_min": 0.0, "nullspace": nullspace}))
         out = tmp_path / "o"
         assert main(["validate", "--config", cfg_file, "--candidate", str(cand), "--out", str(out)]) == 3
+        assert not out.exists()
+
+    @pytest.mark.parametrize("nullspace, cause", [
+        ([[1.0, 0.0, 0.0]], "candidate null space has shape (1, 3), expected (3, 10)"),
+        ([[1.0] + [0.0] * 9] * 3, "basis rows are not orthonormal"),
+        ([[float("nan")] * 10] * 3, "basis rows are not orthonormal: they hold non-finite entries"),
+    ])
+    def test_candidate_basis_error_is_named_by_its_file(self, tmp_path, cfg_file, capsys, nullspace, cause):
+        cand = tmp_path / "cand.json"
+        cand.write_text(json.dumps({"m1": 0.0, "m2": 0.0, "sigma_min": 0.0, "nullspace": nullspace}))
+        out = tmp_path / "o"
+        assert main(["validate", "--config", cfg_file, "--candidate", str(cand), "--out", str(out)]) == 3
+        assert f"error: {cand}: {cause}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_finite_basis_is_config_error(self, tmp_path, cfg_file, capsys):

@@ -929,6 +929,7 @@ def test_pipe_is_read_in_one_pass(monkeypatch, split_file, tmp_path):
     (lambda line: _edit(line, lambda rec: rec["y"][7].append(0.5)), ValueError, f"record {BAD} has y samples that are not a rectangular array"),
     (lambda line: line[:-9], json.JSONDecodeError, f"record {BAD}: Expecting"),
     (lambda line: line[:20] + "\udcff" + line[21:], ValueError, f"record {BAD} is not UTF-8"),  # a 0xff byte
+    pytest.param(lambda line: "\u00a0", json.JSONDecodeError, f"record {BAD}: Expecting", id="unicode-whitespace-only"),
 ])
 def test_split_load_names_bad_record_by_its_index_in_the_file(monkeypatch, split_file, tmp_path, bad_line, kind, cause):
     lines = split_file[1].read_text().split("\n")
