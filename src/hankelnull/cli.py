@@ -12,7 +12,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -284,10 +284,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return {
         "system": {k: getattr(cfg.system, k).tolist() for k in "ABCD"},
         **{name: getattr(cfg, name) for name in _SCALARS},
-        "noise": {
-            "u": {"family": cfg.noise_u.family, "m1": cfg.noise_u.m1, "m2": cfg.noise_u.m2},
-            "y": {"family": cfg.noise_y.family, "m1": cfg.noise_y.m1, "m2": cfg.noise_y.m2},
-        },
+        "noise": {"u": asdict(cfg.noise_u), "y": asdict(cfg.noise_y)},
         "grid": {name: list(axis) for name, axis in cfg.grid.items()},
     }
 
@@ -515,7 +512,7 @@ def cmd_validate(cfg: ExperimentConfig, candidate_path, out_dir) -> int:
     t0 = time.perf_counter()
     V_true = true_nullspace(cfg.system, cfg.L)
     t1 = time.perf_counter()
-    if basis.ndim != 2 or basis.shape != V_true.basis.shape:
+    if basis.shape != V_true.basis.shape:
         raise ValueError(f"{candidate_path}: candidate null space has shape {basis.shape}, expected {V_true.basis.shape}")
     try:
         candidate = SubspaceBasis(basis)
@@ -560,15 +557,6 @@ def cmd_sweep(cfg: ExperimentConfig, nt_list, seeds, out_dir) -> int:
     return 0
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        # argparse exits with 2 by default, which this tool reserves for
-        # "no admitted candidate"; bad arguments are a config error instead
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
-        raise SystemExit(3)
-
-
 def _int_list(text: str) -> list:
     try:
         values = [int(v) for v in text.split(",") if v.strip() != ""]
@@ -579,73 +567,58 @@ def _int_list(text: str) -> list:
     return values
 
 
-def _add_config_flags(sp) -> None:
-    sp.add_argument("--config", help="JSON config file; a run manifest also works")
-    sp.add_argument("--preset", choices=sorted(PRESETS), help="start from a built-in configuration")
-    for name, (kind, _, help_text) in _SCALARS.items():
-        flag = "--" + name.replace("_", "-")
-        if isinstance(kind, tuple):
-            sp.add_argument(flag, choices=kind, help=help_text)
-        else:
-            sp.add_argument(flag, type=kind, help=help_text)
-    sp.add_argument("--workers", type=int, help="ignored; kept so older command lines still parse")
-    sp.add_argument("--noise-family", choices=NOISE_FAMILIES, help="noise family for both channels")
-    sp.add_argument("--noise-m1", type=float, help="first raw noise moment for both channels")
-    sp.add_argument("--noise-m2", type=float, help="second raw noise moment for both channels")
-    sp.add_argument("--grid-m1", nargs=3, type=float, metavar=("LO", "HI", "POINTS"), help="first-moment axis m1 of a tied grid")
-    sp.add_argument("--grid-m2", nargs=3, type=float, metavar=("LO", "HI", "POINTS"), help="second-moment axis m2 of a tied grid")
-
-
 def build_parser() -> argparse.ArgumentParser:
-    ap = _Parser(prog="hankelnull", description="Recover LTI behavioral invariants from noisy fragmented data.")
+    # the flags every subcommand takes: the config, its overrides and --out
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="JSON config file; a run manifest also works")
+    common.add_argument("--preset", choices=sorted(PRESETS), help="start from a built-in configuration")
+    for name, (kind, _, help_text) in _SCALARS.items():
+        parse = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+        common.add_argument("--" + name.replace("_", "-"), **parse, help=help_text)
+    common.add_argument("--workers", type=int, help="ignored; kept so older command lines still parse")
+    common.add_argument("--noise-family", choices=NOISE_FAMILIES, help="noise family for both channels")
+    common.add_argument("--noise-m1", type=float, help="first raw noise moment for both channels")
+    common.add_argument("--noise-m2", type=float, help="second raw noise moment for both channels")
+    common.add_argument("--grid-m1", nargs=3, type=float, metavar=("LO", "HI", "POINTS"), help="first-moment axis m1 of a tied grid")
+    common.add_argument("--grid-m2", nargs=3, type=float, metavar=("LO", "HI", "POINTS"), help="second-moment axis m2 of a tied grid")
+    common.add_argument("--out", required=True, help="output directory")
+
+    ap = argparse.ArgumentParser(prog="hankelnull", description="Recover LTI behavioral invariants from noisy fragmented data.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("generate", help="simulate an ensemble and write noiseless and noisy datasets")
-    _add_config_flags(sp)
-    sp.add_argument("--out", required=True, help="output directory")
+    sp = sub.add_parser("generate", parents=[common], help="simulate an ensemble and write noiseless and noisy datasets")
+    sp.set_defaults(run=lambda cfg, a: cmd_generate(cfg, a.out))
 
-    sp = sub.add_parser("aggregate", help="fold a dataset into its sufficient statistics")
-    _add_config_flags(sp)
+    sp = sub.add_parser("aggregate", parents=[common], help="fold a dataset into its sufficient statistics")
+    sp.set_defaults(run=lambda cfg, a: cmd_aggregate(cfg, a.dataset, a.out))
     sp.add_argument("--dataset", required=True, help="dataset JSONL path")
-    sp.add_argument("--out", required=True, help="output directory")
 
-    sp = sub.add_parser("recover", help="grid-search noise moments and extract the null space")
-    _add_config_flags(sp)
+    sp = sub.add_parser("recover", parents=[common], help="grid-search noise moments and extract the null space")
+    sp.set_defaults(run=lambda cfg, a: cmd_recover(cfg, a.dataset, a.stats, a.out))
     sp.add_argument("--dataset", help="dataset JSONL path (aggregated first)")
     sp.add_argument("--stats", help="stats snapshot path (skips aggregation)")
-    sp.add_argument("--out", required=True, help="output directory")
 
-    sp = sub.add_parser("validate", help="score a recovered null space against the model's true one")
-    _add_config_flags(sp)
+    sp = sub.add_parser("validate", parents=[common], help="score a recovered null space against the model's true one")
+    sp.set_defaults(run=lambda cfg, a: cmd_validate(cfg, a.candidate, a.out))
     sp.add_argument("--candidate", required=True, help="candidate JSON path")
-    sp.add_argument("--out", required=True, help="output directory")
 
-    sp = sub.add_parser("sweep", help="repeat the pipeline over ensemble sizes and seeds")
-    _add_config_flags(sp)
+    sp = sub.add_parser("sweep", parents=[common], help="repeat the pipeline over ensemble sizes and seeds")
+    sp.set_defaults(run=lambda cfg, a: cmd_sweep(cfg, a.Nt_list, a.seeds, a.out))
     sp.add_argument("--Nt-list", type=_int_list, required=True, help="comma-separated ensemble sizes")
     sp.add_argument("--seeds", type=_int_list, required=True, help="comma-separated seeds")
-    sp.add_argument("--out", required=True, help="output directory")
 
     return ap
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
-        return e.code if isinstance(e.code, int) else 0
+        # argparse exits 2 on bad arguments, a code this tool keeps for
+        # "no admitted candidate"; bad arguments are a config error instead
+        return 3 if e.code == 2 else e.code if isinstance(e.code, int) else 0
     try:
-        cfg = resolve_config(args)
-        if args.command == "generate":
-            return cmd_generate(cfg, args.out)
-        if args.command == "aggregate":
-            return cmd_aggregate(cfg, args.dataset, args.out)
-        if args.command == "recover":
-            return cmd_recover(cfg, args.dataset, args.stats, args.out)
-        if args.command == "validate":
-            return cmd_validate(cfg, args.candidate, args.out)
-        return cmd_sweep(cfg, args.Nt_list, args.seeds, args.out)
+        return args.run(resolve_config(args), args)
     except json.JSONDecodeError as e:
         print(f"error: malformed JSON: {e}", file=sys.stderr)
         return 4

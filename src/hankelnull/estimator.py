@@ -269,7 +269,8 @@ def grid_search(
 
       abs   threshold = eps_sigma
       auto  threshold = eps_factor * the grid-wide minimum of the
-            nullity-th smallest singular value
+            nullity-th smallest singular value; a product that
+            overflows raises ValueError naming eps_factor
 
     The abs threshold is a fixed yardstick; auto adapts to the statistical
     floor of the ensemble, which shrinks as more experiments are absorbed,
@@ -367,7 +368,10 @@ def grid_search(
     if eps_mode == "abs":
         threshold = float(eps_sigma)
     else:
-        threshold = float(eps_factor * sv_all[:, d - nullity].min())
+        floor = float(sv_all[:, d - nullity].min())
+        threshold = float(eps_factor) * floor
+        if not math.isfinite(threshold):
+            raise ValueError(f"eps_factor={eps_factor!r} times the grid's noise floor {floor:.6g} overflows")
     # rows are sorted descending, so exactly `nullity` values fall below the
     # threshold when the nullity-th smallest does and the next one does not
     admitted = (sv_all[:, d - nullity] < threshold) & (sv_all[:, d - nullity - 1] >= threshold)

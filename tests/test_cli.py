@@ -117,6 +117,19 @@ class TestParsing:
     def test_missing_system_is_config_error(self, tmp_path, capsys):
         assert main(["recover", "--stats", "whatever.json", "--out", str(tmp_path / "o")]) == 3
 
+    @pytest.mark.parametrize("command", ["generate", "aggregate", "recover", "validate", "sweep"])
+    def test_every_subcommand_takes_the_shared_flags(self, tmp_path, capsys, command):
+        # the config flags and --out of one parent parser, on each subcommand
+        assert main([command]) == 3
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert error.startswith(f"hankelnull {command}: error: the following arguments are required: ") and "--out" in error
+        out = tmp_path / "o"
+        assert main([command, "--Nt", "many", "--out", str(out)]) == 3
+        assert f"hankelnull {command}: error: argument --Nt: invalid int value: 'many'" in capsys.readouterr().err
+        assert not out.exists()
+        assert main([command, "--help"]) == 0
+        assert "--out OUT" in capsys.readouterr().out
+
 
 class TestGenerate:
     def test_writes_datasets_and_manifest(self, gen_dir):
@@ -484,13 +497,6 @@ class TestAggregateAndRecover:
         assert f"error: {path}: {cause}" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_mismatched_dataset_rejected(self, tmp_path, cfg_file, gen_dir, capsys):
-        rc = main([
-            "aggregate", "--config", cfg_file, "--N", "24",
-            "--dataset", str(gen_dir / "dataset_noisy.jsonl"), "--out", str(tmp_path / "o"),
-        ])
-        assert rc == 3
-
     @pytest.mark.parametrize("command", ["aggregate", "recover"])
     def test_header_is_checked_against_the_config_before_any_record(self, tmp_path, cfg_file, gen_dir, capsys, command):
         # the header says N=24 and the first record does not parse: the
@@ -646,6 +652,18 @@ class TestAggregateAndRecover:
         assert main([command, "--config", cfg_file, *flags, *args, "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert f"error: {message}" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["recover", "sweep"])
+    def test_auto_threshold_that_overflows_is_config_error_before_out_exists(self, tmp_path, cfg_file, gen_dir, capsys, command):
+        # an m2 axis far from the true moments (0, 0) puts the grid's noise
+        # floor above 1, where eps_factor 1e308 times it overflows
+        out = tmp_path / "o"
+        args = ["--dataset", str(gen_dir / "dataset_noisy.jsonl")] if command == "recover" else ["--Nt-list", "5", "--seeds", "0"]
+        flags = ["--eps-mode", "auto", "--eps-factor", "1e308", "--grid-m2", "5", "6", "2"]
+        assert main([command, "--config", cfg_file, *flags, *args, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "error: eps_factor=1e+308 times the grid's noise floor" in err and "overflows" in err and "Traceback" not in err
         assert not out.exists()
 
     # checks that only the library makes: the excitation bound N >= 14 at
@@ -903,21 +921,6 @@ class TestValidate:
         assert set(timings) == {"true_nullspace_s", "angle_s"}
         assert all(v >= 0.0 for v in timings.values())
 
-    def test_wrong_basis_shape_rejected(self, tmp_path, cfg_file, capsys):
-        cand = tmp_path / "cand.json"
-        cand.write_text(json.dumps({"m1": 0.0, "m2": 0.0, "sigma_min": 0.0, "nullspace": np.eye(10)[:2].tolist()}))
-        rc = main(["validate", "--config", cfg_file, "--candidate", str(cand), "--out", str(tmp_path / "o")])
-        assert rc == 3
-
-    @pytest.mark.parametrize("nullspace", [np.eye(10)[:2].tolist(), [[1, "x"]], [[1.0] + [0.0] * 9] * 3])
-    def test_candidate_error_is_found_before_out_exists(self, tmp_path, cfg_file, capsys, nullspace):
-        # a basis of the wrong shape for the config, not numbers, or not orthonormal
-        cand = tmp_path / "cand.json"
-        cand.write_text(json.dumps({"m1": 0.0, "m2": 0.0, "sigma_min": 0.0, "nullspace": nullspace}))
-        out = tmp_path / "o"
-        assert main(["validate", "--config", cfg_file, "--candidate", str(cand), "--out", str(out)]) == 3
-        assert not out.exists()
-
     @pytest.mark.parametrize("nullspace, cause", [
         ([[1.0, 0.0, 0.0]], "candidate null space has shape (1, 3), expected (3, 10)"),
         ([[1.0] + [0.0] * 9] * 3, "basis rows are not orthonormal"),
@@ -930,15 +933,6 @@ class TestValidate:
         assert main(["validate", "--config", cfg_file, "--candidate", str(cand), "--out", str(out)]) == 3
         assert f"error: {cand}: {cause}" in capsys.readouterr().err
         assert not out.exists()
-
-    def test_non_finite_basis_is_config_error(self, tmp_path, cfg_file, capsys):
-        basis = np.eye(10)[:3]
-        basis[1] = np.nan
-        cand = tmp_path / "cand.json"
-        cand.write_text(json.dumps({"m1": 0.0, "m2": 0.0, "sigma_min": 0.0, "nullspace": basis.tolist()}))
-        rc = main(["validate", "--config", cfg_file, "--candidate", str(cand), "--out", str(tmp_path / "o")])
-        assert rc == 3
-        assert "not orthonormal" in capsys.readouterr().err
 
     def test_missing_candidate_is_io_error(self, tmp_path, cfg_file, capsys):
         rc = main(["validate", "--config", cfg_file, "--candidate", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])
@@ -965,9 +959,10 @@ class TestValidate:
     def test_candidate_nullspace_not_numbers_is_config_error(self, tmp_path, cfg_file, capsys, nullspace):
         cand = tmp_path / "cand.json"
         cand.write_text(json.dumps({"m1": 0.0, "m2": 0.0, "sigma_min": 0.0, "nullspace": nullspace}))
-        rc = main(["validate", "--config", cfg_file, "--candidate", str(cand), "--out", str(tmp_path / "o")])
-        assert rc == 3
+        out = tmp_path / "o"
+        assert main(["validate", "--config", cfg_file, "--candidate", str(cand), "--out", str(out)]) == 3
         assert f"{cand}: nullspace is not a rectangular array of numbers" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSweep:

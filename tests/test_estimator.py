@@ -337,6 +337,15 @@ class TestGridSearch:
         assert res.best.point == _point(res.points[j])
         assert np.array_equal(res.best.singular_values, res.singular_values[j])
 
+    def test_auto_threshold_that_overflows_is_refused(self, demo_system):
+        # a finite eps_factor whose product with the grid's floor is not
+        fin = aggregate(_noisy(demo_system, 80, seed=19), 2).finalize()
+        grid = (np.linspace(0.5, 1.5, 5), np.linspace(3.0, 7.0, 5))
+        floor = grid_search(fin, grid, eps_sigma=1e-3, nullity=3, eps_mode="auto").singular_values[:, 10 - 3].min()
+        assert floor > 1.0
+        with pytest.raises(ValueError, match=r"eps_factor=1e\+308 times the grid's noise floor .* overflows"):
+            grid_search(fin, grid, eps_sigma=1e-3, nullity=3, eps_mode="auto", eps_factor=1e308)
+
     def test_separate_channel_axes_pick_true_combination(self, demo_system):
         rng = np.random.default_rng(21)
         ds = generate_dataset(demo_system, 40, 30, 2, "random-bounded", rng)
