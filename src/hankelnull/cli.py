@@ -462,6 +462,8 @@ def cmd_recover(cfg: ExperimentConfig, dataset_path, stats_path, out_dir) -> int
     if (dataset_path is None) == (stats_path is None):
         raise ValueError("give exactly one of --dataset or --stats")
     axes = cfg.axes()
+    # the grid search takes nullity p*L - n on trust: the plant's own data must have it
+    true_nullspace(cfg.system, cfg.L)
     if stats_path is not None:
         t0 = time.perf_counter()
         st = load_stats(stats_path)

@@ -3,7 +3,7 @@
 All randomness flows from a single root generator. Anything that touches
 several experiments takes one child stream per experiment index, stream i
 drawing bitwise what the root's spawn would give as child i (see
-_RecordStreams). generate_dataset takes its Nt streams first, so a
+_record_draws). generate_dataset takes its Nt streams first, so a
 noiseless record i depends only on the root seed and i. add_noise takes its
 streams from the same root afterwards, so the noise on record i also
 depends on how many streams were taken before it, that is on the ensemble
@@ -49,7 +49,7 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random.bit_generator import _coerce_to_uint32_array  # private; _RecordStreams checks its use
+from numpy.random.bit_generator import _coerce_to_uint32_array  # private; _record_draws checks its use
 
 from .hankel import pe_order_check
 
@@ -290,7 +290,7 @@ def generate_pe_input(N: int, m: int, order: int, rng: np.random.Generator, max_
 def add_noise(ds: Dataset, spec_u: NoiseSpec, spec_y: NoiseSpec, rng: np.random.Generator) -> Dataset:
     """Perturb every input and output sample by an independent draw.
 
-    Each experiment gets its own child stream (see _RecordStreams), and
+    Each experiment gets its own child stream (see _record_draws), and
     within a stream the input block is drawn before the output block, so
     corruption is reproducible and independent across time, channels,
     experiments and the two signals.
@@ -301,16 +301,11 @@ def add_noise(ds: Dataset, spec_u: NoiseSpec, spec_y: NoiseSpec, rng: np.random.
     samples over the whole ensemble, one IEEE operation a step, so every
     sample is bitwise clean + (loc + scale*z). U and Y are views of one
     (Nt, N*(m + p)) array.
-
-    On numpy 2 the root counts the streams it hands out on its own bit
-    generator, so a SeedSequence the caller kept (seq in default_rng(seq))
-    still reads n_children_spawned == 0: new streams must come from rng,
-    not from that seq.
     """
     Nt, N = ds.Nt, ds.N
     Z = np.empty((Nt, N * (ds.m + ds.p)))
     channels = list(zip((Z[:, : N * ds.m], Z[:, N * ds.m :]), (spec_u.standard_form, spec_y.standard_form), (ds.U, ds.Y)))
-    _RecordStreams(rng, Nt, [(draw, rows) for rows, (draw, _, _), _ in channels if draw is not None])
+    _record_draws(rng, Nt, [(draw, rows) for rows, (draw, _, _), _ in channels if draw is not None])
     noisy = []
     for rows, (draw, loc, scale), clean in channels:
         out = rows.reshape(clean.shape)  # a view: each record's channel is contiguous
@@ -338,23 +333,18 @@ def generate_dataset(
     Every input is verified persistently exciting of order L + n. Initial
     states are zero or drawn uniformly from a hypercube of the given
     half-width, per policy. Record i draws its initial state, then its
-    input, from child stream i (see _RecordStreams); an input that fails the
+    input, from child stream i (see _record_draws); an input that fails the
     excitation check is redrawn from the same stream, up to MAX_TRIES draws
     in all.
-
-    On numpy 2 the root counts the streams it hands out on its own bit
-    generator, so a SeedSequence the caller kept (seq in default_rng(seq))
-    still reads n_children_spawned == 0: new streams must come from rng,
-    not from that seq.
     """
     order, bounds = _generation_plan(ss, Nt, N, L, x0_policy, x0_halfwidth)
     X0 = np.zeros((Nt, ss.n))
     U = np.empty((Nt, N, ss.m))
-    streams = _RecordStreams(rng, Nt, ([("random", X0)] if bounds is not None else []) + [("standard_normal", U)])
+    again = _record_draws(rng, Nt, ([("random", X0)] if bounds is not None else []) + [("standard_normal", U)])
     for a in range(0, Nt, BLOCK_SIZE):
         for i in a + np.flatnonzero(~pe_order_check(U[a : a + BLOCK_SIZE], order)):
             try:
-                U[i] = generate_pe_input(N, ss.m, order, streams.resume(i), MAX_TRIES - 1)
+                U[i] = generate_pe_input(N, ss.m, order, again(i), MAX_TRIES - 1)
             except RuntimeError:
                 raise RuntimeError(f"record {i}: no exciting input of order {order} found in {MAX_TRIES} draws") from None
     if bounds is not None:
@@ -391,7 +381,7 @@ def _generation_plan(ss: StateSpace, Nt: int, N: int, L: int, x0_policy: str, x0
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
-# PCG64's 128-bit LCG multiplier; _RecordStreams checks what it derives from
+# PCG64's 128-bit LCG multiplier; _record_draws checks what it derives from
 # them against numpy on every call
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # hashmix, mixing entropy into the pool
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # hashmix, in generate_state
@@ -413,11 +403,6 @@ def _mix(x, y):
     """SeedSequence's mix of two 32-bit words, Python ints or uint32 arrays."""
     r = ((_MIX_L * x & _M32) - (_MIX_R * y & _M32)) & _M32
     return r ^ (r >> 16)
-
-
-def _pcg64_child(seq, k: int) -> np.random.PCG64:
-    """Child k of the SeedSequence seq on PCG64, built by numpy as spawn builds it."""
-    return np.random.PCG64(np.random.SeedSequence(seq.entropy, spawn_key=seq.spawn_key + (k,), pool_size=seq.pool_size))
 
 
 def _pcg64_states(seq, first: int, n: int) -> list:
@@ -451,10 +436,12 @@ def _pcg64_states(seq, first: int, n: int) -> list:
     return states
 
 
-class _RecordStreams:
-    """Draws from child streams 0..n-1 of the root generator rng: stream i
-    draws bitwise what rng.spawn(n)[i] draws, and rng counts n more children
-    spawned, as spawn counts them, so the next call gets the next n.
+def _record_draws(rng, n: int, calls: list):
+    """Make the draws of child streams 0..n-1 of the root generator rng:
+    stream i draws bitwise what rng.spawn(n)[i] draws, and rng's seed
+    sequence counts n more children spawned, as spawn counts them, so the
+    next call gets the next n. Returns again(i), stream i where its draws
+    left it.
 
     calls is one list of draws, (Generator method name, rows), that every
     record makes in order on its own stream: stream i runs
@@ -462,65 +449,51 @@ class _RecordStreams:
     PCG64 seeded by a numpy SeedSequence, the children's states are derived
     in one pass (see _pcg64_states), and one Generator, reseeded for each
     record, makes every record's draws, so no per-record SeedSequence, PCG64
-    or Generator is built. The first and last states are checked against
-    streams numpy builds itself, and a mismatch, from a numpy that seeds
-    another way, raises RuntimeError before rng counts anything or any draw
-    is made, rather than changing any dataset. Any other root (another bit
-    generator, a seed sequence of another kind, a duck-typed generator with
-    only a spawn method) is served by rng.spawn(n).
-
-    numpy 2 pickles a bit generator's seed sequence with its state, so the
-    count is set by giving rng's bit generator a SeedSequence that has
-    counted the n children; another reference to the old one does not see
-    them. numpy 1.x pickles no seed sequence, and there the old one spawns
-    n children that are dropped.
+    or Generator is built; again(i) reseeds it to child i and makes record
+    i's draws again. The first and last states are checked against streams
+    numpy builds itself, and a mismatch, from a numpy that seeds another
+    way, raises RuntimeError before anything is counted or drawn, rather
+    than changing any dataset. Any other root (another bit generator, a seed
+    sequence of another kind, a duck-typed generator with only a spawn
+    method) is served by rng.spawn(n), and again(i) is child i itself.
     """
 
-    def __init__(self, rng, n: int, calls: list):
-        self.calls = calls
-        bg = getattr(rng, "bit_generator", None)
-        seq = getattr(bg, "seed_seq", None)
-        first = getattr(seq, "n_children_spawned", 0)
-        # a child index past 32 bits would take two words of the key
-        if type(bg) is not np.random.PCG64 or type(seq) is not np.random.SeedSequence or first + n > 1 << 32:
-            self.seq, self.own = None, rng.spawn(n)
-            for i, g in enumerate(self.own):
-                for name, rows in calls:
-                    getattr(g, name)(out=rows[i])
-            return
-        self.states = _pcg64_states(seq, first, n)
-        self.seq, self.first = seq, first
-        self.bit_generator = child = _pcg64_child(seq, first)
-        for i in {0, n - 1}:
-            want = (child if i == 0 else _pcg64_child(seq, first + i)).state["state"]
-            if (want["state"], want["inc"]) != self.states[i]:
-                raise RuntimeError(
-                    f"numpy {np.__version__} seeds child stream {first + i} other than hankelnull derives it; "
-                    "the derived records would differ from rng.spawn's"
-                )
-        pickled = bg.__getstate__()
-        if isinstance(pickled, tuple):  # numpy 2 pickles the seed sequence with the state
-            counted = np.random.SeedSequence(seq.entropy, spawn_key=seq.spawn_key, pool_size=seq.pool_size, n_children_spawned=first + n)
-            bg.__setstate__((pickled[0], counted))
-        else:
-            seq.spawn(n)
-        g = np.random.Generator(child)
-        draws = [(getattr(g, name), rows) for name, rows in calls]
-        for i, (state, inc) in enumerate(self.states):
-            child.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
-            for draw, rows in draws:
-                draw(out=rows[i])
-
-    def resume(self, i: int):
-        """Stream i where its draws left it. A derived stream is built afresh
-        by numpy and makes record i's draws again; a spawned one is child
-        i's own object, already there."""
-        if self.seq is None:
-            return self.own[i]
-        g = np.random.Generator(_pcg64_child(self.seq, self.first + i))
-        for name, rows in self.calls:
+    def draw(g, i: int):
+        for name, rows in calls:
             getattr(g, name)(out=rows[i])
         return g
+
+    bg = getattr(rng, "bit_generator", None)
+    seq = getattr(bg, "seed_seq", None)
+    first = getattr(seq, "n_children_spawned", 0)
+    # a child index past 32 bits would take two words of the key
+    if type(bg) is not np.random.PCG64 or type(seq) is not np.random.SeedSequence or first + n > 1 << 32:
+        own = rng.spawn(n)
+        for i, g in enumerate(own):
+            draw(g, i)
+        return own.__getitem__
+    states = _pcg64_states(seq, first, n)
+    for i in {0, n - 1}:
+        child = np.random.PCG64(np.random.SeedSequence(seq.entropy, spawn_key=seq.spawn_key + (first + i,), pool_size=seq.pool_size))
+        want = child.state["state"]
+        if (want["state"], want["inc"]) != states[i]:
+            raise RuntimeError(
+                f"numpy {np.__version__} seeds child stream {first + i} other than hankelnull derives it; "
+                "the derived records would differ from rng.spawn's"
+            )
+    # seq itself counts the children, in place, so a caller that kept it sees them too
+    seq.__setstate__(np.random.SeedSequence(seq.entropy, spawn_key=seq.spawn_key, pool_size=seq.pool_size, n_children_spawned=first + n).__reduce__()[2])
+    g = np.random.Generator(child)
+    state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
+
+    def again(i: int):
+        state["state"]["state"], state["state"]["inc"] = states[i]
+        child.state = state
+        return draw(g, i)
+
+    for i in range(n):
+        again(i)
+    return again
 
 
 def random_system(n: int, m: int, p: int, rng: np.random.Generator, spectral_radius: float = 0.9) -> StateSpace:

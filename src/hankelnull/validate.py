@@ -39,9 +39,10 @@ def true_nullspace(ss: StateSpace, L: int) -> SubspaceBasis:
     Builds one long noiseless experiment of (m + 1)*(L + n) + L samples, its
     input drawn from a seed-0 generator so that it is exciting of order
     L + n, and takes the left singular vectors of its stacked Hankel matrix
-    whose singular values fall below 1e-10 of the largest. For a minimal
-    system the dimension must come out to p*L - n; anything else raises,
-    since it signals a non-minimal realization or insufficient excitation.
+    whose singular values fall below 1e-10 of the largest. The dimension
+    must come out to p*L - n; anything else raises, since it signals a
+    realization that is not minimal or an L below the plant's observability
+    index.
     """
     length = (ss.m + 1) * (L + ss.n) + L
     ds = generate_dataset(ss, 1, length, L, "zero", np.random.default_rng(0))
@@ -54,7 +55,7 @@ def true_nullspace(ss: StateSpace, L: int) -> SubspaceBasis:
     if int(mask.sum()) != expected:
         raise RuntimeError(
             f"noiseless null space has dimension {int(mask.sum())}, expected p*L - n = {expected}; "
-            "the realization may not be minimal"
+            f"the realization is not minimal, or L={L} is below the plant's observability index"
         )
     return SubspaceBasis(U[:, mask].T)
 

@@ -107,15 +107,13 @@ class TestParsing:
 
     def test_unknown_command_is_config_error(self, capsys):
         assert main(["frobnicate"]) == 3
-
-    def test_bad_flag_value_is_config_error(self, tmp_path, capsys):
-        assert main(["generate", "--Nt", "many", "--out", str(tmp_path / "o")]) == 3
-
-    def test_unknown_preset_is_config_error(self, tmp_path, capsys):
-        assert main(["generate", "--preset", "bogus", "--out", str(tmp_path / "o")]) == 3
+        assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
 
     def test_missing_system_is_config_error(self, tmp_path, capsys):
-        assert main(["recover", "--stats", "whatever.json", "--out", str(tmp_path / "o")]) == 3
+        out = tmp_path / "o"
+        assert main(["recover", "--stats", "whatever.json", "--out", str(out)]) == 3
+        assert "config has no system" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["generate", "aggregate", "recover", "validate", "sweep"])
     def test_every_subcommand_takes_the_shared_flags(self, tmp_path, capsys, command):
@@ -126,6 +124,8 @@ class TestParsing:
         out = tmp_path / "o"
         assert main([command, "--Nt", "many", "--out", str(out)]) == 3
         assert f"hankelnull {command}: error: argument --Nt: invalid int value: 'many'" in capsys.readouterr().err
+        assert main([command, "--preset", "bogus", "--out", str(out)]) == 3
+        assert f"hankelnull {command}: error: argument --preset: invalid choice: 'bogus'" in capsys.readouterr().err
         assert not out.exists()
         assert main([command, "--help"]) == 0
         assert "--out OUT" in capsys.readouterr().out
@@ -680,6 +680,22 @@ class TestAggregateAndRecover:
         err = capsys.readouterr().err
         assert f"error: {cause}" in err and "Traceback" not in err
         assert not out.exists()
+
+    def test_plant_whose_data_has_another_nullity_is_refused_before_out_exists(self, tmp_path, capsys):
+        # A = 0.5*I with C = [1, 0] is not minimal: at L = 3 its data's
+        # noiseless nullity is 2, not the p*L - n = 1 the grid search would take
+        path = tmp_path / "plant.json"
+        path.write_text(json.dumps({"system": {"A": [[0.5, 0.0], [0.0, 0.5]], "B": [[1.0], [1.0]], "C": [[1.0, 0.0]], "D": [[0.0]]}, "L": 3}))
+        gen = tmp_path / "gen"
+        assert main(["generate", "--config", str(path), "--Nt", "50", "--out", str(gen)]) == 0
+        # the plant is checked before the dataset, or a stats file that does not exist, is read
+        out = tmp_path / "o"
+        for source in (["--dataset", str(gen / "dataset_noisy.jsonl")], ["--stats", str(tmp_path / "missing.json")]):
+            capsys.readouterr()
+            assert main(["recover", "--config", str(path), "--eps-mode", "auto", *source, "--out", str(out)]) == 3
+            err = capsys.readouterr().err
+            assert "error: noiseless null space has dimension 2, expected p*L - n = 1; the realization is not minimal, or L=3 is below the plant's observability index" in err
+            assert "Traceback" not in err and not out.exists()
 
     def test_workers_key_of_old_manifests_is_ignored(self, tmp_path, cfg_file, gen_dir, capsys):
         old = dict(SMALL_CONFIG, workers=4)

@@ -438,14 +438,14 @@ def test_derived_record_streams_equal_spawn_bitwise(root, n):
         root = {**root, "entropy": np.random.SeedSequence().entropy}
     derived, spawned = _seq_root(**root), _seq_root(**root)
     Z = np.empty((n, 7))
-    streams = lti_sim._RecordStreams(derived, n, [("standard_normal", Z)])
-    assert streams.seq is not None  # derived, not spawned
+    again = lti_sim._record_draws(derived, n, [("standard_normal", Z)])
     for i, child in enumerate(spawned.spawn(n)):
-        state = child.bit_generator.state["state"]
-        assert streams.states[i] == (state["state"], state["inc"])
         assert np.array_equal(Z[i], child.standard_normal(7))
-    # the stream that drew last is where the last child's own draws leave it
-    assert streams.bit_generator.state == child.bit_generator.state
+    # a derived stream is reseeded and makes its draws again, ending where
+    # the last child's own draws leave it; a spawned one would not redraw
+    last, Z[n - 1] = Z[n - 1].copy(), 0.0
+    assert again(n - 1).bit_generator.state == child.bit_generator.state
+    assert np.array_equal(Z[n - 1], last)
     # the root counts the n children as spawn does, and its own state is untouched
     assert derived.bit_generator.state == spawned.bit_generator.state
     assert derived.bit_generator.seed_seq.n_children_spawned == spawned.bit_generator.seed_seq.n_children_spawned
@@ -453,20 +453,33 @@ def test_derived_record_streams_equal_spawn_bitwise(root, n):
 
 
 def test_generation_and_noise_count_two_ensembles_of_children(demo_system):
-    rng = np.random.default_rng(14)
+    seq = np.random.SeedSequence(14)
+    rng = np.random.default_rng(seq)
     ds = generate_dataset(demo_system, 300, 20, 2, "random-bounded", rng)
     spec = NoiseSpec("gaussian", 1.0, 5.0)
     add_noise(ds, spec, spec, rng)
+    # the caller's own seed sequence counts the children, as spawn counts them
+    assert seq.n_children_spawned == 600
+    child = seq.spawn(1)[0]
+    assert child.spawn_key == (600,)
     ref = np.random.default_rng(14)
     ref.spawn(600)
-    assert rng.spawn(1)[0].bit_generator.state == ref.spawn(1)[0].bit_generator.state
+    assert np.random.PCG64(child).state == ref.spawn(1)[0].bit_generator.state
 
 
 def test_other_bit_generators_keep_spawned_streams(demo_system):
     def root():
         return np.random.Generator(np.random.MT19937(5))
 
-    assert lti_sim._RecordStreams(root(), 3, []).seq is None  # served by spawn
+    # served by spawn: again(i) is child i where its draws left it, drawing nothing more
+    rows = np.empty((3, 4))
+    again = lti_sim._record_draws(root(), 3, [("standard_normal", rows)])
+    children = root().spawn(3)
+    for i, g in enumerate(children):
+        assert np.array_equal(rows[i], g.standard_normal(4))
+    rows[2] = 0.0
+    assert np.array_equal(again(2).standard_normal(5), children[2].standard_normal(5))
+    assert not rows[2].any()
     rng = root()
     ds = generate_dataset(demo_system, 40, 20, 2, "random-bounded", rng)
     for i, (U, Y) in enumerate(_per_record_oracle(demo_system, 40, 20, 2, root())):
@@ -481,10 +494,14 @@ def test_other_bit_generators_keep_spawned_streams(demo_system):
 
 def test_record_streams_refuse_a_seeding_they_do_not_reproduce(monkeypatch):
     monkeypatch.setattr(lti_sim, "_PCG64_MULT", lti_sim._PCG64_MULT + 2)
-    rng = np.random.default_rng(14)
+    seq = np.random.SeedSequence(14)
+    rng = np.random.default_rng(seq)
+    Z = np.zeros((10, 3))
     with pytest.raises(RuntimeError, match=f"numpy {re.escape(np.__version__)} seeds child stream 0 "):
-        lti_sim._RecordStreams(rng, 10, [("standard_normal", np.empty((10, 3)))])
-    assert rng.bit_generator.seed_seq.n_children_spawned == 0  # nothing counted
+        lti_sim._record_draws(rng, 10, [("standard_normal", Z)])
+    # nothing counted, on the root or on the caller's kept seed sequence, and nothing drawn
+    assert rng.bit_generator.seed_seq.n_children_spawned == seq.n_children_spawned == 0
+    assert not Z.any()
 
 
 def test_excitation_failure_redraws_from_derived_stream(demo_system, monkeypatch):

@@ -62,8 +62,12 @@ class TestTrueNullspace:
         # unobservable second state: the data null space is larger than
         # p*L - n predicts from the stated order
         ss = StateSpace(np.diag([0.5, 0.6]), [[1.0], [0.0]], [[1.0, 0.0]], [[0.0]])
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError, match=r"dimension 2, expected p\*L - n = 1; the realization is not minimal, or L=3 is below"):
             true_nullspace(ss, 3)
+        # a minimal plant with n = 3 and one output needs L >= 3 to be observed
+        ss = StateSpace(np.diag([0.5, 0.6, 0.7]), [[1.0], [1.0], [1.0]], [[1.0, 1.0, 1.0]], [[0.0]])
+        with pytest.raises(RuntimeError, match=r"dimension 0, expected p\*L - n = -1; .* or L=2 is below the plant's observability index"):
+            true_nullspace(ss, 2)
 
 
 class TestSubspaceAngle:
