@@ -453,6 +453,16 @@ def test_derived_record_streams_equal_spawn_bitwise(root, n):
 
 
 def test_generation_and_noise_count_two_ensembles_of_children(demo_system):
+    rng = np.random.default_rng(14)
+    ds = generate_dataset(demo_system, 300, 20, 2, "random-bounded", rng)
+    spec = NoiseSpec("gaussian", 1.0, 5.0)
+    add_noise(ds, spec, spec, rng)
+    ref = np.random.default_rng(14)
+    ref.spawn(600)
+    assert rng.spawn(1)[0].bit_generator.state == ref.spawn(1)[0].bit_generator.state
+
+
+def test_kept_seed_sequence_counts_the_children(demo_system):
     seq = np.random.SeedSequence(14)
     rng = np.random.default_rng(seq)
     ds = generate_dataset(demo_system, 300, 20, 2, "random-bounded", rng)

@@ -64,6 +64,8 @@ class TestTrueNullspace:
         ss = StateSpace(np.diag([0.5, 0.6]), [[1.0], [0.0]], [[1.0, 0.0]], [[0.0]])
         with pytest.raises(RuntimeError, match=r"dimension 2, expected p\*L - n = 1; the realization is not minimal, or L=3 is below"):
             true_nullspace(ss, 3)
+
+    def test_window_below_observability_index_is_rejected(self):
         # a minimal plant with n = 3 and one output needs L >= 3 to be observed
         ss = StateSpace(np.diag([0.5, 0.6, 0.7]), [[1.0], [1.0], [1.0]], [[1.0, 1.0, 1.0]], [[0.0]])
         with pytest.raises(RuntimeError, match=r"dimension 0, expected p\*L - n = -1; .* or L=2 is below the plant's observability index"):
