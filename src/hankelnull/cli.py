@@ -8,6 +8,7 @@ admitted no candidate, 3 invalid configuration or arguments, 4 I/O failure.
 """
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -37,7 +38,7 @@ from .lti_sim import (
     add_noise,
     generate_dataset,
 )
-from .stats import _total, aggregate, load_stats, save_stats
+from .stats import SufficientStats, _total, aggregate, load_stats, save_stats
 from .validate import (
     convergence_study,
     subspace_angle,
@@ -327,48 +328,65 @@ def resolve_config(args) -> ExperimentConfig:
     return config_from_dict(obj)
 
 
-def _write_manifest(path, command: str, cfg: ExperimentConfig, timings: dict, outputs: dict, **extra) -> None:
-    """Write a run's manifest. cpus is the count of CPUs the run could use
-    (lti_sim._cpus), from which every forked part count follows."""
-    obj = {"command": command, "config": config_to_dict(cfg), "timings": timings, "outputs": outputs, "cpus": lti_sim._cpus(), **extra}
-    _dump_json(obj, path, indent=2)
+class _Run:
+    """One command's run: its stage seconds, its output files and --out.
+
+    A stage's seconds leave out those of the stages entered inside it, and
+    a stage entered again adds to its name. A stage entered in a forked
+    part adds to that child's copy alone. --out is made at the first
+    output file, so a run refused before it writes leaves no directory.
+    """
+
+    def __init__(self, command: str, cfg: ExperimentConfig, out_dir):
+        self.command, self.cfg, self.out = command, cfg, Path(out_dir)
+        self.timings, self.outputs, self._inner = {}, {}, 0.0
+
+    @contextlib.contextmanager
+    def stage(self, name: str):
+        # _inner sums the seconds of the stages entered inside the open one
+        outer, self._inner = self._inner, 0.0
+        t0 = time.perf_counter()
+        yield
+        spent = time.perf_counter() - t0
+        self.timings[name] = self.timings.get(name, 0.0) + spent - self._inner
+        self._inner = outer + spent
+
+    def output(self, name: str, filename: str) -> Path:
+        """Record an output file under name and return its path in --out."""
+        self.out.mkdir(parents=True, exist_ok=True)
+        self.outputs[name] = filename
+        return self.out / filename
+
+    def manifest(self, **extra) -> None:
+        """Write manifest.json. cpus is the count of CPUs the run could use
+        (lti_sim._cpus), from which every forked part count follows."""
+        obj = {"command": self.command, "config": config_to_dict(self.cfg), "timings": self.timings, "outputs": self.outputs, "cpus": lti_sim._cpus(), **extra}
+        _dump_json(obj, self.out / "manifest.json", indent=2)
 
 
-def _outdir(path) -> Path:
-    out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _dataset_stats(cfg: ExperimentConfig, path) -> tuple:
+def _dataset_stats(cfg: ExperimentConfig, path, run: _Run) -> SufficientStats:
     """Aggregate a dataset file that matches the config, one block at a time.
 
     The meta header is checked against the config before any record is
     read. The reader (see lti_sim._DatasetReader) hands over each block k
     as it is parsed; its aggregate goes into row k of shared arrays, and
     the rows are summed here in block order, bitwise as aggregate sums a
-    whole dataset. Returns the stats and the timings aggregate_s, this
-    process's seconds in aggregate, and load_s, the rest of the read.
+    whole dataset. The run's aggregate_s counts this process's seconds in
+    aggregate and the final sum, and load_s the rest of the read.
     """
-    t0 = time.perf_counter()
-    aggregate_s = 0.0
-    with lti_sim._DatasetReader(path) as rd:
+    with run.stage("load_s"), lti_sim._DatasetReader(path) as rd:
         if (rd.N, rd.m, rd.p) != (cfg.N, cfg.system.m, cfg.system.p):
             raise ValueError(f"{path}: dataset (N={rd.N}, m={rd.m}, p={rd.p}) does not match the config")
         G, rowsum = rd.shared((rd.blocks, cfg.d, cfg.d)), rd.shared((rd.blocks, cfg.d))
 
         def block(k: int, ds) -> None:
-            nonlocal aggregate_s
-            t = time.perf_counter()
-            st = aggregate(ds, cfg.L)
-            G[k], rowsum[k] = st.G, st.rowsum
-            aggregate_s += time.perf_counter() - t
+            with run.stage("aggregate_s"):
+                st = aggregate(ds, cfg.L)
+                G[k], rowsum[k] = st.G, st.rowsum
 
         rd.read(block)
-    t1 = time.perf_counter()
-    st = _total(G, rowsum, cfg.N - cfg.L + 1, rd.Nt)
-    t2 = time.perf_counter()
-    return st, {"load_s": t1 - t0 - aggregate_s, "aggregate_s": aggregate_s + t2 - t1}
+    with run.stage("aggregate_s"):
+        return _total(G, rowsum, cfg.N - cfg.L + 1, rd.Nt)
 
 
 def cmd_generate(cfg: ExperimentConfig, out_dir) -> int:
@@ -383,39 +401,32 @@ def cmd_generate(cfg: ExperimentConfig, out_dir) -> int:
     """
     # the library's checks of generate_dataset's arguments, before --out is made
     lti_sim._generation_plan(cfg.system, cfg.Nt, cfg.N, cfg.L, cfg.x0_policy, cfg.x0_halfwidth)
-    timings = {"generate_s": 0.0, "noise_s": 0.0}
+    run = _Run("generate", cfg, out_dir)
 
     def root(spawned: int) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence(cfg.seed, n_children_spawned=spawned))
 
     def block(a: int, b: int) -> tuple:
-        t0 = time.perf_counter()
-        clean = generate_dataset(cfg.system, b - a, cfg.N, cfg.L, cfg.x0_policy, root(a), x0_halfwidth=cfg.x0_halfwidth)
-        t1 = time.perf_counter()
-        noisy = add_noise(clean, cfg.noise_u, cfg.noise_y, root(cfg.Nt + a))
-        timings["generate_s"] += t1 - t0
-        timings["noise_s"] += time.perf_counter() - t1
-        return noisy, clean
+        with run.stage("generate_s"):
+            clean = generate_dataset(cfg.system, b - a, cfg.N, cfg.L, cfg.x0_policy, root(a), x0_halfwidth=cfg.x0_halfwidth)
+        with run.stage("noise_s"):
+            return add_noise(clean, cfg.noise_u, cfg.noise_y, root(cfg.Nt + a)), clean
 
-    out = _outdir(out_dir)
-    t0 = time.perf_counter()
-    paths = (out / "dataset_noisy.jsonl", out / "dataset_noiseless.jsonl")
-    lti_sim._write_datasets(paths, cfg.Nt, cfg.N, cfg.system.m, cfg.system.p, block)
-    timings["write_s"] = time.perf_counter() - t0 - timings["generate_s"] - timings["noise_s"]
-    _write_manifest(
-        out / "manifest.json", "generate", cfg, timings,
-        {"noiseless": "dataset_noiseless.jsonl", "noisy": "dataset_noisy.jsonl"},
-    )
-    print(f"generated {cfg.Nt} experiments of length {cfg.N} into {out}")
+    with run.stage("write_s"):
+        paths = (run.output("noisy", "dataset_noisy.jsonl"), run.output("noiseless", "dataset_noiseless.jsonl"))
+        lti_sim._write_datasets(paths, cfg.Nt, cfg.N, cfg.system.m, cfg.system.p, block)
+    run.manifest()
+    print(f"generated {cfg.Nt} experiments of length {cfg.N} into {run.out}")
     return 0
 
 
 def cmd_aggregate(cfg: ExperimentConfig, dataset_path, out_dir) -> int:
-    st, timings = _dataset_stats(cfg, dataset_path)
-    out = _outdir(out_dir)
-    save_stats(st, out / "stats.json")
-    _write_manifest(out / "manifest.json", "aggregate", cfg, timings, {"stats": "stats.json"})
-    print(f"aggregated {st.count} experiments into {out / 'stats.json'}")
+    run = _Run("aggregate", cfg, out_dir)
+    st = _dataset_stats(cfg, dataset_path, run)
+    path = run.output("stats", "stats.json")
+    save_stats(st, path)
+    run.manifest()
+    print(f"aggregated {st.count} experiments into {path}")
     return 0
 
 
@@ -464,37 +475,31 @@ def cmd_recover(cfg: ExperimentConfig, dataset_path, stats_path, out_dir) -> int
     axes = cfg.axes()
     # the grid search takes nullity p*L - n on trust: the plant's own data must have it
     true_nullspace(cfg.system, cfg.L)
+    run = _Run("recover", cfg, out_dir)
     if stats_path is not None:
-        t0 = time.perf_counter()
-        st = load_stats(stats_path)
-        if st.d != cfg.d or st.Nc != cfg.N - cfg.L + 1:
-            raise ValueError(f"{stats_path}: stats (d={st.d}, Nc={st.Nc}) do not match the config")
-        timings = {"load_s": time.perf_counter() - t0}
+        with run.stage("load_s"):
+            st = load_stats(stats_path)
+            if st.d != cfg.d or st.Nc != cfg.N - cfg.L + 1:
+                raise ValueError(f"{stats_path}: stats (d={st.d}, Nc={st.Nc}) do not match the config")
     else:
-        st, timings = _dataset_stats(cfg, dataset_path)
+        st = _dataset_stats(cfg, dataset_path, run)
     fin = st.finalize()
-    t0 = time.perf_counter()
-    res = grid_search(
-        fin, axes, cfg.eps_sigma, cfg.nullity,
-        eps_mode=cfg.eps_mode, eps_factor=cfg.eps_factor, eps_rank=cfg.eps_rank,
-        input_rows=cfg.input_rows,
-    )
-    t1 = time.perf_counter()
-    timings["grid_s"] = t1 - t0
-    out = _outdir(out_dir)
-    outputs = {"landscape": "landscape.csv"}
-    if stats_path is None:
-        save_stats(st, out / "stats.json")
-        outputs["stats"] = "stats.json"
-    write_landscape_csv(res, out / "landscape.csv")
-    if res.best is not None:
-        outputs["candidate"] = "candidate.json"
-        write_candidate_json(res.best, out / "candidate.json")
-    timings["write_s"] = time.perf_counter() - t1
+    with run.stage("grid_s"):
+        res = grid_search(
+            fin, axes, cfg.eps_sigma, cfg.nullity,
+            eps_mode=cfg.eps_mode, eps_factor=cfg.eps_factor, eps_rank=cfg.eps_rank,
+            input_rows=cfg.input_rows,
+        )
+    with run.stage("write_s"):
+        if stats_path is None:
+            save_stats(st, run.output("stats", "stats.json"))
+        write_landscape_csv(res, run.output("landscape", "landscape.csv"))
+        if res.best is not None:
+            write_candidate_json(res.best, run.output("candidate", "candidate.json"))
     diag = _diagnostics(res)
-    _write_manifest(out / "manifest.json", "recover", cfg, timings, outputs, diagnostics=diag)
+    run.manifest(diagnostics=diag)
     if res.best is None:
-        print(f"no admitted candidate over {res.points.shape[0]} grid points; landscape written to {out}")
+        print(f"no admitted candidate over {res.points.shape[0]} grid points; landscape written to {run.out}")
         print(
             f"threshold {diag['threshold']:.6g}; admission needs exactly {res.nullity} singular values below it; "
             f"grid points by count below: {diag['below_threshold']}"
@@ -511,25 +516,24 @@ def cmd_validate(cfg: ExperimentConfig, candidate_path, out_dir) -> int:
     if not isinstance(obj, dict) or "nullspace" not in obj:
         raise ValueError(f"{candidate_path}: a candidate must be a JSON object with a nullspace key")
     basis = _number_array(candidate_path, "nullspace", obj["nullspace"])
-    t0 = time.perf_counter()
-    V_true = true_nullspace(cfg.system, cfg.L)
-    t1 = time.perf_counter()
-    if basis.shape != V_true.basis.shape:
-        raise ValueError(f"{candidate_path}: candidate null space has shape {basis.shape}, expected {V_true.basis.shape}")
-    try:
-        candidate = SubspaceBasis(basis)
-    except ValueError as exc:  # rows that are not orthonormal
-        raise ValueError(f"{candidate_path}: {exc}") from None
-    err = subspace_angle(V_true, candidate)
-    timings = {"true_nullspace_s": t1 - t0, "angle_s": time.perf_counter() - t1}
-    out = _outdir(out_dir)
+    run = _Run("validate", cfg, out_dir)
+    with run.stage("true_nullspace_s"):
+        V_true = true_nullspace(cfg.system, cfg.L)
+    with run.stage("angle_s"):
+        if basis.shape != V_true.basis.shape:
+            raise ValueError(f"{candidate_path}: candidate null space has shape {basis.shape}, expected {V_true.basis.shape}")
+        try:
+            candidate = SubspaceBasis(basis)
+        except ValueError as exc:  # rows that are not orthonormal
+            raise ValueError(f"{candidate_path}: {exc}") from None
+        err = subspace_angle(V_true, candidate)
     report = {
         "theta_max": err.theta_max,
         "singular_values": [float(v) for v in err.singular_values],
         "candidate": {k: obj[k] for k in obj if k != "nullspace"},
     }
-    _dump_json(report, out / "subspace_error.json", indent=2)
-    _write_manifest(out / "manifest.json", "validate", cfg, timings, {"report": "subspace_error.json"})
+    _dump_json(report, run.output("report", "subspace_error.json"), indent=2)
+    run.manifest()
     print(f"theta_max={err.theta_max:.6g} rad")
     return 0
 
@@ -538,22 +542,18 @@ def cmd_sweep(cfg: ExperimentConfig, nt_list, seeds, out_dir) -> int:
     if any(seed < 0 for seed in seeds):
         raise ValueError(f"--seeds must be non-negative integers, got {list(seeds)}")
     axes = cfg.axes()
-    t0 = time.perf_counter()
-    res = convergence_study(
-        cfg.system, cfg.noise_u, cfg.noise_y, cfg.L, nt_list, seeds, axes,
-        N=cfg.N, x0_policy=cfg.x0_policy, x0_halfwidth=cfg.x0_halfwidth,
-        eps_sigma=cfg.eps_sigma, eps_mode=cfg.eps_mode, eps_factor=cfg.eps_factor,
-        eps_rank=cfg.eps_rank,
-    )
-    elapsed = time.perf_counter() - t0
-    out = _outdir(out_dir)
-    write_convergence_csv(res, out / "convergence.csv")
-    write_summary_csv(res, out / "summary.csv")
-    _write_manifest(
-        out / "manifest.json", "sweep", cfg,
-        {"sweep_s": elapsed},
-        {"convergence": "convergence.csv", "summary": "summary.csv", "Nt_list": list(nt_list), "seeds": list(seeds)},
-    )
+    run = _Run("sweep", cfg, out_dir)
+    with run.stage("sweep_s"):
+        res = convergence_study(
+            cfg.system, cfg.noise_u, cfg.noise_y, cfg.L, nt_list, seeds, axes,
+            N=cfg.N, x0_policy=cfg.x0_policy, x0_halfwidth=cfg.x0_halfwidth,
+            eps_sigma=cfg.eps_sigma, eps_mode=cfg.eps_mode, eps_factor=cfg.eps_factor,
+            eps_rank=cfg.eps_rank,
+        )
+    write_convergence_csv(res, run.output("convergence", "convergence.csv"))
+    write_summary_csv(res, run.output("summary", "summary.csv"))
+    run.outputs.update(Nt_list=list(nt_list), seeds=list(seeds))
+    run.manifest()
     for Nt, med in res.medians:
         print(f"Nt={Nt} median theta_max={med:.6g}")
     return 0

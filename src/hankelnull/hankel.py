@@ -72,11 +72,13 @@ def stacked_hankel(u, y, L: int) -> np.ndarray:
 
     u (N, m) and y (N, p) are one record. A batch of records, u (..., N, m)
     and y (..., N, p) such as a Dataset's U and Y, gives one stacked matrix
-    per record, (..., d, Nc).
+    per record, (..., d, Nc). u and y must agree in every axis but the
+    last: the same records of the same length.
     """
-    Hu = _block_hankel(_as_signal(u, batched=True), L)
-    Hy = _block_hankel(_as_signal(y, batched=True), L)
-    return np.concatenate([Hu, Hy], axis=-2)
+    u, y = _as_signal(u, batched=True), _as_signal(y, batched=True)
+    if u.shape[:-1] != y.shape[:-1]:
+        raise ValueError(f"u of shape {u.shape} and y of shape {y.shape} must hold the same records of the same length")
+    return np.concatenate([_block_hankel(u, L), _block_hankel(y, L)], axis=-2)
 
 
 def pe_order_check(U, order: int, tol: float = 1e-10):

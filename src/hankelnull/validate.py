@@ -118,9 +118,13 @@ def convergence_study(
     Each cell generates a fresh ensemble, corrupts it, aggregates, runs the
     grid search and scores the best candidate against the true null space.
     Cells with no admitted candidate record theta_max = nan and admitted = 0;
-    medians are taken over the admitted cells of each Nt.
+    medians are taken over the admitted cells of each Nt. An empty Nt_list
+    or seeds raises.
     """
-    Nt_list = [int(v) for v in Nt_list]
+    Nt_list, seeds = [int(v) for v in Nt_list], list(seeds)
+    for name, values in (("Nt_list", Nt_list), ("seeds", seeds)):
+        if not values:
+            raise ValueError(f"{name} is empty; the study needs at least one ensemble size and one seed")
     if Nt_list != sorted(Nt_list):
         raise ValueError("Nt_list must be ascending")
     V_true = true_nullspace(ss, L)

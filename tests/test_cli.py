@@ -93,6 +93,30 @@ def big_gen_dir(tmp_path_factory, cfg_file):
     return out
 
 
+def test_run_stage_leaves_out_the_stages_inside_it(tmp_path, monkeypatch):
+    # a stage reads the clock as it opens and as it closes; every span
+    # between two readings has its own length, so each sum is exact
+    clock = iter([0.0, 1.0, 3.0, 6.0, 10.0, 15.0, 21.0, 28.0])
+    monkeypatch.setattr(cli.time, "perf_counter", lambda: next(clock))
+    run = cli._Run("generate", config_from_dict(SMALL_CONFIG), tmp_path / "out")
+    with run.stage("write_s"):  # 0 .. 28
+        with run.stage("generate_s"):  # 1 .. 3
+            pass
+        with run.stage("noise_s"):  # 6 .. 10
+            pass
+        with run.stage("generate_s"):  # 15 .. 21
+            pass
+    assert run.timings == {"generate_s": 2.0 + 6.0, "noise_s": 4.0, "write_s": 28.0 - 2.0 - 4.0 - 6.0}
+    # --out is made at the first output file
+    assert not run.out.exists()
+    assert run.output("noisy", "dataset_noisy.jsonl") == tmp_path / "out" / "dataset_noisy.jsonl"
+    assert run.out.is_dir()
+    run.manifest()
+    manifest = json.loads((run.out / "manifest.json").read_text())
+    assert manifest["command"] == "generate" and manifest["timings"] == run.timings
+    assert manifest["outputs"] == {"noisy": "dataset_noisy.jsonl"}
+
+
 class TestParsing:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
@@ -548,14 +572,27 @@ class TestAggregateAndRecover:
             assert not out.exists()
 
     def test_manifest_records_stage_timings(self, tmp_path, cfg_file, gen_dir, capsys):
-        via_ds, via_st = tmp_path / "via_ds", tmp_path / "via_st"
-        assert main(["recover", "--config", cfg_file, "--dataset", str(gen_dir / "dataset_noisy.jsonl"), "--out", str(via_ds)]) == 0
-        assert main(["recover", "--config", cfg_file, "--stats", str(via_ds / "stats.json"), "--out", str(via_st)]) == 0
-        for out, keys in ((via_ds, {"load_s", "aggregate_s", "grid_s", "write_s"}), (via_st, {"load_s", "grid_s", "write_s"})):
+        dataset, rec = str(gen_dir / "dataset_noisy.jsonl"), tmp_path / "recover-dataset"
+        runs = (
+            ("generate", [], {"generate_s", "noise_s", "write_s"}),
+            ("aggregate", ["--dataset", dataset], {"load_s", "aggregate_s"}),
+            ("recover-dataset", ["--dataset", dataset], {"load_s", "aggregate_s", "grid_s", "write_s"}),
+            ("recover-stats", ["--stats", str(rec / "stats.json")], {"load_s", "grid_s", "write_s"}),
+            ("validate", ["--candidate", str(rec / "candidate.json")], {"true_nullspace_s", "angle_s"}),
+            ("sweep", ["--Nt-list", "5,8", "--seeds", "0,1"], {"sweep_s"}),
+        )
+        for name, flags, keys in runs:
+            out = tmp_path / name
+            assert main([name.split("-")[0], "--config", cfg_file, *flags, "--out", str(out)]) == 0
             manifest = json.loads((out / "manifest.json").read_text())
-            assert set(manifest["timings"]) == keys
+            assert set(manifest["timings"]) == keys, name
             assert all(v >= 0.0 for v in manifest["timings"].values())
             assert "workers" not in manifest["config"]
+            # outputs names every file in --out but the manifest; sweep's
+            # Nt_list and seeds are not files
+            files = {v for v in manifest["outputs"].values() if isinstance(v, str)}
+            assert files == {f.name for f in out.iterdir()} - {"manifest.json"}, name
+        assert (manifest["outputs"]["Nt_list"], manifest["outputs"]["seeds"]) == ([5, 8], [0, 1])
 
     def test_non_finite_sample_fails_at_load(self, tmp_path, cfg_file, gen_dir, capsys):
         lines = (gen_dir / "dataset_noisy.jsonl").read_text().split("\n")

@@ -100,6 +100,12 @@ def test_stacked_hankel_rejects_signals_of_different_lengths():
         stacked_hankel(np.zeros((3, 5, 1)), np.zeros((2, 5, 1)), 2)
 
 
+@pytest.mark.parametrize("u_shape, y_shape", [((10, 2), (12, 3)), ((4, 10, 2), (5, 10, 3))])
+def test_stacked_hankel_names_both_shapes_when_records_disagree(u_shape, y_shape):
+    with pytest.raises(ValueError, match=rf"u of shape \({u_shape[0]}, .*y of shape \({y_shape[0]}, .*same records of the same length"):
+        stacked_hankel(np.zeros(u_shape), np.zeros(y_shape), 2)
+
+
 def test_row_index_corners():
     assert row_index("input", 0, 0, m=2, p=3, L=2) == 0
     assert row_index("output", 0, 0, m=2, p=3, L=2) == 4

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,8 @@ from hankelnull import (
     write_convergence_csv,
     write_summary_csv,
 )
+
+validate = importlib.import_module("hankelnull.validate")
 
 
 class TestTrueNullspace:
@@ -168,6 +172,15 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError):
             convergence_study(
                 demo_system, zero, zero, 2, [10, 5], [0], (np.array([0.0]), np.array([0.0])), N=25,
+            )
+
+    @pytest.mark.parametrize("Nt_list, seeds, empty", [([], [0], "Nt_list"), ([5], [], "seeds")])
+    def test_empty_sizes_or_seeds_rejected_before_any_work(self, demo_system, monkeypatch, Nt_list, seeds, empty):
+        zero = NoiseSpec("gaussian", 0.0, 0.0)
+        monkeypatch.setattr(validate, "true_nullspace", lambda *a: pytest.fail("true_nullspace ran"))
+        with pytest.raises(ValueError, match=f"^{empty} is empty"):
+            convergence_study(
+                demo_system, zero, zero, 2, Nt_list, seeds, (np.array([0.0]), np.array([0.0])), N=25,
             )
 
     def test_csv_shapes(self, tmp_path, demo_system):
