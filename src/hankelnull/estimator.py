@@ -64,7 +64,7 @@ EPS_MODES = ("abs", "auto")
 # The axis names are the moment mode; landscape and candidate files use them.
 AXIS_NAMES = {2: ("m1", "m2"), 4: ("m1u", "m2u", "m1y", "m2y")}
 
-CHUNK_SIZE = 8192  # rows of d values per batch: grid points, or CHUNK_SIZE // d bases
+CHUNK_SIZE = 4096  # rows of d values per batch: grid points, or CHUNK_SIZE // d bases, and landscape rows per %-operation
 # A landscape row |lambda - shift| is recomputed by SVD when its error bound,
 # GUARD_ULPS*eps*(max|lambda| + |shift|) plus Nc*|m2u - m2y - delta| (see
 # grid_search), exceeds GUARD_RTOL times its smallest singular value.
@@ -244,8 +244,12 @@ def _check_axis_scale(axes, Nc: float, d: int) -> None:
 
 
 def _mesh_points(axes) -> np.ndarray:
-    """All points of a grid, (n, len(axes)), in row-major axis order."""
-    return np.stack([g.reshape(-1) for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    """All points of a grid, (n, len(axes)), in row-major axis order, each
+    axis broadcast into its column of one array."""
+    points = np.empty(tuple(a.size for a in axes) + (len(axes),))
+    for k, a in enumerate(axes):
+        points[..., k] = a.reshape((-1,) + (1,) * (len(axes) - 1 - k))
+    return points.reshape(-1, len(axes))
 
 
 def grid_search(
@@ -320,15 +324,18 @@ def grid_search(
     d = st.d
     eps = np.finfo(float).eps
     points = _mesh_points(axes)
-    # point j is the base bases[base_of[j]] shifted by Nc times its last
-    # coordinate, m2 or m2y, each eigenvalue off by at most slack_of[j]; base
-    # k's off-diagonal entries are those of its first-moment pair, pairs[pair_of[k]]
+    # points j (an index array) lie on the bases bases[locate(j)[0]], each
+    # shifted by Nc times its last coordinate, m2 or m2y, and each eigenvalue
+    # off by at most locate(j)[1]; base k's off-diagonal entries are those of
+    # its first-moment pair, pairs[pair_of[k]]
     if len(axes) == 2:
         m1, m2 = axes
         bases = _mesh_points((m1, np.zeros(1)))[:, cols]
         pairs, pair_of = bases[:, 0::2], np.arange(m1.size)
-        base_of = np.repeat(np.arange(m1.size), m2.size)
-        slack_of = np.broadcast_to(0.0, points.shape[:1])  # each point on its own base
+
+        def locate(j):
+            return j // m2.size, 0.0  # each point on its own base
+
     else:
         m1u, m2u, m1y, m2y = axes
         # bases (m1u, delta, m1y, 0), delta the difference m2u - m2y snapped
@@ -337,13 +344,16 @@ def grid_search(
         diff_of = diff_of.reshape(diff.shape)
         bases = _mesh_points((m1u, diffs, m1y, np.zeros(1)))
         pairs = _mesh_points((m1u, m1y))
-        a, c = np.arange(m1u.size)[:, None, None, None], np.arange(m1y.size)[:, None]
-        pair_of = np.broadcast_to(a[..., 0] * m1y.size + c[:, 0], (m1u.size, diffs.size, m1y.size)).reshape(-1)
-        base_of = ((a * diffs.size + diff_of[:, None, :]) * m1y.size + c).reshape(-1)
-        slack = st.Nc * np.abs(diff - diffs[diff_of])[:, None, :]
-        slack_of = np.broadcast_to(slack, (m1u.size, m2u.size, m1y.size, m2y.size)).reshape(-1)
-    shift_of = st.Nc * points[:, -1]
+        a, c = np.arange(m1u.size)[:, None, None], np.arange(m1y.size)
+        pair_of = np.broadcast_to(a * m1y.size + c, (m1u.size, diffs.size, m1y.size)).reshape(-1)
+        moved = st.Nc * np.abs(diff - diffs[diff_of])  # by (m2u, m2y)
+
+        def locate(j):
+            a, b, c, e = np.unravel_index(j, (m1u.size, m2u.size, m1y.size, m2y.size))
+            return (a * diffs.size + diff_of[b, e]) * m1y.size + c, moved[b, e]
+
     sv_all = np.empty((points.shape[0], d))
+    ranks = np.empty(points.shape[0], dtype=np.intp)
 
     lam = np.empty((bases.shape[0], d))
     per_chunk = max(1, CHUNK_SIZE // d)
@@ -356,14 +366,18 @@ def grid_search(
     lam_max = np.abs(lam).max(axis=1)
     for lo in range(0, points.shape[0], CHUNK_SIZE):
         rows = slice(lo, lo + CHUNK_SIZE)
-        base, shift = base_of[rows], shift_of[rows]
-        dist = np.abs(lam[base] - shift[:, None])
+        base, slack = locate(np.arange(lo, min(lo + CHUNK_SIZE, points.shape[0])))
+        shift = st.Nc * points[rows, -1]
+        dist = lam[base]
+        dist -= shift[:, None]
+        np.abs(dist, out=dist)
         dist.sort(axis=-1)
-        sv = dist[:, ::-1]
-        bound = GUARD_ULPS * eps * (lam_max[base] + np.abs(shift)) + slack_of[rows]
+        sv = sv_all[rows]
+        sv[...] = dist[:, ::-1]
+        bound = GUARD_ULPS * eps * (lam_max[base] + np.abs(shift)) + slack
         guard = np.flatnonzero(bound > GUARD_RTOL * sv[:, -1])
         sv[guard] = np.linalg.svd(_assemble(st, points[rows][np.ix_(guard, cols)], split), compute_uv=False)
-        sv_all[rows] = sv
+        ranks[rows] = np.count_nonzero(sv > eps_rank * sv[:, 0:1], axis=1)
 
     if eps_mode == "abs":
         threshold = float(eps_sigma)
@@ -375,15 +389,14 @@ def grid_search(
     # rows are sorted descending, so exactly `nullity` values fall below the
     # threshold when the nullity-th smallest does and the next one does not
     admitted = (sv_all[:, d - nullity] < threshold) & (sv_all[:, d - nullity - 1] >= threshold)
-    ranks = np.count_nonzero(sv_all > eps_rank * sv_all[:, 0:1], axis=1)
 
     best = None
     picked = np.flatnonzero(admitted)
     if picked.size:
         j = int(picked[np.argmin(sv_all[picked, -1])])  # argmin keeps the first on ties
-        w, V = np.linalg.eigh(_assemble(st, bases[base_of[[j]]], split)[0])
+        w, V = np.linalg.eigh(_assemble(st, bases[locate(np.array([j]))[0]], split)[0])
         # nearest eigenvalue last, like the trailing rows of an SVD's Vt
-        near = np.argsort(np.abs(w - shift_of[j]))[nullity - 1 :: -1]
+        near = np.argsort(np.abs(w - st.Nc * points[j, -1]))[nullity - 1 :: -1]
         best = Candidate(
             point=MomentPoint(*points[j, cols].tolist()),
             sigma_min=float(sv_all[j, -1]),

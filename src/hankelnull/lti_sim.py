@@ -9,16 +9,17 @@ streams from the same root afterwards, so the noise on record i also
 depends on how many streams were taken before it, that is on the ensemble
 size: the first k records of a noisy ensemble are not the noisy k-record
 ensemble. A root on numpy's default PCG64 and SeedSequence has its child
-streams derived from its own pool in one vectorized pass, and one reused
-generator, reseeded for each record, makes the caller's list of draws:
-one call per role, each writing standard draws into the record's
-preallocated row (uniforms for its initial state, normals for its input,
-then each channel's noise). Any other root spawns its children. The scale
-and shift that numpy's uniform, normal and exponential would apply to
-each draw run afterwards once over the records of the call, so every
-value is bitwise numpy's own. A stream is therefore a numpy Generator, or
-an object whose random, standard_normal and standard_exponential methods
-take a Generator's size and out arguments.
+streams derived from its own pool, one vectorized pass a block of
+BLOCK_SIZE children, and one reused generator, reseeded for each record,
+makes the caller's list of draws: one call per role, each writing
+standard draws into the record's preallocated row (uniforms for its
+initial state, normals for its input, then each channel's noise). Any
+other root spawns its children. The scale and shift that numpy's
+uniform, normal and exponential would apply to each draw run afterwards
+once over the records of the call, so every value is bitwise numpy's
+own. A stream is therefore a numpy Generator, or an object whose random,
+standard_normal and standard_exponential methods take a Generator's size
+and out arguments.
 
 Since record i draws only from child i, records [a, b) of a seed's
 Nt-record ensemble can be made on their own: generate_dataset of b - a
@@ -74,6 +75,7 @@ X0_POLICIES = ("zero", "random-bounded")
 BLOCK_SIZE = 512  # records per block in the excitation check, dataset I/O and aggregation
 MAX_TRIES = 10  # input draws per record before the excitation check gives up
 FORK_MIN_VALUES = 22_500  # floats a forked text I/O part must format or parse to repay starting it
+FORMAT_VALUES = 8192  # samples one %-operation of the dataset writer formats at most: a slice of a block
 
 
 @dataclass(frozen=True)
@@ -165,8 +167,13 @@ class Dataset:
 
 
 def _nonfinite(U: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Which records of U (Nt, N, m) and Y (Nt, N, p) hold a sample that is not finite."""
-    return ~(np.isfinite(U).all(axis=(1, 2)) & np.isfinite(Y).all(axis=(1, 2)))
+    """Which records of U (Nt, N, m) and Y (Nt, N, p) hold a sample that is
+    not finite, checked a block of BLOCK_SIZE records at a time."""
+    bad = np.empty(U.shape[0], dtype=bool)
+    for a in range(0, U.shape[0], BLOCK_SIZE):
+        rows = slice(a, a + BLOCK_SIZE)
+        bad[rows] = ~(np.isfinite(U[rows]).all(axis=(1, 2)) & np.isfinite(Y[rows]).all(axis=(1, 2)))
+    return bad
 
 
 def _uniform_span(m1: float, var: float) -> tuple:
@@ -308,14 +315,14 @@ def add_noise(ds: Dataset, spec_u: NoiseSpec, spec_y: NoiseSpec, rng: np.random.
     _record_draws(rng, Nt, [(draw, rows) for rows, (draw, _, _), _ in channels if draw is not None])
     noisy = []
     for rows, (draw, loc, scale), clean in channels:
-        out = rows.reshape(clean.shape)  # a view: each record's channel is contiguous
+        # in place on the 2-D rows: numpy copied their 3-D view whole for each in-place operation
         if draw is None:
-            out[...] = loc
+            rows[...] = loc
         else:
-            out *= scale
-            out += loc
-        out += clean
-        noisy.append(out)
+            rows *= scale
+            rows += loc
+        rows += clean.reshape(Nt, -1)
+        noisy.append(rows.reshape(clean.shape))  # a view: each record's channel is contiguous
     return Dataset(*noisy)
 
 
@@ -447,15 +454,17 @@ def _record_draws(rng, n: int, calls: list):
     record makes in order on its own stream: stream i runs
     getattr(g, name)(out=rows[i]) for each. When rng is a numpy Generator on
     PCG64 seeded by a numpy SeedSequence, the children's states are derived
-    in one pass (see _pcg64_states), and one Generator, reseeded for each
-    record, makes every record's draws, so no per-record SeedSequence, PCG64
-    or Generator is built; again(i) reseeds it to child i and makes record
-    i's draws again. The first and last states are checked against streams
-    numpy builds itself, and a mismatch, from a numpy that seeds another
-    way, raises RuntimeError before anything is counted or drawn, rather
-    than changing any dataset. Any other root (another bit generator, a seed
-    sequence of another kind, a duck-typed generator with only a spawn
-    method) is served by rng.spawn(n), and again(i) is child i itself.
+    one pass a block of BLOCK_SIZE children (see _pcg64_states), so no more
+    than a block's states are held at once, and one Generator, reseeded for
+    each record, makes every record's draws, so no per-record SeedSequence,
+    PCG64 or Generator is built; again(i) derives child i's state alone,
+    reseeds the Generator to it and makes record i's draws again. The first
+    and last states are checked against streams numpy builds itself, and a
+    mismatch, from a numpy that seeds another way, raises RuntimeError
+    before anything is counted or drawn, rather than changing any dataset.
+    Any other root (another bit generator, a seed sequence of another kind,
+    a duck-typed generator with only a spawn method) is served by
+    rng.spawn(n), and again(i) is child i itself.
     """
 
     def draw(g, i: int):
@@ -472,11 +481,10 @@ def _record_draws(rng, n: int, calls: list):
         for i, g in enumerate(own):
             draw(g, i)
         return own.__getitem__
-    states = _pcg64_states(seq, first, n)
     for i in {0, n - 1}:
         child = np.random.PCG64(np.random.SeedSequence(seq.entropy, spawn_key=seq.spawn_key + (first + i,), pool_size=seq.pool_size))
         want = child.state["state"]
-        if (want["state"], want["inc"]) != states[i]:
+        if [(want["state"], want["inc"])] != _pcg64_states(seq, first + i, 1):
             raise RuntimeError(
                 f"numpy {np.__version__} seeds child stream {first + i} other than hankelnull derives it; "
                 "the derived records would differ from rng.spawn's"
@@ -486,13 +494,18 @@ def _record_draws(rng, n: int, calls: list):
     g = np.random.Generator(child)
     state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
 
-    def again(i: int):
-        state["state"]["state"], state["state"]["inc"] = states[i]
+    def reseed(pair: tuple) -> None:
+        state["state"]["state"], state["state"]["inc"] = pair
         child.state = state
+
+    def again(i: int):
+        reseed(_pcg64_states(seq, first + i, 1)[0])
         return draw(g, i)
 
-    for i in range(n):
-        again(i)
+    for a in range(0, n, BLOCK_SIZE):
+        for i, pair in enumerate(_pcg64_states(seq, first + a, min(BLOCK_SIZE, n - a)), a):
+            reseed(pair)
+            draw(g, i)
     return again
 
 
@@ -532,19 +545,24 @@ def _write_datasets(paths, Nt: int, N: int, m: int, p: int, block) -> None:
     block(a, b) gives records [a, b) of every file, a Dataset a path in
     path order. It is called once a block of BLOCK_SIZE records, in parts
     of whole blocks (see _write_parts), so no more than a block of each
-    file is made at once in any part. Each block is formatted by one
-    %-operation over its rows.
+    file is made at once in any part. A block is formatted in slices of
+    records, each by one %-operation over its rows, so the text, tuple and
+    Python floats of no more than FORMAT_VALUES samples (one record, if a
+    record holds more) are made at once.
     """
     record = _record_format(N, m, p)
     header = json.dumps({"meta": {"Nt": Nt, "N": N, "m": m, "p": p}}) + "\n"
+    step = max(1, FORMAT_VALUES // (N * (m + p)))
 
     def blocks(lo: int, hi: int, *fhs) -> None:
         for a in range(lo * BLOCK_SIZE, min(hi * BLOCK_SIZE, Nt), BLOCK_SIZE):
             b = min(a + BLOCK_SIZE, Nt)
-            index = np.arange(a, b, dtype=float)[:, None]
             for fh, ds in zip(fhs, block(a, b)):
-                rows = np.concatenate([index, ds.U.reshape(b - a, -1), ds.Y.reshape(b - a, -1)], axis=1)
-                fh.write(record * (b - a) % tuple(rows.ravel().tolist()))
+                for s in range(0, b - a, step):
+                    U, Y = ds.U[s : s + step], ds.Y[s : s + step]
+                    index = np.arange(a + s, a + s + len(U), dtype=float)[:, None]
+                    rows = np.concatenate([index, U.reshape(len(U), -1), Y.reshape(len(U), -1)], axis=1)
+                    fh.write(record * len(U) % tuple(rows.ravel().tolist()))
 
     _write_parts(paths, header, -(-Nt // BLOCK_SIZE), len(paths) * Nt * N * (m + p), blocks)
 

@@ -710,7 +710,7 @@ class TestSnappedDifferences:
         res = grid_search(fin, ([1.0], m2u, [1.0], [5.0]), eps_sigma=1e-3, nullity=3, input_rows=INPUT_ROWS)
         per_chunk = estimator.CHUNK_SIZE // fin.d
         assert np.unique(np.trunc((m2u - 5.0) / q)).size == 1000
-        assert sizes == [per_chunk, 1000 - per_chunk]
+        assert sizes == [per_chunk] * (1000 // per_chunk) + [1000 % per_chunk]
         sv = _svd_landscape(fin, res.points, INPUT_ROWS)
         assert np.all(np.abs(res.singular_values - sv) <= 1e-10 * sv)
 

@@ -550,6 +550,46 @@ def test_excitation_failure_redraws_from_derived_stream(demo_system, monkeypatch
     assert rng.bit_generator.seed_seq.n_children_spawned == 700
 
 
+def test_record_streams_are_derived_a_block_at_a_time(demo_system, monkeypatch):
+    # 5 blocks of 7 children and a last one of 2; the first screen of record
+    # 23, in the fourth block, fails, so its stream is derived again alone
+    monkeypatch.setattr(lti_sim, "BLOCK_SIZE", 7)
+    real = lti_sim.pe_order_check
+    screened = []
+
+    def screen(U, order):
+        ok = real(U, order)
+        if U.ndim == 3:
+            a = 7 * len(screened)
+            screened.append(a)
+            if a <= 23 < a + ok.size:
+                ok[23 - a] = False
+        return ok
+
+    monkeypatch.setattr(lti_sim, "pe_order_check", screen)
+    derived = spy(monkeypatch, lti_sim, "_pcg64_states")
+    rng = np.random.default_rng(8)
+    Z = np.empty((37, 5))
+    lti_sim._record_draws(rng, 37, [("standard_normal", Z)])
+    ds = generate_dataset(demo_system, 37, 20, 2, "random-bounded", rng)
+    assert screened == [0, 7, 14, 21, 28, 35]
+    # no call derives more than a block's states; the replay derives one
+    asked = [args[1:] for args, _ in derived]
+    assert max(n for _, n in asked) == 7 and (37 + 23, 1) in asked
+    children = np.random.default_rng(8).spawn(74)
+    for i, g in enumerate(children[:37]):
+        assert np.array_equal(Z[i], g.standard_normal(5))
+    for i, g in enumerate(children[37:]):
+        x0 = g.uniform(-1.0, 1.0, demo_system.n)
+        U = g.standard_normal((20, 2))
+        if i == 23:  # the retry is the stream's second input draw
+            U = g.standard_normal((20, 2))
+        assert np.array_equal(ds.U[i], U)
+        Y = simulate(demo_system, x0, U)
+        assert np.abs(ds.Y[i] - Y).max() <= 1e-14 * np.abs(Y).max()
+    assert rng.bit_generator.seed_seq.n_children_spawned == 74
+
+
 def test_dataset_indexing(demo_system):
     ds = generate_dataset(demo_system, 5, 20, 2, "zero", np.random.default_rng(13))
     assert ds[1:3].Nt == 2
@@ -568,6 +608,11 @@ def test_dataset_rejects_non_finite_samples():
     Y[2, 3, 1] = 0.0
     U[3, 0, 0] = -np.inf
     with pytest.raises(ValueError, match="record 3 has non-finite"):
+        Dataset(U, Y)
+    # records are checked a block at a time; one in the third block is named
+    U, Y = np.zeros((2 * lti_sim.BLOCK_SIZE + 3, 6, 1)), np.zeros((2 * lti_sim.BLOCK_SIZE + 3, 6, 2))
+    Y[2 * lti_sim.BLOCK_SIZE + 1, 0, 1] = np.nan
+    with pytest.raises(ValueError, match=f"record {2 * lti_sim.BLOCK_SIZE + 1} has non-finite"):
         Dataset(U, Y)
 
 
@@ -679,6 +724,57 @@ def test_save_dataset_in_parts_matches_per_record_writer(tmp_path, demo_system, 
     assert part_counts(calls) == [parts, 1]
     _per_record_writer(ds[:1], tmp_path / "one_ref.jsonl")
     assert (tmp_path / "one.jsonl").read_bytes() == (tmp_path / "one_ref.jsonl").read_bytes()
+    # each block formatted in slices of 3 records, which divide neither the
+    # block nor Nt, so slices end mid-block and the last block ends mid-slice
+    monkeypatch.setattr(lti_sim, "FORMAT_VALUES", 3 * ds.N * (ds.m + ds.p))
+    save_dataset(ds, tmp_path / "sliced.jsonl")
+    assert part_counts(calls) == [parts, 1, parts]
+    assert (tmp_path / "sliced.jsonl").read_bytes() == (tmp_path / "ref.jsonl").read_bytes()
+
+
+def _traced_peak(fn):
+    """fn()'s result, the peak of memory traced while it ran and the bytes
+    still traced when it returned (tracemalloc counts Python objects and
+    numpy arrays, the same on every run, unlike the process's RSS)."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        result = fn()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak, current
+
+
+def test_save_dataset_formats_one_slice_at_a_time(tmp_path, demo_system, monkeypatch):
+    # one part; 600 records fill one whole block. A sample formatted at once
+    # costs its float object and slots in the list and tuple (40 bytes), its
+    # row of the slice (8) and its text of at most 25 bytes, copied once
+    # more to encode it: no more than 128 bytes
+    monkeypatch.setattr(lti_sim, "_cpus", lambda: 1)
+    rng = np.random.default_rng(34)
+    ds = add_noise(generate_dataset(demo_system, 600, 20, 2, "random-bounded", rng), NoiseSpec("gaussian", 1.0, 5.0), NoiseSpec("gaussian", 1.0, 5.0), rng)
+    _, peak, kept = _traced_peak(lambda: save_dataset(ds, tmp_path / "ds.jsonl"))
+    assert peak - kept < 128 * lti_sim.FORMAT_VALUES
+
+
+def test_generation_and_noise_work_in_a_bounded_extra_peak(demo_system):
+    # the extra peak beyond the output arrays does not grow from 2 to 8
+    # blocks, but for the initial states and the simulation's state rows:
+    # four (Nt, n) arrays, which the ensemble's one recursion needs
+    spec = NoiseSpec("gaussian", 1.0, 5.0)
+
+    def extra(Nt):
+        rng = np.random.default_rng(35)
+        clean, peak, _ = _traced_peak(lambda: generate_dataset(demo_system, Nt, 20, 2, "random-bounded", rng))
+        noisy, noise_peak, _ = _traced_peak(lambda: add_noise(clean, spec, spec, rng))
+        out = clean.U.nbytes + clean.Y.nbytes  # each call's output arrays
+        return np.array([peak - out, noise_peak - out])
+
+    extra(lti_sim.BLOCK_SIZE)  # first calls allocate numpy's and the package's caches
+    few, many = extra(2 * lti_sim.BLOCK_SIZE), extra(8 * lti_sim.BLOCK_SIZE)
+    assert (many - few <= 4 * 6 * lti_sim.BLOCK_SIZE * demo_system.n * 8).all(), (few, many)
 
 
 @forks
