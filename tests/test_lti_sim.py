@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -736,8 +737,6 @@ def _traced_peak(fn):
     """fn()'s result, the peak of memory traced while it ran and the bytes
     still traced when it returned (tracemalloc counts Python objects and
     numpy arrays, the same on every run, unlike the process's RSS)."""
-    import tracemalloc
-
     tracemalloc.start()
     try:
         result = fn()
@@ -768,7 +767,7 @@ def test_generation_and_noise_work_in_a_bounded_extra_peak(demo_system):
     def extra(Nt):
         rng = np.random.default_rng(35)
         clean, peak, _ = _traced_peak(lambda: generate_dataset(demo_system, Nt, 20, 2, "random-bounded", rng))
-        noisy, noise_peak, _ = _traced_peak(lambda: add_noise(clean, spec, spec, rng))
+        _, noise_peak, _ = _traced_peak(lambda: add_noise(clean, spec, spec, rng))
         out = clean.U.nbytes + clean.Y.nbytes  # each call's output arrays
         return np.array([peak - out, noise_peak - out])
 
