@@ -160,6 +160,11 @@ class ExperimentConfig:
     def input_rows(self) -> int:
         return self.system.m * self.L
 
+    def search(self, fin, axes):
+        """grid_search of fin over axes with this config's thresholds, nullity and input rows."""
+        return grid_search(fin, axes, self.eps_sigma, self.nullity, eps_mode=self.eps_mode,
+                           eps_factor=self.eps_factor, eps_rank=self.eps_rank, input_rows=self.input_rows)
+
     def axes(self) -> tuple:
         """The grid's axes. A grid whose landscape, d singular values a
         point, cannot be mapped into memory raises, naming its point count."""
@@ -485,11 +490,7 @@ def cmd_recover(cfg: ExperimentConfig, dataset_path, stats_path, out_dir) -> int
         st = _dataset_stats(cfg, dataset_path, run)
     fin = st.finalize()
     with run.stage("grid_s"):
-        res = grid_search(
-            fin, axes, cfg.eps_sigma, cfg.nullity,
-            eps_mode=cfg.eps_mode, eps_factor=cfg.eps_factor, eps_rank=cfg.eps_rank,
-            input_rows=cfg.input_rows,
-        )
+        res = cfg.search(fin, axes)
     with run.stage("write_s"):
         if stats_path is None:
             save_stats(st, run.output("stats", "stats.json"))
@@ -545,15 +546,13 @@ def cmd_sweep(cfg: ExperimentConfig, nt_list, seeds, out_dir) -> int:
     run = _Run("sweep", cfg, out_dir)
     with run.stage("sweep_s"):
         res = convergence_study(
-            cfg.system, cfg.noise_u, cfg.noise_y, cfg.L, nt_list, seeds, axes,
+            cfg.system, cfg.noise_u, cfg.noise_y, cfg.L, nt_list, seeds,
+            lambda fin: cfg.search(fin, axes).best,
             N=cfg.N, x0_policy=cfg.x0_policy, x0_halfwidth=cfg.x0_halfwidth,
-            eps_sigma=cfg.eps_sigma, eps_mode=cfg.eps_mode, eps_factor=cfg.eps_factor,
-            eps_rank=cfg.eps_rank,
         )
     write_convergence_csv(res, run.output("convergence", "convergence.csv"))
     write_summary_csv(res, run.output("summary", "summary.csv"))
-    run.outputs.update(Nt_list=list(nt_list), seeds=list(seeds))
-    run.manifest()
+    run.manifest(Nt_list=list(nt_list), seeds=list(seeds))
     for Nt, med in res.medians:
         print(f"Nt={Nt} median theta_max={med:.6g}")
     return 0

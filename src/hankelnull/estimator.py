@@ -115,24 +115,22 @@ class SubspaceBasis:
 
 @dataclass(frozen=True)
 class Candidate:
-    """An admitted grid point with its spectrum and extracted null space.
+    """An admitted point: its coordinates by axis name (m1, m2 on a tied
+    grid; see AXIS_NAMES), its extracted null space and its spectrum."""
 
-    axis_names are the names of the grid's axes; a tied grid's point is
-    (m1, m2), spread over both channels as (m1, m2, m1, m2). A candidate
-    made outside a grid search keeps all four coordinates.
-    """
-
-    point: MomentPoint
-    sigma_min: float
+    coords: dict
     nullspace: SubspaceBasis
     singular_values: np.ndarray
-    axis_names: tuple = AXIS_NAMES[4]
 
     @property
-    def coords(self) -> dict:
-        """The point's coordinates on its grid's axes, by axis name."""
-        pt = self.point
-        return dict(zip(self.axis_names, (pt.m1u, pt.m2u, pt.m1y, pt.m2y)))
+    def point(self) -> MomentPoint:
+        """The coordinates as a MomentPoint; a tied point spreads over both channels."""
+        c = self.coords
+        return MomentPoint.identical(c["m1"], c["m2"]) if "m1" in c else MomentPoint(**c)
+
+    @property
+    def sigma_min(self) -> float:
+        return float(self.singular_values[-1])
 
 
 @dataclass(frozen=True)
@@ -398,11 +396,9 @@ def grid_search(
         # nearest eigenvalue last, like the trailing rows of an SVD's Vt
         near = np.argsort(np.abs(w - st.Nc * points[j, -1]))[nullity - 1 :: -1]
         best = Candidate(
-            point=MomentPoint(*points[j, cols].tolist()),
-            sigma_min=float(sv_all[j, -1]),
+            coords=dict(zip(AXIS_NAMES[len(axes)], points[j].tolist())),
             nullspace=SubspaceBasis(V[:, near].T),
             singular_values=sv_all[j].copy(),
-            axis_names=AXIS_NAMES[len(axes)],
         )
 
     return GridResult(

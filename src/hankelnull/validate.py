@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import SubspaceBasis, grid_search
+from .estimator import SubspaceBasis
 from .hankel import stacked_hankel
 from .lti_sim import StateSpace, add_noise, generate_dataset
 from .stats import aggregate
@@ -104,48 +104,40 @@ def convergence_study(
     L: int,
     Nt_list,
     seeds,
-    grid,
+    search,
     N: int,
     x0_policy: str = "random-bounded",
     x0_halfwidth: float = 1.0,
-    eps_sigma: float = 1e-3,
-    eps_mode: str = "auto",
-    eps_factor: float = 2.0,
-    eps_rank: float = 1e-2,
 ) -> StudyResult:
     """Measure the subspace error against ensemble size, one cell per (Nt, seed).
 
-    Each cell generates a fresh ensemble, corrupts it, aggregates, runs the
-    grid search and scores the best candidate against the true null space.
-    Cells with no admitted candidate record theta_max = nan and admitted = 0;
-    medians are taken over the admitted cells of each Nt. An empty Nt_list
-    or seeds raises.
+    Each cell generates a fresh ensemble, corrupts it, aggregates, and scores
+    the Candidate that search makes of its FinalizedStats against the true
+    null space. Cells where search returns None record theta_max = nan and
+    admitted = 0; medians are taken over the admitted cells of each Nt. An
+    empty or repeated Nt_list or seeds, or an Nt_list not ascending, raises.
     """
     Nt_list, seeds = [int(v) for v in Nt_list], list(seeds)
     for name, values in (("Nt_list", Nt_list), ("seeds", seeds)):
         if not values:
             raise ValueError(f"{name} is empty; the study needs at least one ensemble size and one seed")
+        repeated = next((v for v in values if values.count(v) > 1), None)
+        if repeated is not None:
+            raise ValueError(f"{name} repeats {repeated}; the study runs each value once")
     if Nt_list != sorted(Nt_list):
         raise ValueError("Nt_list must be ascending")
     V_true = true_nullspace(ss, L)
-    nullity = ss.p * L - ss.n
     rows = []
     for Nt in Nt_list:
         for seed in seeds:
             rng = np.random.default_rng(seed)
             clean = generate_dataset(ss, Nt, N, L, x0_policy, rng, x0_halfwidth=x0_halfwidth)
             noisy = add_noise(clean, spec_u, spec_y, rng)
-            fin = aggregate(noisy, L).finalize()
-            res = grid_search(
-                fin, grid, eps_sigma, nullity,
-                eps_mode=eps_mode, eps_factor=eps_factor, eps_rank=eps_rank,
-                input_rows=ss.m * L,
-            )
-            if res.best is None:
+            best = search(aggregate(noisy, L).finalize())
+            if best is None:
                 rows.append((Nt, int(seed), float("nan"), False))
             else:
-                err = subspace_angle(V_true, res.best.nullspace)
-                rows.append((Nt, int(seed), err.theta_max, True))
+                rows.append((Nt, int(seed), subspace_angle(V_true, best.nullspace).theta_max, True))
     medians = []
     for Nt in Nt_list:
         thetas = [r[2] for r in rows if r[0] == Nt and r[3]]

@@ -115,9 +115,10 @@ def test_subspace_error_decays_with_ensemble_size(reference_run, capsys):
     theta_ref = subspace_angle(r["V_true"], r["res"].best.nullspace).theta_max
     cfg = r["cfg"]
     spec = NoiseSpec("gaussian", 1.0, 5.0)
+    axes = cfg.axes()
     study = convergence_study(
         cfg.system, spec, spec, cfg.L, [100, 1000, 10000], list(range(10)),
-        cfg.axes(), N=cfg.N, eps_mode=cfg.eps_mode, eps_factor=cfg.eps_factor,
+        lambda fin: cfg.search(fin, axes).best, N=cfg.N,
     )
     meds = [m for (_, m) in study.medians]
     ok = (theta_ref < 0.05

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import assert_no_child_left, part_counts, spy
 import hankelnull
-from hankelnull import add_noise, aggregate, cli, generate_dataset, load_dataset, lti_sim, save_dataset, save_stats
+from hankelnull import add_noise, aggregate, cli, generate_dataset, grid_search, load_dataset, lti_sim, save_dataset, save_stats
 from hankelnull.cli import _SCALARS, PRESETS, config_from_dict, config_to_dict, main
 
 DEMO_SYSTEM = {
@@ -353,20 +353,29 @@ class TestAggregateAndRecover:
         assert diag["nearest_miss"] is None
 
     def test_both_sources_rejected(self, tmp_path, cfg_file, gen_dir, capsys):
+        out = tmp_path / "o"
         rc = main([
             "recover", "--config", cfg_file,
             "--dataset", str(gen_dir / "dataset_noisy.jsonl"),
             "--stats", str(gen_dir / "dataset_noisy.jsonl"),
-            "--out", str(tmp_path / "o"),
+            "--out", str(out),
         ])
         assert rc == 3
+        assert "error: give exactly one of --dataset or --stats" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_neither_source_rejected(self, tmp_path, cfg_file, capsys):
-        assert main(["recover", "--config", cfg_file, "--out", str(tmp_path / "o")]) == 3
+        out = tmp_path / "o"
+        assert main(["recover", "--config", cfg_file, "--out", str(out)]) == 3
+        assert "error: give exactly one of --dataset or --stats" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_stats_file_is_io_error(self, tmp_path, cfg_file, capsys):
-        rc = main(["recover", "--config", cfg_file, "--stats", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])
+        out, missing = tmp_path / "o", tmp_path / "nope.json"
+        rc = main(["recover", "--config", cfg_file, "--stats", str(missing), "--out", str(out)])
         assert rc == 4
+        assert f"error: [Errno 2] No such file or directory: '{missing}'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_malformed_config_is_io_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -588,11 +597,9 @@ class TestAggregateAndRecover:
             assert set(manifest["timings"]) == keys, name
             assert all(v >= 0.0 for v in manifest["timings"].values())
             assert "workers" not in manifest["config"]
-            # outputs names every file in --out but the manifest; sweep's
-            # Nt_list and seeds are not files
-            files = {v for v in manifest["outputs"].values() if isinstance(v, str)}
-            assert files == {f.name for f in out.iterdir()} - {"manifest.json"}, name
-        assert (manifest["outputs"]["Nt_list"], manifest["outputs"]["seeds"]) == ([5, 8], [0, 1])
+            # outputs names every file in --out but the manifest
+            assert set(manifest["outputs"].values()) == {f.name for f in out.iterdir()} - {"manifest.json"}, name
+        assert (manifest["Nt_list"], manifest["seeds"]) == ([5, 8], [0, 1])
 
     def test_non_finite_sample_fails_at_load(self, tmp_path, cfg_file, gen_dir, capsys):
         lines = (gen_dir / "dataset_noisy.jsonl").read_text().split("\n")
@@ -745,6 +752,21 @@ class TestAggregateAndRecover:
 
 
 DISTINCT_GRID = {"m1u": [-0.5, 0.5, 3], "m2u": [0.0, 1.0, 2], "m1y": [-0.5, 0.5, 3], "m2y": [0.0, 1.0, 2]}
+
+
+def test_config_search_is_the_direct_grid_search(gen_dir):
+    # each threshold, the nullity and the input rows reach grid_search from the config
+    cfg = config_from_dict(dict(SMALL_CONFIG, grid=DISTINCT_GRID, eps_mode="auto", eps_factor=3.0, eps_rank=0.05))
+    fin = aggregate(load_dataset(gen_dir / "dataset_noisy.jsonl"), 2).finalize()
+    got = cfg.search(fin, cfg.axes())
+    want = grid_search(fin, cfg.axes(), 1e-8, 3, eps_mode="auto", eps_factor=3.0, eps_rank=0.05, input_rows=4)
+
+    def arrays(res):
+        return [*res.axes, res.points, res.singular_values, res.ranks, res.admitted, res.best.nullspace.basis, res.best.singular_values]
+
+    for a, b in zip(arrays(got), arrays(want), strict=True):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    assert (got.threshold, got.nullity, got.best.coords) == (want.threshold, want.nullity, want.best.coords)
 
 
 class TestMomentAxes:
@@ -988,8 +1010,11 @@ class TestValidate:
         assert not out.exists()
 
     def test_missing_candidate_is_io_error(self, tmp_path, cfg_file, capsys):
-        rc = main(["validate", "--config", cfg_file, "--candidate", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])
+        out, missing = tmp_path / "o", tmp_path / "nope.json"
+        rc = main(["validate", "--config", cfg_file, "--candidate", str(missing), "--out", str(out)])
         assert rc == 4
+        assert f"error: [Errno 2] No such file or directory: '{missing}'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_malformed_candidate_is_io_error(self, tmp_path, cfg_file, capsys):
         bad = tmp_path / "candidate.json"
@@ -1052,11 +1077,11 @@ class TestSweep:
             assert float(line.split(",")[2]) <= 1e-8
 
     def test_bad_nt_list_is_config_error(self, tmp_path, cfg_file, capsys):
-        rc = main([
-            "sweep", "--config", cfg_file, "--Nt-list", "5;10", "--seeds", "0",
-            "--out", str(tmp_path / "o"),
-        ])
+        out = tmp_path / "o"
+        rc = main(["sweep", "--config", cfg_file, "--Nt-list", "5;10", "--seeds", "0", "--out", str(out)])
         assert rc == 3
+        assert "argument --Nt-list: expected comma-separated integers, got '5;10'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_seed_is_config_error(self, tmp_path, cfg_file, capsys):
         out = tmp_path / "o"
@@ -1072,6 +1097,15 @@ class TestSweep:
         out = tmp_path / "o"
         assert main(["sweep", "--config", cfg_file, *flag, "--seeds", "0", "--out", str(out)]) == 3
         assert cause in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("nt_list, seeds, cause", [("5,5", "0", "Nt_list repeats 5"), ("5", "0,0,1", "seeds repeats 0")])
+    def test_repeated_values_are_config_error_before_out_exists(self, tmp_path, cfg_file, capsys, nt_list, seeds, cause):
+        # a repeated seed would count its cell twice in the median, and a
+        # repeated size would run every cell twice
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", cfg_file, "--Nt-list", nt_list, "--seeds", seeds, "--out", str(out)]) == 3
+        assert f"error: {cause}; the study runs each value once" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("nt_list, seeds, flag", [("", "0", "--Nt-list"), ("5", "", "--seeds"), ("5", ",", "--seeds")])

@@ -324,6 +324,25 @@ class TestGridSearch:
         assert res.best.coords == {"m1u": 0.5, "m2u": 0.0, "m1y": 0.0, "m2y": 0.0}
         assert np.array_equal(res.best.singular_values, res.singular_values[0])
 
+    @pytest.mark.parametrize("split", [False, True])
+    def test_best_point_is_its_landscape_row(self, demo_system, split):
+        # the candidate's coordinates, point and sigma_min are those of the
+        # first admitted landscape row with the smallest sigma_min
+        fin = aggregate(_noisy(demo_system, 200, seed=20), 2).finalize()
+        m1, m2 = np.linspace(0.5, 1.5, 5), np.linspace(3.0, 7.0, 5)
+        grid = (m1, m2, m1, m2) if split else (m1, m2)
+        res = grid_search(fin, grid, eps_sigma=1e-3, nullity=3, eps_mode="auto", input_rows=4)
+        picked = np.flatnonzero(res.admitted)
+        j = int(picked[np.argmin(res.sigma_min[picked])])
+        row = res.points[j].tolist()
+        best = res.best
+        assert list(best.coords) == (["m1u", "m2u", "m1y", "m2y"] if split else ["m1", "m2"])
+        assert list(best.coords.values()) == row
+        assert all(v in a for v, a in zip(row, res.axes))
+        assert best.point == (MomentPoint(*row) if split else MomentPoint.identical(*row))
+        assert best.sigma_min == res.sigma_min[j] and type(best.sigma_min) is float
+        assert np.array_equal(best.singular_values, res.singular_values[j])
+
     def test_auto_threshold_tracks_grid_floor(self, demo_system):
         fin = aggregate(_noisy(demo_system, 80, seed=19), 2).finalize()
         grid = (np.linspace(0.5, 1.5, 5), np.linspace(3.0, 7.0, 5))
@@ -860,13 +879,12 @@ class TestWriters:
         assert np.array_equal(V, res.best.nullspace.basis)
 
     def test_candidate_json_keeps_channel_split(self, tmp_path, demo_system):
-        pt = MomentPoint(0.5, 1.0, -0.2, 0.3)
         cand = Candidate(
-            point=pt,
-            sigma_min=0.125,
+            coords={"m1u": 0.5, "m2u": 1.0, "m1y": -0.2, "m2y": 0.3},
             nullspace=SubspaceBasis(np.eye(10)[:3]),
-            singular_values=np.linspace(10.0, 0.0, 10),
+            singular_values=np.linspace(10.0, 0.125, 10),
         )
+        assert cand.point == MomentPoint(0.5, 1.0, -0.2, 0.3) and cand.sigma_min == 0.125
         path = tmp_path / "candidate.json"
         write_candidate_json(cand, path)
         obj = json.loads(path.read_text())

@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 from hankelnull import (
+    Candidate,
     NoiseSpec,
     StateSpace,
     SubspaceBasis,
+    add_noise,
+    aggregate,
     convergence_study,
     generate_dataset,
+    grid_search,
     simulate,
     stacked_hankel,
     subspace_angle,
@@ -142,14 +146,20 @@ class TestTrajectoryMembership:
         assert np.abs(V.basis @ bad).max() > 1e-3
 
 
+def _search(grid, eps_sigma=1e-3, **kw):
+    """A study's search on the demo plant at L=2: the best point of grid_search over grid."""
+    return lambda fin: grid_search(fin, grid, eps_sigma, 3, input_rows=4, **kw).best
+
+
+def _never(fin):
+    pytest.fail("the study searched a cell")
+
+
 class TestConvergenceStudy:
     def test_noiseless_study_recovers_exactly(self, demo_system):
         zero = NoiseSpec("gaussian", 0.0, 0.0)
         grid = (np.array([0.0]), np.array([0.0]))
-        res = convergence_study(
-            demo_system, zero, zero, 2, [5, 10], [0, 1], grid, N=25,
-            eps_mode="auto", eps_factor=2.0,
-        )
+        res = convergence_study(demo_system, zero, zero, 2, [5, 10], [0, 1], _search(grid, eps_mode="auto"), N=25)
         assert len(res.rows) == 4
         assert all(adm for (_, _, _, adm) in res.rows)
         assert all(theta <= 1e-8 for (_, _, theta, _) in res.rows)
@@ -159,10 +169,7 @@ class TestConvergenceStudy:
     def test_hopeless_threshold_records_missing_cells(self, demo_system):
         spec = NoiseSpec("gaussian", 1.0, 5.0)
         grid = (np.array([1.0]), np.array([5.0]))
-        res = convergence_study(
-            demo_system, spec, spec, 2, [5], [0, 1], grid, N=25,
-            eps_sigma=1e-15, eps_mode="abs",
-        )
+        res = convergence_study(demo_system, spec, spec, 2, [5], [0, 1], _search(grid, eps_sigma=1e-15), N=25)
         assert all(not adm for (_, _, _, adm) in res.rows)
         assert all(np.isnan(theta) for (_, _, theta, _) in res.rows)
         assert np.isnan(res.medians[0][1])
@@ -170,26 +177,72 @@ class TestConvergenceStudy:
     def test_descending_ensemble_sizes_rejected(self, demo_system):
         zero = NoiseSpec("gaussian", 0.0, 0.0)
         with pytest.raises(ValueError):
-            convergence_study(
-                demo_system, zero, zero, 2, [10, 5], [0], (np.array([0.0]), np.array([0.0])), N=25,
-            )
+            convergence_study(demo_system, zero, zero, 2, [10, 5], [0], _never, N=25)
 
     @pytest.mark.parametrize("Nt_list, seeds, empty", [([], [0], "Nt_list"), ([5], [], "seeds")])
     def test_empty_sizes_or_seeds_rejected_before_any_work(self, demo_system, monkeypatch, Nt_list, seeds, empty):
         zero = NoiseSpec("gaussian", 0.0, 0.0)
         monkeypatch.setattr(validate, "true_nullspace", lambda *a: pytest.fail("true_nullspace ran"))
         with pytest.raises(ValueError, match=f"^{empty} is empty"):
-            convergence_study(
-                demo_system, zero, zero, 2, Nt_list, seeds, (np.array([0.0]), np.array([0.0])), N=25,
-            )
+            convergence_study(demo_system, zero, zero, 2, Nt_list, seeds, _never, N=25)
+
+    @pytest.mark.parametrize("Nt_list, seeds, message", [
+        ([5, 5], [0], "Nt_list repeats 5"),
+        ([5, 8, 8], [0], "Nt_list repeats 8"),
+        ([5], [0, 1, 0], "seeds repeats 0"),
+    ])
+    def test_repeated_sizes_or_seeds_rejected_before_any_work(self, demo_system, monkeypatch, Nt_list, seeds, message):
+        # a repeated cell would count twice in its Nt's median
+        zero = NoiseSpec("gaussian", 0.0, 0.0)
+        monkeypatch.setattr(validate, "true_nullspace", lambda *a: pytest.fail("true_nullspace ran"))
+        with pytest.raises(ValueError, match=f"^{message}; the study runs each value once"):
+            convergence_study(demo_system, zero, zero, 2, Nt_list, seeds, _never, N=25)
+
+    def test_search_called_once_per_cell_with_its_stats(self, demo_system):
+        spec = NoiseSpec("gaussian", 1.0, 5.0)
+        V_true = true_nullspace(demo_system, 2)
+        # a basis at principal angle t from the true one: its first row turned
+        # by t toward a unit vector orthogonal to the true null space
+        w = np.linalg.svd(V_true.basis)[2][-1]
+
+        def turned(t):
+            basis = V_true.basis.copy()
+            basis[0] = np.cos(t) * basis[0] + np.sin(t) * w
+            return SubspaceBasis(basis)
+
+        cells = [(Nt, seed) for Nt in (5, 8) for seed in (0, 1, 2)]
+        angles = {(5, 0): 0.1, (5, 2): 0.3, (8, 0): 0.2, (8, 1): 0.4, (8, 2): 0.5}  # (5, 1) admits nothing
+        calls = []
+
+        def search(fin):
+            calls.append(fin)
+            cell = cells[len(calls) - 1]
+            if cell not in angles:
+                return None
+            return Candidate({"m1": 1.0, "m2": 5.0}, turned(angles[cell]), np.linspace(1.0, 0.1, 10))
+
+        res = convergence_study(demo_system, spec, spec, 2, [5, 8], [0, 1, 2], search, N=25)
+        assert len(calls) == 6
+        for fin, (Nt, seed) in zip(calls, cells):
+            rng = np.random.default_rng(seed)
+            clean = generate_dataset(demo_system, Nt, 25, 2, "random-bounded", rng)
+            want = aggregate(add_noise(clean, spec, spec, rng), 2).finalize()
+            assert fin.count == Nt and fin.Nc == want.Nc
+            assert np.array_equal(fin.Gbar, want.Gbar) and np.array_equal(fin.rbar, want.rbar)
+        assert [(Nt, seed, adm) for Nt, seed, _, adm in res.rows] == [(*cell, cell in angles) for cell in cells]
+        for Nt, seed, theta, adm in res.rows:
+            if adm:
+                assert theta == pytest.approx(angles[(Nt, seed)], abs=1e-12)
+            else:
+                assert np.isnan(theta)
+        assert [Nt for Nt, _ in res.medians] == [5, 8]
+        assert res.medians[0][1] == pytest.approx(0.2, abs=1e-12)
+        assert res.medians[1][1] == pytest.approx(0.4, abs=1e-12)
 
     def test_csv_shapes(self, tmp_path, demo_system):
         zero = NoiseSpec("gaussian", 0.0, 0.0)
         grid = (np.array([0.0]), np.array([0.0]))
-        res = convergence_study(
-            demo_system, zero, zero, 2, [5, 8], [0, 1, 2], grid, N=25,
-            eps_mode="auto",
-        )
+        res = convergence_study(demo_system, zero, zero, 2, [5, 8], [0, 1, 2], _search(grid, eps_mode="auto"), N=25)
         rows_path, summary_path = tmp_path / "rows.csv", tmp_path / "summary.csv"
         write_convergence_csv(res, rows_path)
         write_summary_csv(res, summary_path)
