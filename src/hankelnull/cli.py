@@ -260,10 +260,7 @@ def _noise_spec(spec, field: str) -> NoiseSpec:
         family, m1, m2 = spec["family"], _parse(field, float, spec["m1"]), _parse(field, float, spec["m2"])
     except (TypeError, KeyError, ValueError, OverflowError):
         raise ValueError(f"{field} must be an object with a family and numbers m1, m2, got {spec!r}") from None
-    try:
-        return NoiseSpec(family, m1, m2)
-    except ValueError as err:
-        raise ValueError(f"{field}: {err}") from None
+    return lti_sim._named(field, NoiseSpec, family, m1, m2)
 
 
 def _parse(name: str, kind, value):
@@ -377,7 +374,8 @@ def _dataset_stats(cfg: ExperimentConfig, path, run: _Run) -> SufficientStats:
     as it is parsed; its aggregate goes into row k of shared arrays, and
     the rows are summed here in block order, bitwise as aggregate sums a
     whole dataset. The run's aggregate_s counts this process's seconds in
-    aggregate and the final sum, and load_s the rest of the read.
+    aggregate and the final sum, and load_s the rest of the read. Sums
+    that overflow (see SufficientStats) raise, naming the file.
     """
     with run.stage("load_s"), lti_sim._DatasetReader(path) as rd:
         if (rd.N, rd.m, rd.p) != (cfg.N, cfg.system.m, cfg.system.p):
@@ -386,12 +384,12 @@ def _dataset_stats(cfg: ExperimentConfig, path, run: _Run) -> SufficientStats:
 
         def block(k: int, ds) -> None:
             with run.stage("aggregate_s"):
-                st = aggregate(ds, cfg.L)
+                st = lti_sim._named(path, aggregate, ds, cfg.L)
                 G[k], rowsum[k] = st.G, st.rowsum
 
         rd.read(block)
     with run.stage("aggregate_s"):
-        return _total(G, rowsum, cfg.N - cfg.L + 1, rd.Nt)
+        return lti_sim._named(path, _total, G, rowsum, cfg.N - cfg.L + 1, rd.Nt)
 
 
 def cmd_generate(cfg: ExperimentConfig, out_dir) -> int:
@@ -523,11 +521,7 @@ def cmd_validate(cfg: ExperimentConfig, candidate_path, out_dir) -> int:
     with run.stage("angle_s"):
         if basis.shape != V_true.basis.shape:
             raise ValueError(f"{candidate_path}: candidate null space has shape {basis.shape}, expected {V_true.basis.shape}")
-        try:
-            candidate = SubspaceBasis(basis)
-        except ValueError as exc:  # rows that are not orthonormal
-            raise ValueError(f"{candidate_path}: {exc}") from None
-        err = subspace_angle(V_true, candidate)
+        err = subspace_angle(V_true, lti_sim._named(candidate_path, SubspaceBasis, basis))
     report = {
         "theta_max": err.theta_max,
         "singular_values": [float(v) for v in err.singular_values],
@@ -540,8 +534,6 @@ def cmd_validate(cfg: ExperimentConfig, candidate_path, out_dir) -> int:
 
 
 def cmd_sweep(cfg: ExperimentConfig, nt_list, seeds, out_dir) -> int:
-    if any(seed < 0 for seed in seeds):
-        raise ValueError(f"--seeds must be non-negative integers, got {list(seeds)}")
     axes = cfg.axes()
     run = _Run("sweep", cfg, out_dir)
     with run.stage("sweep_s"):

@@ -87,7 +87,7 @@ class MomentPoint:
         return cls(m1, m2, m1, m2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubspaceBasis:
     """Orthonormal rows spanning a subspace of row dimension d."""
 
@@ -113,7 +113,7 @@ class SubspaceBasis:
         return self.basis.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Candidate:
     """An admitted point: its coordinates by axis name (m1, m2 on a tied
     grid; see AXIS_NAMES), its extracted null space and its spectrum."""
@@ -133,7 +133,7 @@ class Candidate:
         return float(self.singular_values[-1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridResult:
     """Full landscape of a grid search plus the best admitted point.
 

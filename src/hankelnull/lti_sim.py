@@ -78,7 +78,7 @@ FORK_MIN_VALUES = 22_500  # floats a forked text I/O part must format or parse t
 FORMAT_VALUES = 8192  # samples one %-operation of the dataset writer formats at most: a slice of a block
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateSpace:
     """x_{k+1} = A x_k + B u_k,  y_k = C x_k + D u_k."""
 
@@ -120,7 +120,7 @@ class StateSpace:
         return float(np.max(np.abs(np.linalg.eigvals(self.A))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Nt records sharing N, m and p: inputs U (Nt, N, m), outputs Y (Nt, N, p).
 
@@ -696,6 +696,14 @@ def _number_array(path, field: str, value) -> np.ndarray:
     if arr is None or arr.dtype.kind not in "iuf" or _holds_bool(value):
         raise ValueError(f"{path}: {field} is not a rectangular array of numbers")
     return arr.astype(float)
+
+
+def _named(where, make, *args):
+    """make(*args), where (a file or a field) put before a ValueError's message."""
+    try:
+        return make(*args)
+    except ValueError as err:
+        raise ValueError(f"{where}: {err}") from None
 
 
 def _parse_records(rd: _DatasetReader, fh, lo: int, hi: int, block) -> None:

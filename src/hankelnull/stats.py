@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hankel import stacked_hankel
-from .lti_sim import BLOCK_SIZE, _dump_json, _load_json, _number_array, _positive_int
+from .lti_sim import BLOCK_SIZE, _dump_json, _load_json, _named, _number_array, _positive_int
 
 __all__ = [
     "SufficientStats",
@@ -23,7 +23,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FinalizedStats:
     """Per-experiment averages Gbar = G/count and rbar = rowsum/count."""
 
@@ -35,26 +35,33 @@ class FinalizedStats:
 
 
 class SufficientStats:
-    """Running sums over absorbed experiments. Mutable, single owner."""
+    """Running sums over absorbed experiments. Mutable, single owner.
+
+    Omitted sums are zeros. A G not of shape (d, d), a rowsum not of shape
+    (d,), non-finite entries and a G that is not exactly symmetric raise
+    ValueError. aggregate and merge sum with numpy's overflow warnings off,
+    so sums that overflow reach this check as inf and are refused here."""
 
     __slots__ = ("d", "Nc", "count", "G", "rowsum")
 
-    def __init__(self, d: int, Nc: int):
-        self.d = int(d)
-        self.Nc = int(Nc)
-        self.count = 0
-        self.G = np.zeros((self.d, self.d))
-        self.rowsum = np.zeros(self.d)
+    def __init__(self, d: int, Nc: int, count: int = 0, G=None, rowsum=None):
+        self.d, self.Nc, self.count = int(d), int(Nc), int(count)
+        self.G = np.zeros((self.d, self.d)) if G is None else G
+        self.rowsum = np.zeros(self.d) if rowsum is None else rowsum
+        if self.G.shape != (self.d, self.d):
+            raise ValueError(f"G has shape {self.G.shape}, expected ({self.d}, {self.d})")
+        if self.rowsum.shape != (self.d,):
+            raise ValueError(f"rowsum has shape {self.rowsum.shape}, expected ({self.d},)")
+        if not (np.isfinite(self.G).all() and np.isfinite(self.rowsum).all()):
+            raise ValueError("G or rowsum has non-finite entries (sums that overflow a double leave them)")
+        if not np.array_equal(self.G, self.G.T):
+            raise ValueError("G is not symmetric")
 
     def merge(self, other: "SufficientStats") -> "SufficientStats":
         """Componentwise sum of two aggregates over disjoint experiment sets."""
         if (self.d, self.Nc) != (other.d, other.Nc):
             raise ValueError(f"shape mismatch: ({self.d},{self.Nc}) vs ({other.d},{other.Nc})")
-        out = SufficientStats(self.d, self.Nc)
-        out.count = self.count + other.count
-        out.G = self.G + other.G
-        out.rowsum = self.rowsum + other.rowsum
-        return out
+        return _total(np.stack([self.G, other.G]), np.stack([self.rowsum, other.rowsum]), self.Nc, self.count + other.count)
 
     def finalize(self) -> FinalizedStats:
         if self.count < 1:
@@ -73,6 +80,7 @@ def _tree_sum(arr: np.ndarray) -> np.ndarray:
     return arr[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def aggregate(ds, L: int) -> SufficientStats:
     """Aggregate a dataset in canonical blocks of BLOCK_SIZE records.
 
@@ -93,12 +101,11 @@ def aggregate(ds, L: int) -> SufficientStats:
     return _total(np.stack(G), np.stack(rowsum), Hs.shape[2], ds.Nt)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _total(G: np.ndarray, rowsum: np.ndarray, Nc: int, count: int) -> SufficientStats:
     """The aggregate of count records from its blocks' G and rowsum, stacked
     in block order along axis 0: a pairwise tree over the blocks of each."""
-    out = SufficientStats(G.shape[1], Nc)
-    out.G, out.rowsum, out.count = _tree_sum(G), _tree_sum(rowsum), count
-    return out
+    return SufficientStats(G.shape[1], Nc, count, _tree_sum(G), _tree_sum(rowsum))
 
 
 def save_stats(st: SufficientStats, path) -> None:
@@ -113,12 +120,10 @@ def save_stats(st: SufficientStats, path) -> None:
 def load_stats(path) -> SufficientStats:
     """Read a snapshot written by save_stats.
 
-    Rejects what no aggregate can hold, naming the file and the field: a
-    payload that is not a JSON object, d, Nc or count that is not a
-    positive integer (an integral float such as 4.0 reads as 4), a G or
-    rowsum that is not a rectangular array of numbers, non-finite entries
-    and a G that is not exactly symmetric.
-    """
+    Rejects, naming the file and the field, a payload that is not a JSON
+    object, a d, Nc or count that is not a positive integer (4.0 reads as
+    4), a G or rowsum that is not a rectangular array of numbers, a G
+    without d*d entries, and what SufficientStats refuses."""
     obj = _load_json(path)
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: a stats snapshot must be a JSON object, got {type(obj).__name__}")
@@ -126,17 +131,8 @@ def load_stats(path) -> SufficientStats:
         if key not in obj:
             raise ValueError(f"{path}: missing field {key!r}")
     d, Nc, count = (_positive_int(path, key, obj[key]) for key in ("d", "Nc", "count"))
-    st = SufficientStats(d, Nc)
     G = _number_array(path, "G", obj["G"])
-    if G.size != st.d * st.d:
-        raise ValueError(f"{path}: G has {G.size} entries, expected {st.d * st.d}")
-    st.G = G.reshape(st.d, st.d)
-    st.rowsum = _number_array(path, "rowsum", obj["rowsum"])
-    if st.rowsum.shape != (st.d,):
-        raise ValueError(f"{path}: rowsum has shape {st.rowsum.shape}, expected ({st.d},)")
-    st.count = count
-    if not (np.isfinite(st.G).all() and np.isfinite(st.rowsum).all()):
-        raise ValueError(f"{path}: G or rowsum has non-finite entries")
-    if not np.array_equal(st.G, st.G.T):
-        raise ValueError(f"{path}: G is not symmetric")
-    return st
+    if G.size != d * d:
+        raise ValueError(f"{path}: G has {G.size} entries, expected {d * d}")
+    rowsum = _number_array(path, "rowsum", obj["rowsum"])
+    return _named(path, SufficientStats, d, Nc, count, G.reshape(d, d), rowsum)

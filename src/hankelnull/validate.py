@@ -5,6 +5,7 @@ same system is recovered here from one long exciting experiment, and
 recovered bases are scored against it by the largest principal angle.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubspaceError:
     """Largest principal angle and the inner-product singular values."""
 
@@ -115,9 +116,17 @@ def convergence_study(
     the Candidate that search makes of its FinalizedStats against the true
     null space. Cells where search returns None record theta_max = nan and
     admitted = 0; medians are taken over the admitted cells of each Nt. An
-    empty or repeated Nt_list or seeds, or an Nt_list not ascending, raises.
+    Nt that is not integral (20.0 reads as 20) or a seed that is not a
+    non-negative integer, an empty or repeated Nt_list or seeds, or an
+    Nt_list not ascending, raises before any cell runs.
     """
-    Nt_list, seeds = [int(v) for v in Nt_list], list(seeds)
+    for v in Nt_list:
+        if isinstance(v, bool) or not (isinstance(v, numbers.Integral) or isinstance(v, float) and v.is_integer()):
+            raise ValueError(f"Nt_list holds {v!r}; ensemble sizes are integers")
+    for v in seeds:
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 0:
+            raise ValueError(f"seeds holds {v!r}; seeds are non-negative integers")
+    Nt_list, seeds = [int(v) for v in Nt_list], [int(v) for v in seeds]
     for name, values in (("Nt_list", Nt_list), ("seeds", seeds)):
         if not values:
             raise ValueError(f"{name} is empty; the study needs at least one ensemble size and one seed")
@@ -135,9 +144,9 @@ def convergence_study(
             noisy = add_noise(clean, spec_u, spec_y, rng)
             best = search(aggregate(noisy, L).finalize())
             if best is None:
-                rows.append((Nt, int(seed), float("nan"), False))
+                rows.append((Nt, seed, float("nan"), False))
             else:
-                rows.append((Nt, int(seed), subspace_angle(V_true, best.nullspace).theta_max, True))
+                rows.append((Nt, seed, subspace_angle(V_true, best.nullspace).theta_max, True))
     medians = []
     for Nt in Nt_list:
         thetas = [r[2] for r in rows if r[0] == Nt and r[3]]

@@ -58,6 +58,27 @@ def test_package_reexports_each_module_all():
     assert set(star) - {"__builtins__"} == set(owners)
 
 
+def test_records_that_hold_arrays_compare_by_identity():
+    # an array-valued field would make == raise; these records compare and
+    # hash by identity instead, so two built alike are unequal
+    system = lambda: hankelnull.StateSpace(*(DEMO_SYSTEM[k] for k in "ABCD"))
+    basis = lambda: hankelnull.SubspaceBasis(np.eye(10)[:3])
+    fin = aggregate(generate_dataset(system(), 5, 25, 2, "random-bounded", np.random.default_rng(0)), 2).finalize()
+    makers = [
+        system,
+        lambda: hankelnull.Dataset(np.ones((2, 5, 1)), np.ones((2, 5, 1))),
+        basis,
+        lambda: hankelnull.Candidate({"m1": 1.0, "m2": 5.0}, basis(), np.linspace(1.0, 0.1, 10)),
+        lambda: grid_search(fin, (np.array([0.0, 0.5]), np.array([0.0])), 1e-8, 3),
+        lambda: hankelnull.FinalizedStats(np.eye(2), np.zeros(2), 2, 3, 1),
+        lambda: hankelnull.SubspaceError(0.5, np.ones(3)),
+    ]
+    for make in makers:
+        a, b = make(), make()
+        assert a == a and not a == b and a != b, type(a).__name__
+        assert len({a, b, a}) == 2
+
+
 def test_readme_library_example_runs(capsys):
     """README's Library example, run as written, so the documented API
     cannot drift from the code; it recovers the moments (1, 5) it draws."""
@@ -616,6 +637,28 @@ class TestAggregateAndRecover:
         assert "record 3 has non-finite samples" in err and "nan.jsonl" in err
         assert not (out / "stats.json").exists()
 
+    @pytest.mark.parametrize("command", ["aggregate", "recover"])
+    def test_dataset_whose_sums_overflow_is_config_error(self, tmp_path, cfg_file, gen_dir, command):
+        # every sample is finite, but record 3's products overflow a double;
+        # the command runs in its own process, so a numpy warning or a
+        # traceback would show on its stderr
+        lines = (gen_dir / "dataset_noisy.jsonl").read_text().split("\n")
+        rec = json.loads(lines[4])  # record 3
+        rec["u"][0][0] *= 1e200
+        lines[4] = json.dumps(rec)
+        bad = tmp_path / "overflow.jsonl"
+        bad.write_text("\n".join(lines))
+        out = tmp_path / "o"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lti_sim.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hankelnull.cli", command, "--config", cfg_file, "--dataset", str(bad), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 3
+        assert f"error: {bad}: G or rowsum has non-finite entries (sums that overflow a double leave them)" in proc.stderr
+        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("text, cause", [
         ("5", "a stats snapshot must be a JSON object, got int"),
         ('{"d": 10, "Nc": 29, "count": 1, "G": [[1, 2], [3]], "rowsum": []}', "G is not a rectangular array of numbers"),
@@ -1086,7 +1129,7 @@ class TestSweep:
     def test_negative_seed_is_config_error(self, tmp_path, cfg_file, capsys):
         out = tmp_path / "o"
         assert main(["sweep", "--config", cfg_file, "--Nt-list", "5", "--seeds=0,-3", "--out", str(out)]) == 3
-        assert "--seeds must be non-negative integers, got [0, -3]" in capsys.readouterr().err
+        assert "error: seeds holds -3; seeds are non-negative integers" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, cause", [

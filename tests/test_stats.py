@@ -237,6 +237,52 @@ def test_load_stats_rejects_counts_that_are_not_positive_integers(tmp_path, fiel
         load_stats(path)
 
 
+def test_a_record_checks_itself_when_made():
+    zero = SufficientStats(2, 3)
+    assert zero.count == 0
+    assert np.array_equal(zero.G, np.zeros((2, 2))) and np.array_equal(zero.rowsum, np.zeros(2))
+    with pytest.raises(ValueError, match="^G is not symmetric$"):
+        SufficientStats(2, 3, 1, np.array([[1.0, 2.0], [3.0, 4.0]]))
+    with pytest.raises(ValueError, match=re.escape("G has shape (3, 3), expected (2, 2)")):
+        SufficientStats(2, 3, 1, np.eye(3), np.zeros(2))
+    with pytest.raises(ValueError, match=re.escape("rowsum has shape (3,), expected (2,)")):
+        SufficientStats(2, 3, 1, np.eye(2), np.zeros(3))
+    with pytest.raises(ValueError, match="^G or rowsum has non-finite entries"):
+        SufficientStats(2, 3, 1, np.eye(2), np.array([np.nan, 0.0]))
+
+
+OVERFLOW = re.escape("G or rowsum has non-finite entries (sums that overflow a double leave them)")
+
+
+def test_aggregate_whose_sums_overflow_is_refused_without_a_warning(demo_system):
+    # every sample is finite, but record 3's products overflow a double; a
+    # RuntimeWarning would fail this test (pytest's filterwarnings)
+    ds = _noisy_demo(demo_system, 50)
+    U, Y = ds.U.copy(), ds.Y.copy()
+    U[3] *= 1e200
+    with pytest.raises(ValueError, match=OVERFLOW):
+        aggregate(Dataset(U, Y), 2)
+
+
+def test_sums_of_finite_aggregates_that_overflow_are_refused(monkeypatch):
+    big = SufficientStats(2, 3, 1, np.diag([1e308, 1.0]), np.zeros(2))
+    with pytest.raises(ValueError, match=OVERFLOW):
+        big.merge(big)
+    # three one-record blocks, each G = diag(6.4e307, 0), finite; their sum is not
+    monkeypatch.setattr(stats, "BLOCK_SIZE", 1)
+    H = [[8e153, 8e153], [0.0, 0.0]]
+    with pytest.raises(ValueError, match=OVERFLOW):
+        aggregate(_dataset(H, H, H), 1)
+
+
+def test_load_stats_names_its_path_once(tmp_path):
+    path = tmp_path / "stats.json"
+    path.write_text('{"d": 2, "Nc": 3, "count": 4, "G": [1, 0, 0, 1], "rowsum": [0, 0, 0]}')
+    with pytest.raises(ValueError) as err:
+        load_stats(path)
+    assert str(err.value) == f"{path}: rowsum has shape (3,), expected (2,)"
+
+
 def test_load_stats_reads_integral_floats_as_integers(tmp_path):
     path = tmp_path / "stats.json"
     path.write_text('{"d": 2.0, "Nc": 3.0, "count": 4.0, "G": [1, 0, 0, 1], "rowsum": [0, 0]}')

@@ -1,4 +1,5 @@
 import importlib
+import re
 
 import numpy as np
 import pytest
@@ -197,6 +198,27 @@ class TestConvergenceStudy:
         monkeypatch.setattr(validate, "true_nullspace", lambda *a: pytest.fail("true_nullspace ran"))
         with pytest.raises(ValueError, match=f"^{message}; the study runs each value once"):
             convergence_study(demo_system, zero, zero, 2, Nt_list, seeds, _never, N=25)
+
+    @pytest.mark.parametrize("Nt_list, seeds, message", [
+        ([20.7], [0], "Nt_list holds 20.7; ensemble sizes are integers"),
+        ([5, True], [0], "Nt_list holds True; ensemble sizes are integers"),
+        ([5, "8"], [0], "Nt_list holds '8'; ensemble sizes are integers"),
+        ([5], [0, -1], "seeds holds -1; seeds are non-negative integers"),
+        ([5], [1.0], "seeds holds 1.0; seeds are non-negative integers"),
+        ([5], [False], "seeds holds False; seeds are non-negative integers"),
+    ])
+    def test_sizes_and_seeds_that_are_not_integers_rejected_before_any_work(self, demo_system, monkeypatch, Nt_list, seeds, message):
+        zero = NoiseSpec("gaussian", 0.0, 0.0)
+        oracle, searched = [], []
+        monkeypatch.setattr(validate, "true_nullspace", lambda *a: oracle.append(a))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            convergence_study(demo_system, zero, zero, 2, Nt_list, seeds, searched.append, N=25)
+        assert oracle == [] and searched == []
+
+    def test_integral_float_size_reads_as_its_int(self, demo_system):
+        zero = NoiseSpec("gaussian", 0.0, 0.0)
+        res = convergence_study(demo_system, zero, zero, 2, [5.0], [np.int64(3)], lambda fin: None, N=25)
+        assert [(type(Nt), Nt, type(seed), seed) for Nt, seed, _, _ in res.rows] == [(int, 5, int, 3)]
 
     def test_search_called_once_per_cell_with_its_stats(self, demo_system):
         spec = NoiseSpec("gaussian", 1.0, 5.0)
