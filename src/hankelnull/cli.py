@@ -105,6 +105,9 @@ _REFERENCE = {
 
 PRESETS = {"reference": _REFERENCE}
 
+# generate refuses clean records whose excitation (see _excitation) falls below this
+EXCITATION_MIN = 1e-10
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -341,7 +344,7 @@ class _Run:
 
     def __init__(self, command: str, cfg: ExperimentConfig, out_dir):
         self.command, self.cfg, self.out = command, cfg, Path(out_dir)
-        self.timings, self.outputs, self._inner = {}, {}, 0.0
+        self.timings, self.outputs, self._inner, self._made = {}, {}, 0.0, False
 
     @contextlib.contextmanager
     def stage(self, name: str):
@@ -355,9 +358,18 @@ class _Run:
 
     def output(self, name: str, filename: str) -> Path:
         """Record an output file under name and return its path in --out."""
-        self.out.mkdir(parents=True, exist_ok=True)
+        if not self.out.is_dir():
+            self.out.mkdir(parents=True)
+            self._made = True
         self.outputs[name] = filename
         return self.out / filename
+
+    def discard(self) -> None:
+        """Remove the output files recorded so far, and --out if this run made it."""
+        for filename in self.outputs.values():
+            (self.out / filename).unlink(missing_ok=True)
+        if self._made:
+            self.out.rmdir()
 
     def manifest(self, **extra) -> None:
         """Write manifest.json. cpus is the count of CPUs the run could use
@@ -392,18 +404,38 @@ def _dataset_stats(cfg: ExperimentConfig, path, run: _Run) -> SufficientStats:
         return lti_sim._named(path, _total, G, rowsum, cfg.N - cfg.L + 1, rd.Nt)
 
 
+def _excitation(st: SufficientStats, nullity: int) -> float:
+    """How well the records of a clean aggregate excite the plant together:
+    the (nullity + 1)-th smallest eigenvalue of its Gram sum over the
+    largest. Clean records of a plant whose noiseless nullity is nullity
+    span at most d - nullity directions, so the ratio is at rounding level
+    (or negative) when they span fewer."""
+    w = np.linalg.eigvalsh(st.G)
+    return float(w[nullity] / w[-1]) if w[-1] > 0.0 else 0.0
+
+
 def cmd_generate(cfg: ExperimentConfig, out_dir) -> int:
     """Write the noisy and noiseless datasets one block of records at a time.
 
     Records [a, b) come from generate_dataset and add_noise on roots whose
     next child streams are the ones a whole-ensemble run gives them (see
     lti_sim), so the bytes are those of the whole ensemble generated, then
-    perturbed, from one root of the seed. Timings: generate_s and noise_s
-    are this process's seconds in generate_dataset and add_noise, and
-    write_s is the rest of the write.
+    perturbed, from one root of the seed. Each clean block is aggregated
+    into row k of shared arrays, as _dataset_stats aggregates a file, and
+    the rows are summed once the files are written. The manifest records
+    the sum's excitation (see _excitation). One below EXCITATION_MIN, or a
+    sum that overflows, raises ValueError after the files, and an --out
+    this run made, are removed. Timings: generate_s, aggregate_s and
+    noise_s are this process's seconds in generate_dataset, in aggregate
+    and the excitation, and in add_noise; write_s is the rest of the write.
     """
-    # the library's checks of generate_dataset's arguments, before --out is made
-    lti_sim._generation_plan(cfg.system, cfg.Nt, cfg.N, cfg.L, cfg.x0_policy, cfg.x0_halfwidth)
+    # the library's checks of generate_dataset's arguments, before --out is made,
+    # and of the plant: data of one whose noiseless nullity is not p*L - n never pass
+    lti_sim._generation_plan(cfg.Nt, cfg.N, cfg.L, cfg.x0_policy, cfg.x0_halfwidth)
+    true_nullspace(cfg.system, cfg.L)
+    blocks = -(-cfg.Nt // lti_sim.BLOCK_SIZE)
+    too_big = f"Nt={cfg.Nt} records' block sums do not fit in memory"
+    G, rowsum = lti_sim._shared_empty((blocks, cfg.d, cfg.d), too_big), lti_sim._shared_empty((blocks, cfg.d), too_big)
     run = _Run("generate", cfg, out_dir)
 
     def root(spawned: int) -> np.random.Generator:
@@ -412,13 +444,27 @@ def cmd_generate(cfg: ExperimentConfig, out_dir) -> int:
     def block(a: int, b: int) -> tuple:
         with run.stage("generate_s"):
             clean = generate_dataset(cfg.system, b - a, cfg.N, cfg.L, cfg.x0_policy, root(a), x0_halfwidth=cfg.x0_halfwidth)
+        with run.stage("aggregate_s"):
+            st = aggregate(clean, cfg.L)
+            G[a // lti_sim.BLOCK_SIZE], rowsum[a // lti_sim.BLOCK_SIZE] = st.G, st.rowsum
         with run.stage("noise_s"):
             return add_noise(clean, cfg.noise_u, cfg.noise_y, root(cfg.Nt + a)), clean
 
-    with run.stage("write_s"):
-        paths = (run.output("noisy", "dataset_noisy.jsonl"), run.output("noiseless", "dataset_noiseless.jsonl"))
-        lti_sim._write_datasets(paths, cfg.Nt, cfg.N, cfg.system.m, cfg.system.p, block)
-    run.manifest()
+    try:
+        with run.stage("write_s"):
+            paths = (run.output("noisy", "dataset_noisy.jsonl"), run.output("noiseless", "dataset_noiseless.jsonl"))
+            lti_sim._write_datasets(paths, cfg.Nt, cfg.N, cfg.system.m, cfg.system.p, block)
+        with run.stage("aggregate_s"):
+            excitation = _excitation(_total(G, rowsum, cfg.N - cfg.L + 1, cfg.Nt), cfg.nullity)
+        if excitation < EXCITATION_MIN:
+            raise ValueError(
+                f"the clean records do not excite the plant together: excitation={excitation:.3g}, the clean Gram "
+                f"sum's (nullity + 1)-th smallest eigenvalue over its largest, is below {EXCITATION_MIN:g}"
+            )
+    except ValueError:
+        run.discard()
+        raise
+    run.manifest(excitation=excitation)
     print(f"generated {cfg.Nt} experiments of length {cfg.N} into {run.out}")
     return 0
 

@@ -52,8 +52,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random.bit_generator import _coerce_to_uint32_array  # private; _record_draws checks its use
 
-from .hankel import pe_order_check
-
 __all__ = [
     "StateSpace",
     "Dataset",
@@ -61,7 +59,6 @@ __all__ = [
     "NOISE_FAMILIES",
     "X0_POLICIES",
     "simulate",
-    "generate_pe_input",
     "add_noise",
     "generate_dataset",
     "random_system",
@@ -72,8 +69,7 @@ __all__ = [
 NOISE_FAMILIES = ("gaussian", "uniform", "shifted-exponential")
 X0_POLICIES = ("zero", "random-bounded")
 
-BLOCK_SIZE = 512  # records per block in the excitation check, dataset I/O and aggregation
-MAX_TRIES = 10  # input draws per record before the excitation check gives up
+BLOCK_SIZE = 512  # records per block in stream derivation, dataset I/O and aggregation
 FORK_MIN_VALUES = 22_500  # floats a forked text I/O part must format or parse to repay starting it
 FORMAT_VALUES = 8192  # samples one %-operation of the dataset writer formats at most: a slice of a block
 
@@ -249,14 +245,21 @@ class NoiseSpec:
 
 def _simulate_batch(ss: StateSpace, X0: np.ndarray, U: np.ndarray) -> np.ndarray:
     """Outputs (B, N, p) of the exact state recursion, from states X0 (B, n)
-    and inputs U (B, N, m), one time step at a time over the whole batch."""
+    and inputs U (B, N, m), one time step at a time over the whole batch.
+
+    Each sum is made in place of one of its terms, so a step holds X0, the
+    state and two (B, n) or (B, p) products at most; IEEE addition
+    commutes, so the output's bits are those of C x_k + D u_k."""
     Y = np.empty(U.shape[:2] + (ss.p,))
     At, Bt, Ct, Dt = ss.A.T, ss.B.T, ss.C.T, ss.D.T
     X = X0
     for k in range(U.shape[1]):
         uk = U[:, k]
-        Y[:, k] = X @ Ct + uk @ Dt
-        X = X @ At + uk @ Bt
+        yk = uk @ Dt
+        yk += X @ Ct
+        Y[:, k] = yk
+        X = X @ At
+        X += uk @ Bt
     return Y
 
 
@@ -275,23 +278,6 @@ def simulate(ss: StateSpace, x0, U) -> np.ndarray:
     if x.shape != (ss.n,):
         raise ValueError(f"x0 must have {ss.n} entries, got shape {np.shape(x0)}")
     return _simulate_batch(ss, x[None], U[None])[0]
-
-
-def generate_pe_input(N: int, m: int, order: int, rng: np.random.Generator, max_tries: int = MAX_TRIES) -> np.ndarray:
-    """Draw an N x m input whose depth-`order` Hankel matrix has full row rank.
-
-    Entries are i.i.d. standard normal, which is exciting with probability
-    one; the rank is still verified and the draw retried a bounded number of
-    times rather than assumed.
-    """
-    need = (m + 1) * order - 1  # below this, the Hankel matrix is too narrow for rank m*order
-    if N < need:
-        raise ValueError(f"N={N} cannot excite order {order} with m={m} inputs; need N >= {need}")
-    for _ in range(max_tries):
-        U = rng.standard_normal((N, m))
-        if pe_order_check(U, order):
-            return U
-    raise RuntimeError(f"no exciting input of order {order} found in {max_tries} draws")
 
 
 def add_noise(ds: Dataset, spec_u: NoiseSpec, spec_y: NoiseSpec, rng: np.random.Generator) -> Dataset:
@@ -335,28 +321,22 @@ def generate_dataset(
     rng: np.random.Generator,
     x0_halfwidth: float = 1.0,
 ) -> Dataset:
-    """Generate Nt independent noiseless experiments of length N.
+    """Generate Nt independent noiseless experiments of length N >= L.
 
-    Every input is verified persistently exciting of order L + n. Initial
-    states are zero or drawn uniformly from a hypercube of the given
-    half-width, per policy. Record i draws its initial state, then its
-    input, from child stream i (see _record_draws); an input that fails the
-    excitation check is redrawn from the same stream, up to MAX_TRIES draws
-    in all.
+    Inputs are i.i.d. standard normal and initial states zero or drawn
+    uniformly from a hypercube of the given half-width, per policy. Record
+    i draws its initial state, then its input, from child stream i (see
+    _record_draws). No record is checked on its own: the records excite the
+    plant together, through the Gram sum of their stacked Hankel matrices,
+    and a record as short as the window adds one column to it. The CLI's
+    generate checks that sum once (cli.cmd_generate).
     """
-    order, bounds = _generation_plan(ss, Nt, N, L, x0_policy, x0_halfwidth)
+    bounds = _generation_plan(Nt, N, L, x0_policy, x0_halfwidth)
     X0 = np.zeros((Nt, ss.n))
     U = np.empty((Nt, N, ss.m))
-    again = _record_draws(rng, Nt, ([("random", X0)] if bounds is not None else []) + [("standard_normal", U)])
-    for a in range(0, Nt, BLOCK_SIZE):
-        for i in a + np.flatnonzero(~pe_order_check(U[a : a + BLOCK_SIZE], order)):
-            try:
-                U[i] = generate_pe_input(N, ss.m, order, again(i), MAX_TRIES - 1)
-            except RuntimeError:
-                raise RuntimeError(f"record {i}: no exciting input of order {order} found in {MAX_TRIES} draws") from None
+    _record_draws(rng, Nt, ([("random", X0)] if bounds is not None else []) + [("standard_normal", U)])
     if bounds is not None:
-        # after any replay, which draws the standard uniforms again: numpy's
-        # uniform(lo, hi) is lo + (hi - lo)*u
+        # numpy's uniform(lo, hi) is lo + (hi - lo)*u
         lo, hi = bounds
         X0 *= hi - lo
         X0 += lo
@@ -368,23 +348,22 @@ def generate_dataset(
     return Dataset(U, _simulate_batch(ss, X0, U))
 
 
-def _generation_plan(ss: StateSpace, Nt: int, N: int, L: int, x0_policy: str, x0_halfwidth: float) -> tuple:
+def _generation_plan(Nt: int, N: int, L: int, x0_policy: str, x0_halfwidth: float):
     """generate_dataset's checks of its arguments, which draw nothing: the
-    excitation order L + n and the initial-state bounds (lo, hi), None for
-    zero states. An argument it cannot take raises ValueError naming it."""
+    initial-state bounds (lo, hi), None for zero states. An argument it
+    cannot take raises ValueError naming it."""
     if Nt < 1:
         raise ValueError("Nt must be >= 1")
     if x0_policy not in X0_POLICIES:
         raise ValueError(f"unknown x0 policy {x0_policy!r}")
-    order = L + ss.n
-    if N < (ss.m + 1) * order - 1:
-        raise ValueError(f"N={N} too short for excitation order L+n={order} with m={ss.m}; need N >= {(ss.m + 1) * order - 1}")
+    if N < L:
+        raise ValueError(f"N={N} is shorter than the window depth L={L}")
     if x0_policy == "zero":
-        return order, None
+        return None
     lo, hi = -float(x0_halfwidth), float(x0_halfwidth)
     if not 0.0 <= hi - lo < math.inf:
         raise ValueError(f"x0_halfwidth={x0_halfwidth} must be non-negative with 2*x0_halfwidth a finite double")
-    return order, (lo, hi)
+    return lo, hi
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
@@ -443,12 +422,11 @@ def _pcg64_states(seq, first: int, n: int) -> list:
     return states
 
 
-def _record_draws(rng, n: int, calls: list):
+def _record_draws(rng, n: int, calls: list) -> None:
     """Make the draws of child streams 0..n-1 of the root generator rng:
     stream i draws bitwise what rng.spawn(n)[i] draws, and rng's seed
     sequence counts n more children spawned, as spawn counts them, so the
-    next call gets the next n. Returns again(i), stream i where its draws
-    left it.
+    next call gets the next n.
 
     calls is one list of draws, (Generator method name, rows), that every
     record makes in order on its own stream: stream i runs
@@ -457,30 +435,27 @@ def _record_draws(rng, n: int, calls: list):
     one pass a block of BLOCK_SIZE children (see _pcg64_states), so no more
     than a block's states are held at once, and one Generator, reseeded for
     each record, makes every record's draws, so no per-record SeedSequence,
-    PCG64 or Generator is built; again(i) derives child i's state alone,
-    reseeds the Generator to it and makes record i's draws again. The first
-    and last states are checked against streams numpy builds itself, and a
-    mismatch, from a numpy that seeds another way, raises RuntimeError
-    before anything is counted or drawn, rather than changing any dataset.
+    PCG64 or Generator is built. The first and last states are checked
+    against streams numpy builds itself, and a mismatch, from a numpy that
+    seeds another way, raises RuntimeError before anything is counted or
+    drawn, rather than changing any dataset.
     Any other root (another bit generator, a seed sequence of another kind,
     a duck-typed generator with only a spawn method) is served by
-    rng.spawn(n), and again(i) is child i itself.
+    rng.spawn(n).
     """
 
-    def draw(g, i: int):
+    def draw(g, i: int) -> None:
         for name, rows in calls:
             getattr(g, name)(out=rows[i])
-        return g
 
     bg = getattr(rng, "bit_generator", None)
     seq = getattr(bg, "seed_seq", None)
     first = getattr(seq, "n_children_spawned", 0)
     # a child index past 32 bits would take two words of the key
     if type(bg) is not np.random.PCG64 or type(seq) is not np.random.SeedSequence or first + n > 1 << 32:
-        own = rng.spawn(n)
-        for i, g in enumerate(own):
+        for i, g in enumerate(rng.spawn(n)):
             draw(g, i)
-        return own.__getitem__
+        return
     for i in {0, n - 1}:
         child = np.random.PCG64(np.random.SeedSequence(seq.entropy, spawn_key=seq.spawn_key + (first + i,), pool_size=seq.pool_size))
         want = child.state["state"]
@@ -493,20 +468,11 @@ def _record_draws(rng, n: int, calls: list):
     seq.__setstate__(np.random.SeedSequence(seq.entropy, spawn_key=seq.spawn_key, pool_size=seq.pool_size, n_children_spawned=first + n).__reduce__()[2])
     g = np.random.Generator(child)
     state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
-
-    def reseed(pair: tuple) -> None:
-        state["state"]["state"], state["state"]["inc"] = pair
-        child.state = state
-
-    def again(i: int):
-        reseed(_pcg64_states(seq, first + i, 1)[0])
-        return draw(g, i)
-
     for a in range(0, n, BLOCK_SIZE):
         for i, pair in enumerate(_pcg64_states(seq, first + a, min(BLOCK_SIZE, n - a)), a):
-            reseed(pair)
+            state["state"]["state"], state["state"]["inc"] = pair
+            child.state = state
             draw(g, i)
-    return again
 
 
 def random_system(n: int, m: int, p: int, rng: np.random.Generator, spectral_radius: float = 0.9) -> StateSpace:
@@ -811,7 +777,7 @@ def _in_parts(n: int, parts: int, part) -> None:
     returns into the caller's frames or flushes the caller's buffers. A
     lock another thread holds stays locked in a forked child (Python 3.12
     and later warn of it). The parts run here take no Python-level lock.
-    Dataset parts simulate, check excitation and aggregate, so a child
+    Dataset parts simulate and aggregate, so a child
     calls BLAS and LAPACK, possibly after this process has started
     OpenBLAS's thread pool. That is safe because OpenBLAS, numpy's BLAS,
     registers a pthread_atfork handler that stops its pool before every

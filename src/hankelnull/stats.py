@@ -95,8 +95,9 @@ def aggregate(ds, L: int) -> SufficientStats:
     for a in range(0, ds.Nt, BLOCK_SIZE):
         Hs = stacked_hankel(ds.U[a : a + BLOCK_SIZE], ds.Y[a : a + BLOCK_SIZE], L)  # (B, d, Nc)
         g = _tree_sum(Hs @ Hs.transpose(0, 2, 1))
-        # batched gemm output need not be exactly symmetric; G must be, and a sum of symmetric matrices is
-        G.append((g + g.T) / 2.0)
+        # batched gemm output need not be exactly symmetric; G must be, and a sum of symmetric matrices is.
+        # Halving first keeps a finite g finite, with the bits of (g + g.T) / 2.0 for normal entries
+        G.append(g / 2.0 + g.T / 2.0)
         rowsum.append(_tree_sum(Hs.sum(axis=2)))
     return _total(np.stack(G), np.stack(rowsum), Hs.shape[2], ds.Nt)
 

@@ -37,10 +37,11 @@ class SubspaceError:
 def true_nullspace(ss: StateSpace, L: int) -> SubspaceBasis:
     """Orthonormal basis of the left null space of the noiseless ensemble.
 
-    Builds one long noiseless experiment of (m + 1)*(L + n) + L samples, its
-    input drawn from a seed-0 generator so that it is exciting of order
-    L + n, and takes the left singular vectors of its stacked Hankel matrix
-    whose singular values fall below 1e-10 of the largest. The dimension
+    Builds one long noiseless experiment of (m + 1)*(L + n) + L samples,
+    long enough for its standard-normal input, drawn from a seed-0
+    generator, to be exciting of order L + n, and takes the left singular
+    vectors of its stacked Hankel matrix whose singular values fall below
+    1e-10 of the largest. The dimension
     must come out to p*L - n; anything else raises, since it signals a
     realization that is not minimal or an L below the plant's observability
     index.
@@ -116,13 +117,15 @@ def convergence_study(
     the Candidate that search makes of its FinalizedStats against the true
     null space. Cells where search returns None record theta_max = nan and
     admitted = 0; medians are taken over the admitted cells of each Nt. An
-    Nt that is not integral (20.0 reads as 20) or a seed that is not a
-    non-negative integer, an empty or repeated Nt_list or seeds, or an
-    Nt_list not ascending, raises before any cell runs.
+    Nt that is not integral (20.0 reads as 20) or is below 1, a seed that
+    is not a non-negative integer, an empty or repeated Nt_list or seeds,
+    or an Nt_list not ascending, raises before any cell runs.
     """
     for v in Nt_list:
         if isinstance(v, bool) or not (isinstance(v, numbers.Integral) or isinstance(v, float) and v.is_integer()):
             raise ValueError(f"Nt_list holds {v!r}; ensemble sizes are integers")
+        if v < 1:
+            raise ValueError(f"Nt_list holds {v!r}; an ensemble needs at least one record")
     for v in seeds:
         if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 0:
             raise ValueError(f"seeds holds {v!r}; seeds are non-negative integers")

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from hankelnull import StateSpace, stacked_hankel
-from hankelnull.hankel import _as_signal, _block_hankel
 
 
 @pytest.fixture(scope="session")
@@ -40,20 +39,6 @@ def noiseless_M(ds, L: int) -> np.ndarray:
         M = M + H @ H.T
     M = M / ds.Nt
     return (M + M.T) / 2.0
-
-
-def svd_rule(U, order: int, tol: float = 1e-10):
-    """pe_order_check's verdict by SVD of every record, its rule before the
-    Gram-determinant screen: full rank iff all m*order singular values of
-    hankel(U, order) exceed tol * sigma_max.
-
-    Oracle for the tests: the screen must give the same verdict everywhere.
-    """
-    sig = _as_signal(U, batched=True)
-    sv = np.linalg.svd(_block_hankel(sig, order), compute_uv=False)
-    rank = np.count_nonzero(sv > tol * sv[..., :1], axis=-1)
-    full = rank == sig.shape[-1] * order
-    return bool(full) if sig.ndim == 2 else full
 
 
 def spy(monkeypatch, module, name: str) -> list:

@@ -282,6 +282,33 @@ class TestGenerate:
         assert list(out.iterdir()) == []
         assert_no_child_left()
 
+    @pytest.mark.parametrize("cpus", [1, pytest.param(2, marks=FORKS)])
+    def test_manifest_records_the_clean_ensembles_excitation(self, tmp_path, monkeypatch, capsys, cpus):
+        # N = L = 2, one Hankel column a record; at 2 CPUs the forked part's
+        # block sums reach this process through shared memory
+        monkeypatch.setattr(lti_sim, "_cpus", lambda: cpus)
+        monkeypatch.setattr(lti_sim, "FORK_MIN_VALUES", 1)
+        config = _stream_config(tmp_path, 1600, SMALL_CONFIG["noise"], "random-bounded")
+        out = tmp_path / "o"
+        assert main(["generate", "--config", config, "--N", "2", "--out", str(out)]) == 0
+        cfg = config_from_dict(dict(SMALL_CONFIG, Nt=1600, N=2))
+        clean = generate_dataset(cfg.system, cfg.Nt, cfg.N, cfg.L, cfg.x0_policy, np.random.default_rng(cfg.seed))
+        excitation = json.loads((out / "manifest.json").read_text())["excitation"]
+        assert excitation == cli._excitation(aggregate(clean, cfg.L), cfg.nullity) > cli.EXCITATION_MIN
+
+    @pytest.mark.parametrize("out_exists", [False, True])
+    def test_ensemble_that_does_not_excite_the_plant_is_refused(self, tmp_path, cfg_file, capsys, out_exists):
+        # N = L = 2 with zero states: y_0 = 0 (D = 0) in every record, so the
+        # clean columns span only the 4 input directions of the 7
+        out = tmp_path / "o"
+        if out_exists:
+            out.mkdir()
+        assert main(["generate", "--config", cfg_file, "--N", "2", "--x0-policy", "zero", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "error: the clean records do not excite the plant together: excitation=" in err and "Traceback" not in err
+        # the files written are removed, and so is an --out this run made
+        assert list(out.iterdir()) == [] if out_exists else not out.exists()
+
     @FORKS
     def test_failing_child_writer_is_io_error(self, tmp_path, cfg_file, monkeypatch, capsys):
         monkeypatch.setattr(lti_sim, "_cpus", lambda: 2)
@@ -604,7 +631,7 @@ class TestAggregateAndRecover:
     def test_manifest_records_stage_timings(self, tmp_path, cfg_file, gen_dir, capsys):
         dataset, rec = str(gen_dir / "dataset_noisy.jsonl"), tmp_path / "recover-dataset"
         runs = (
-            ("generate", [], {"generate_s", "noise_s", "write_s"}),
+            ("generate", [], {"generate_s", "aggregate_s", "noise_s", "write_s"}),
             ("aggregate", ["--dataset", dataset], {"load_s", "aggregate_s"}),
             ("recover-dataset", ["--dataset", dataset], {"load_s", "aggregate_s", "grid_s", "write_s"}),
             ("recover-stats", ["--stats", str(rec / "stats.json")], {"load_s", "grid_s", "write_s"}),
@@ -753,11 +780,11 @@ class TestAggregateAndRecover:
         assert "error: eps_factor=1e+308 times the grid's noise floor" in err and "overflows" in err and "Traceback" not in err
         assert not out.exists()
 
-    # checks that only the library makes: the excitation bound N >= 14 at
-    # n = 3, m = 2, L = 2, and the nullity p*L - n, 0 at L = 1
+    # checks that only the library makes: a negative initial-state
+    # half-width, and the nullity p*L - n, 0 at L = 1
     @pytest.mark.parametrize("command, flags, cause", [
-        ("generate", ["--N", "8"], "N=8 too short for excitation order L+n=5 with m=2; need N >= 14"),
-        ("sweep", ["--N", "8", "--Nt-list", "5", "--seeds", "0"], "N=8 too short for excitation order L+n=5 with m=2; need N >= 14"),
+        ("generate", ["--x0-halfwidth", "-1"], "x0_halfwidth=-1.0 must be non-negative"),
+        ("sweep", ["--x0-halfwidth", "-1", "--Nt-list", "5", "--seeds", "0"], "x0_halfwidth=-1.0 must be non-negative"),
         ("recover", ["--L", "1", "--dataset", None], "nullity must be in [1, 4], got 0"),
     ], ids=["generate", "sweep", "recover"])
     def test_library_input_error_is_found_before_out_exists(self, tmp_path, cfg_file, gen_dir, capsys, command, flags, cause):
@@ -771,15 +798,23 @@ class TestAggregateAndRecover:
     def test_plant_whose_data_has_another_nullity_is_refused_before_out_exists(self, tmp_path, capsys):
         # A = 0.5*I with C = [1, 0] is not minimal: at L = 3 its data's
         # noiseless nullity is 2, not the p*L - n = 1 the grid search would take
+        plant = {"system": {"A": [[0.5, 0.0], [0.0, 0.5]], "B": [[1.0], [1.0]], "C": [[1.0, 0.0]], "D": [[0.0]]}, "L": 3}
         path = tmp_path / "plant.json"
-        path.write_text(json.dumps({"system": {"A": [[0.5, 0.0], [0.0, 0.5]], "B": [[1.0], [1.0]], "C": [[1.0, 0.0]], "D": [[0.0]]}, "L": 3}))
-        gen = tmp_path / "gen"
-        assert main(["generate", "--config", str(path), "--Nt", "50", "--out", str(gen)]) == 0
-        # the plant is checked before the dataset, or a stats file that does not exist, is read
+        path.write_text(json.dumps(plant))
+        # generate refuses the plant, so its dataset is made by the library
+        cfg, rng = config_from_dict({**plant, "Nt": 50}), np.random.default_rng(0)
+        clean = generate_dataset(cfg.system, cfg.Nt, cfg.N, cfg.L, cfg.x0_policy, rng)
+        save_dataset(add_noise(clean, cfg.noise_u, cfg.noise_y, rng), tmp_path / "plant.jsonl")
+        # the plant is checked before any record is made, and before the
+        # dataset, or a stats file that does not exist, is read
         out = tmp_path / "o"
-        for source in (["--dataset", str(gen / "dataset_noisy.jsonl")], ["--stats", str(tmp_path / "missing.json")]):
+        for command, source in (
+            ("generate", []),
+            ("recover", ["--dataset", str(tmp_path / "plant.jsonl")]),
+            ("recover", ["--stats", str(tmp_path / "missing.json")]),
+        ):
             capsys.readouterr()
-            assert main(["recover", "--config", str(path), "--eps-mode", "auto", *source, "--out", str(out)]) == 3
+            assert main([command, "--config", str(path), "--eps-mode", "auto", *source, "--out", str(out)]) == 3
             err = capsys.readouterr().err
             assert "error: noiseless null space has dimension 2, expected p*L - n = 1; the realization is not minimal, or L=3 is below the plant's observability index" in err
             assert "Traceback" not in err and not out.exists()
@@ -1134,7 +1169,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("flag, cause", [
         (["--Nt-list", "10,5"], "Nt_list must be ascending"),
-        (["--Nt-list=0,5"], "Nt must be >= 1"),
+        (["--Nt-list=0,5"], "Nt_list holds 0; an ensemble needs at least one record"),
     ])
     def test_bad_nt_values_are_config_error_before_out_exists(self, tmp_path, cfg_file, capsys, flag, cause):
         out = tmp_path / "o"

@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import assert_no_child_left, part_counts, spy, svd_rule
+from conftest import assert_no_child_left, part_counts, spy
 from hankelnull import (
     Dataset,
     NoiseSpec,
@@ -21,9 +21,7 @@ from hankelnull import (
     aggregate,
     estimator,
     generate_dataset,
-    generate_pe_input,
     grid_search,
-    hankel,
     load_dataset,
     lti_sim,
     pe_order_check,
@@ -31,7 +29,6 @@ from hankelnull import (
     save_dataset,
     simulate,
 )
-from hankelnull.cli import PRESETS, config_from_dict
 from hankelnull.lti_sim import NOISE_FAMILIES
 
 # dataset I/O forks on Linux only; the tests that force a CPU count above 1 need that
@@ -111,35 +108,6 @@ def test_simulate_rejects_mismatched_shapes(demo_system):
         simulate(demo_system, np.zeros(3), np.zeros((5, 3)))
     with pytest.raises(ValueError):
         simulate(demo_system, np.zeros(2), np.zeros((5, 2)))
-
-
-# ---------------------------------------------------------------- pe input
-
-def test_generate_pe_input_demo_order():
-    U = generate_pe_input(30, 2, 5, np.random.default_rng(0))
-    assert U.shape == (30, 2)
-    assert np.linalg.matrix_rank(hankel(U, 5)) == 10
-
-
-def test_generate_pe_input_minimal_case():
-    U = generate_pe_input(3, 1, 2, np.random.default_rng(1))
-    assert np.linalg.matrix_rank(hankel(U, 2)) == 2
-
-
-def test_generate_pe_input_infeasible():
-    # a depth-3 Hankel of 5 samples has 3 columns, rank at most 3 < 6
-    with pytest.raises(ValueError):
-        generate_pe_input(5, 2, 3, np.random.default_rng(0))
-
-
-class _ZeroRng:
-    def standard_normal(self, shape):
-        return np.zeros(shape)
-
-
-def test_generate_pe_input_retry_budget():
-    with pytest.raises(RuntimeError):
-        generate_pe_input(10, 1, 2, _ZeroRng())
 
 
 # ---------------------------------------------------------------- noise
@@ -252,7 +220,7 @@ def _per_record_oracle(ss, Nt, N, L, seed, halfwidth=1.0):
     out = []
     for g in np.random.default_rng(seed).spawn(Nt):
         x = g.uniform(-halfwidth, halfwidth, ss.n)
-        U = generate_pe_input(N, ss.m, L + ss.n, g)
+        U = g.standard_normal((N, ss.m))
         Y = np.empty((N, ss.p))
         for k in range(N):
             Y[k] = ss.C @ x + ss.D @ U[k]
@@ -284,73 +252,6 @@ def test_prefix_of_big_ensemble_is_the_small_ensemble(demo_system):
         small = generate_dataset(demo_system, k, 20, 2, "random-bounded", np.random.default_rng(6))
         assert np.array_equal(big[:k].U, small.U)
         assert np.array_equal(big[:k].Y, small.Y)
-
-
-class _FirstDrawsZero:
-    """Child stream whose first `zeros` standard-normal draws are all zero
-    and consume nothing; its methods take a Generator's size and out."""
-
-    def __init__(self, g, zeros):
-        self.g, self.zeros = g, zeros
-
-    def random(self, size=None, out=None):
-        return self.g.random(size, out=out)
-
-    def standard_normal(self, size=None, out=None):
-        if self.zeros > 0:
-            self.zeros -= 1
-            if out is None:
-                return np.zeros(size)
-            out[...] = 0.0
-            return out
-        return self.g.standard_normal(size, out=out)
-
-
-class _RootWithBadStreams:
-    """Root generator whose spawned streams at `bad` start with zero inputs."""
-
-    def __init__(self, seed, bad, zeros=1):
-        self.seed, self.bad, self.zeros = seed, bad, zeros
-
-    def spawn(self, n):
-        streams = np.random.default_rng(self.seed).spawn(n)
-        return [_FirstDrawsZero(g, self.zeros) if i in self.bad else g for i, g in enumerate(streams)]
-
-
-def test_excitation_failure_redraws_from_own_stream(demo_system):
-    # record 3 sits in the first block and record 600 in the second
-    ds = generate_dataset(demo_system, 700, 20, 2, "random-bounded", _RootWithBadStreams(8, {3, 600}))
-    ref = generate_dataset(demo_system, 700, 20, 2, "random-bounded", np.random.default_rng(8))
-    # a rejected all-zero draw consumes nothing, so each bad stream's retry
-    # is the draw its record makes anyway
-    assert np.array_equal(ds.U, ref.U)
-    assert np.array_equal(ds.Y, ref.Y)
-
-
-def test_excitation_failure_gives_up_after_max_tries(demo_system):
-    from hankelnull.lti_sim import MAX_TRIES
-
-    root = _RootWithBadStreams(8, {5}, zeros=MAX_TRIES - 1)
-    ds = generate_dataset(demo_system, 10, 20, 2, "zero", root)
-    assert pe_order_check(ds.U[5], 2 + demo_system.n)
-    with pytest.raises(RuntimeError, match="record 5"):
-        generate_dataset(demo_system, 10, 20, 2, "zero", _RootWithBadStreams(8, {5}, zeros=MAX_TRIES))
-
-
-@pytest.mark.parametrize("Nt", [2000, 1])  # Nt=1 takes the one-row simulation path
-def test_reference_data_match_the_svd_rule_bitwise(monkeypatch, Nt):
-    cfg = config_from_dict({**PRESETS["reference"], "Nt": Nt})
-
-    def generate():
-        rng = np.random.default_rng(cfg.seed)
-        clean = generate_dataset(cfg.system, cfg.Nt, cfg.N, cfg.L, cfg.x0_policy, rng, x0_halfwidth=cfg.x0_halfwidth)
-        return clean, add_noise(clean, cfg.noise_u, cfg.noise_y, rng)
-
-    screened = generate()
-    monkeypatch.setattr(lti_sim, "pe_order_check", svd_rule)
-    for got, want in zip(screened, generate()):
-        assert got.U.tobytes() == want.U.tobytes()
-        assert got.Y.tobytes() == want.Y.tobytes()
 
 
 def _numpy_noise(g, spec, shape):
@@ -439,14 +340,9 @@ def test_derived_record_streams_equal_spawn_bitwise(root, n):
         root = {**root, "entropy": np.random.SeedSequence().entropy}
     derived, spawned = _seq_root(**root), _seq_root(**root)
     Z = np.empty((n, 7))
-    again = lti_sim._record_draws(derived, n, [("standard_normal", Z)])
+    lti_sim._record_draws(derived, n, [("standard_normal", Z)])
     for i, child in enumerate(spawned.spawn(n)):
         assert np.array_equal(Z[i], child.standard_normal(7))
-    # a derived stream is reseeded and makes its draws again, ending where
-    # the last child's own draws leave it; a spawned one would not redraw
-    last, Z[n - 1] = Z[n - 1].copy(), 0.0
-    assert again(n - 1).bit_generator.state == child.bit_generator.state
-    assert np.array_equal(Z[n - 1], last)
     # the root counts the n children as spawn does, and its own state is untouched
     assert derived.bit_generator.state == spawned.bit_generator.state
     assert derived.bit_generator.seed_seq.n_children_spawned == spawned.bit_generator.seed_seq.n_children_spawned
@@ -482,15 +378,11 @@ def test_other_bit_generators_keep_spawned_streams(demo_system):
     def root():
         return np.random.Generator(np.random.MT19937(5))
 
-    # served by spawn: again(i) is child i where its draws left it, drawing nothing more
+    # served by spawn
     rows = np.empty((3, 4))
-    again = lti_sim._record_draws(root(), 3, [("standard_normal", rows)])
-    children = root().spawn(3)
-    for i, g in enumerate(children):
+    lti_sim._record_draws(root(), 3, [("standard_normal", rows)])
+    for i, g in enumerate(root().spawn(3)):
         assert np.array_equal(rows[i], g.standard_normal(4))
-    rows[2] = 0.0
-    assert np.array_equal(again(2).standard_normal(5), children[2].standard_normal(5))
-    assert not rows[2].any()
     rng = root()
     ds = generate_dataset(demo_system, 40, 20, 2, "random-bounded", rng)
     for i, (U, Y) in enumerate(_per_record_oracle(demo_system, 40, 20, 2, root())):
@@ -515,76 +407,25 @@ def test_record_streams_refuse_a_seeding_they_do_not_reproduce(monkeypatch):
     assert not Z.any()
 
 
-def test_excitation_failure_redraws_from_derived_stream(demo_system, monkeypatch):
-    # the first screen of each block rejects records 3 and 600, one in each
-    real, screened = lti_sim.pe_order_check, []
-
-    def screen(U, order):
-        ok = real(U, order)
-        if U.ndim == 3:
-            a = lti_sim.BLOCK_SIZE * len(screened)
-            screened.append(a)
-            for i in (3, 600):
-                if a <= i < a + ok.size:
-                    ok[i - a] = False
-        return ok
-
-    monkeypatch.setattr(lti_sim, "pe_order_check", screen)
-    rng = np.random.default_rng(8)
-    ds = generate_dataset(demo_system, 700, 20, 2, "random-bounded", rng)
-    monkeypatch.undo()
-    assert screened == [0, 512]
-    ref = generate_dataset(demo_system, 700, 20, 2, "random-bounded", np.random.default_rng(8))
-    children = np.random.default_rng(8).spawn(700)
-    redrawn = np.isin(np.arange(700), [3, 600])
-    assert np.array_equal(ds.U[~redrawn], ref.U[~redrawn]) and np.array_equal(ds.Y[~redrawn], ref.Y[~redrawn])
-    for i in (3, 600):
-        g = children[i]
-        x0 = g.uniform(-1.0, 1.0, demo_system.n)
-        first = g.standard_normal((20, 2))
-        assert np.array_equal(ref.U[i], first)
-        # the retry is the stream's second input draw
-        assert np.array_equal(ds.U[i], g.standard_normal((20, 2)))
-        Y = simulate(demo_system, x0, ds.U[i])
-        assert np.abs(ds.Y[i] - Y).max() <= 1e-14 * np.abs(Y).max()
-    # the redraw counts no children on the root
-    assert rng.bit_generator.seed_seq.n_children_spawned == 700
-
-
 def test_record_streams_are_derived_a_block_at_a_time(demo_system, monkeypatch):
-    # 5 blocks of 7 children and a last one of 2; the first screen of record
-    # 23, in the fourth block, fails, so its stream is derived again alone
+    # 5 blocks of 7 children and a last one of 2
     monkeypatch.setattr(lti_sim, "BLOCK_SIZE", 7)
-    real = lti_sim.pe_order_check
-    screened = []
-
-    def screen(U, order):
-        ok = real(U, order)
-        if U.ndim == 3:
-            a = 7 * len(screened)
-            screened.append(a)
-            if a <= 23 < a + ok.size:
-                ok[23 - a] = False
-        return ok
-
-    monkeypatch.setattr(lti_sim, "pe_order_check", screen)
     derived = spy(monkeypatch, lti_sim, "_pcg64_states")
     rng = np.random.default_rng(8)
     Z = np.empty((37, 5))
     lti_sim._record_draws(rng, 37, [("standard_normal", Z)])
     ds = generate_dataset(demo_system, 37, 20, 2, "random-bounded", rng)
-    assert screened == [0, 7, 14, 21, 28, 35]
-    # no call derives more than a block's states; the replay derives one
+    # no call derives more than a block's states; the self-check derives one at a time
     asked = [args[1:] for args, _ in derived]
-    assert max(n for _, n in asked) == 7 and (37 + 23, 1) in asked
+    assert max(n for _, n in asked) == 7
+    assert [(a, n) for a, n in asked if n > 1] == [(0, 7), (7, 7), (14, 7), (21, 7), (28, 7), (35, 2),
+                                                  (37, 7), (44, 7), (51, 7), (58, 7), (65, 7), (72, 2)]
     children = np.random.default_rng(8).spawn(74)
     for i, g in enumerate(children[:37]):
         assert np.array_equal(Z[i], g.standard_normal(5))
     for i, g in enumerate(children[37:]):
         x0 = g.uniform(-1.0, 1.0, demo_system.n)
         U = g.standard_normal((20, 2))
-        if i == 23:  # the retry is the stream's second input draw
-            U = g.standard_normal((20, 2))
         assert np.array_equal(ds.U[i], U)
         Y = simulate(demo_system, x0, U)
         assert np.abs(ds.Y[i] - Y).max() <= 1e-14 * np.abs(Y).max()
@@ -637,9 +478,20 @@ def test_generate_dataset_zero_policy_starts_at_rest(demo_system):
         assert np.array_equal(Y[0], np.zeros(3))
 
 
+def test_generate_dataset_at_the_window_length_excites_together(demo_system):
+    # N = L = 2: each record adds one Hankel column. 50 records with random
+    # states span all m*L + n = 7 directions together, so the clean Gram sum
+    # has nullity p*L - n = 3 exactly; zero states give y_0 = 0 (D = 0) in
+    # every record, and the columns span only the m*L = 4 input directions
+    for policy, nullity in (("random-bounded", 3), ("zero", 6)):
+        ds = generate_dataset(demo_system, 50, 2, 2, policy, np.random.default_rng(5))
+        w = np.linalg.eigvalsh(aggregate(ds, 2).G)
+        assert np.count_nonzero(w < 1e-10 * w[-1]) == nullity
+
+
 def test_generate_dataset_infeasible_length(demo_system):
-    with pytest.raises(ValueError):
-        generate_dataset(demo_system, 1, 10, 2, "zero", np.random.default_rng(0))
+    with pytest.raises(ValueError, match="N=1 is shorter than the window depth L=2"):
+        generate_dataset(demo_system, 1, 1, 2, "zero", np.random.default_rng(0))
     with pytest.raises(ValueError):
         generate_dataset(demo_system, 0, 30, 2, "zero", np.random.default_rng(0))
     with pytest.raises(ValueError):

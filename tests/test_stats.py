@@ -275,6 +275,14 @@ def test_sums_of_finite_aggregates_that_overflow_are_refused(monkeypatch):
         aggregate(_dataset(H, H, H), 1)
 
 
+def test_finite_sums_past_half_the_largest_double_are_kept():
+    # G = diag(1e154**2, 1e154**2) is finite; symmetrizing it must not
+    # overflow on the way
+    st = aggregate(_dataset([[1e154, 0.0], [0.0, 1e154]]), 1)
+    assert np.array_equal(st.G, np.diag([1e154 * 1e154] * 2))
+    assert np.array_equal(st.rowsum, [1e154, 1e154])
+
+
 def test_load_stats_names_its_path_once(tmp_path):
     path = tmp_path / "stats.json"
     path.write_text('{"d": 2, "Nc": 3, "count": 4, "G": [1, 0, 0, 1], "rowsum": [0, 0, 0]}')

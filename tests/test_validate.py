@@ -206,6 +206,8 @@ class TestConvergenceStudy:
         ([5], [0, -1], "seeds holds -1; seeds are non-negative integers"),
         ([5], [1.0], "seeds holds 1.0; seeds are non-negative integers"),
         ([5], [False], "seeds holds False; seeds are non-negative integers"),
+        ([0, 5], [0], "Nt_list holds 0; an ensemble needs at least one record"),
+        ([-5, 5], [0], "Nt_list holds -5; an ensemble needs at least one record"),
     ])
     def test_sizes_and_seeds_that_are_not_integers_rejected_before_any_work(self, demo_system, monkeypatch, Nt_list, seeds, message):
         zero = NoiseSpec("gaussian", 0.0, 0.0)
