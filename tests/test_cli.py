@@ -13,6 +13,7 @@ from conftest import assert_no_child_left, part_counts, spy
 import hankelnull
 from hankelnull import add_noise, aggregate, cli, generate_dataset, grid_search, load_dataset, lti_sim, save_dataset, save_stats
 from hankelnull.cli import _SCALARS, PRESETS, config_from_dict, config_to_dict, main
+from hankelnull.stats import SufficientStats
 
 DEMO_SYSTEM = {
     "A": [[0.8, -0.1, 0.0], [0.1, 0.7, 0.1], [0.0, -0.2, 0.6]],
@@ -308,6 +309,19 @@ class TestGenerate:
         assert "error: the clean records do not excite the plant together: excitation=" in err and "Traceback" not in err
         # the files written are removed, and so is an --out this run made
         assert list(out.iterdir()) == [] if out_exists else not out.exists()
+
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    def test_excitation_is_the_scale_free_eigenvalue_ratio(self, scale):
+        # eigenvalues 0, 0, 1e-3, 1 in a rotated basis: at nullity 2 the
+        # ratio is the third smallest over the largest, whatever the scale
+        Q = np.linalg.qr(np.random.default_rng(9).standard_normal((4, 4)))[0]
+        G = (Q * (scale * np.array([0.0, 0.0, 1e-3, 1.0]))) @ Q.T
+        st = SufficientStats(4, 1, 1, G / 2.0 + G.T / 2.0)
+        assert cli._excitation(st, 2) == pytest.approx(1e-3, rel=1e-9)
+        assert cli._excitation(st, 3) == pytest.approx(1.0, rel=1e-12)
+
+    def test_excitation_of_an_all_zero_sum_is_zero(self):
+        assert cli._excitation(SufficientStats(4, 1), 1) == 0.0
 
     @FORKS
     def test_failing_child_writer_is_io_error(self, tmp_path, cfg_file, monkeypatch, capsys):

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from hankelnull import (
     hankel,
@@ -188,3 +192,92 @@ def test_pe_order_check_rejects_non_finite_samples(bad):
         pe_order_check(U.reshape(3, 2, 30, 2), 5)
     with pytest.raises(ValueError, match="^U has non-finite samples"):
         pe_order_check(U[4], 5)
+
+
+def svd_rule(U, order: int, tol: float = 1e-10):
+    """pe_order_check's rule, one record at a time: full rank iff all
+    m*order singular values of hankel(U_i, order) exceed tol * sigma_max."""
+    U = np.asarray(U, dtype=float)
+    if U.ndim == 2:
+        sv = np.linalg.svd(hankel(U, order), compute_uv=False)
+        return bool(np.count_nonzero(sv > tol * sv[0]) == U.shape[-1] * order)
+    return np.array([svd_rule(u, order, tol) for u in U.reshape(-1, *U.shape[-2:])]).reshape(U.shape[:-2])
+
+
+_NORMAL = np.random.default_rng(21).standard_normal((24, 30, 2))
+
+
+def _second_channel(values):
+    U = _NORMAL.copy()
+    U[..., 1] = values
+    return U
+
+
+_MIXED = np.concatenate([_NORMAL[:4], _second_channel(_NORMAL[..., 0])[:4], _second_channel(_NORMAL[..., 0] + 1e-9 * _NORMAL[..., 1])[:4]])
+
+# at order 1 a repeated channel leaves one zero singular value next to a large one
+_ONE_DEFICIENT = np.concatenate([
+    _second_channel(np.random.default_rng(23).standard_normal((24, 1)) * _NORMAL[..., 0]),
+    _second_channel(_NORMAL[..., 0] + 1e-11 * _NORMAL[..., 1]),
+])
+
+# one (batch, order) per case; d = 2 * order rows
+PE_CASES = {
+    "standard-normal": (_NORMAL, 5),
+    "duplicated-channel": (_second_channel(_NORMAL[..., 0]), 5),
+    "scaled-channel": (_second_channel(-3.0 * _NORMAL[..., 0]), 5),
+    "channel-perturbed-1e-9": (_second_channel(_NORMAL[..., 0] + 1e-9 * _NORMAL[..., 1]), 5),
+    "channel-perturbed-1e-11": (_second_channel(_NORMAL[..., 0] + 1e-11 * _NORMAL[..., 1]), 5),
+    "one-deficient-direction": (_ONE_DEFICIENT, 1),
+    "zero-and-constant": (np.stack([np.zeros((30, 2)), np.full((30, 2), 2.5), np.tile([1.0, -4.0], (30, 1))]), 5),
+    "scale-1e150": (1e150 * _MIXED, 5),
+    "scale-1e-150": (1e-150 * _MIXED, 5),
+    "more-rows-than-columns": (_NORMAL[:, :12], 5),  # 8 columns
+    "long-record": (np.random.default_rng(22).standard_normal((2, 20_000, 2)), 5),
+    "standard-normal-d20": (np.random.default_rng(24).standard_normal((24, 60, 2)), 10),
+}
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-3, 0.5])
+@pytest.mark.parametrize("case", sorted(PE_CASES))
+def test_pe_order_check_matches_svd_rule(case, tol):
+    # the batched check gives each record the verdict it gets alone
+    U, order = PE_CASES[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verdicts = pe_order_check(U, order, tol)
+        single = pe_order_check(U[-1], order, tol)
+    assert verdicts.dtype == bool and verdicts.shape == U.shape[:1]
+    assert np.array_equal(verdicts, svd_rule(U, order, tol))
+    assert type(single) is bool and single == svd_rule(U[-1], order, tol)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=hs.integers(0, 2**32 - 1),
+    shape=hs.tuples(hs.integers(1, 8), hs.integers(1, 3), hs.integers(1, 6)),  # records, m, order
+    extra=hs.integers(-3, 40),  # samples beyond the (m + 1) * order - 1 full rank needs
+    defect=hs.sampled_from(["none", "repeat-channel", "zero-record", "near-repeat", "short-impulse"]),
+    scale_exp=hs.integers(-150, 150),
+    tol_exp=hs.floats(-14.0, -0.3),
+)
+def test_pe_order_check_matches_svd_rule_on_random_batches(seed, shape, extra, defect, scale_exp, tol_exp):
+    B, m, order = shape
+    N = max(order, (m + 1) * order - 1 + extra)
+    rng = np.random.default_rng(seed)
+    U = rng.standard_normal((B, N, m))
+    hit = rng.random(B) < 0.5
+    if defect == "repeat-channel" and m > 1:
+        U[hit, :, -1] = rng.standard_normal() * U[hit, :, 0]
+    elif defect == "near-repeat" and m > 1:
+        U[hit, :, -1] = U[hit, :, 0] + 10.0 ** rng.uniform(-14, -4) * U[hit, :, -1]
+    elif defect == "zero-record":
+        U[hit] = 0.0
+    elif defect == "short-impulse":
+        U[hit] = 0.0
+        U[hit, rng.integers(N)] = 1.0
+    U *= 10.0**scale_exp
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verdicts = pe_order_check(U, order, 10.0**tol_exp)
+    assert np.array_equal(verdicts, svd_rule(U, order, 10.0**tol_exp))

@@ -29,6 +29,7 @@ from hankelnull import (
     save_dataset,
     simulate,
 )
+from hankelnull.cli import PRESETS, config_from_dict
 from hankelnull.lti_sim import NOISE_FAMILIES
 
 # dataset I/O forks on Linux only; the tests that force a CPU count above 1 need that
@@ -253,6 +254,21 @@ def test_prefix_of_big_ensemble_is_the_small_ensemble(demo_system):
         assert np.array_equal(big[:k].U, small.U)
         assert np.array_equal(big[:k].Y, small.Y)
 
+
+
+@pytest.mark.parametrize("Nt", [2000, 1])  # Nt=1 takes the one-row simulation path
+def test_reference_data_match_the_svd_rule_bitwise(Nt):
+    # every reference record excites order L + n alone under the SVD rule,
+    # so a per-record screen would redraw none: each record's input is, bit
+    # for bit, its stream's first draw after the initial state
+    cfg = config_from_dict({**PRESETS["reference"], "Nt": Nt})
+    assert cfg.x0_policy == "random-bounded"
+    clean = generate_dataset(cfg.system, cfg.Nt, cfg.N, cfg.L, cfg.x0_policy, np.random.default_rng(cfg.seed),
+                             x0_halfwidth=cfg.x0_halfwidth)
+    assert pe_order_check(clean.U, cfg.L + cfg.system.n).all()
+    for i, g in enumerate(np.random.default_rng(cfg.seed).spawn(Nt)):
+        g.uniform(-cfg.x0_halfwidth, cfg.x0_halfwidth, cfg.system.n)
+        assert clean.U[i].tobytes() == g.standard_normal((cfg.N, cfg.system.m)).tobytes()
 
 def _numpy_noise(g, spec, shape):
     """spec's noise drawn from g with numpy's own normal, uniform and exponential."""
